@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+
+import numpy as np
 
 from .errors import OrderTooLarge, PreconditionFailed
 from .gaussian import GaussianParams, fold_to_zq_array
 from .plwe import PlweParams, PlweSample
-from .polyring import evaluate, is_totally_split, mult_order, poly_deg, poly_eval_z, roots_mod_q
+from .polyring import evaluate, mult_order, poly_deg, poly_eval_z, roots_mod_q, splits_with_roots
 from .rng import SeededRng
-from .zq import Modulus, is_prime, reduce_centered
+from .zq import Modulus, is_prime
 
 MAX_REGION = 1_000_000
 
@@ -86,7 +87,7 @@ def weakness_scan(f: list[int], q: Modulus, r_max: int = 8) -> WeaknessReport:
     return WeaknessReport(
         f=tuple(f),
         q=int(q),
-        totally_split=is_totally_split(f, q),
+        totally_split=splits_with_roots(f, q, roots),
         root_one=(poly_eval_z(f, 1) % int(q) == 0),
         roots=with_orders,
         small_order_roots=small,
@@ -95,20 +96,24 @@ def weakness_scan(f: list[int], q: Modulus, r_max: int = 8) -> WeaknessReport:
     )
 
 
-def _run_survivor_loop(samples, p: PlweParams, alpha: int, accept):
+def _run_survivor_loop(samples, p: PlweParams, alpha: int, accept: np.ndarray,
+                       return_survivors: bool):
+    """Filter the candidates s in F_q through accept[(b(alpha) - s*a(alpha)) mod q],
+    one sample at a time; accept is a boolean mask of length q."""
     q = int(p.ring.q)
-    survivors = set(range(q))
+    survivors = np.arange(q, dtype=np.int64)
     verdicts = []
     history = []
     for sample in samples:
         a_val = evaluate(sample.a, alpha)
         b_val = evaluate(sample.b, alpha)
-        passed = {s for s in survivors if accept((b_val - s * a_val) % q)}
+        survivors = survivors[accept[(b_val - survivors * a_val) % q]]
         verdicts.append(
-            Verdict(label="valid" if passed else "random", surviving_secrets=len(passed))
+            Verdict(label="valid" if survivors.size else "random",
+                    surviving_secrets=int(survivors.size))
         )
-        history.append(frozenset(passed))
-        survivors = passed
+        if return_survivors:
+            history.append(frozenset(survivors.tolist()))
     return verdicts, history
 
 
@@ -129,9 +134,9 @@ def decide_alg1(
     if poly_eval_z(list(p.ring.f), 1) % q != 0:
         raise PreconditionFailed("1 is not a root of f mod q")
     thresh = t * math.sqrt(p.n) * p.sigma
-    verdicts, history = _run_survivor_loop(
-        samples, p, 1, lambda e: abs(reduce_centered(e, q)) <= thresh
-    )
+    e = np.arange(q, dtype=np.int64)
+    accept = np.minimum(e, q - e) <= thresh  # |centered(e)|
+    verdicts, history = _run_survivor_loop(samples, p, 1, accept, return_survivors)
     return (verdicts, history) if return_survivors else verdicts
 
 
@@ -150,11 +155,12 @@ def smallness_region(p: PlweParams, alpha: int, t: float) -> tuple[set[int], int
         raise OrderTooLarge(
             f"region size (2*{bound}+1)^{r} exceeds budget {MAX_REGION}"
         )
-    powers = [pow(alpha, i, q) for i in range(r)]
-    region = set()
-    for cs in product(range(-bound, bound + 1), repeat=r):
-        region.add(sum(c * w for c, w in zip(cs, powers)) % q)
-    return region, r, bound
+    offsets = np.arange(-bound, bound + 1, dtype=np.int64)
+    values = np.zeros(1, dtype=np.int64)
+    for i in range(r):
+        block = offsets * pow(alpha, i, q)
+        values = np.unique((values[:, None] + block[None, :]) % q)
+    return set(values.tolist()), r, bound
 
 
 def decide_alg2(
@@ -173,7 +179,9 @@ def decide_alg2(
     if r > r_max:
         raise OrderTooLarge(f"root order {r} exceeds r_max = {r_max}")
     region, _, _ = smallness_region(p, alpha, t)
-    verdicts, history = _run_survivor_loop(samples, p, alpha, lambda e: e in region)
+    accept = np.zeros(q, dtype=bool)
+    accept[np.fromiter(region, dtype=np.int64, count=len(region))] = True
+    verdicts, history = _run_survivor_loop(samples, p, alpha, accept, return_survivors)
     return (verdicts, history) if return_survivors else verdicts
 
 
@@ -186,8 +194,6 @@ def smearing_estimate(
         raise PreconditionFailed(f"{alpha} is not a root of f mod q")
     if trials <= 0:
         return 0.0
-    import numpy as np
-
     powers = np.array([pow(alpha, i, q) for i in range(p.n)], dtype=np.int64)
     hit: set[int] = set()
     chunk = 10_000

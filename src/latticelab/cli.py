@@ -2,14 +2,15 @@
 
 All randomness flows from one --seed flag (256-bit hex) through
 domain-separated derived streams; without the flag a fresh entropy seed
-is drawn and printed so any run can be replayed.  Exit codes: 0 success,
-1 domain failure (decryption failure, rejected signature, failed attack
-precondition), 2 usage error.
+is drawn and printed to stderr so any run can be replayed.  Exit codes:
+0 success, 1 domain failure (decryption failure, rejected signature,
+failed attack precondition), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from pathlib import Path
@@ -18,15 +19,23 @@ from . import attacks, bgv, fileio, glyph, lwe, plwe
 from .errors import LatticeLabError
 from .gaussian import GaussianParams, fold_to_zq_array, sample_int_array
 from .polyring import parse_poly
-from .rng import SeededRng
+from .rng import SEED_BYTES, SeededRng
 from .zq import Modulus
+
+
+def _seed_arg(text: str) -> str:
+    """argparse type for --seed: exactly 64 hex digits."""
+    if not re.fullmatch(f"[0-9a-fA-F]{{{2 * SEED_BYTES}}}", text):
+        raise argparse.ArgumentTypeError(
+            f"must be {2 * SEED_BYTES} hex digits, got {text!r}")
+    return text
 
 
 def _rng_from_args(args) -> SeededRng:
     if args.seed:
         return SeededRng.from_hex(args.seed)
     rng = SeededRng.from_entropy()
-    print(f"seed: {rng.seed.hex()}")
+    print(f"seed: {rng.seed.hex()}", file=sys.stderr)
     return rng
 
 
@@ -308,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_seed(p):
-        p.add_argument("--seed", help="256-bit hex seed for reproducible runs")
+        p.add_argument("--seed", type=_seed_arg,
+                       help="256-bit hex seed for reproducible runs")
 
     p = sub.add_parser("keygen", help="generate a key pair")
     p.add_argument("--scheme", required=True, choices=["lwe", "plwe", "glyph", "bgv"])

@@ -8,6 +8,8 @@ a laboratory and inspectability matters more than compactness.
 
 from __future__ import annotations
 
+import math
+
 from . import bgv as bgv_mod
 from . import glyph as glyph_mod
 from . import lwe as lwe_mod
@@ -277,19 +279,25 @@ def dump_glyph_signature(sig: glyph_mod.GlyphSignature, p: glyph_mod.GlyphParams
 
 
 def load_glyph_signature(text: str) -> tuple[glyph_mod.GlyphSignature, glyph_mod.GlyphParams]:
+    """The challenge must read exactly as dump_glyph_signature writes it:
+    k entries "index:+1" or "index:-1", indices in [0, n) and strictly
+    increasing, so no second text encodes the same signature."""
     d = _fields(_parse_kv(text, GLYPH_HEADER))
     p = glyph_params_from_fields(d)
+    _require(d, "c")
     q = int(p.q)
     coeffs = [0] * p.n
-    for pair in d.get("c", "").split(","):
-        pair = pair.strip()
-        if not pair:
-            continue
-        try:
-            idx, sgn = pair.split(":")
-            coeffs[int(idx)] = 1 if int(sgn) == 1 else q - 1
-        except (ValueError, IndexError) as e:
-            raise FormatError(f"bad sparse entry {pair!r}") from e
+    entries = d["c"].split(",")
+    if len(entries) != p.k:
+        raise FormatError(f"challenge has {len(entries)} entries, expected k={p.k}")
+    prev = -1
+    for pair in entries:
+        idx_text, _, sgn = pair.partition(":")
+        canonical = idx_text.isdecimal() and str(int(idx_text)) == idx_text
+        if not canonical or not prev < int(idx_text) < p.n or sgn not in ("+1", "-1"):
+            raise FormatError(f"bad sparse entry {pair!r}")
+        prev = int(idx_text)
+        coeffs[prev] = 1 if sgn == "+1" else q - 1
     ring = p.ring
     return (
         glyph_mod.GlyphSignature(
@@ -341,10 +349,14 @@ def dump_bgv_ciphertext(ct: bgv_mod.BgvCiphertext, params: bgv_mod.BgvParams) ->
 def load_bgv_ciphertext(text: str) -> bgv_mod.BgvCiphertext:
     kv = _parse_kv(text, BGV_HEADER)
     d = _fields(kv)
-    _require(d, "level", "parts")
+    _require(d, "level", "parts", "noise")
     parts = tuple(tuple(parse_poly(v)) for k, v in kv if k == "part")
     if len(parts) != int(d["parts"]):
         raise FormatError("part count mismatch")
-    return bgv_mod.BgvCiphertext(
-        parts=parts, level=int(d["level"]), noise_bound=float(d.get("noise", "0"))
-    )
+    try:
+        noise = float(d["noise"])
+    except ValueError as e:
+        raise FormatError(f"bad noise bound {d['noise']!r}") from e
+    if not math.isfinite(noise) or noise < 0:
+        raise FormatError(f"noise bound must be finite and >= 0, got {d['noise']!r}")
+    return bgv_mod.BgvCiphertext(parts=parts, level=int(d["level"]), noise_bound=noise)

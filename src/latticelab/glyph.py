@@ -144,8 +144,10 @@ def sign(
         w = ring_add(ring_mul(pk.a, y1), y2)
         c = hash_to_sparse(encode_poly(w, p) + message, p)
         z1 = ring_add(ring_mul(sk.s, c), y1)
+        if z1.inf_norm() > p.beta:
+            continue  # z2 draws no randomness, so skipping it keeps the stream
         z2 = ring_add(ring_mul(sk.e, c), y2)
-        if z1.inf_norm() <= p.beta and z2.inf_norm() <= p.beta:
+        if z2.inf_norm() <= p.beta:
             return GlyphSignature(c=c, z1=z1, z2=z2), it
     raise RejectionOverflow(f"no acceptable signature in {MAX_SIGN_ITERS} iterations")
 

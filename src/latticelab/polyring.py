@@ -154,15 +154,41 @@ def poly_derivative(c) -> list[int]:
 
 
 def roots_mod_q(f: list[int], q: Modulus) -> list[int]:
-    """All roots of f in F_q, by exhaustive scan (valid at desk-scale q)."""
+    """All roots of f in F_q, by exhaustive scan (valid at desk-scale q).
+
+    Horner's rule runs over every x in F_q at once, in place.  A run of
+    k zero coefficients costs one multiplication by x^(2^j) per set bit
+    j of k instead of k multiplications by x.
+    """
     qi = int(q)
     if poly_deg(f) < 1:
         raise InvalidParams("degree must be >= 1")
-    alphas = np.arange(qi, dtype=np.int64)
-    acc = np.zeros(qi, dtype=np.int64)
-    for c in reversed(poly_mod_q(f, qi) or [0]):
-        acc = (acc * alphas + c) % qi
-    return [int(a) for a in alphas[acc == 0]]
+    coeffs = poly_mod_q(f, qi) or [0]
+    squarings = [np.arange(qi, dtype=np.int64)]  # x^(2^j) mod q
+    acc = np.full(qi, coeffs[-1], dtype=np.int64)
+    k = 0  # pending power of x
+    for c in reversed(coeffs[:-1]):
+        k += 1
+        if c:
+            _mul_x_power(acc, k, squarings, qi)
+            acc += c  # both below q, so one conditional subtraction reduces
+            np.subtract(acc, qi, out=acc, where=acc >= qi)
+            k = 0
+    _mul_x_power(acc, k, squarings, qi)
+    return np.flatnonzero(acc == 0).tolist()
+
+
+def _mul_x_power(acc: np.ndarray, k: int, squarings: list[np.ndarray], q: int) -> None:
+    """acc *= x^k mod q in place, extending squarings as far as k needs."""
+    j = 0
+    while k:
+        if j == len(squarings):
+            squarings.append(squarings[-1] * squarings[-1] % q)
+        if k & 1:
+            np.multiply(acc, squarings[j], out=acc)
+            np.remainder(acc, q, out=acc)
+        k >>= 1
+        j += 1
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -192,11 +218,14 @@ def mult_order(alpha: int, q: Modulus) -> int:
 
 def is_totally_split(f: list[int], q: Modulus) -> bool:
     """True iff f mod q is squarefree and has deg(f) distinct roots in F_q."""
-    n = poly_deg(f)
-    g = poly_gcd_mod(f, poly_derivative(f), q)
-    if poly_deg(g) > 0:
+    return splits_with_roots(f, q, roots_mod_q(f, q))
+
+
+def splits_with_roots(f: list[int], q: Modulus, roots: list[int]) -> bool:
+    """is_totally_split for a caller that already holds roots_mod_q(f, q)."""
+    if len(roots) != poly_deg(f):
         return False
-    return len(roots_mod_q(f, q)) == n
+    return poly_deg(poly_gcd_mod(f, poly_derivative(f), q)) <= 0
 
 
 def is_irreducible_mod_p(f: list[int], p: int) -> bool:

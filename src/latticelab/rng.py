@@ -16,6 +16,7 @@ import os
 import numpy as np
 
 SEED_BYTES = 32
+BLOCK_BYTES = 32  # one SHA-256 digest per counter value
 
 
 class SeededRng:
@@ -51,14 +52,16 @@ class SeededRng:
         child = hashlib.sha256(self.seed + b"/derive/" + label).digest()
         return SeededRng(child)
 
-    def _block(self) -> bytes:
-        out = hashlib.sha256(self.seed + self.counter.to_bytes(8, "little")).digest()
-        self.counter += 1
-        return out
-
     def take_bytes(self, n: int) -> bytes:
-        while len(self._buf) < n:
-            self._buf += self._block()
+        missing = n - len(self._buf)
+        if missing > 0:
+            blocks = -(-missing // BLOCK_BYTES)
+            seed, start = self.seed, self.counter
+            self._buf += b"".join(
+                hashlib.sha256(seed + c.to_bytes(8, "little")).digest()
+                for c in range(start, start + blocks)
+            )
+            self.counter = start + blocks
         out, self._buf = self._buf[:n], self._buf[n:]
         return out
 

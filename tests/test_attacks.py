@@ -1,6 +1,13 @@
+import math
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticelab.attacks import (
+    MAX_REGION,
+    Verdict,
     decide_alg1,
     decide_alg2,
     smallness_region,
@@ -12,11 +19,17 @@ from latticelab.plwe import PlweParams, PlweSample, oracle_sample, uniform_sampl
 from latticelab.polyring import (
     RingParams,
     evaluate,
+    mult_order,
+    poly_deg,
+    poly_derivative,
+    poly_eval_z,
+    poly_gcd_mod,
     ring_from_coeffs,
     ring_mul,
     ring_uniform,
 )
-from latticelab.zq import Modulus
+from latticelab.rng import SeededRng
+from latticelab.zq import Modulus, reduce_centered
 
 # f(1) = 1 + 1 + 255 = 257 = 0 mod 257; degree 16
 CRAFTED_F = tuple([255, 1] + [0] * 14 + [1])
@@ -244,3 +257,107 @@ def test_smearing_trivia(rng):
     assert smearing_estimate(p, 1, trials=0, t=3.0, rng=rng) == 0.0
     with pytest.raises(PreconditionFailed):
         smearing_estimate(p, 5, trials=10, t=3.0, rng=rng)
+
+
+# ---------------------------------------------------------------------------
+# the array survivor loop, region and scan against set-based references
+
+
+def reference_survivor_loop(samples, p, alpha, accept):
+    """One Python set of candidates, one accept(e) call per candidate."""
+    q = int(p.ring.q)
+    survivors = set(range(q))
+    verdicts, history = [], []
+    for sample in samples:
+        a_val = evaluate(sample.a, alpha)
+        b_val = evaluate(sample.b, alpha)
+        survivors = {s for s in survivors if accept((b_val - s * a_val) % q)}
+        verdicts.append(Verdict("valid" if survivors else "random", len(survivors)))
+        history.append(frozenset(survivors))
+    return verdicts, history
+
+
+def reference_region(p, alpha, t):
+    """Every sum c_i alpha^i over the (2B+1)^r coefficient tuples, or None
+    when that count exceeds MAX_REGION."""
+    q = int(p.ring.q)
+    r = mult_order(alpha, p.ring.q)
+    bound = math.floor(t * math.sqrt((p.n - 1) // r + 1) * p.sigma)
+    if (2 * bound + 1) ** r > MAX_REGION:
+        return None
+    powers = [pow(alpha, i, q) for i in range(r)]
+    return {sum(c * w for c, w in zip(cs, powers)) % q
+            for cs in product(range(-bound, bound + 1), repeat=r)}
+
+
+SMALL_PRIMES = [5, 7, 11, 13, 17, 29, 31, 37, 41, 73, 97, 101, 257]
+
+
+@st.composite
+def attack_instances(draw, small_order: bool):
+    """(params, alpha, t, samples): f of degree 2..10 with f(alpha) = 0 mod q,
+    alpha = 1 or (small_order) any unit of order <= 4, and a mix of
+    oracle and uniform samples."""
+    q = draw(st.sampled_from(SMALL_PRIMES))
+    if small_order:
+        alpha = draw(st.sampled_from(
+            [a for a in range(1, q) if mult_order(a, Modulus(q)) <= 4]))
+    else:
+        alpha = 1
+    n = draw(st.integers(2, 10))
+    f = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) + [1]
+    f[0] -= poly_eval_z(f, alpha) % q
+    sigma = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]))
+    t = draw(st.sampled_from([1.0, 2.0, 3.0, 4.0]))
+    p = PlweParams(ring=RingParams(f=tuple(f), q=Modulus(q)), sigma=sigma)
+    rng = SeededRng(draw(st.binary(min_size=32, max_size=32)))
+    secret = ring_uniform(p.ring, rng.derive("secret"))
+    kinds = draw(st.lists(st.booleans(), min_size=0, max_size=12))
+    samples = [oracle_sample(p, secret, rng.derive(f"o{i}")) if oracle
+               else uniform_sample_pair(p, rng.derive(f"u{i}"))
+               for i, oracle in enumerate(kinds)]
+    return p, alpha, t, samples
+
+
+@settings(max_examples=150, deadline=None)
+@given(attack_instances(small_order=False))
+def test_alg1_matches_set_reference(inst):
+    p, alpha, t, samples = inst
+    q = int(p.ring.q)
+    thresh = t * math.sqrt(p.n) * p.sigma
+    expect = reference_survivor_loop(
+        samples, p, 1, lambda e: abs(reduce_centered(e, q)) <= thresh)
+    assert decide_alg1(samples, p, t=t, return_survivors=True) == expect
+    assert decide_alg1(samples, p, t=t) == expect[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(attack_instances(small_order=True))
+def test_alg2_matches_set_reference(inst):
+    p, alpha, t, samples = inst
+    region = reference_region(p, alpha, t)
+    if region is None:
+        with pytest.raises(OrderTooLarge):
+            decide_alg2(samples, p, alpha, t=t)
+        return
+    assert smallness_region(p, alpha, t)[0] == region
+    expect = reference_survivor_loop(samples, p, alpha, lambda e: e in region)
+    assert decide_alg2(samples, p, alpha, t=t, return_survivors=True) == expect
+    assert decide_alg2(samples, p, alpha, t=t) == expect[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_PRIMES + [7681]),
+       st.lists(st.integers(-40, 40), min_size=2, max_size=40),
+       st.integers(1, 10))
+def test_scan_matches_brute_force(q, low, lead):
+    # a lead divisible by q (5, 7) drops the degree of f mod q
+    f = low + [lead]
+    mod = Modulus(q)
+    rep = weakness_scan(f, mod)
+    roots = [a for a in range(q) if poly_eval_z(f, a) % q == 0]
+    squarefree = poly_deg(poly_gcd_mod(f, poly_derivative(f), mod)) <= 0
+    assert rep.roots == tuple((a, mult_order(a, mod)) for a in roots if a != 0)
+    assert rep.small_order_roots == tuple((a, r) for a, r in rep.roots if r <= 8)
+    assert rep.totally_split == (squarefree and len(roots) == poly_deg(f))
+    assert rep.root_one == (1 in roots)

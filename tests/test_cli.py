@@ -196,3 +196,25 @@ def test_missing_file_is_domain_error(tmp_path, capsys):
     assert run(["decrypt", "--scheme", "plwe", "--secret",
                 str(tmp_path / "nope.key"), "--in", str(tmp_path / "nope.ct")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_bad_seed_is_usage_error(capsys):
+    for bad in ["zz", "ab" * 31, "ab" * 33, "g" * 64]:
+        with pytest.raises(SystemExit) as exc:
+            run(["sample", "--dist", "uniform", "--q", "17", "--seed", bad])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: must be 64 hex digits" in err
+        assert "Traceback" not in err
+
+
+def test_fresh_seed_notice_goes_to_stderr(capsys):
+    assert run(["sample", "--dist", "uniform", "--q", "17", "--count", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert len(out.split()) == 3
+    assert all(0 <= int(v) < 17 for v in out.split())
+    seed_line = err.strip().splitlines()[-1]
+    assert seed_line.startswith("seed: ")
+    run(["sample", "--dist", "uniform", "--q", "17", "--count", "3",
+         "--seed", seed_line[len("seed: "):]])
+    assert capsys.readouterr().out == out

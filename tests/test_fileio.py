@@ -163,3 +163,80 @@ def test_header_enforced():
         fileio.load_bgv_params("wrong-header\nm=32\n")
     with pytest.raises(FormatError):
         fileio.load_lwe_secret("")
+
+
+def _toy_signature_text():
+    sk, pk = glyph.keygen(TOY_GLYPH, SeededRng(b"\x31" * 32))
+    sig, _ = glyph.sign(sk, pk, b"payload", TOY_GLYPH, SeededRng(b"\x32" * 32))
+    text = fileio.dump_glyph_signature(sig, TOY_GLYPH)
+    (c_line,) = [ln for ln in text.splitlines() if ln.startswith("c=")]
+    return text, c_line, c_line[2:].split(",")
+
+
+def _entry(idx, sgn):
+    return f"{idx}:{sgn}"
+
+
+def _with_extra(entries):
+    """entries plus one more, at the lowest free index, in index order."""
+    used = {int(e.split(":")[0]) for e in entries}
+    free = min(set(range(TOY_GLYPH.n)) - used)
+    return sorted(entries + [_entry(free, "+1")], key=lambda e: int(e.split(":")[0]))
+
+
+# Challenge rewrites that must all be refused (TOY_GLYPH: n=16, k=4).
+CHALLENGE_MUTATIONS = {
+    "negative index": lambda es: [_entry(int(es[0].split(":")[0]) - 16, "+1")] + es[1:],
+    "index n": lambda es: es[:-1] + [_entry(16, "+1")],
+    "sign 1": lambda es: [es[0].split(":")[0] + ":1"] + es[1:],
+    "sign 5": lambda es: [es[0].split(":")[0] + ":5"] + es[1:],
+    "sign +2": lambda es: [es[0].split(":")[0] + ":+2"] + es[1:],
+    "duplicate index": lambda es: [es[0], es[0].split(":")[0] + ":-1"] + es[2:],
+    "out of order": lambda es: [es[1], es[0]] + es[2:],
+    "padded index": lambda es: ["0" + es[0]] + es[1:],
+    "too few": lambda es: es[:-1],
+    "too many": _with_extra,
+    "empty entry": lambda es: es[:2] + [""] + es[2:-1],
+}
+
+
+@pytest.mark.parametrize("case", list(CHALLENGE_MUTATIONS))
+def test_glyph_signature_mutations_rejected(case):
+    text, c_line, entries = _toy_signature_text()
+    mutated = text.replace(c_line, "c=" + ",".join(CHALLENGE_MUTATIONS[case](entries)))
+    assert mutated != text
+    with pytest.raises(FormatError):
+        fileio.load_glyph_signature(mutated)
+
+
+def test_glyph_signature_requires_challenge():
+    text, c_line, _ = _toy_signature_text()
+    with pytest.raises(FormatError):
+        fileio.load_glyph_signature(text.replace(c_line + "\n", ""))
+
+
+def test_glyph_negative_index_rewrite_rejected_at_full_size():
+    # i:s and (i - n):s pick the same coefficient under Python indexing;
+    # only the first is the signature's encoding.
+    p = glyph.GlyphParams()
+    sk, pk = glyph.keygen(p, SeededRng(b"\x41" * 32))
+    sig, _ = glyph.sign(sk, pk, b"payload", p, SeededRng(b"\x42" * 32))
+    text = fileio.dump_glyph_signature(sig, p)
+    first = text.split("c=")[1].split(",")[0]
+    idx, sgn = first.split(":")
+    mutated = text.replace("c=" + first, f"c={int(idx) - p.n}:{sgn}")
+    assert fileio.load_glyph_signature(text)[0].c.coeffs == sig.c.coeffs
+    with pytest.raises(FormatError):
+        fileio.load_glyph_signature(mutated)
+
+
+@pytest.mark.parametrize("noise", [None, "-1.0", "nan", "inf", "-inf", "1e400", "x"])
+def test_bgv_ciphertext_noise_field_checked(noise):
+    params = bgv.setup(m=32, p=2, r=1, levels=2)
+    sk = bgv.keygen(params, SeededRng(b"\x71" * 32))
+    ct = bgv.encrypt([1], sk, params, SeededRng(b"\x72" * 32))
+    text = fileio.dump_bgv_ciphertext(ct, params)
+    (line,) = [ln for ln in text.splitlines() if ln.startswith("noise=")]
+    mangled = text.replace(line + "\n", "" if noise is None else f"noise={noise}\n")
+    with pytest.raises(FormatError):
+        fileio.load_bgv_ciphertext(mangled)

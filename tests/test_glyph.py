@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from latticelab.errors import InvalidParams, RejectionOverflow
+from latticelab.fileio import dump_glyph_signature
 from latticelab.glyph import (
     GlyphParams,
     GlyphSecretKey,
@@ -16,6 +19,17 @@ from latticelab.rng import SeededRng
 from latticelab.zq import Modulus
 
 TOY = GlyphParams(n=16, q=Modulus(257), b=63, k=4)
+
+
+def test_fixed_seed_signature_is_golden():
+    """A signature that took 13 rejection iterations hashes to the bytes
+    the sign loop has always produced for these seeds."""
+    p = GlyphParams()
+    sk, pk = keygen(p, SeededRng(b"\x11" * 32))
+    sig, iters = sign(sk, pk, b"golden message", p, SeededRng(b"\x23" * 32))
+    assert iters == 13
+    digest = hashlib.sha256(dump_glyph_signature(sig, p).encode()).hexdigest()
+    assert digest == "e6e4d86f0694c01101f0170629ba04063c93d10380da22d51e11702eea4d981f"
 
 
 def test_default_params_are_the_standard_set():

@@ -2,8 +2,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latticelab.rng import SEED_BYTES, SeededRng
+from latticelab.rng import BLOCK_BYTES, SEED_BYTES, SeededRng
 
 
 def test_stream_matches_sha256_counter_mode():
@@ -12,6 +14,23 @@ def test_stream_matches_sha256_counter_mode():
     expect = hashlib.sha256(seed + (0).to_bytes(8, "little")).digest()
     expect += hashlib.sha256(seed + (1).to_bytes(8, "little")).digest()
     assert r.take_bytes(40) == expect[:40]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 300)), max_size=20))
+def test_chunked_draws_are_one_stream(draws):
+    """Any mix of take_bytes(m) and byte-aligned bits(8m) reads the same
+    counter-mode stream and leaves the counter at the blocks consumed."""
+    seed = bytes(range(7, 39))
+    r = SeededRng(seed)
+    got = b""
+    for as_bits, m in draws:
+        got += r.bits(8 * m).to_bytes(m, "big") if as_bits else r.take_bytes(m)
+    blocks = -(-len(got) // BLOCK_BYTES)
+    expect = b"".join(hashlib.sha256(seed + c.to_bytes(8, "little")).digest()
+                      for c in range(blocks))
+    assert got == expect[: len(got)]
+    assert r.counter == blocks
 
 
 def test_identical_seeds_identical_draws():
