@@ -15,6 +15,7 @@ corrupting the plaintext.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     ChainOverflow,
@@ -65,15 +66,17 @@ class BgvParams:
     def n(self) -> int:
         return euler_phi(self.m)
 
-    @property
-    def f(self) -> list[int]:
-        return cyclotomic_poly(self.m)
+    @cached_property
+    def f(self) -> tuple[int, ...]:
+        return tuple(cyclotomic_poly(self.m))
 
     @property
     def pt_modulus(self) -> int:
         return self.p**self.r
 
     def modulus_at_level(self, level: int) -> int:
+        if not 0 <= level <= self.levels:
+            raise LevelExceeded(f"level {level} outside [0, {self.levels}]")
         return self.chain[self.levels - level]
 
 
@@ -173,8 +176,6 @@ def _secret_powers(sk: BgvSecretKey, params: BgvParams, count: int, q: int):
 
 def decrypt(ct: BgvCiphertext, sk: BgvSecretKey, params: BgvParams) -> list[int]:
     """Evaluate sum parts[j] * s^j mod q_i, center, reduce mod p^r."""
-    if ct.level > params.levels:
-        raise LevelExceeded(f"level {ct.level} exceeds cap {params.levels}")
     q = params.modulus_at_level(ct.level)
     pr = params.pt_modulus
     if ct.noise_bound >= q / pr:

@@ -151,12 +151,19 @@ def _named_vec(name: str, e: RingElement) -> str:
     return f"{name}={format_poly(e.coeffs)}"
 
 
-def _load_vec(d: dict[str, str], name: str, ring: RingParams) -> RingElement:
-    _require(d, name)
-    vals = parse_poly(d[name])
+def _ring_vec(text: str, name: str, ring: RingParams) -> RingElement:
+    """A coefficient line as written by _named_vec: n residues in [0, q)."""
+    vals = parse_poly(text)
     if len(vals) != ring.n:
         raise FormatError(f"vector {name!r} has wrong length")
-    return RingElement(tuple(v % int(ring.q) for v in vals), ring)
+    if min(vals) < 0 or max(vals) >= int(ring.q):
+        raise FormatError(f"vector {name!r} has a coefficient outside [0, q)")
+    return RingElement(vals, ring)
+
+
+def _load_vec(d: dict[str, str], name: str, ring: RingParams) -> RingElement:
+    _require(d, name)
+    return _ring_vec(d[name], name, ring)
 
 
 def dump_plwe_secret(kp: plwe_mod.PlweKeyPair, p: plwe_mod.PlweParams) -> str:
@@ -190,19 +197,11 @@ def load_plwe_ciphertext(text: str) -> tuple[list[plwe_mod.PlweCiphertext], plwe
     kv = _parse_kv(text, PLWE_HEADER)
     d = _fields(kv)
     p = plwe_params_from_fields(d)
-    us = [parse_poly(v) for k, v in kv if k == "u"]
-    vs = [parse_poly(v) for k, v in kv if k == "v"]
+    us = [_ring_vec(v, "u", p.ring) for k, v in kv if k == "u"]
+    vs = [_ring_vec(v, "v", p.ring) for k, v in kv if k == "v"]
     if len(us) != len(vs):
         raise FormatError("unpaired u/v lines")
-    blocks = []
-    for u, v in zip(us, vs):
-        blocks.append(
-            plwe_mod.PlweCiphertext(
-                u=RingElement(tuple(x % int(p.ring.q) for x in u), p.ring),
-                v=RingElement(tuple(x % int(p.ring.q) for x in v), p.ring),
-            )
-        )
-    return blocks, p
+    return [plwe_mod.PlweCiphertext(u=u, v=v) for u, v in zip(us, vs)], p
 
 
 def dump_plwe_samples(samples: list[plwe_mod.PlweSample], p: plwe_mod.PlweParams) -> str:
@@ -216,19 +215,11 @@ def load_plwe_samples(text: str) -> tuple[list[plwe_mod.PlweSample], plwe_mod.Pl
     kv = _parse_kv(text, PLWE_HEADER)
     d = _fields(kv)
     p = plwe_params_from_fields(d)
-    q = int(p.ring.q)
-    avs = [parse_poly(v) for k, v in kv if k == "a"]
-    bvs = [parse_poly(v) for k, v in kv if k == "b"]
+    avs = [_ring_vec(v, "a", p.ring) for k, v in kv if k == "a"]
+    bvs = [_ring_vec(v, "b", p.ring) for k, v in kv if k == "b"]
     if len(avs) != len(bvs):
         raise FormatError("unpaired a/b lines")
-    samples = [
-        plwe_mod.PlweSample(
-            a=RingElement(tuple(x % q for x in a), p.ring),
-            b=RingElement(tuple(x % q for x in b), p.ring),
-        )
-        for a, b in zip(avs, bvs)
-    ]
-    return samples, p
+    return [plwe_mod.PlweSample(a=a, b=b) for a, b in zip(avs, bvs)], p
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +341,8 @@ def load_bgv_ciphertext(text: str) -> bgv_mod.BgvCiphertext:
     kv = _parse_kv(text, BGV_HEADER)
     d = _fields(kv)
     _require(d, "level", "parts", "noise")
+    if not d["level"].isdecimal():
+        raise FormatError(f"level must be a non-negative integer, got {d['level']!r}")
     parts = tuple(tuple(parse_poly(v)) for k, v in kv if k == "part")
     if len(parts) != int(d["parts"]):
         raise FormatError("part count mismatch")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +50,7 @@ class GlyphParams:
     def beta(self) -> int:
         return self.b - self.k
 
-    @property
+    @cached_property
     def ring(self) -> RingParams:
         return RingParams(f=tuple([1] + [0] * (self.n - 1) + [1]), q=self.q)
 
@@ -85,9 +86,8 @@ class VerifyResult:
 
 def _bounded_uniform(p: GlyphParams, bound: int, rng: SeededRng) -> RingElement:
     """Element with coefficients uniform in {-bound, ..., bound}."""
-    q = int(p.q)
     vals = rng.uniform_array(2 * bound + 1, p.n) - bound
-    return RingElement(tuple(int(v) % q for v in vals), p.ring)
+    return RingElement(vals % int(p.q), p.ring)
 
 
 def keygen(p: GlyphParams, rng: SeededRng) -> tuple[GlyphSecretKey, GlyphPublicKey]:
@@ -101,20 +101,19 @@ def keygen(p: GlyphParams, rng: SeededRng) -> tuple[GlyphSecretKey, GlyphPublicK
 
 def encode_poly(w: RingElement, p: GlyphParams) -> bytes:
     """Canonical fixed-width little-endian encoding of all n coefficients."""
-    width = p.coeff_width
-    return b"".join(int(c).to_bytes(width, "little") for c in w.coeffs)
+    raw = w.vec.astype("<u8").view(np.uint8).reshape(p.n, 8)
+    return raw[:, : p.coeff_width].tobytes()
 
 
 def hash_to_sparse(data: bytes, p: GlyphParams) -> RingElement:
     """Digest-keyed polynomial with exactly k coefficients, each +-1."""
     q = int(p.q)
-    coeffs = [0] * p.n
-    placed = 0
+    placed: dict[int, int] = {}  # index -> residue of +-1
     limit = 65536 - 65536 % p.n  # unbiased index range
     counter = 0
     stream = b""
     pos = 0
-    while placed < p.k:
+    while len(placed) < p.k:
         if pos + 3 > len(stream):
             h = hashlib.shake_256(data + counter.to_bytes(4, "little"))
             stream, pos, counter = h.digest(1024), 0, counter + 1
@@ -123,11 +122,12 @@ def hash_to_sparse(data: bytes, p: GlyphParams) -> RingElement:
         if val >= limit:
             continue
         idx = val % p.n
-        if coeffs[idx] != 0:
+        if idx in placed:
             continue
-        coeffs[idx] = 1 if chunk[2] & 1 else q - 1
-        placed += 1
-    return RingElement(tuple(coeffs), p.ring)
+        placed[idx] = 1 if chunk[2] & 1 else q - 1
+    coeffs = np.zeros(p.n, dtype=np.int64)
+    coeffs[list(placed)] = list(placed.values())
+    return RingElement(coeffs, p.ring)
 
 
 def sign(

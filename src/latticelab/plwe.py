@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidParams, LengthMismatch
 from .gaussian import GaussianParams, fold_to_zq_array
 from .polyring import (
@@ -23,7 +25,7 @@ from .polyring import (
     ring_uniform,
 )
 from .rng import SeededRng
-from .zq import Modulus, is_prime, reduce_centered
+from .zq import Modulus, is_prime
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,7 @@ def sample_error(p: PlweParams, rng: SeededRng) -> RingElement:
     """Ring element with independent folded-Gaussian coefficients."""
     if p.sigma == 0:
         return ring_from_coeffs([0], p.ring)
-    coeffs = fold_to_zq_array(GaussianParams(sigma=p.sigma), p.ring.q, rng, p.n)
-    return RingElement(tuple(int(c) for c in coeffs), p.ring)
+    return RingElement(fold_to_zq_array(GaussianParams(sigma=p.sigma), p.ring.q, rng, p.n), p.ring)
 
 
 def oracle_sample(p: PlweParams, s: RingElement, rng: SeededRng) -> PlweSample:
@@ -129,29 +130,23 @@ def encrypt(
     if any(b not in (0, 1) for b in bits):
         raise InvalidParams("plaintext must be bits")
     a, b = pk
-    q = int(p.ring.q)
-    z = ring_from_coeffs(bits, p.ring)
+    half_z = RingElement(np.array(bits, dtype=np.int64) * (int(p.ring.q) // 2), p.ring)
     if r is None:
         r = sample_error(p, rng)
     e1 = sample_error(p, rng)
     e2 = sample_error(p, rng)
     u = ring_add(ring_mul(a, r), e1)
-    v = ring_add(ring_add(ring_mul(b, r), e2), ring_scalar_half(z, q))
+    v = ring_add(ring_add(ring_mul(b, r), e2), half_z)
     return PlweCiphertext(u=u, v=v)
-
-
-def ring_scalar_half(z: RingElement, q: int) -> RingElement:
-    return RingElement(tuple(c * (q // 2) % q for c in z.coeffs), z.params)
 
 
 def decrypt(s: RingElement, ct: PlweCiphertext) -> list[int]:
     """Round each coefficient of v - u*s to the nearest of {0, floor(q/2)}."""
     q = int(s.params.q)
-    d = ring_sub(ct.v, ring_mul(ct.u, s))
-    out = []
-    for c in d.coeffs:
-        out.append(0 if -q < 4 * reduce_centered(c, q) <= q else 1)
-    return out
+    r = ring_sub(ct.v, ring_mul(ct.u, s)).vec
+    # for odd q the centered c of r has -q < 4c <= q exactly when
+    # r <= q//4 or r >= q - q//4
+    return ((r > q // 4) & (r < q - q // 4)).astype(np.int64).tolist()
 
 
 def public_key_size(p: PlweParams) -> int:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import FormatError, InvalidParams, ParamMismatch, ZeroElement
-from .zq import Modulus, inv_mod, reduce_centered
+from .zq import Modulus, inv_mod
 
 # ---------------------------------------------------------------------------
 # Integer polynomials (lists of ints, lowest degree first)
@@ -266,6 +267,15 @@ def _zip_pad(a: list[int], b: list[int]):
 # ---------------------------------------------------------------------------
 # The quotient ring R_q = F_q[x]/(f)
 
+# A float64 sum of integers stays exact while every partial sum is below
+# 2^53 in magnitude.
+_FLOAT_EXACT = 1 << 53
+
+# An operand with at most this many nonzero coefficients is multiplied as
+# a sum of signed rotations of the other operand (GLYPH's challenges have
+# k = 16); denser operands take the full convolution.
+SPARSE_MAX_NONZEROS = 64
+
 
 @dataclass(frozen=True)
 class RingParams:
@@ -286,46 +296,117 @@ class RingParams:
     def n(self) -> int:
         return len(self.f) - 1
 
-    @property
+    @cached_property
     def negacyclic(self) -> bool:
         n = self.n
         return self.f == tuple([1] + [0] * (n - 1) + [1])
 
-    @property
+    @cached_property
     def int64_safe(self) -> bool:
         q = int(self.q)
         return self.n * (q - 1) * (q - 1) < (1 << 62)
 
+    @cached_property
+    def mul_dtype(self) -> type:
+        """float64 where a convolution of centered residues is exact in it
+        (n * floor(q/2)^2 < 2^53), int64 otherwise."""
+        half = int(self.q) // 2
+        return np.float64 if self.n * half * half < _FLOAT_EXACT else np.int64
 
-@dataclass(frozen=True)
+
 class RingElement:
-    coeffs: tuple[int, ...]
-    params: RingParams
+    """An element of R_q: `vec`, a read-only int64 array of the n residues
+    in [0, q), lowest degree first.
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.params.n:
+    `coeffs` is the same residues as a tuple of Python ints, built on first
+    use; equality and hashing go by (coeffs, params).
+    """
+
+    __slots__ = ("vec", "params", "_coeffs")
+
+    def __init__(self, coeffs, params: RingParams):
+        try:
+            vec = np.array(coeffs, dtype=np.int64)
+        except OverflowError as e:
+            raise InvalidParams("coefficients must be residues in [0, q)") from e
+        if vec.shape != (params.n,):
             raise InvalidParams("coefficient count must equal deg f")
+        if vec.min() < 0 or vec.max() >= int(params.q):
+            raise InvalidParams("coefficients must be residues in [0, q)")
+        _init_element(self, vec, params)
+
+    @classmethod
+    def _of(cls, vec: np.ndarray, params: RingParams) -> "RingElement":
+        """Wrap n int64 residues in [0, q) that the caller owns, unchecked."""
+        self = object.__new__(cls)
+        _init_element(self, vec, params)
+        return self
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(self.vec.tolist()))
+        return self._coeffs
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RingElement is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.params == other.params and np.array_equal(self.vec, other.vec)
+
+    def __hash__(self):
+        return hash((self.coeffs, self.params))
+
+    def __repr__(self):
+        return f"RingElement(coeffs={self.coeffs!r}, params={self.params!r})"
+
+    def __reduce__(self):
+        return RingElement, (self.vec, self.params)
 
     def centered(self) -> list[int]:
-        q = self.params.q
-        return [reduce_centered(c, q) for c in self.coeffs]
+        return _centered(self.vec, int(self.params.q)).tolist()
 
     def inf_norm(self) -> int:
-        return max(abs(c) for c in self.centered())
+        return int(np.abs(_centered(self.vec, int(self.params.q))).max())
+
+
+def _init_element(e: RingElement, vec: np.ndarray, params: RingParams) -> None:
+    vec.flags.writeable = False
+    object.__setattr__(e, "vec", vec)
+    object.__setattr__(e, "params", params)
+    object.__setattr__(e, "_coeffs", None)
+
+
+def _centered(vec: np.ndarray, q: int) -> np.ndarray:
+    """Representatives in (-q/2, q/2] of residues in [0, q) (q odd)."""
+    return vec - q * (vec > q // 2)
+
+
+def _reduce_signed(d: np.ndarray, q: int) -> np.ndarray:
+    """Values in (-q, q) to residues in [0, q), in place."""
+    np.add(d, q, out=d, where=d < 0)
+    return d
 
 
 def ring_from_coeffs(coeffs, params: RingParams) -> RingElement:
     """Build an element from up to n integer coefficients (reduced mod q)."""
     q = int(params.q)
-    c = [int(x) % q for x in coeffs]
-    if len(c) > params.n:
-        c = poly_divmod_mod(c, list(params.f), q)[1]
-    c += [0] * (params.n - len(c))
-    return RingElement(tuple(c), params)
+    try:
+        vec = np.asarray(coeffs, dtype=np.int64) % q
+    except OverflowError:
+        vec = np.array([int(x) % q for x in coeffs], dtype=np.int64)
+    if len(vec) > params.n:
+        rem = poly_divmod_mod(vec.tolist(), list(params.f), q)[1]
+        vec = np.array(rem, dtype=np.int64)
+    if len(vec) < params.n:
+        vec = np.concatenate([vec, np.zeros(params.n - len(vec), dtype=np.int64)])
+    return RingElement._of(vec, params)
 
 
 def ring_zero(params: RingParams) -> RingElement:
-    return RingElement((0,) * params.n, params)
+    return RingElement._of(np.zeros(params.n, dtype=np.int64), params)
 
 
 def ring_one(params: RingParams) -> RingElement:
@@ -333,54 +414,61 @@ def ring_one(params: RingParams) -> RingElement:
 
 
 def _check(a: RingElement, b: RingElement):
-    if a.params != b.params:
+    if a.params is not b.params and a.params != b.params:
         raise ParamMismatch("operands live in different rings")
 
 
 def ring_add(a: RingElement, b: RingElement) -> RingElement:
     _check(a, b)
     q = int(a.params.q)
-    return RingElement(tuple((x + y) % q for x, y in zip(a.coeffs, b.coeffs)), a.params)
+    # a - (q - b) lies in (-q, q), so no int64 overflow for any q < 2^63
+    return RingElement._of(_reduce_signed(a.vec - (q - b.vec), q), a.params)
 
 
 def ring_sub(a: RingElement, b: RingElement) -> RingElement:
     _check(a, b)
     q = int(a.params.q)
-    return RingElement(tuple((x - y) % q for x, y in zip(a.coeffs, b.coeffs)), a.params)
-
-
-def ring_neg(a: RingElement) -> RingElement:
-    q = int(a.params.q)
-    return RingElement(tuple(-x % q for x in a.coeffs), a.params)
-
-
-def ring_scalar_mul(c: int, a: RingElement) -> RingElement:
-    q = int(a.params.q)
-    c = int(c) % q
-    return RingElement(tuple(c * x % q for x in a.coeffs), a.params)
+    return RingElement._of(_reduce_signed(a.vec - b.vec, q), a.params)
 
 
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    """Product in R_q: schoolbook convolution, then reduction by f.
+    """Product in R_q.
 
-    For f = x^n + 1 the reduction is the shift-and-negate rule, done in
-    one vectorized pass; general f takes the polynomial-division path.
+    For f = x^n + 1 (within `int64_safe`) the product is taken on the
+    centered representatives in `params.mul_dtype`, where every partial
+    sum is an exact integer: as a sum of signed rotations when one operand
+    has at most SPARSE_MAX_NONZEROS nonzero coefficients, otherwise as a
+    full convolution folded by x^n = -1.  General f takes the exact
+    Python-int polynomial-division path.
     """
     _check(a, b)
     p = a.params
     q = int(p.q)
     n = p.n
-    if p.negacyclic and p.int64_safe:
-        av = np.asarray(a.coeffs, dtype=np.int64)
-        bv = np.asarray(b.coeffs, dtype=np.int64)
-        full = np.convolve(av, bv)
-        full = np.concatenate([full, np.zeros(2 * n - 1 - len(full), dtype=np.int64)])
-        res = (full[:n] - np.concatenate([full[n:], [0]])) % q
-        return RingElement(tuple(int(x) for x in res), p)
-    full = poly_mul_z(list(a.coeffs), list(b.coeffs))
-    rem = poly_divmod_mod(full, list(p.f), q)[1]
-    rem += [0] * (n - len(rem))
-    return RingElement(tuple(rem), p)
+    if not (p.negacyclic and p.int64_safe):
+        full = poly_mul_z(list(a.coeffs), list(b.coeffs))
+        rem = poly_divmod_mod(full, list(p.f), q)[1]
+        vec = np.zeros(n, dtype=np.int64)
+        vec[: len(rem)] = rem
+        return RingElement._of(vec, p)
+    x, y = a.vec, b.vec
+    if np.count_nonzero(x) > np.count_nonzero(y):
+        x, y = y, x  # x is the sparser operand
+    dtype = p.mul_dtype
+    yc = _centered(y, q).astype(dtype)
+    support = np.flatnonzero(x)
+    if len(support) <= SPARSE_MAX_NONZEROS:
+        # x^i * y = (-y[n-i:], y[:n-i]) is the window [n-i, 2n-i) of (-y, y);
+        # the n+1 windows [r, r+n), 0 <= r <= n, all lie inside (-y, y)
+        ext = np.concatenate([-yc, yc])
+        step = ext.strides[0]
+        windows = np.lib.stride_tricks.as_strided(ext, (n + 1, n), (step, step), writeable=False)
+        res = _centered(x[support], q).astype(dtype) @ windows[n - support]
+    else:
+        res = np.convolve(_centered(x, q).astype(dtype), yc)
+        res[: n - 1] -= res[n:]
+        res = res[:n]
+    return RingElement._of(res.astype(np.int64) % q, p)
 
 
 def evaluate(a: RingElement, alpha: int) -> int:
@@ -393,5 +481,4 @@ def evaluate(a: RingElement, alpha: int) -> int:
 
 
 def ring_uniform(params: RingParams, rng) -> RingElement:
-    q = int(params.q)
-    return RingElement(tuple(int(v) for v in rng.uniform_array(q, params.n)), params)
+    return RingElement._of(rng.uniform_array(int(params.q), params.n), params)

@@ -20,6 +20,7 @@ from latticelab.errors import (
     LevelExceeded,
     ParamMismatch,
 )
+from latticelab.polyring import cyclotomic_poly
 from latticelab.rng import SeededRng
 
 
@@ -202,6 +203,23 @@ def test_decrypt_level_out_of_range(rng):
     bad = BgvCiphertext(parts=ct.parts, level=4, noise_bound=ct.noise_bound)
     with pytest.raises(LevelExceeded):
         decrypt(bad, sk, params)
+
+
+def test_negative_level_is_a_domain_error(rng):
+    params = std_params()
+    sk = keygen(params, rng)
+    ct = encrypt([1], sk, params, rng)
+    bad = BgvCiphertext(parts=ct.parts, level=-1, noise_bound=ct.noise_bound)
+    for op in (lambda: decrypt(bad, sk, params), lambda: he_add(bad, bad, params),
+               lambda: he_mul(bad, bad, params), lambda: switch_down(bad, params)):
+        with pytest.raises(LevelExceeded):
+            op()
+
+
+def test_f_is_computed_once():
+    params = std_params()
+    assert params.f is params.f
+    assert list(params.f) == cyclotomic_poly(32)
 
 
 def test_depth2_circuit(rng):

@@ -102,6 +102,24 @@ def test_bgv_pipeline_and_eval(tmp_path):
     assert got[0] == 1 and not any(got[1:])
 
 
+def test_bgv_decrypt_negative_level_exits_1(tmp_path, capsys):
+    prm, sk = tmp_path / "prm.txt", tmp_path / "s.key"
+    pt, ct = tmp_path / "a.pt", tmp_path / "a.ct"
+    run(["keygen", "--scheme", "bgv", "--m", "32", "--p", "2", "--r", "1",
+         "--levels", "3", "--seed", SEED,
+         "--out-secret", str(sk), "--out-params", str(prm)])
+    pt.write_text("1,0,1")
+    run(["encrypt", "--scheme", "bgv", "--params", str(prm), "--secret", str(sk),
+         "--message", str(pt), "--out", str(ct), "--seed", SEED2])
+    ct.write_text(ct.read_text().replace("level=0", "level=-1"))
+    capsys.readouterr()
+    assert run(["decrypt", "--scheme", "bgv", "--params", str(prm), "--secret", str(sk),
+                "--in", str(ct), "--out", str(tmp_path / "res.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "level" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_scan_command(tmp_path, capsys):
     assert run(["scan", "--f", "1,0,0,0,1", "--q", "17"]) == 0
     report = capsys.readouterr().out

@@ -240,3 +240,53 @@ def test_bgv_ciphertext_noise_field_checked(noise):
     mangled = text.replace(line + "\n", "" if noise is None else f"noise={noise}\n")
     with pytest.raises(FormatError):
         fileio.load_bgv_ciphertext(mangled)
+
+
+def _replace_first_coeff(text, name, delta):
+    """text with the first coefficient of line `name=` shifted by delta."""
+    (line,) = [ln for ln in text.splitlines() if ln.startswith(name + "=")]
+    first, _, rest = line[len(name) + 1:].partition(",")
+    return text.replace(line, f"{name}={int(first) + delta},{rest}")
+
+
+@pytest.mark.parametrize("delta", [257, -257])
+def test_glyph_signature_coefficient_outside_range_rejected(delta):
+    # z1[0] + q (or - q) is the same residue, so verify would accept it;
+    # only the residue in [0, q) is the signature's encoding.
+    text, _, _ = _toy_signature_text()
+    sig, _ = fileio.load_glyph_signature(text)
+    if delta < 0 and sig.z1.coeffs[0] == 0:
+        delta = -1  # -1 alone already lies outside [0, q)
+    mutated = _replace_first_coeff(text, "z1", delta)
+    assert mutated != text
+    with pytest.raises(FormatError):
+        fileio.load_glyph_signature(mutated)
+
+
+def test_plwe_vectors_outside_range_rejected(plwe_setup, rng):
+    p, kp = plwe_setup
+    q = int(p.ring.q)
+    ct = plwe.encrypt((kp.a, kp.b), [1, 0] * 8, p, rng)
+    sample = plwe.oracle_sample(p, kp.s, rng)
+    cases = [
+        (fileio.dump_plwe_secret(kp, p), "s", fileio.load_plwe_secret),
+        (fileio.dump_plwe_public(kp, p), "b", fileio.load_plwe_public),
+        (fileio.dump_plwe_ciphertext([ct], p), "u", fileio.load_plwe_ciphertext),
+        (fileio.dump_plwe_ciphertext([ct], p), "v", fileio.load_plwe_ciphertext),
+        (fileio.dump_plwe_samples([sample], p), "a", fileio.load_plwe_samples),
+        (fileio.dump_plwe_samples([sample], p), "b", fileio.load_plwe_samples),
+    ]
+    for text, name, load in cases:
+        load(text)
+        with pytest.raises(FormatError):
+            load(_replace_first_coeff(text, name, q))
+
+
+def test_bgv_ciphertext_negative_level_rejected():
+    params = bgv.setup(m=32, p=2, r=1, levels=2)
+    sk = bgv.keygen(params, SeededRng(b"\x71" * 32))
+    ct = bgv.encrypt([1], sk, params, SeededRng(b"\x72" * 32))
+    text = fileio.dump_bgv_ciphertext(ct, params)
+    for level in ["-1", "x", ""]:
+        with pytest.raises(FormatError):
+            fileio.load_bgv_ciphertext(text.replace("level=0", f"level={level}"))

@@ -1,4 +1,10 @@
+import math
+import pickle
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latticelab.errors import (
     FormatError,
@@ -7,6 +13,8 @@ from latticelab.errors import (
     ZeroElement,
 )
 from latticelab.polyring import (
+    SPARSE_MAX_NONZEROS,
+    RingElement,
     RingParams,
     cyclotomic_poly,
     euler_phi,
@@ -17,6 +25,7 @@ from latticelab.polyring import (
     mult_order,
     parse_poly,
     poly_deg,
+    poly_divmod_mod,
     poly_divmod_z,
     poly_mul_z,
     ring_add,
@@ -27,7 +36,7 @@ from latticelab.polyring import (
     ring_uniform,
     roots_mod_q,
 )
-from latticelab.zq import Modulus
+from latticelab.zq import Modulus, is_prime, next_prime
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +241,142 @@ def test_centered_and_inf_norm():
     a = ring_from_coeffs([16, 3], p)
     assert a.centered() == [-1, 3]
     assert a.inf_norm() == 3
+    b = ring_from_coeffs([8, 9], p)  # (-q/2, q/2]: 8 stays, 9 is -8
+    assert b.centered() == [8, -8]
+    assert b.inf_norm() == 8
+
+
+def test_element_is_a_read_only_residue_array():
+    p = ring([1, 0, 0, 0, 1], 17)
+    a = RingElement((16, 0, 3, 1), p)
+    assert a.vec.dtype == np.int64 and not a.vec.flags.writeable
+    assert a.coeffs == (16, 0, 3, 1) and all(type(c) is int for c in a.coeffs)
+    assert a.coeffs is a.coeffs  # built once
+    with pytest.raises(AttributeError):
+        a.params = p
+    for bad in [(17, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 0), (2**64, 0, 0, 0)]:
+        with pytest.raises(InvalidParams):
+            RingElement(bad, p)
+
+
+def test_element_equality_and_hash_follow_coeffs_and_params():
+    p = ring([1, 0, 0, 0, 1], 17)
+    a = RingElement((1, 2, 3, 4), p)
+    b = ring_from_coeffs([1, 2, 3, 4], p)
+    assert a == b and hash(a) == hash(b) == hash(((1, 2, 3, 4), p))
+    assert a != RingElement((1, 2, 3, 5), p)
+    assert a != RingElement((1, 2, 3, 4), ring([1, 0, 0, 0, 1], 19))
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_ring_from_coeffs_reduces_and_folds():
+    p = ring([1, 0, 1], 17)
+    assert ring_from_coeffs([-1, 2**70], p).coeffs == (16, 2**70 % 17)
+    assert ring_from_coeffs([1, 2, 3], p).coeffs == (15, 2)  # 3x^2 = -3
+    assert ring_from_coeffs([], p).coeffs == (0, 0)
+
+
+def test_add_sub_near_the_top_of_int64():
+    q = 2**62 + 135  # prime; a + b would overflow int64
+    assert is_prime(q)
+    p = ring([1, 0, 1], q)
+    a = ring_from_coeffs([q - 1, q - 2], p)
+    b = ring_from_coeffs([q - 3, 1], p)
+    assert ring_add(a, b).coeffs == ((2 * q - 4) % q, q - 1)
+    assert ring_sub(b, a).coeffs == ((-2) % q, 3)
+    assert a.inf_norm() == 2 and a.centered() == [-1, -2]
+
+
+# ---------------------------------------------------------------------------
+# negacyclic kernels against the schoolbook product and division by f
+
+# n * floor(q/2)^2 < 2^53 holds at n = 1024 up to q = 2 * 2965820 + 1, which
+# is prime; the next prime takes the int64 path.
+FLOAT_EDGE_Q = 5931641
+INT64_EDGE_Q = 5931649
+
+
+def negacyclic(n, q):
+    return ring([1] + [0] * (n - 1) + [1], q)
+
+
+def division_oracle(ac, bc, p):
+    rem = poly_divmod_mod(poly_mul_z(list(ac), list(bc)), list(p.f), int(p.q))[1]
+    return tuple(rem + [0] * (p.n - len(rem)))
+
+
+def test_float_exactness_edge_at_n_1024():
+    assert FLOAT_EDGE_Q == 2 * math.isqrt((2**53 - 1) // 1024) + 1
+    assert is_prime(FLOAT_EDGE_Q) and next_prime(FLOAT_EDGE_Q + 1) == INT64_EDGE_Q
+    assert negacyclic(1024, 59393).mul_dtype is np.float64
+    assert negacyclic(1024, FLOAT_EDGE_Q).mul_dtype is np.float64
+    edge = negacyclic(1024, INT64_EDGE_Q)
+    assert edge.mul_dtype is np.int64 and edge.int64_safe
+
+
+ALL_BITS = 2**1024 - 1
+
+
+@pytest.mark.parametrize("q", [59393, FLOAT_EDGE_Q, INT64_EDGE_Q])
+@settings(max_examples=2, deadline=None)
+@given(masks=st.tuples(st.integers(0, ALL_BITS), st.integers(0, ALL_BITS)))
+@example(masks=(0, 0))
+@example(masks=(0, ALL_BITS))
+def test_dense_product_at_extreme_coefficients(q, masks):
+    # every coefficient (q-1)/2 or (q+1)/2, centered +-(q-1)/2: the largest
+    # magnitudes, so the convolution sums reach n * ((q-1)/2)^2
+    p = negacyclic(1024, q)
+    ac, bc = ([(q - 1) // 2 + (m >> i & 1) for i in range(1024)] for m in masks)
+    assert ring_mul(RingElement(ac, p), RingElement(bc, p)).coeffs == division_oracle(ac, bc, p)
+
+
+def sparse_operand(data, n, q, max_nonzeros):
+    """Coefficients with nonzeros at 0 and n-1 and at most max_nonzeros in all."""
+    inner = data.draw(st.sets(st.integers(1, n - 2), max_size=max_nonzeros - 2))
+    support = sorted({0, n - 1} | inner)
+    residues = st.sampled_from([1, q - 1, (q - 1) // 2, (q + 1) // 2]) | st.integers(1, q - 1)
+    cc = [0] * n
+    for i in support:
+        cc[i] = data.draw(residues)
+    return cc
+
+
+@pytest.mark.parametrize("q", [59393, INT64_EDGE_Q])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_sparse_product_with_end_entries(q, data):
+    n = 1024
+    p = negacyclic(n, q)
+    cc = sparse_operand(data, n, q, SPARSE_MAX_NONZEROS)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    yc = np.random.default_rng(seed).integers(0, q, n).tolist()
+    expect = division_oracle(cc, yc, p)
+    c, y = RingElement(cc, p), RingElement(yc, p)
+    assert ring_mul(c, y).coeffs == expect
+    assert ring_mul(y, c).coeffs == expect
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_negacyclic_kernels_match_division_oracle(data):
+    # small rings on both sides of the sparse threshold; the float64 kernel,
+    # the int64 kernel (at q = 2^27 + 29 its sums pass 2^53 by far) and a q
+    # outside int64_safe (the Python-int path)
+    n = data.draw(st.sampled_from([1, 2, 8, 64, 128]))
+    q = data.draw(st.sampled_from([3, 17, 7681, 59393, FLOAT_EDGE_Q, INT64_EDGE_Q,
+                                   2**27 + 29, 2**61 - 1]))
+    p = negacyclic(n, q)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    operands = []
+    for _ in range(2):
+        weight = data.draw(st.sampled_from(
+            [0, 1, SPARSE_MAX_NONZEROS, SPARSE_MAX_NONZEROS + 1, n]))
+        cc = np.zeros(n, dtype=np.int64)
+        support = rng.permutation(n)[: min(weight, n)]
+        cc[support] = rng.integers(1, q, len(support))
+        operands.append(cc.tolist())
+    got = ring_mul(RingElement(operands[0], p), RingElement(operands[1], p))
+    assert got.coeffs == division_oracle(*operands, p)
 
 
 # ---------------------------------------------------------------------------
