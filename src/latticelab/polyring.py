@@ -398,10 +398,14 @@ def ring_from_coeffs(coeffs, params: RingParams) -> RingElement:
     except OverflowError:
         vec = np.array([int(x) % q for x in coeffs], dtype=np.int64)
     if len(vec) > params.n:
-        rem = poly_divmod_mod(vec.tolist(), list(params.f), q)[1]
-        vec = np.array(rem, dtype=np.int64)
-    if len(vec) < params.n:
-        vec = np.concatenate([vec, np.zeros(params.n - len(vec), dtype=np.int64)])
+        vec = poly_divmod_mod(vec.tolist(), list(params.f), q)[1]
+    return _padded(vec, params)
+
+
+def _padded(residues, params: RingParams) -> RingElement:
+    """Element from at most n residues in [0, q), zero-padded to n."""
+    vec = np.zeros(params.n, dtype=np.int64)
+    vec[: len(residues)] = residues
     return RingElement._of(vec, params)
 
 
@@ -447,10 +451,7 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     n = p.n
     if not (p.negacyclic and p.int64_safe):
         full = poly_mul_z(list(a.coeffs), list(b.coeffs))
-        rem = poly_divmod_mod(full, list(p.f), q)[1]
-        vec = np.zeros(n, dtype=np.int64)
-        vec[: len(rem)] = rem
-        return RingElement._of(vec, p)
+        return _padded(poly_divmod_mod(full, list(p.f), q)[1], p)
     x, y = a.vec, b.vec
     if np.count_nonzero(x) > np.count_nonzero(y):
         x, y = y, x  # x is the sparser operand
