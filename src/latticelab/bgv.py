@@ -21,13 +21,14 @@ from .errors import (
     ChainOverflow,
     DecryptFail,
     InvalidParams,
+    LengthMismatch,
     LevelExceeded,
     ParamMismatch,
 )
 from .gaussian import GaussianParams, sample_int_array
 from .polyring import cyclotomic_poly, euler_phi, poly_divmod_z, poly_mul_z
 from .rng import SeededRng
-from .zq import next_prime, reduce_centered
+from .zq import is_prime, next_prime, reduce_centered
 
 MAX_CHAIN_MODULUS = 1 << 62
 
@@ -45,6 +46,12 @@ def validate_chain(chain: tuple[int, ...], p: int) -> None:
             raise InvalidParams("chain moduli must be coprime to p")
 
 
+def check_plaintext(m: int, p: int, r: int) -> None:
+    """The ring index m >= 1 and the plaintext ring R_{p^r}: p prime, r >= 1."""
+    if m < 1 or r < 1 or not is_prime(p):
+        raise InvalidParams(f"need m >= 1, a prime p and r >= 1, got m={m}, p={p}, r={r}")
+
+
 @dataclass(frozen=True)
 class BgvParams:
     m: int  # cyclotomic index; ring is Z[x]/(Phi_m)
@@ -54,9 +61,8 @@ class BgvParams:
     sigma: float = 3.2
 
     def __post_init__(self):
+        check_plaintext(self.m, self.p, self.r)
         validate_chain(self.chain, self.p)
-        if self.r < 1:
-            raise InvalidParams("r must be >= 1")
 
     @property
     def levels(self) -> int:
@@ -99,6 +105,7 @@ class BgvCiphertext:
 def setup(m: int, p: int, r: int, levels: int, growth: float = 1.0, base: int = 128) -> BgvParams:
     """Build a valid chain: q_0 prime near `base`, then
     q_{i+1} = next prime >= max(q_i^2, 2 q_i) * growth coprime to p."""
+    check_plaintext(m, p, r)
     if levels < 1:
         raise InvalidParams("need at least one level")
     q = next_prime(base)
@@ -131,6 +138,12 @@ def keygen(params: BgvParams, rng: SeededRng) -> BgvSecretKey:
     return BgvSecretKey(coeffs=tuple(clamped))
 
 
+def _check_secret(sk: BgvSecretKey, params: BgvParams) -> None:
+    if len(sk.coeffs) != params.n:
+        raise LengthMismatch(
+            f"secret key has {len(sk.coeffs)} coefficients, the ring has n = {params.n}")
+
+
 def fresh_noise_bound(params: BgvParams) -> float:
     gp = GaussianParams(sigma=params.sigma)
     return float(gp.support[1])
@@ -148,6 +161,7 @@ def encrypt(
     n = params.n
     q = params.modulus_at_level(0)
     pr = params.pt_modulus
+    _check_secret(sk, params)
     if len(pt) > n:
         raise InvalidParams(f"plaintext has more than {n} coefficients")
     alpha = [c % pr for c in pt] + [0] * (n - len(pt))
@@ -178,6 +192,7 @@ def decrypt(ct: BgvCiphertext, sk: BgvSecretKey, params: BgvParams) -> list[int]
     """Evaluate sum parts[j] * s^j mod q_i, center, reduce mod p^r."""
     q = params.modulus_at_level(ct.level)
     pr = params.pt_modulus
+    _check_secret(sk, params)
     if ct.noise_bound >= q / pr:
         raise DecryptFail(
             f"noise bound {ct.noise_bound:.1f} >= q_i/p^r = {q / pr:.1f}"

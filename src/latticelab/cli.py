@@ -23,12 +23,26 @@ from .rng import SEED_BYTES, SeededRng
 from .zq import Modulus
 
 
-def _seed_arg(text: str) -> str:
-    """argparse type for --seed: exactly 64 hex digits."""
-    if not re.fullmatch(f"[0-9a-fA-F]{{{2 * SEED_BYTES}}}", text):
-        raise argparse.ArgumentTypeError(
-            f"must be {2 * SEED_BYTES} hex digits, got {text!r}")
-    return text
+def _matching(pattern: str, what: str, convert=str):
+    """argparse type: a value spelled as `pattern` fully matches, converted."""
+    def parse(text: str):
+        if not re.fullmatch(pattern, text):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return convert(text)
+    return parse
+
+
+_SEED = _matching(f"[0-9a-fA-F]{{{2 * SEED_BYTES}}}", f"{2 * SEED_BYTES} hex digits")
+_COUNT = _matching("[0-9]+", "an integer >= 0", int)
+_POSITIVE = _matching("[0-9]*[1-9][0-9]*", "an integer >= 1", int)
+_BINDING = _matching("[^=]+=.+", "WIRE=FILE", lambda text: text.split("=", 1))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error as one line, without the usage summary."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _rng_from_args(args) -> SeededRng:
@@ -40,7 +54,8 @@ def _rng_from_args(args) -> SeededRng:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    """The text as stored: no newline translation; bad bytes become U+FFFD."""
+    return Path(path).read_bytes().decode("utf-8", "replace")
 
 
 def _write_out(args, text: str) -> None:
@@ -133,7 +148,7 @@ def cmd_decrypt(args) -> int:
     else:  # bgv
         params = fileio.load_bgv_params(_read(args.params))
         sk = fileio.load_bgv_secret(_read(args.secret))
-        ct = fileio.load_bgv_ciphertext(_read(args.infile))
+        ct = fileio.load_bgv_ciphertext(_read(args.infile), params)
         pt = bgv.decrypt(ct, sk, params)
         _write_out(args, ",".join(map(str, pt)) + "\n")
     return 0
@@ -207,23 +222,14 @@ def cmd_smear(args) -> int:
 # bgv-eval
 
 
-def _parse_binding(spec: str) -> tuple[str, str]:
-    if "=" not in spec:
-        raise LatticeLabError(f"binding must look like wire=file, got {spec!r}")
-    wire, path = spec.split("=", 1)
-    return wire, path
-
-
 def cmd_bgv_eval(args) -> int:
     params = fileio.load_bgv_params(_read(args.params))
     inputs = {}
-    for spec in args.inputs:
-        wire, path = _parse_binding(spec)
-        inputs[wire] = fileio.load_bgv_ciphertext(_read(path))
+    for wire, path in args.inputs:
+        inputs[wire] = fileio.load_bgv_ciphertext(_read(path), params)
     lines = _read(args.circuit).splitlines()
     wires = bgv.eval_circuit(lines, inputs, params)
-    for spec in args.outputs:
-        wire, path = _parse_binding(spec)
+    for wire, path in args.outputs:
         if wire not in wires:
             raise LatticeLabError(f"no wire named {wire!r}")
         Path(path).write_text(fileio.dump_bgv_ciphertext(wires[wire], params))
@@ -309,7 +315,7 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latticelab",
         description="Lattice cryptography laboratory: LWE, PLWE/LPR, GLYPH, BGV, "
         "and the PLWE evaluation attacks.",
@@ -317,20 +323,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_seed(p):
-        p.add_argument("--seed", type=_seed_arg,
+        p.add_argument("--seed", type=_SEED,
                        help="256-bit hex seed for reproducible runs")
 
     p = sub.add_parser("keygen", help="generate a key pair")
     p.add_argument("--scheme", required=True, choices=["lwe", "plwe", "glyph", "bgv"])
-    p.add_argument("--n", type=int, default=256)
+    p.add_argument("--n", type=_POSITIVE, default=256)
     p.add_argument("--sigma", type=float, default=3.2)
-    p.add_argument("--q-floor", type=int, default=4096)
-    p.add_argument("--m", type=int, default=32, help="bgv: cyclotomic index")
-    p.add_argument("--p", type=int, default=2, help="bgv: plaintext prime")
-    p.add_argument("--r", type=int, default=1, help="bgv: plaintext exponent")
-    p.add_argument("--levels", type=int, default=3)
+    p.add_argument("--q-floor", type=_POSITIVE, default=4096)
+    p.add_argument("--m", type=_POSITIVE, default=32, help="bgv: cyclotomic index")
+    p.add_argument("--p", type=_POSITIVE, default=2, help="bgv: plaintext prime")
+    p.add_argument("--r", type=_POSITIVE, default=1, help="bgv: plaintext exponent")
+    p.add_argument("--levels", type=_POSITIVE, default=3)
     p.add_argument("--growth", type=float, default=1.0)
-    p.add_argument("--base", type=int, default=128)
+    p.add_argument("--base", type=_POSITIVE, default=128)
     p.add_argument("--out-secret", default="secret.key")
     p.add_argument("--out-public", default="public.key")
     p.add_argument("--out-params", default="params.txt")
@@ -373,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="parameter weakness scan for (f, q)")
     p.add_argument("--f", required=True, help="coefficient CSV, lowest first")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_POSITIVE, required=True)
     p.add_argument("--r-max", type=int, default=8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_scan)
@@ -391,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smear", help="Monte-Carlo smearing estimate")
     p.add_argument("--params", required=True)
     p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=_POSITIVE, default=100_000)
     p.add_argument("--t", type=float, default=3.0)
     p.add_argument("--out")
     add_seed(p)
@@ -400,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bgv-eval", help="evaluate an ADD/MUL circuit homomorphically")
     p.add_argument("--params", required=True)
     p.add_argument("--circuit", required=True)
-    p.add_argument("--in", dest="inputs", action="append", default=[],
+    p.add_argument("--in", dest="inputs", action="append", default=[], type=_BINDING,
                    metavar="WIRE=FILE")
-    p.add_argument("--out", dest="outputs", action="append", default=[],
+    p.add_argument("--out", dest="outputs", action="append", default=[], type=_BINDING,
                    metavar="WIRE=FILE")
     p.set_defaults(func=cmd_bgv_eval)
 
@@ -410,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True,
                    choices=["gaussian", "uniform", "plwe-oracle", "plwe-uniform"])
     p.add_argument("--sigma", type=float, default=3.2)
-    p.add_argument("--q", type=int)
-    p.add_argument("--count", type=int, default=16)
+    p.add_argument("--q", type=_POSITIVE)
+    p.add_argument("--count", type=_COUNT, default=16)
     p.add_argument("--params", help="plwe parameter file")
     p.add_argument("--secret", help="plwe secret key (oracle samples)")
     p.add_argument("--out")
@@ -419,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("bench", help="operation timings and key sizes")
-    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--n", type=_POSITIVE, default=64)
     p.add_argument("--out")
     add_seed(p)
     p.set_defaults(func=cmd_bench)
@@ -444,10 +450,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--secret is required for --dist plwe-oracle")
     try:
         return args.func(args)
-    except LatticeLabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (LatticeLabError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

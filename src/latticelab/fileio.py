@@ -1,355 +1,351 @@
 """Text file formats for keys, ciphertexts, signatures and samples.
 
-Every file is line-oriented: a header line naming format and version,
-then "key=value" lines.  Coefficient vectors are comma-separated base-10
-residues, lowest degree first.  Text beats binary here: the artifact is
-a laboratory and inspectability matters more than compactness.
+Each file is one of the fourteen records in ``RECORDS``, written by one
+encoder and read by one decoder that accepts exactly what the encoder
+writes (README, "File formats"): the header, each ``key=value`` field in
+its declared order, then the rows its count field announces.  Anything
+else raises FormatError, so no key, ciphertext or signature has a second
+text encoding.  Text beats binary here: inspectability matters more than
+compactness.
 """
 
 from __future__ import annotations
 
-import math
+import re
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import bgv as bgv_mod
 from . import glyph as glyph_mod
 from . import lwe as lwe_mod
 from . import plwe as plwe_mod
-from .errors import FormatError
-from .polyring import RingElement, RingParams, format_poly, parse_poly
+from .errors import FormatError, InvalidParams
+from .polyring import RingElement, RingParams
 from .zq import Modulus
 
-import numpy as np
-
-LWE_HEADER = "latticelab-lwe-v1"
-PLWE_HEADER = "latticelab-plwe-v1"
-GLYPH_HEADER = "latticelab-glyph-v1"
-BGV_HEADER = "latticelab-bgv-v1"
-
-
-def _parse_kv(text: str, header: str) -> list[tuple[str, str]]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != header:
-        raise FormatError(f"expected header {header!r}")
-    out = []
-    for ln in lines[1:]:
-        if "=" not in ln:
-            raise FormatError(f"bad line {ln!r}")
-        k, v = ln.split("=", 1)
-        out.append((k.strip(), v.strip()))
-    return out
+_INT = "(?:0|[1-9][0-9]{0,18})"
+_VEC_RE = re.compile(f"{_INT}(?:,{_INT})*")
+_MONIC_RE = re.compile(f"(?:{_INT},)+1")
+_TERNARY_RE = re.compile("(?:-1|0|1)(?:,(?:-1|0|1))*")
+_CHALLENGE_RE = re.compile(f"{_INT}:[+-]1(?:,{_INT}:[+-]1)*")
 
 
-def _fields(kv: list[tuple[str, str]]) -> dict[str, str]:
-    return dict(kv)
+class _Num:
+    """A field kind, as all with encode(value) -> text and decode(text,
+    fields so far, key) -> value: an int or float spelled repr(cast(v)),
+    starting with a digit (so >= 0 and finite); ok(v, fields) must hold."""
+
+    def __init__(self, cast=int, ok=None):
+        self.cast, self.ok = cast, ok
+
+    def encode(self, value):
+        return repr(self.cast(value))
+
+    def decode(self, text, d, key):
+        try:
+            v = self.cast(text)
+        except ValueError:
+            v = None
+        if v is None or repr(v) != text or not text[0].isdigit() or (
+                self.ok and not self.ok(v, d)):
+            raise FormatError(f"bad {key} value {text[:40]!r}")
+        return v
 
 
-def _require(d: dict[str, str], *keys: str) -> None:
-    for k in keys:
-        if k not in d:
-            raise FormatError(f"missing field {k!r}")
+class _Vec:
+    """Comma-separated integers, n(fields) of them (any number if n is None),
+    each below q(fields) if q is given; decoded as int64."""
+
+    def __init__(self, n, q, pattern=_VEC_RE):
+        self.n, self.q, self.pattern = n, q, pattern
+
+    @staticmethod
+    def encode(v):
+        return ",".join(map(str, v.tolist() if isinstance(v, np.ndarray) else v))
+
+    def decode(self, text, d, key):
+        return self.rows([text], d, key)[0]
+
+    def rows(self, texts, d, key):
+        """Lines of this kind as one (lines, n) array."""
+        n = None if self.n is None else self.n(d)
+        for t in texts:
+            if not self.pattern.fullmatch(t) or (n is not None and t.count(",") != n - 1):
+                raise FormatError(f"bad vector {key!r}: wrong length or spelling")
+        vals = np.fromstring(",".join(texts), dtype=np.int64, sep=",")
+        if self.q is not None and vals.size and vals.max() >= self.q(d):
+            raise FormatError(f"vector {key!r} has an entry outside [0, q)")
+        return vals.reshape(len(texts), -1 if n is None else n)
+
+
+class _Challenge:
+    """GLYPH's challenge as its k (index, +-1) pairs, indices increasing in [0, n)."""
+
+    @staticmethod
+    def encode(pairs):
+        return ",".join(f"{i}:{s:+d}" for i, s in pairs)
+
+    def decode(self, text, d, key):
+        pairs = [e.split(":") for e in text.split(",")] if _CHALLENGE_RE.fullmatch(text) else []
+        idx = [int(i) for i, _ in pairs]
+        if not idx or len(idx) != d["k"] or idx != sorted(set(idx)) or idx[-1] >= d["n"]:
+            raise FormatError(f"{key} must be k={d['k']} entries i:+1 or i:-1, "
+                              "i increasing in [0, n)")
+        return [(i, int(s)) for i, (_, s) in zip(idx, pairs)]
+
+
+_INT_, _FLOAT = _Num(), _Num(float)
+_RES = _Vec(lambda d: d["n"], lambda d: d["q"])
+_RES_N1 = _Vec(lambda d: d["n"] + 1, lambda d: d["q"])
+
+
+@dataclass(frozen=True)
+class _Params:
+    """A scheme's header line and the parameter fields its records open
+    with; write maps a parameter object to their values, read maps back."""
+
+    header: str
+    fields: tuple = ()
+    write: object = lambda p: {}
+    read: object = lambda d: None
+
+
+_LWE = _Params(
+    "latticelab-lwe-v1", (("n", _INT_), ("q", _INT_), ("alpha", _FLOAT), ("m", _INT_)), vars,
+    lambda d: lwe_mod.LweParams(n=d["n"], q=Modulus(d["q"]), alpha=d["alpha"], m=d["m"]))
+_PLWE = _Params(  # f is monic of degree n, so RingParams keeps all n + 1 coefficients
+    "latticelab-plwe-v1",
+    (("n", _INT_), ("q", _INT_), ("f", _Vec(_RES_N1.n, _RES_N1.q, _MONIC_RE)), ("sigma", _FLOAT)),
+    lambda p: {"n": p.n, "q": p.ring.q, "f": p.ring.f, "sigma": p.sigma},
+    lambda d: plwe_mod.PlweParams(RingParams(tuple(d["f"].tolist()), Modulus(d["q"])), d["sigma"]))
+_GLYPH = _Params(
+    "latticelab-glyph-v1", (("n", _INT_), ("q", _INT_), ("b", _INT_), ("k", _INT_)), vars,
+    lambda d: glyph_mod.GlyphParams(n=d["n"], q=Modulus(d["q"]), b=d["b"], k=d["k"]))
+_BGV_HEAD = _Params("latticelab-bgv-v1")
+_BGV = _Params(
+    _BGV_HEAD.header, (("m", _INT_), ("p", _INT_), ("r", _INT_), ("sigma", _FLOAT),
+                       ("chain", _Vec(None, lambda d: bgv_mod.MAX_CHAIN_MODULUS + 1))), vars,
+    lambda d: bgv_mod.BgvParams(m=d["m"], p=d["p"], r=d["r"], sigma=d["sigma"],
+                                chain=tuple(d["chain"].tolist())))
+
+
+@dataclass(frozen=True)
+class _Record:
+    """The header line, a "type=" line if type is set, the parameter fields
+    and the record's own fields in write order, then the rows: (count
+    field, keys, kind), the keys repeated as often as the count field says."""
+
+    params: _Params
+    type: str | None = None
+    fields: tuple = ()
+    rows: tuple = (None, (), None)
+
+    @property
+    def head(self) -> str:
+        return self.params.header + (f"\ntype={self.type}" if self.type else "")
+
+
+RECORDS = {
+    "lwe-secret": _Record(_LWE, "secret", (("s", _RES),)),
+    "lwe-public": _Record(_LWE, "public", (), ("m", ("sample",), _RES_N1)),
+    "lwe-ciphertext": _Record(_LWE, "ciphertext", (("bits", _INT_),), ("bits", ("ct",), _RES_N1)),
+    "plwe-params": _Record(_PLWE),
+    "plwe-secret": _Record(_PLWE, None, (("s", _RES),)),
+    "plwe-public": _Record(_PLWE, None, (("a", _RES), ("b", _RES))),
+    "plwe-ciphertext": _Record(_PLWE, None, (("blocks", _INT_),), ("blocks", ("u", "v"), _RES)),
+    "plwe-samples": _Record(_PLWE, None, (("count", _INT_),), ("count", ("a", "b"), _RES)),
+    "glyph-secret": _Record(_GLYPH, None, (("s", _RES), ("e", _RES))),
+    "glyph-public": _Record(_GLYPH, None, (("a", _RES), ("t", _RES))),
+    "glyph-signature": _Record(_GLYPH, None, (("c", _Challenge()), ("z1", _RES), ("z2", _RES))),
+    "bgv-params": _Record(_BGV, "params"),
+    "bgv-secret": _Record(_BGV_HEAD, "secret", (("s", _Vec(None, None, _TERNARY_RE)),)),
+    "bgv-ciphertext": _Record(_BGV_HEAD, "ciphertext", (
+        ("level", _Num(int, lambda v, d: v <= d["params"].levels)),
+        ("mod_index", _Num(int, lambda v, d: v == d["params"].levels - d["level"])),
+        ("noise", _FLOAT), ("parts", _INT_)),
+        ("parts", ("part",), _Vec(lambda d: d["params"].n,
+                                  lambda d: d["params"].modulus_at_level(d["level"])))),
+}
+
+
+def _encode(name: str, params=None, **values) -> str:
+    rec = RECORDS[name]
+    values.update(rec.params.write(params))
+    fields = rec.params.fields + rec.fields
+    lines = [rec.head] + [f"{key}={kind.encode(values[key])}" for key, kind in fields]
+    _, keys, kind = rec.rows
+    for row in zip(*(values[key] for key in keys)):
+        lines += [f"{key}={kind.encode(v)}" for key, v in zip(keys, row)]
+    return "\n".join(lines) + "\n"
+
+
+def _decode(name: str, text: str, **context) -> tuple[object, dict]:
+    """(parameter object, fields) of `text` read strictly as record `name`."""
+    rec = RECORDS[name]
+    fields, head = rec.params.fields + rec.fields, rec.head
+    if not text.startswith(head + "\n") or not text.endswith("\n"):
+        raise FormatError(f"expected {head!r} as first line(s) and a final newline")
+    lines = text[len(head) + 1:-1].split("\n")
+    d = dict(context)
+    for (key, kind), line in zip(fields, lines + [""] * (len(fields) - len(lines))):
+        k, eq, value = line.partition("=")
+        if k != key or not eq:
+            raise FormatError(f"expected {key}=..., got {line[:40]!r}")
+        d[key] = kind.decode(value, d, key)
+    count, keys, kind = rec.rows
+    rows, want = lines[len(fields):], d[count] * len(keys) if keys else 0
+    if len(rows) != want:
+        raise FormatError(f"{len(rows)} line(s) after the fields, expected {want}")
+    for i, key in enumerate(keys):
+        texts = rows[i::len(keys)]
+        if not all(t.startswith(key + "=") for t in texts):
+            raise FormatError(f"rows must repeat {', '.join(keys)} in that order")
+        d[key] = kind.rows([t[len(key) + 1:] for t in texts], d, key)
+    try:
+        return rec.params.read(d), d
+    except InvalidParams as e:
+        raise FormatError(str(e)) from e
+
+
+def _elements(ring: RingParams, *rows) -> list[RingElement]:
+    return [RingElement(row, ring) for row in rows]
 
 
 # ---------------------------------------------------------------------------
-# LWE
+# Public dump/load pairs: every dump_X(obj, ...) -> text has load_X(text, ...).
 
 
 def dump_lwe_secret(sk: lwe_mod.LweSecretKey, p: lwe_mod.LweParams) -> str:
-    head = [LWE_HEADER, "type=secret", f"n={p.n}", f"q={int(p.q)}",
-            f"alpha={p.alpha!r}", f"m={p.m}"]
-    return "\n".join(head + [f"s={format_poly(sk.s)}"]) + "\n"
-
-
-def dump_lwe_public(pk: lwe_mod.LwePublicKey) -> str:
-    p = pk.params
-    head = [LWE_HEADER, "type=public", f"n={p.n}", f"q={int(p.q)}",
-            f"alpha={p.alpha!r}", f"m={p.m}"]
-    rows = [f"sample={format_poly(list(a) + [b])}" for a, b in zip(pk.a, pk.b)]
-    return "\n".join(head + rows) + "\n"
-
-
-def _lwe_params_from(d: dict[str, str]) -> lwe_mod.LweParams:
-    _require(d, "n", "q", "alpha", "m")
-    return lwe_mod.LweParams(
-        n=int(d["n"]), q=Modulus(int(d["q"])), alpha=float(d["alpha"]), m=int(d["m"])
-    )
+    return _encode("lwe-secret", p, s=sk.s)
 
 
 def load_lwe_secret(text: str) -> tuple[lwe_mod.LweSecretKey, lwe_mod.LweParams]:
-    kv = _parse_kv(text, LWE_HEADER)
-    d = _fields(kv)
-    if d.get("type") != "secret":
-        raise FormatError("not an LWE secret key file")
-    p = _lwe_params_from(d)
-    return lwe_mod.LweSecretKey(s=np.array(parse_poly(d["s"]), dtype=np.int64)), p
+    p, d = _decode("lwe-secret", text)
+    return lwe_mod.LweSecretKey(s=d["s"]), p
+
+
+def dump_lwe_public(pk: lwe_mod.LwePublicKey) -> str:
+    return _encode("lwe-public", pk.params, sample=np.column_stack((pk.a, pk.b)).tolist())
 
 
 def load_lwe_public(text: str) -> lwe_mod.LwePublicKey:
-    kv = _parse_kv(text, LWE_HEADER)
-    d = _fields(kv)
-    if d.get("type") != "public":
-        raise FormatError("not an LWE public key file")
-    p = _lwe_params_from(d)
-    rows = [parse_poly(v) for k, v in kv if k == "sample"]
-    if len(rows) != p.m or any(len(r) != p.n + 1 for r in rows):
-        raise FormatError("public key sample count/shape mismatch")
-    mat = np.array(rows, dtype=np.int64)
-    return lwe_mod.LwePublicKey(a=mat[:, : p.n], b=mat[:, p.n], params=p)
+    p, d = _decode("lwe-public", text)
+    return lwe_mod.LwePublicKey(a=d["sample"][:, :p.n], b=d["sample"][:, p.n], params=p)
 
 
 def dump_lwe_ciphertext(cts: list[lwe_mod.LweCiphertext], p: lwe_mod.LweParams) -> str:
-    head = [LWE_HEADER, "type=ciphertext", f"n={p.n}", f"q={int(p.q)}",
-            f"alpha={p.alpha!r}", f"m={p.m}", f"bits={len(cts)}"]
-    rows = [f"ct={format_poly(list(ct.u) + [ct.v])}" for ct in cts]
-    return "\n".join(head + rows) + "\n"
+    rows = [ct.u.tolist() + [int(ct.v)] for ct in cts]
+    return _encode("lwe-ciphertext", p, bits=len(cts), ct=rows)
 
 
 def load_lwe_ciphertext(text: str) -> tuple[list[lwe_mod.LweCiphertext], lwe_mod.LweParams]:
-    kv = _parse_kv(text, LWE_HEADER)
-    d = _fields(kv)
-    if d.get("type") != "ciphertext":
-        raise FormatError("not an LWE ciphertext file")
-    p = _lwe_params_from(d)
-    cts = []
-    for k, v in kv:
-        if k != "ct":
-            continue
-        vals = parse_poly(v)
-        if len(vals) != p.n + 1:
-            raise FormatError("ciphertext row shape mismatch")
-        cts.append(lwe_mod.LweCiphertext(u=np.array(vals[: p.n], dtype=np.int64), v=vals[p.n]))
-    if len(cts) != int(d.get("bits", len(cts))):
-        raise FormatError("bit count mismatch")
-    return cts, p
-
-
-# ---------------------------------------------------------------------------
-# PLWE
-
-
-def _plwe_head(p: plwe_mod.PlweParams) -> list[str]:
-    return [PLWE_HEADER, f"n={p.n}", f"q={int(p.ring.q)}",
-            f"f={format_poly(p.ring.f)}", f"sigma={p.sigma!r}"]
-
-
-def plwe_params_from_fields(d: dict[str, str]) -> plwe_mod.PlweParams:
-    _require(d, "n", "q", "f", "sigma")
-    ring = RingParams(f=tuple(parse_poly(d["f"])), q=Modulus(int(d["q"])))
-    if ring.n != int(d["n"]):
-        raise FormatError("n does not match deg f")
-    return plwe_mod.PlweParams(ring=ring, sigma=float(d["sigma"]))
+    p, d = _decode("lwe-ciphertext", text)
+    return [lwe_mod.LweCiphertext(u=row[:p.n], v=int(row[p.n])) for row in d["ct"]], p
 
 
 def dump_plwe_params(p: plwe_mod.PlweParams) -> str:
-    return "\n".join(_plwe_head(p)) + "\n"
+    return _encode("plwe-params", p)
 
 
 def load_plwe_params(text: str) -> plwe_mod.PlweParams:
-    return plwe_params_from_fields(_fields(_parse_kv(text, PLWE_HEADER)))
-
-
-def _named_vec(name: str, e: RingElement) -> str:
-    return f"{name}={format_poly(e.coeffs)}"
-
-
-def _ring_vec(text: str, name: str, ring: RingParams) -> RingElement:
-    """A coefficient line as written by _named_vec: n residues in [0, q)."""
-    vals = parse_poly(text)
-    if len(vals) != ring.n:
-        raise FormatError(f"vector {name!r} has wrong length")
-    if min(vals) < 0 or max(vals) >= int(ring.q):
-        raise FormatError(f"vector {name!r} has a coefficient outside [0, q)")
-    return RingElement(vals, ring)
-
-
-def _load_vec(d: dict[str, str], name: str, ring: RingParams) -> RingElement:
-    _require(d, name)
-    return _ring_vec(d[name], name, ring)
+    return _decode("plwe-params", text)[0]
 
 
 def dump_plwe_secret(kp: plwe_mod.PlweKeyPair, p: plwe_mod.PlweParams) -> str:
-    return "\n".join(_plwe_head(p) + [_named_vec("s", kp.s)]) + "\n"
-
-
-def dump_plwe_public(kp: plwe_mod.PlweKeyPair, p: plwe_mod.PlweParams) -> str:
-    return "\n".join(_plwe_head(p) + [_named_vec("a", kp.a), _named_vec("b", kp.b)]) + "\n"
+    return _encode("plwe-secret", p, s=kp.s.vec)
 
 
 def load_plwe_secret(text: str) -> tuple[RingElement, plwe_mod.PlweParams]:
-    d = _fields(_parse_kv(text, PLWE_HEADER))
-    p = plwe_params_from_fields(d)
-    return _load_vec(d, "s", p.ring), p
+    p, d = _decode("plwe-secret", text)
+    return RingElement(d["s"], p.ring), p
+
+
+def dump_plwe_public(kp: plwe_mod.PlweKeyPair, p: plwe_mod.PlweParams) -> str:
+    return _encode("plwe-public", p, a=kp.a.vec, b=kp.b.vec)
 
 
 def load_plwe_public(text: str) -> tuple[tuple[RingElement, RingElement], plwe_mod.PlweParams]:
-    d = _fields(_parse_kv(text, PLWE_HEADER))
-    p = plwe_params_from_fields(d)
-    return (_load_vec(d, "a", p.ring), _load_vec(d, "b", p.ring)), p
+    p, d = _decode("plwe-public", text)
+    return tuple(_elements(p.ring, d["a"], d["b"])), p
 
 
 def dump_plwe_ciphertext(blocks: list[plwe_mod.PlweCiphertext], p: plwe_mod.PlweParams) -> str:
-    rows = []
-    for ct in blocks:
-        rows += [_named_vec("u", ct.u), _named_vec("v", ct.v)]
-    return "\n".join(_plwe_head(p) + [f"blocks={len(blocks)}"] + rows) + "\n"
+    return _encode("plwe-ciphertext", p, blocks=len(blocks),
+                   u=[ct.u.vec for ct in blocks], v=[ct.v.vec for ct in blocks])
 
 
 def load_plwe_ciphertext(text: str) -> tuple[list[plwe_mod.PlweCiphertext], plwe_mod.PlweParams]:
-    kv = _parse_kv(text, PLWE_HEADER)
-    d = _fields(kv)
-    p = plwe_params_from_fields(d)
-    us = [_ring_vec(v, "u", p.ring) for k, v in kv if k == "u"]
-    vs = [_ring_vec(v, "v", p.ring) for k, v in kv if k == "v"]
-    if len(us) != len(vs):
-        raise FormatError("unpaired u/v lines")
-    return [plwe_mod.PlweCiphertext(u=u, v=v) for u, v in zip(us, vs)], p
+    p, d = _decode("plwe-ciphertext", text)
+    pairs = zip(_elements(p.ring, *d["u"]), _elements(p.ring, *d["v"]))
+    return [plwe_mod.PlweCiphertext(u=u, v=v) for u, v in pairs], p
 
 
 def dump_plwe_samples(samples: list[plwe_mod.PlweSample], p: plwe_mod.PlweParams) -> str:
-    rows = []
-    for s in samples:
-        rows += [_named_vec("a", s.a), _named_vec("b", s.b)]
-    return "\n".join(_plwe_head(p) + [f"count={len(samples)}"] + rows) + "\n"
+    return _encode("plwe-samples", p, count=len(samples),
+                   a=[s.a.vec for s in samples], b=[s.b.vec for s in samples])
 
 
 def load_plwe_samples(text: str) -> tuple[list[plwe_mod.PlweSample], plwe_mod.PlweParams]:
-    kv = _parse_kv(text, PLWE_HEADER)
-    d = _fields(kv)
-    p = plwe_params_from_fields(d)
-    avs = [_ring_vec(v, "a", p.ring) for k, v in kv if k == "a"]
-    bvs = [_ring_vec(v, "b", p.ring) for k, v in kv if k == "b"]
-    if len(avs) != len(bvs):
-        raise FormatError("unpaired a/b lines")
-    return [plwe_mod.PlweSample(a=a, b=b) for a, b in zip(avs, bvs)], p
-
-
-# ---------------------------------------------------------------------------
-# GLYPH
-
-
-def _glyph_head(p: glyph_mod.GlyphParams) -> list[str]:
-    return [GLYPH_HEADER, f"n={p.n}", f"q={int(p.q)}", f"b={p.b}", f"k={p.k}"]
-
-
-def glyph_params_from_fields(d: dict[str, str]) -> glyph_mod.GlyphParams:
-    _require(d, "n", "q", "b", "k")
-    return glyph_mod.GlyphParams(
-        n=int(d["n"]), q=Modulus(int(d["q"])), b=int(d["b"]), k=int(d["k"])
-    )
+    p, d = _decode("plwe-samples", text)
+    pairs = zip(_elements(p.ring, *d["a"]), _elements(p.ring, *d["b"]))
+    return [plwe_mod.PlweSample(a=a, b=b) for a, b in pairs], p
 
 
 def dump_glyph_secret(sk: glyph_mod.GlyphSecretKey, p: glyph_mod.GlyphParams) -> str:
-    return "\n".join(_glyph_head(p) + [_named_vec("s", sk.s), _named_vec("e", sk.e)]) + "\n"
-
-
-def dump_glyph_public(pk: glyph_mod.GlyphPublicKey, p: glyph_mod.GlyphParams) -> str:
-    return "\n".join(_glyph_head(p) + [_named_vec("a", pk.a), _named_vec("t", pk.t)]) + "\n"
+    return _encode("glyph-secret", p, s=sk.s.vec, e=sk.e.vec)
 
 
 def load_glyph_secret(text: str) -> tuple[glyph_mod.GlyphSecretKey, glyph_mod.GlyphParams]:
-    d = _fields(_parse_kv(text, GLYPH_HEADER))
-    p = glyph_params_from_fields(d)
-    ring = p.ring
-    return glyph_mod.GlyphSecretKey(s=_load_vec(d, "s", ring), e=_load_vec(d, "e", ring)), p
+    p, d = _decode("glyph-secret", text)
+    return glyph_mod.GlyphSecretKey(*_elements(p.ring, d["s"], d["e"])), p
+
+
+def dump_glyph_public(pk: glyph_mod.GlyphPublicKey, p: glyph_mod.GlyphParams) -> str:
+    return _encode("glyph-public", p, a=pk.a.vec, t=pk.t.vec)
 
 
 def load_glyph_public(text: str) -> tuple[glyph_mod.GlyphPublicKey, glyph_mod.GlyphParams]:
-    d = _fields(_parse_kv(text, GLYPH_HEADER))
-    p = glyph_params_from_fields(d)
-    ring = p.ring
-    return glyph_mod.GlyphPublicKey(a=_load_vec(d, "a", ring), t=_load_vec(d, "t", ring)), p
+    p, d = _decode("glyph-public", text)
+    return glyph_mod.GlyphPublicKey(*_elements(p.ring, d["a"], d["t"])), p
 
 
 def dump_glyph_signature(sig: glyph_mod.GlyphSignature, p: glyph_mod.GlyphParams) -> str:
-    q = int(p.q)
-    sparse = []
-    for i, c in enumerate(sig.c.coeffs):
-        if c != 0:
-            sparse.append(f"{i}:{'+1' if c == 1 else '-1'}")
-    rows = [f"c={','.join(sparse)}", _named_vec("z1", sig.z1), _named_vec("z2", sig.z2)]
-    return "\n".join(_glyph_head(p) + rows) + "\n"
+    c = sig.c.vec
+    pairs = [(i, 1 if c[i] == 1 else -1) for i in np.flatnonzero(c).tolist()]
+    return _encode("glyph-signature", p, c=pairs, z1=sig.z1.vec, z2=sig.z2.vec)
 
 
 def load_glyph_signature(text: str) -> tuple[glyph_mod.GlyphSignature, glyph_mod.GlyphParams]:
-    """The challenge must read exactly as dump_glyph_signature writes it:
-    k entries "index:+1" or "index:-1", indices in [0, n) and strictly
-    increasing, so no second text encodes the same signature."""
-    d = _fields(_parse_kv(text, GLYPH_HEADER))
-    p = glyph_params_from_fields(d)
-    _require(d, "c")
-    q = int(p.q)
-    coeffs = [0] * p.n
-    entries = d["c"].split(",")
-    if len(entries) != p.k:
-        raise FormatError(f"challenge has {len(entries)} entries, expected k={p.k}")
-    prev = -1
-    for pair in entries:
-        idx_text, _, sgn = pair.partition(":")
-        canonical = idx_text.isdecimal() and str(int(idx_text)) == idx_text
-        if not canonical or not prev < int(idx_text) < p.n or sgn not in ("+1", "-1"):
-            raise FormatError(f"bad sparse entry {pair!r}")
-        prev = int(idx_text)
-        coeffs[prev] = 1 if sgn == "+1" else q - 1
-    ring = p.ring
-    return (
-        glyph_mod.GlyphSignature(
-            c=RingElement(tuple(coeffs), ring),
-            z1=_load_vec(d, "z1", ring),
-            z2=_load_vec(d, "z2", ring),
-        ),
-        p,
-    )
-
-
-# ---------------------------------------------------------------------------
-# BGV
+    p, d = _decode("glyph-signature", text)
+    c = np.zeros(p.n, dtype=np.int64)
+    c[[i for i, _ in d["c"]]] = [s % int(p.q) for _, s in d["c"]]
+    return glyph_mod.GlyphSignature(*_elements(p.ring, c, d["z1"], d["z2"])), p
 
 
 def dump_bgv_params(p: bgv_mod.BgvParams) -> str:
-    rows = [BGV_HEADER, "type=params", f"m={p.m}", f"p={p.p}", f"r={p.r}",
-            f"sigma={p.sigma!r}", f"chain={format_poly(p.chain)}"]
-    return "\n".join(rows) + "\n"
+    return _encode("bgv-params", p)
 
 
 def load_bgv_params(text: str) -> bgv_mod.BgvParams:
-    d = _fields(_parse_kv(text, BGV_HEADER))
-    _require(d, "m", "p", "r", "chain")
-    return bgv_mod.BgvParams(
-        m=int(d["m"]), p=int(d["p"]), r=int(d["r"]),
-        chain=tuple(parse_poly(d["chain"])), sigma=float(d.get("sigma", "3.2")),
-    )
+    return _decode("bgv-params", text)[0]
 
 
 def dump_bgv_secret(sk: bgv_mod.BgvSecretKey) -> str:
-    return "\n".join([BGV_HEADER, "type=secret", f"s={format_poly(sk.coeffs)}"]) + "\n"
+    return _encode("bgv-secret", s=sk.coeffs)
 
 
 def load_bgv_secret(text: str) -> bgv_mod.BgvSecretKey:
-    d = _fields(_parse_kv(text, BGV_HEADER))
-    _require(d, "s")
-    return bgv_mod.BgvSecretKey(coeffs=tuple(parse_poly(d["s"])))
+    return bgv_mod.BgvSecretKey(coeffs=tuple(_decode("bgv-secret", text)[1]["s"].tolist()))
 
 
 def dump_bgv_ciphertext(ct: bgv_mod.BgvCiphertext, params: bgv_mod.BgvParams) -> str:
-    rows = [BGV_HEADER, "type=ciphertext", f"level={ct.level}",
-            f"mod_index={ct.modulus_index(params)}", f"noise={ct.noise_bound!r}",
-            f"parts={len(ct.parts)}"]
-    rows += [f"part={format_poly(part)}" for part in ct.parts]
-    return "\n".join(rows) + "\n"
+    return _encode("bgv-ciphertext", level=ct.level, mod_index=ct.modulus_index(params),
+                   noise=ct.noise_bound, parts=len(ct.parts), part=ct.parts)
 
 
-def load_bgv_ciphertext(text: str) -> bgv_mod.BgvCiphertext:
-    kv = _parse_kv(text, BGV_HEADER)
-    d = _fields(kv)
-    _require(d, "level", "parts", "noise")
-    if not d["level"].isdecimal():
-        raise FormatError(f"level must be a non-negative integer, got {d['level']!r}")
-    parts = tuple(tuple(parse_poly(v)) for k, v in kv if k == "part")
-    if len(parts) != int(d["parts"]):
-        raise FormatError("part count mismatch")
-    try:
-        noise = float(d["noise"])
-    except ValueError as e:
-        raise FormatError(f"bad noise bound {d['noise']!r}") from e
-    if not math.isfinite(noise) or noise < 0:
-        raise FormatError(f"noise bound must be finite and >= 0, got {d['noise']!r}")
-    return bgv_mod.BgvCiphertext(parts=parts, level=int(d["level"]), noise_bound=noise)
+def load_bgv_ciphertext(text: str, params: bgv_mod.BgvParams) -> bgv_mod.BgvCiphertext:
+    """Each part must hold params.n residues mod the modulus at its level."""
+    _, d = _decode("bgv-ciphertext", text, params=params)
+    parts = tuple(map(tuple, d["part"].tolist()))
+    return bgv_mod.BgvCiphertext(parts=parts, level=d["level"], noise_bound=d["noise"])

@@ -15,6 +15,8 @@ import os
 
 import numpy as np
 
+from .errors import InvalidParams
+
 SEED_BYTES = 32
 BLOCK_BYTES = 32  # one SHA-256 digest per counter value
 
@@ -82,7 +84,7 @@ class SeededRng:
         Rejection against the smallest power-of-two ceiling avoids the
         modulo bias a plain ``bits % q`` would introduce.
         """
-        k = (q - 1).bit_length() if q > 1 else 1
+        k = _width(q)
         while True:
             v = self.bits(k)
             if v < q:
@@ -90,7 +92,7 @@ class SeededRng:
 
     def uniform_array(self, q: int, size: int) -> np.ndarray:
         """Vectorized batch of independent uniform draws in [0, q)."""
-        k = (q - 1).bit_length() if q > 1 else 1
+        k = _width(q)
         nbytes = (k + 7) // 8
         mask = (1 << k) - 1
         out = np.empty(size, dtype=np.int64)
@@ -115,3 +117,10 @@ class SeededRng:
         """Batch of uniforms in [0, 1) with 53-bit resolution."""
         raw = np.frombuffer(self.take_bytes(8 * size), dtype="<u8")
         return (raw >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+
+
+def _width(q: int) -> int:
+    """Bits per rejection-sampling draw in [0, q); q < 1 has no draws."""
+    if q < 1:
+        raise InvalidParams(f"uniform draws need q >= 1, got {q}")
+    return (q - 1).bit_length() if q > 1 else 1

@@ -3,6 +3,7 @@ import pytest
 from latticelab.bgv import (
     BgvCiphertext,
     BgvParams,
+    BgvSecretKey,
     decrypt,
     encrypt,
     eval_circuit,
@@ -17,6 +18,7 @@ from latticelab.errors import (
     ChainOverflow,
     DecryptFail,
     InvalidParams,
+    LengthMismatch,
     LevelExceeded,
     ParamMismatch,
 )
@@ -259,3 +261,23 @@ def test_modulus_index_bookkeeping(rng):
     ct = encrypt([1], sk, params, rng)
     assert ct.modulus_index(params) == 3
     assert switch_down(ct, params).modulus_index(params) == 2
+
+
+@pytest.mark.parametrize("m, p, r", [(0, 2, 1), (32, 0, 1), (32, 1, 1), (32, 4, 1), (32, 2, 0)])
+def test_params_need_positive_m_prime_p_and_positive_r(m, p, r):
+    with pytest.raises(InvalidParams):
+        setup(m=m, p=p, r=r, levels=2)
+    with pytest.raises(InvalidParams):
+        BgvParams(m=m, p=p, r=r, chain=std_params().chain)
+
+
+def test_secret_key_length_must_match_the_ring():
+    params = std_params()
+    sk = keygen(params, SeededRng(b"\x21" * 32))
+    ct = encrypt([1], sk, params, SeededRng(b"\x22" * 32))
+    for coeffs in (sk.coeffs[:-1], sk.coeffs + (0,)):
+        short = BgvSecretKey(coeffs=coeffs)
+        with pytest.raises(LengthMismatch):
+            encrypt([1], short, params, SeededRng(b"\x22" * 32))
+        with pytest.raises(LengthMismatch):
+            decrypt(ct, short, params)

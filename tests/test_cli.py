@@ -236,3 +236,34 @@ def test_fresh_seed_notice_goes_to_stderr(capsys):
     run(["sample", "--dist", "uniform", "--q", "17", "--count", "3",
          "--seed", seed_line[len("seed: "):]])
     assert capsys.readouterr().out == out
+
+
+BAD_NUMBERS = [
+    (["sample", "--dist", "uniform", "--q", "-5"], 2),
+    (["sample", "--dist", "uniform", "--q", "0"], 2),
+    (["sample", "--dist", "uniform", "--q", "17", "--count", "-1"], 2),
+    (["sample", "--dist", "gaussian", "--count", "x"], 2),
+    (["keygen", "--scheme", "bgv", "--p", "0"], 2),
+    (["keygen", "--scheme", "bgv", "--p", "4"], 1),
+    (["keygen", "--scheme", "bgv", "--m", "0"], 2),
+    (["keygen", "--scheme", "bgv", "--levels", "0"], 2),
+    (["keygen", "--scheme", "lwe", "--n", "8"], 1),
+    (["smear", "--params", "prm", "--alpha", "1", "--trials", "-3"], 2),
+    (["smear", "--params", "prm", "--alpha", "1", "--trials", "0"], 2),
+    (["bgv-eval", "--params", "prm", "--circuit", "c", "--in", "a"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", BAD_NUMBERS)
+def test_bad_numbers_exit_with_one_line(tmp_path, capsys, argv, code):
+    if argv[0] == "keygen":
+        argv = argv + ["--seed", SEED, "--out-secret", str(tmp_path / "s"),
+                       "--out-public", str(tmp_path / "p"), "--out-params", str(tmp_path / "m")]
+    try:
+        rc = run(argv)
+    except SystemExit as e:
+        rc = e.code
+    assert rc == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "error: " in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())

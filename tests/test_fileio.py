@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latticelab import bgv, fileio, glyph, lwe, plwe
+from latticelab import bgv, cli, fileio, glyph, lwe, plwe
 from latticelab.errors import FormatError
+from latticelab.polyring import RingParams
 from latticelab.rng import SeededRng
 from latticelab.zq import Modulus
 
@@ -143,7 +148,7 @@ def test_bgv_secret_and_ciphertext_roundtrip(rng):
     sk2 = fileio.load_bgv_secret(fileio.dump_bgv_secret(sk))
     assert sk2.coeffs == sk.coeffs
     ct = bgv.encrypt([1, 0, 1], sk, params, rng)
-    ct2 = fileio.load_bgv_ciphertext(fileio.dump_bgv_ciphertext(ct, params))
+    ct2 = fileio.load_bgv_ciphertext(fileio.dump_bgv_ciphertext(ct, params), params)
     assert ct2.parts == ct.parts and ct2.level == ct.level
     assert bgv.decrypt(ct2, sk, params) == bgv.decrypt(ct, sk, params)
 
@@ -155,7 +160,7 @@ def test_bgv_part_count_mismatch():
     text = fileio.dump_bgv_ciphertext(ct, params)
     mangled = text.replace("parts=2", "parts=3")
     with pytest.raises(FormatError):
-        fileio.load_bgv_ciphertext(mangled)
+        fileio.load_bgv_ciphertext(mangled, params)
 
 
 def test_header_enforced():
@@ -239,7 +244,7 @@ def test_bgv_ciphertext_noise_field_checked(noise):
     (line,) = [ln for ln in text.splitlines() if ln.startswith("noise=")]
     mangled = text.replace(line + "\n", "" if noise is None else f"noise={noise}\n")
     with pytest.raises(FormatError):
-        fileio.load_bgv_ciphertext(mangled)
+        fileio.load_bgv_ciphertext(mangled, params)
 
 
 def _replace_first_coeff(text, name, delta):
@@ -289,4 +294,298 @@ def test_bgv_ciphertext_negative_level_rejected():
     text = fileio.dump_bgv_ciphertext(ct, params)
     for level in ["-1", "x", ""]:
         with pytest.raises(FormatError):
-            fileio.load_bgv_ciphertext(text.replace("level=0", f"level={level}"))
+            fileio.load_bgv_ciphertext(text.replace("level=0", f"level={level}"), params)
+
+
+# ---------------------------------------------------------------------------
+# Every record type: canonical round trip, line and token mutations, CLI.
+
+BGV_TOY = bgv.setup(m=32, p=2, r=1, levels=2)
+
+
+def _records(seed: bytes):
+    """name -> (text, reload: text -> dump(load(text)), {vector key: q},
+    count key or None), built from one seed at toy sizes."""
+    rng = SeededRng(seed)
+    lp = lwe.derive_params(16)
+    lsk, lpk = lwe.keygen(lp, rng.derive("lwe"))
+    lcts = [lwe.encrypt_bit(lpk, z, rng.derive(f"lwe-{i}")) for i, z in enumerate((1, 0, 1))]
+    pp = plwe.default_params(16, sigma=1.5, floor=256)
+    kp = plwe.keygen(pp, rng.derive("plwe"))
+    pct = [plwe.encrypt((kp.a, kp.b), [1, 0] * 8, pp, rng.derive(f"plwe-{i}")) for i in range(2)]
+    # samples over f = x^16 + x + 255, which has the root 1 mod 257: `attack` reads them
+    weak = plwe.PlweParams(ring=RingParams(f=(255, 1) + (0,) * 14 + (1,), q=Modulus(257)),
+                           sigma=1.5)
+    samples = [plwe.uniform_sample_pair(weak, rng.derive(f"sample-{i}")) for i in range(3)]
+    gsk, gpk = glyph.keygen(TOY_GLYPH, rng.derive("glyph"))
+    sig, _ = glyph.sign(gsk, gpk, b"payload", TOY_GLYPH, rng.derive("sign"))
+    bsk = bgv.keygen(BGV_TOY, rng.derive("bgv"))
+    bcts = [bgv.encrypt(pt, bsk, BGV_TOY, rng.derive(f"bgv-{i}"))
+            for i, pt in enumerate(([1, 0, 1], [1, 1]))]
+    bct = bgv.he_mul(*bcts, BGV_TOY)  # level 1, three parts
+    lq, pq, gq, bq = 257, int(pp.ring.q), int(TOY_GLYPH.q), BGV_TOY.modulus_at_level(1)
+
+    def pair(s, a, b):
+        return plwe.PlweKeyPair(s=s, a=a, b=b)
+
+    return {
+        "lwe-secret": (fileio.dump_lwe_secret(lsk, lp),
+                       lambda t: fileio.dump_lwe_secret(*fileio.load_lwe_secret(t)),
+                       {"s": lq}, None),
+        "lwe-public": (fileio.dump_lwe_public(lpk),
+                       lambda t: fileio.dump_lwe_public(fileio.load_lwe_public(t)),
+                       {"sample": lq}, "m"),
+        "lwe-ciphertext": (fileio.dump_lwe_ciphertext(lcts, lp),
+                           lambda t: fileio.dump_lwe_ciphertext(*fileio.load_lwe_ciphertext(t)),
+                           {"ct": lq}, "bits"),
+        "plwe-params": (fileio.dump_plwe_params(pp),
+                        lambda t: fileio.dump_plwe_params(fileio.load_plwe_params(t)),
+                        {"f": pq}, None),
+        "plwe-secret": (fileio.dump_plwe_secret(kp, pp),
+                        lambda t: fileio.dump_plwe_secret(
+                            pair(*[fileio.load_plwe_secret(t)[0]] * 3), pp),
+                        {"f": pq, "s": pq}, None),
+        "plwe-public": (fileio.dump_plwe_public(kp, pp),
+                        lambda t: fileio.dump_plwe_public(
+                            pair(None, *fileio.load_plwe_public(t)[0]), pp),
+                        {"f": pq, "a": pq, "b": pq}, None),
+        "plwe-ciphertext": (fileio.dump_plwe_ciphertext(pct, pp),
+                            lambda t: fileio.dump_plwe_ciphertext(*fileio.load_plwe_ciphertext(t)),
+                            {"f": pq, "u": pq, "v": pq}, "blocks"),
+        "plwe-samples": (fileio.dump_plwe_samples(samples, weak),
+                         lambda t: fileio.dump_plwe_samples(*fileio.load_plwe_samples(t)),
+                         {"f": pq, "a": pq, "b": pq}, "count"),
+        "glyph-secret": (fileio.dump_glyph_secret(gsk, TOY_GLYPH),
+                         lambda t: fileio.dump_glyph_secret(*fileio.load_glyph_secret(t)),
+                         {"s": gq, "e": gq}, None),
+        "glyph-public": (fileio.dump_glyph_public(gpk, TOY_GLYPH),
+                         lambda t: fileio.dump_glyph_public(*fileio.load_glyph_public(t)),
+                         {"a": gq, "t": gq}, None),
+        "glyph-signature": (fileio.dump_glyph_signature(sig, TOY_GLYPH),
+                            lambda t: fileio.dump_glyph_signature(*fileio.load_glyph_signature(t)),
+                            {"z1": gq, "z2": gq}, None),
+        "bgv-params": (fileio.dump_bgv_params(BGV_TOY),
+                       lambda t: fileio.dump_bgv_params(fileio.load_bgv_params(t)), {}, None),
+        "bgv-secret": (fileio.dump_bgv_secret(bsk),
+                       lambda t: fileio.dump_bgv_secret(fileio.load_bgv_secret(t)), {}, None),
+        "bgv-ciphertext": (fileio.dump_bgv_ciphertext(bct, BGV_TOY),
+                           lambda t: fileio.dump_bgv_ciphertext(
+                               fileio.load_bgv_ciphertext(t, BGV_TOY), BGV_TOY),
+                           {"part": bq}, "parts"),
+    }
+
+
+RECORDS = _records(b"\x5a" * 32)
+
+
+def test_every_record_type_is_covered():
+    assert set(RECORDS) == set(fileio.RECORDS)
+
+
+def _refused(name, text):
+    with pytest.raises(FormatError):
+        RECORDS[name][1](text)
+
+
+def _round_trips_or_refused(name, text):
+    try:
+        again = RECORDS[name][1](text)
+    except FormatError:
+        return
+    assert again == text
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.binary(min_size=32, max_size=32))
+def test_every_record_round_trips(seed):
+    for name, (text, reload, _, _) in _records(seed).items():
+        assert reload(text) == text, name
+
+
+def _lines(text):
+    return text.split("\n")[:-1]
+
+
+def _join(lines):
+    return "\n".join(lines) + "\n"
+
+
+# Line mutations: (lines, i) -> lines, for every line index i.
+LINE_MUTATIONS = {
+    "drop": lambda ls, i: ls[:i] + ls[i + 1:],
+    "duplicate": lambda ls, i: ls[:i + 1] + ls[i:],
+    "blank line": lambda ls, i: ls[:i] + [""] + ls[i:],
+    "carriage return": lambda ls, i: ls[:i] + [ls[i] + "\r"] + ls[i + 1:],
+    "space before =": lambda ls, i: ls[:i] + [ls[i].replace("=", " =", 1)] + ls[i + 1:],
+    "space after =": lambda ls, i: ls[:i] + [ls[i].replace("=", "= ", 1)] + ls[i + 1:],
+    "leading space": lambda ls, i: ls[:i] + [" " + ls[i]] + ls[i + 1:],
+    "trailing space": lambda ls, i: ls[:i] + [ls[i] + " "] + ls[i + 1:],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_line_mutations_are_refused(name):
+    text = RECORDS[name][0]
+    lines = _lines(text)
+    for kind, mutate in LINE_MUTATIONS.items():
+        for i in range(len(lines)):
+            mutated = _join(mutate(lines, i))
+            if mutated != text:  # "=" edits leave the header line alone
+                _refused(name, mutated)
+    _refused(name, text + "\n")
+    _refused(name, text[:-1])
+    _refused(name, text.replace("\n", "\r\n"))
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_swapped_lines_round_trip_or_are_refused(name):
+    lines = _lines(RECORDS[name][0])
+    for i in range(len(lines) - 1):
+        swapped = lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:]
+        _round_trips_or_refused(name, _join(swapped))
+
+
+def _field_lines(lines):
+    return [i for i, ln in enumerate(lines) if "=" in ln]
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(RECORDS)), prefix=st.sampled_from(["0", "+"]),
+       data=st.data())
+def test_integer_with_leading_zero_or_plus_is_refused(name, prefix, data):
+    text = RECORDS[name][0]
+    # every integer, including those in a float, except a fraction's digits
+    runs = [m.start() for m in re.finditer("(?<![.0-9])[0-9]+", text)]
+    at = data.draw(st.sampled_from(runs))
+    _refused(name, text[:at] + prefix + text[at:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(RECORDS)),
+       value=st.sampled_from(["x", "", "1x", "0x1", "1_0", "١", "nan", "-0"]),
+       data=st.data())
+def test_non_numeric_field_value_is_refused(name, value, data):
+    lines = _lines(RECORDS[name][0])
+    i = data.draw(st.sampled_from(_field_lines(lines)))
+    key = lines[i].split("=")[0]
+    _refused(name, _join(lines[:i] + [f"{key}={value}"] + lines[i + 1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(n for n in RECORDS if RECORDS[n][2])),
+       sign=st.sampled_from([1, -1]), data=st.data())
+def test_residue_shifted_by_q_is_refused(name, sign, data):
+    text, _, moduli, _ = RECORDS[name]
+    lines = _lines(text)
+    i = data.draw(st.sampled_from(
+        [i for i, ln in enumerate(lines) if ln.split("=")[0] in moduli]))
+    key, _, value = lines[i].partition("=")
+    coeffs = value.split(",")
+    j = data.draw(st.integers(0, len(coeffs) - 1))
+    coeffs[j] = str(int(coeffs[j]) + sign * moduli[key])
+    _refused(name, _join(lines[:i] + [f"{key}={','.join(coeffs)}"] + lines[i + 1:]))
+
+
+@pytest.mark.parametrize("name", sorted(n for n in RECORDS if RECORDS[n][3]))
+@pytest.mark.parametrize("delta", [1, -1])
+def test_count_disagreeing_with_rows_is_refused(name, delta):
+    text, _, _, count = RECORDS[name]
+    (line,) = [ln for ln in _lines(text) if ln.startswith(count + "=")]
+    _refused(name, text.replace(line + "\n", f"{count}={int(line[len(count) + 1:]) + delta}\n"))
+
+
+def test_found_cases_are_format_errors():
+    text = RECORDS["glyph-signature"][0]
+    for prefix in ["+", "0"]:
+        _refused("glyph-signature", text.replace("\nz1=", "\nz1=" + prefix))
+    ct = RECORDS["bgv-ciphertext"][0]
+    _refused("bgv-ciphertext", re.sub("parts=[0-9]+", "parts=x", ct))
+
+
+@pytest.mark.parametrize("case", ["cut", "padded", "level above L", "mod_index"])
+def test_bgv_ciphertext_shape_is_checked(case):
+    text = RECORDS["bgv-ciphertext"][0]  # level 1 of L = 2, so mod_index = 1
+    part = next(ln for ln in _lines(text) if ln.startswith("part="))
+    mutated = {
+        "cut": text.replace(part, ",".join(part.split(",")[:3])),
+        "padded": text.replace(part, part + ",0" * 40),
+        "level above L": text.replace("level=1\nmod_index=1", "level=3\nmod_index=-1"),
+        "mod_index": text.replace("mod_index=1", "mod_index=2"),
+    }[case]
+    assert mutated != text
+    _refused("bgv-ciphertext", mutated)
+
+
+# One CLI call per record type that reads it; "{0}" is the file under test.
+SEED = "5c" * 32
+CLI_READERS = {
+    "lwe-secret": ["decrypt", "--scheme", "lwe", "--secret", "{0}", "--in", "{lwe-ciphertext}"],
+    "lwe-public": ["encrypt", "--scheme", "lwe", "--public", "{0}", "--message", "{msg}", "--seed", SEED],
+    "lwe-ciphertext": ["decrypt", "--scheme", "lwe", "--secret", "{lwe-secret}", "--in", "{0}"],
+    "plwe-params": ["sample", "--dist", "plwe-uniform", "--params", "{0}", "--count", "1",
+                    "--seed", SEED],
+    "plwe-secret": ["decrypt", "--scheme", "plwe", "--secret", "{0}", "--in", "{plwe-ciphertext}"],
+    "plwe-public": ["encrypt", "--scheme", "plwe", "--public", "{0}", "--message", "{msg}",
+                    "--seed", SEED],
+    "plwe-ciphertext": ["decrypt", "--scheme", "plwe", "--secret", "{plwe-secret}", "--in", "{0}"],
+    "plwe-samples": ["attack", "--alg", "1", "--samples", "{0}"],
+    "glyph-secret": ["sign", "--secret", "{0}", "--public", "{glyph-public}", "--message", "{msg}",
+                     "--seed", SEED],
+    "glyph-public": ["verify", "--public", "{0}", "--message", "{msg}",
+                     "--signature", "{glyph-signature}"],
+    "glyph-signature": ["verify", "--public", "{glyph-public}", "--message", "{msg}",
+                        "--signature", "{0}"],
+    "bgv-params": ["decrypt", "--scheme", "bgv", "--params", "{0}", "--secret", "{bgv-secret}",
+                   "--in", "{bgv-ciphertext}"],
+    "bgv-secret": ["decrypt", "--scheme", "bgv", "--params", "{bgv-params}", "--secret", "{0}",
+                   "--in", "{bgv-ciphertext}"],
+    "bgv-ciphertext": ["decrypt", "--scheme", "bgv", "--params", "{bgv-params}",
+                       "--secret", "{bgv-secret}", "--in", "{0}"],
+}
+
+
+def _run_cli(tmp_path, name, mutated, capsys):
+    files = {n: tmp_path / n for n in RECORDS}
+    for n, path in files.items():
+        path.write_text(RECORDS[n][0])
+    (tmp_path / "msg").write_bytes(b"payload")
+    (tmp_path / "mutated").write_bytes(mutated.encode())
+    argv = [a.replace("{0}", str(tmp_path / "mutated")).replace("{msg}", str(tmp_path / "msg"))
+            for a in CLI_READERS[name]]
+    argv = [str(files[a[1:-1]]) if a[1:-1] in files else a for a in argv]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(tmp_path / "out")] * (argv[0] != "verify")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
+    return err
+
+
+def test_cli_reads_every_record_type_unmutated(tmp_path, capsys):
+    for name, argv in CLI_READERS.items():
+        files = {n: tmp_path / n for n in RECORDS}
+        for n, path in files.items():
+            path.write_text(RECORDS[n][0])
+        (tmp_path / "msg").write_bytes(b"payload")
+        args = [str(files[a[1:-1]]) if a[1:-1] in files else a
+                for a in (x.replace("{0}", str(files[name])) for x in argv)]
+        args = [a.replace("{msg}", str(tmp_path / "msg")) for a in args]
+        out = [] if args[0] == "verify" else ["--out", str(tmp_path / "out")]
+        assert cli.main(args + out) == 0, name
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+@pytest.mark.parametrize("mutation", ["space before =", "carriage return", "drop"])
+def test_cli_on_mutated_file_exits_1_with_one_line(tmp_path, capsys, name, mutation):
+    lines = _lines(RECORDS[name][0])
+    _run_cli(tmp_path, name, _join(LINE_MUTATIONS[mutation](lines, len(lines) - 1)), capsys)
+
+
+def test_cli_found_cases_exit_1_with_one_line(tmp_path, capsys):
+    sig = RECORDS["glyph-signature"][0]
+    for prefix in ["+", "0"]:
+        err = _run_cli(tmp_path, "glyph-signature", sig.replace("\nz1=", "\nz1=" + prefix), capsys)
+        assert "z1" in err
+    ct = RECORDS["bgv-ciphertext"][0]
+    err = _run_cli(tmp_path, "bgv-ciphertext", re.sub("parts=[0-9]+", "parts=x", ct), capsys)
+    assert "parts" in err

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticelab.errors import InvalidParams
 from latticelab.rng import BLOCK_BYTES, SEED_BYTES, SeededRng
 
 
@@ -91,3 +92,12 @@ def test_bad_seed_length_rejected():
 def test_from_hex_round_trip():
     h = "ab" * 32
     assert SeededRng.from_hex(h).seed == bytes.fromhex(h)
+
+
+@pytest.mark.parametrize("q", [0, -5])
+def test_uniform_draws_refuse_an_empty_range(q):
+    r = SeededRng(bytes(32))
+    with pytest.raises(InvalidParams):
+        r.uniform_mod(q)
+    with pytest.raises(InvalidParams):
+        r.uniform_array(q, 4)
