@@ -46,7 +46,7 @@ def validate_chain(chain: tuple[int, ...], p: int) -> None:
             raise InvalidParams("chain moduli must be coprime to p")
 
 
-def check_plaintext(m: int, p: int, r: int) -> None:
+def _check_plaintext(m: int, p: int, r: int) -> None:
     """The ring index m >= 1 and the plaintext ring R_{p^r}: p prime, r >= 1."""
     if m < 1 or r < 1 or not is_prime(p):
         raise InvalidParams(f"need m >= 1, a prime p and r >= 1, got m={m}, p={p}, r={r}")
@@ -61,7 +61,7 @@ class BgvParams:
     sigma: float = 3.2
 
     def __post_init__(self):
-        check_plaintext(self.m, self.p, self.r)
+        _check_plaintext(self.m, self.p, self.r)
         validate_chain(self.chain, self.p)
 
     @property
@@ -105,7 +105,7 @@ class BgvCiphertext:
 def setup(m: int, p: int, r: int, levels: int, growth: float = 1.0, base: int = 128) -> BgvParams:
     """Build a valid chain: q_0 prime near `base`, then
     q_{i+1} = next prime >= max(q_i^2, 2 q_i) * growth coprime to p."""
-    check_plaintext(m, p, r)
+    _check_plaintext(m, p, r)
     if levels < 1:
         raise InvalidParams("need at least one level")
     q = next_prime(base)

@@ -24,7 +24,7 @@ from .zq import Modulus
 
 
 def _matching(pattern: str, what: str, convert=str):
-    """argparse type: a value spelled as `pattern` fully matches, converted."""
+    """argparse type: convert(text) of a text that fully matches `pattern`."""
     def parse(text: str):
         if not re.fullmatch(pattern, text):
             raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")

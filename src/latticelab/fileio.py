@@ -12,7 +12,6 @@ compactness.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,7 @@ _CHALLENGE_RE = re.compile(f"{_INT}:[+-]1(?:,{_INT}:[+-]1)*")
 class _Num:
     """A field kind, as all with encode(value) -> text and decode(text,
     fields so far, key) -> value: an int or float spelled repr(cast(v)),
-    starting with a digit (so >= 0 and finite); ok(v, fields) must hold."""
+    starting with a digit (so >= 0 and finite), for which ok(v, fields)."""
 
     def __init__(self, cast=int, ok=None):
         self.cast, self.ok = cast, ok
@@ -95,20 +94,17 @@ class _Challenge:
         return [(i, int(s)) for i, (_, s) in zip(idx, pairs)]
 
 
-_INT_, _FLOAT = _Num(), _Num(float)
+_INT_, _FLOAT = _Num(int, lambda v, d: v < 1 << 63), _Num(float)
 _RES = _Vec(lambda d: d["n"], lambda d: d["q"])
 _RES_N1 = _Vec(lambda d: d["n"] + 1, lambda d: d["q"])
 
 
-@dataclass(frozen=True)
 class _Params:
     """A scheme's header line and the parameter fields its records open
     with; write maps a parameter object to their values, read maps back."""
 
-    header: str
-    fields: tuple = ()
-    write: object = lambda p: {}
-    read: object = lambda d: None
+    def __init__(self, header, fields=(), write=lambda p: {}, read=lambda d: None):
+        self.header, self.fields, self.write, self.read = header, fields, write, read
 
 
 _LWE = _Params(
@@ -130,20 +126,14 @@ _BGV = _Params(
                                 chain=tuple(d["chain"].tolist())))
 
 
-@dataclass(frozen=True)
 class _Record:
-    """The header line, a "type=" line if type is set, the parameter fields
-    and the record's own fields in write order, then the rows: (count
+    """The header line, a "type=" line if file_type is set, the parameter
+    fields and the record's own fields in write order, then the rows: (count
     field, keys, kind), the keys repeated as often as the count field says."""
 
-    params: _Params
-    type: str | None = None
-    fields: tuple = ()
-    rows: tuple = (None, (), None)
-
-    @property
-    def head(self) -> str:
-        return self.params.header + (f"\ntype={self.type}" if self.type else "")
+    def __init__(self, params, file_type=None, fields=(), rows=(None, (), None)):
+        self.params, self.fields, self.rows = params, params.fields + fields, rows
+        self.head = params.header + (f"\ntype={file_type}" if file_type else "")
 
 
 RECORDS = {
@@ -161,7 +151,7 @@ RECORDS = {
     "bgv-params": _Record(_BGV, "params"),
     "bgv-secret": _Record(_BGV_HEAD, "secret", (("s", _Vec(None, None, _TERNARY_RE)),)),
     "bgv-ciphertext": _Record(_BGV_HEAD, "ciphertext", (
-        ("level", _Num(int, lambda v, d: v <= d["params"].levels)),
+        ("level", _INT_),  # <= L, since mod_index = L - level is >= 0
         ("mod_index", _Num(int, lambda v, d: v == d["params"].levels - d["level"])),
         ("noise", _FLOAT), ("parts", _INT_)),
         ("parts", ("part",), _Vec(lambda d: d["params"].n,
@@ -172,8 +162,7 @@ RECORDS = {
 def _encode(name: str, params=None, **values) -> str:
     rec = RECORDS[name]
     values.update(rec.params.write(params))
-    fields = rec.params.fields + rec.fields
-    lines = [rec.head] + [f"{key}={kind.encode(values[key])}" for key, kind in fields]
+    lines = [rec.head] + [f"{key}={kind.encode(values[key])}" for key, kind in rec.fields]
     _, keys, kind = rec.rows
     for row in zip(*(values[key] for key in keys)):
         lines += [f"{key}={kind.encode(v)}" for key, v in zip(keys, row)]
@@ -183,7 +172,7 @@ def _encode(name: str, params=None, **values) -> str:
 def _decode(name: str, text: str, **context) -> tuple[object, dict]:
     """(parameter object, fields) of `text` read strictly as record `name`."""
     rec = RECORDS[name]
-    fields, head = rec.params.fields + rec.fields, rec.head
+    fields, head = rec.fields, rec.head
     if not text.startswith(head + "\n") or not text.endswith("\n"):
         raise FormatError(f"expected {head!r} as first line(s) and a final newline")
     lines = text[len(head) + 1:-1].split("\n")

@@ -354,7 +354,7 @@ def _records(seed: bytes):
                             {"f": pq, "u": pq, "v": pq}, "blocks"),
         "plwe-samples": (fileio.dump_plwe_samples(samples, weak),
                          lambda t: fileio.dump_plwe_samples(*fileio.load_plwe_samples(t)),
-                         {"f": pq, "a": pq, "b": pq}, "count"),
+                         {"f": 257, "a": 257, "b": 257}, "count"),
         "glyph-secret": (fileio.dump_glyph_secret(gsk, TOY_GLYPH),
                          lambda t: fileio.dump_glyph_secret(*fileio.load_glyph_secret(t)),
                          {"s": gq, "e": gq}, None),
@@ -462,9 +462,9 @@ def test_integer_with_leading_zero_or_plus_is_refused(name, prefix, data):
 
 @settings(max_examples=200, deadline=None)
 @given(name=st.sampled_from(sorted(RECORDS)),
-       value=st.sampled_from(["x", "", "1x", "0x1", "1_0", "١", "nan", "-0"]),
+       value=st.sampled_from(["x", "", "1x", "0x1", "1_0", "١", "nan", "-0", "9" * 20]),
        data=st.data())
-def test_non_numeric_field_value_is_refused(name, value, data):
+def test_non_numeric_or_out_of_range_field_value_is_refused(name, value, data):
     lines = _lines(RECORDS[name][0])
     i = data.draw(st.sampled_from(_field_lines(lines)))
     key = lines[i].split("=")[0]
@@ -509,11 +509,18 @@ def test_bgv_ciphertext_shape_is_checked(case):
     mutated = {
         "cut": text.replace(part, ",".join(part.split(",")[:3])),
         "padded": text.replace(part, part + ",0" * 40),
-        "level above L": text.replace("level=1\nmod_index=1", "level=3\nmod_index=-1"),
+        "level above L": text.replace("level=1", "level=3"),
         "mod_index": text.replace("mod_index=1", "mod_index=2"),
     }[case]
     assert mutated != text
     _refused("bgv-ciphertext", mutated)
+
+
+@pytest.mark.parametrize("f", ["1,0,0,0,0", "1,0,0,1,0", "1,0,0,0,2", "1,0,0,0,257"])
+def test_plwe_f_must_be_monic_of_degree_n(f):
+    # a trailing zero would make RingParams drop to a lower degree than n
+    with pytest.raises(FormatError):
+        fileio.load_plwe_params(f"latticelab-plwe-v1\nn=4\nq=17\nf={f}\nsigma=1.5\n")
 
 
 # One CLI call per record type that reads it; "{0}" is the file under test.
@@ -544,34 +551,32 @@ CLI_READERS = {
 }
 
 
-def _run_cli(tmp_path, name, mutated, capsys):
-    files = {n: tmp_path / n for n in RECORDS}
-    for n, path in files.items():
-        path.write_text(RECORDS[n][0])
+def _cli_argv(tmp_path, name, under_test):
+    """CLI_READERS[name] over the toy files, written to tmp_path, with
+    `under_test` as the file of record type `name`."""
+    files = {f"{{{n}}}": tmp_path / n for n in RECORDS}
+    for key, path in files.items():
+        path.write_text(RECORDS[key[1:-1]][0])
     (tmp_path / "msg").write_bytes(b"payload")
+    subs = {"{0}": under_test, "{msg}": tmp_path / "msg", **files}
+    argv = [str(subs.get(a, a)) for a in CLI_READERS[name]]
+    return argv + ([] if argv[0] == "verify" else ["--out", str(tmp_path / "out")])
+
+
+def _run_cli(tmp_path, name, mutated, capsys):
     (tmp_path / "mutated").write_bytes(mutated.encode())
-    argv = [a.replace("{0}", str(tmp_path / "mutated")).replace("{msg}", str(tmp_path / "msg"))
-            for a in CLI_READERS[name]]
-    argv = [str(files[a[1:-1]]) if a[1:-1] in files else a for a in argv]
+    argv = _cli_argv(tmp_path, name, tmp_path / "mutated")
     capsys.readouterr()
-    assert cli.main(argv + ["--out", str(tmp_path / "out")] * (argv[0] != "verify")) == 1
+    assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
     return err
 
 
 def test_cli_reads_every_record_type_unmutated(tmp_path, capsys):
-    for name, argv in CLI_READERS.items():
-        files = {n: tmp_path / n for n in RECORDS}
-        for n, path in files.items():
-            path.write_text(RECORDS[n][0])
-        (tmp_path / "msg").write_bytes(b"payload")
-        args = [str(files[a[1:-1]]) if a[1:-1] in files else a
-                for a in (x.replace("{0}", str(files[name])) for x in argv)]
-        args = [a.replace("{msg}", str(tmp_path / "msg")) for a in args]
-        out = [] if args[0] == "verify" else ["--out", str(tmp_path / "out")]
-        assert cli.main(args + out) == 0, name
-    capsys.readouterr()
+    for name in CLI_READERS:
+        assert cli.main(_cli_argv(tmp_path, name, tmp_path / name)) == 0, name
+    assert "error" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
