@@ -31,9 +31,9 @@ _CHALLENGE_RE = re.compile(f"{_INT}:[+-]1(?:,{_INT}:[+-]1)*")
 
 
 class _Num:
-    """A field kind, as all with encode(value) -> text and decode(text,
-    fields so far, key) -> value: an int or float spelled repr(cast(v)),
-    starting with a digit (so >= 0 and finite), for which ok(v, fields)."""
+    """An int or float spelled repr(cast(v)), starting with a digit (so >= 0
+    and finite), for which ok(v, fields) holds.  Like every field kind it
+    has encode(value) -> text and decode(text, fields so far, key) -> value."""
 
     def __init__(self, cast=int, ok=None):
         self.cast, self.ok = cast, ok
