@@ -185,9 +185,7 @@ def decide_alg2(
     return (verdicts, history) if return_survivors else verdicts
 
 
-def smearing_estimate(
-    p: PlweParams, alpha: int, trials: int, t: float, rng: SeededRng
-) -> float:
+def smearing_estimate(p: PlweParams, alpha: int, trials: int, rng: SeededRng) -> float:
     """Monte-Carlo estimate of |pi_alpha(S)| / q over `trials` error draws."""
     q = int(p.ring.q)
     if poly_eval_z(list(p.ring.f), alpha) % q != 0:

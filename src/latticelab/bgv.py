@@ -5,7 +5,8 @@ level 0 on the largest modulus q_L; every homomorphic operation raises
 the level by one and switches one modulus down the chain, so exhausting
 the chain at q_0 coincides with the level cap L.  Key switching is
 omitted: multiplication grows the part count and decryption evaluates
-the ciphertext at powers of s up to that degree.
+the ciphertext at s by Horner's rule.  Each part is a RingElement of
+R_{q_i} = Z_{q_i}[x]/(Phi_m) at its level's modulus q_i.
 
 Each ciphertext carries a worst-case noise-bound estimate so that
 decryption failure is raised deterministically instead of silently
@@ -14,8 +15,11 @@ corrupting the plaintext.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     ChainOverflow,
@@ -26,11 +30,24 @@ from .errors import (
     ParamMismatch,
 )
 from .gaussian import GaussianParams, sample_int_array
-from .polyring import cyclotomic_poly, euler_phi, poly_divmod_z, poly_mul_z
+from .polyring import (
+    RingElement,
+    RingParams,
+    cyclotomic_poly,
+    euler_phi,
+    ring_add,
+    ring_from_coeffs,
+    ring_mul,
+    ring_sub,
+    ring_uniform,
+)
 from .rng import SeededRng
 from .zq import is_prime, next_prime, reduce_centered
 
 MAX_CHAIN_MODULUS = 1 << 62
+# Largest cyclotomic index: Phi_m is built by exact division, so the ring
+# stays at desk scale (m = 4096 gives n = 2048).
+MAX_M = 4096
 
 
 def validate_chain(chain: tuple[int, ...], p: int) -> None:
@@ -47,9 +64,10 @@ def validate_chain(chain: tuple[int, ...], p: int) -> None:
 
 
 def _check_plaintext(m: int, p: int, r: int) -> None:
-    """The ring index m >= 1 and the plaintext ring R_{p^r}: p prime, r >= 1."""
-    if m < 1 or r < 1 or not is_prime(p):
-        raise InvalidParams(f"need m >= 1, a prime p and r >= 1, got m={m}, p={p}, r={r}")
+    """The ring index 1 <= m <= MAX_M and the plaintext ring R_{p^r}: p prime, r >= 1."""
+    if not 1 <= m <= MAX_M or r < 1 or not is_prime(p):
+        raise InvalidParams(
+            f"need 1 <= m <= {MAX_M}, a prime p and r >= 1, got m={m}, p={p}, r={r}")
 
 
 @dataclass(frozen=True)
@@ -63,6 +81,10 @@ class BgvParams:
     def __post_init__(self):
         _check_plaintext(self.m, self.p, self.r)
         validate_chain(self.chain, self.p)
+        # compare logarithms first, so p**r is only computed when it is small
+        q0 = self.chain[0]
+        if self.r * math.log2(self.p) > math.log2(q0) + 1 or self.pt_modulus >= q0:
+            raise InvalidParams(f"need p^r < q_0 = {q0}")
 
     @property
     def levels(self) -> int:
@@ -80,10 +102,18 @@ class BgvParams:
     def pt_modulus(self) -> int:
         return self.p**self.r
 
-    def modulus_at_level(self, level: int) -> int:
+    @cached_property
+    def _rings(self) -> tuple[RingParams, ...]:
+        return tuple(RingParams(self.f, q) for q in self.chain)
+
+    def ring_at_level(self, level: int) -> RingParams:
+        """R_{q_i} for the modulus q_i of `level`, one cached object per level."""
         if not 0 <= level <= self.levels:
             raise LevelExceeded(f"level {level} outside [0, {self.levels}]")
-        return self.chain[self.levels - level]
+        return self._rings[self.levels - level]
+
+    def modulus_at_level(self, level: int) -> int:
+        return int(self.ring_at_level(level).q)
 
 
 @dataclass(frozen=True)
@@ -93,7 +123,7 @@ class BgvSecretKey:
 
 @dataclass(frozen=True)
 class BgvCiphertext:
-    parts: tuple[tuple[int, ...], ...]  # coefficient vectors mod current modulus
+    parts: tuple[RingElement, ...]  # elements of the ring at `level`
     level: int
     noise_bound: float  # upper bound estimate on ||epsilon||_inf
 
@@ -123,25 +153,18 @@ def setup(m: int, p: int, r: int, levels: int, growth: float = 1.0, base: int = 
     return BgvParams(m=m, p=p, r=r, chain=tuple(chain))
 
 
-def _ring_mul_mod(a, b, f: list[int], q: int) -> list[int]:
-    """Product in Z_q[x]/(f), exact Python-int arithmetic (desk-scale n)."""
-    full = poly_mul_z(list(a), list(b))
-    rem = [c % q for c in poly_divmod_z(full, f)[1]]
-    n = len(f) - 1
-    return rem + [0] * (n - len(rem))
-
-
 def keygen(params: BgvParams, rng: SeededRng) -> BgvSecretKey:
     """Ternary secret: a narrow Gaussian clamped to {-1, 0, 1}."""
     draws = sample_int_array(GaussianParams(sigma=0.7), rng, params.n)
-    clamped = [max(-1, min(1, int(d))) for d in draws]
-    return BgvSecretKey(coeffs=tuple(clamped))
+    return BgvSecretKey(coeffs=tuple(np.clip(draws, -1, 1).tolist()))
 
 
-def _check_secret(sk: BgvSecretKey, params: BgvParams) -> None:
-    if len(sk.coeffs) != params.n:
+def _secret(sk: BgvSecretKey, ring: RingParams) -> RingElement:
+    """The ternary secret as an element of `ring`."""
+    if len(sk.coeffs) != ring.n:
         raise LengthMismatch(
-            f"secret key has {len(sk.coeffs)} coefficients, the ring has n = {params.n}")
+            f"secret key has {len(sk.coeffs)} coefficients, the ring has n = {ring.n}")
+    return ring_from_coeffs(sk.coeffs, ring)
 
 
 def fresh_noise_bound(params: BgvParams) -> float:
@@ -158,52 +181,41 @@ def encrypt(
     e_override: tuple[int, ...] | None = None,
 ) -> BgvCiphertext:
     """Level-0 encryption on q_L: p_0 = alpha + p^r * e - p_1 * s."""
-    n = params.n
-    q = params.modulus_at_level(0)
-    pr = params.pt_modulus
-    _check_secret(sk, params)
-    if len(pt) > n:
-        raise InvalidParams(f"plaintext has more than {n} coefficients")
-    alpha = [c % pr for c in pt] + [0] * (n - len(pt))
+    ring = params.ring_at_level(0)
+    s = _secret(sk, ring)
+    if len(pt) > ring.n:
+        raise InvalidParams(f"plaintext has more than {ring.n} coefficients")
     if p1_override is not None:
-        p1 = [c % q for c in p1_override]
+        p1 = ring_from_coeffs(p1_override, ring)
     else:
-        p1 = [int(v) for v in rng.uniform_array(q, n)]
+        p1 = ring_uniform(ring, rng)
     if e_override is not None:
-        e = list(e_override)
-        bound = float(max((abs(c) for c in e), default=0))
+        e = np.array(e_override, dtype=object)
+        bound = float(abs(e).max(initial=0))
     else:
-        e = [int(v) for v in sample_int_array(GaussianParams(sigma=params.sigma), rng, n)]
+        e = sample_int_array(GaussianParams(sigma=params.sigma), rng, ring.n).astype(object)
         bound = fresh_noise_bound(params)
-    p1s = _ring_mul_mod(p1, list(sk.coeffs), params.f, q)
-    p0 = [(alpha[i] + pr * e[i] - p1s[i]) % q for i in range(n)]
-    return BgvCiphertext(parts=(tuple(p0), tuple(p1)), level=0, noise_bound=bound)
-
-
-def _secret_powers(sk: BgvSecretKey, params: BgvParams, count: int, q: int):
-    powers = [[1] + [0] * (params.n - 1)]
-    s = [c % q for c in sk.coeffs]
-    for _ in range(1, count):
-        powers.append(_ring_mul_mod(powers[-1], s, params.f, q))
-    return powers
+    pr = params.pt_modulus
+    msg = pr * e  # alpha + p^r * e over Z: object arrays, as p^r * e may pass 2^63
+    msg[: len(pt)] += np.array(pt, dtype=object) % pr
+    p0 = ring_sub(ring_from_coeffs(msg, ring), ring_mul(s, p1))
+    return BgvCiphertext(parts=(p0, p1), level=0, noise_bound=bound)
 
 
 def decrypt(ct: BgvCiphertext, sk: BgvSecretKey, params: BgvParams) -> list[int]:
-    """Evaluate sum parts[j] * s^j mod q_i, center, reduce mod p^r."""
-    q = params.modulus_at_level(ct.level)
+    """Evaluate sum parts[j] * s^j mod q_i by Horner, center, reduce mod p^r."""
+    ring = params.ring_at_level(ct.level)
+    q = int(ring.q)
     pr = params.pt_modulus
-    _check_secret(sk, params)
+    s = _secret(sk, ring)
     if ct.noise_bound >= q / pr:
         raise DecryptFail(
             f"noise bound {ct.noise_bound:.1f} >= q_i/p^r = {q / pr:.1f}"
         )
-    n = params.n
-    powers = _secret_powers(sk, params, len(ct.parts), q)
-    acc = [0] * n
-    for part, sp in zip(ct.parts, powers):
-        prod = _ring_mul_mod(list(part), sp, params.f, q)
-        acc = [(a + b) % q for a, b in zip(acc, prod)]
-    return [reduce_centered(c, q) % pr for c in acc]
+    acc = ct.parts[-1]
+    for part in reversed(ct.parts[:-1]):
+        acc = ring_add(ring_mul(s, acc), part)
+    return (np.array(acc.centered()) % pr).tolist()
 
 
 def _secret_power_norm_sum(params: BgvParams, count: int) -> float:
@@ -216,22 +228,23 @@ def switch_down(ct: BgvCiphertext, params: BgvParams) -> BgvCiphertext:
     """Move one step down the chain: scale by q'/q, round, preserve mod p^r.
 
     Raises the level by one without touching the plaintext; used both by
-    the homomorphic operations and to align operand levels.
+    the homomorphic operations and to align operand levels.  The rounding
+    runs on Python ints, since 2 * x * q' overflows int64 at q ~ 2^57.
     """
     if ct.level >= params.levels:
         raise LevelExceeded("already at the bottom modulus")
     q = params.modulus_at_level(ct.level)
-    q_next = params.modulus_at_level(ct.level + 1)
+    ring_next = params.ring_at_level(ct.level + 1)
+    q_next = int(ring_next.q)
     pr = params.pt_modulus
     new_parts = []
     for part in ct.parts:
         out = []
-        for c in part:
+        for c in part.coeffs:
             x = reduce_centered(c, q)
             v = (2 * x * q_next + q) // (2 * q)  # round(x * q'/q)
-            d = reduce_centered(x - v, pr)
-            out.append((v + d) % q_next)
-        new_parts.append(tuple(out))
+            out.append(v + reduce_centered(x - v, pr))
+        new_parts.append(ring_from_coeffs(out, ring_next))
     rounding = (pr / 2.0) * _secret_power_norm_sum(params, len(ct.parts))
     bound = ct.noise_bound * q_next / q + rounding
     return BgvCiphertext(parts=tuple(new_parts), level=ct.level + 1, noise_bound=bound)
@@ -240,49 +253,34 @@ def switch_down(ct: BgvCiphertext, params: BgvParams) -> BgvCiphertext:
 def _check_ops(c1: BgvCiphertext, c2: BgvCiphertext, params: BgvParams) -> int:
     if c1.level != c2.level:
         raise ParamMismatch("operands must share a level")
-    if c1.level >= params.levels:
-        raise LevelExceeded("computations over top-level ciphertexts are not allowed")
+    if not 0 <= c1.level < params.levels:
+        raise LevelExceeded(f"computations need a level in [0, {params.levels}), "
+                            f"got {c1.level}")
     return c1.level
 
 
 def he_add(c1: BgvCiphertext, c2: BgvCiphertext, params: BgvParams) -> BgvCiphertext:
-    """Component-wise part addition, then one modulus switch; level + 1."""
+    """Part-wise addition, then one modulus switch; level + 1."""
     level = _check_ops(c1, c2, params)
-    q = params.modulus_at_level(level)
-    d = max(len(c1.parts), len(c2.parts))
-    n = params.n
-    zero = (0,) * n
-    parts = []
-    for j in range(d):
-        a = c1.parts[j] if j < len(c1.parts) else zero
-        b = c2.parts[j] if j < len(c2.parts) else zero
-        parts.append(tuple((x + y) % q for x, y in zip(a, b)))
-    mid = BgvCiphertext(
-        parts=tuple(parts), level=level, noise_bound=c1.noise_bound + c2.noise_bound
-    )
+    short, long = sorted((c1.parts, c2.parts), key=len)
+    parts = tuple(ring_add(a, b) for a, b in zip(short, long)) + long[len(short):]
+    mid = BgvCiphertext(parts=parts, level=level, noise_bound=c1.noise_bound + c2.noise_bound)
     return switch_down(mid, params)
 
 
 def he_mul(c1: BgvCiphertext, c2: BgvCiphertext, params: BgvParams) -> BgvCiphertext:
     """Part convolution, then one modulus switch; level + 1."""
     level = _check_ops(c1, c2, params)
-    q = params.modulus_at_level(level)
     pr = params.pt_modulus
-    n = params.n
-    d = len(c1.parts) + len(c2.parts) - 1
-    parts = [[0] * n for _ in range(d)]
+    parts: list[RingElement | None] = [None] * (len(c1.parts) + len(c2.parts) - 1)
     for j, pj in enumerate(c1.parts):
         for k, pk in enumerate(c2.parts):
-            prod = _ring_mul_mod(list(pj), list(pk), params.f, q)
-            tgt = parts[j + k]
-            for i in range(n):
-                tgt[i] = (tgt[i] + prod[i]) % q
+            prod = ring_mul(pj, pk)
+            parts[j + k] = prod if parts[j + k] is None else ring_add(parts[j + k], prod)
     lift1 = pr / 2.0 + pr * c1.noise_bound
     lift2 = pr / 2.0 + pr * c2.noise_bound
-    bound = n * lift1 * lift2 / pr
-    mid = BgvCiphertext(
-        parts=tuple(tuple(p) for p in parts), level=level, noise_bound=bound
-    )
+    bound = params.n * lift1 * lift2 / pr
+    mid = BgvCiphertext(parts=tuple(parts), level=level, noise_bound=bound)
     return switch_down(mid, params)
 
 

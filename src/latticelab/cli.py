@@ -10,6 +10,8 @@ failed attack precondition), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import math
 import re
 import sys
 import time
@@ -36,6 +38,17 @@ _SEED = _matching(f"[0-9a-fA-F]{{{2 * SEED_BYTES}}}", f"{2 * SEED_BYTES} hex dig
 _COUNT = _matching("[0-9]+", "an integer >= 0", int)
 _POSITIVE = _matching("[0-9]*[1-9][0-9]*", "an integer >= 1", int)
 _BINDING = _matching("[^=]+=.+", "WIRE=FILE", lambda text: text.split("=", 1))
+
+
+def _finite_positive(text: str) -> float:
+    """argparse type: a float that is finite and > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,8 +78,15 @@ def _write_out(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _read_bits(path: str) -> list[int]:
-    return [int(ch) for ch in _read(path) if ch in "01"]
+def _read_message(path: str) -> tuple[bytes, str]:
+    """The message's bytes and their hex SHA-256, which keys every per-message
+    stream: two messages under one --seed share no randomness."""
+    data = Path(path).read_bytes()
+    return data, hashlib.sha256(data).hexdigest()
+
+
+def _bits(data: bytes) -> list[int]:
+    return [int(ch) for ch in data.decode("utf-8", "replace") if ch in "01"]
 
 
 # ---------------------------------------------------------------------------
@@ -105,31 +125,31 @@ def cmd_keygen(args) -> int:
 
 def cmd_encrypt(args) -> int:
     rng = _rng_from_args(args)
+    message, digest = _read_message(args.message)
     if args.scheme == "lwe":
         pk = fileio.load_lwe_public(_read(args.public))
-        bits = _read_bits(args.message)
         cts = [
-            lwe.encrypt_bit(pk, z, rng.derive(f"lwe-bit-{i}"))
-            for i, z in enumerate(bits)
+            lwe.encrypt_bit(pk, z, rng.derive(f"lwe-bit-{i}/{digest}"))
+            for i, z in enumerate(_bits(message))
         ]
         _write_out(args, fileio.dump_lwe_ciphertext(cts, pk.params))
     elif args.scheme == "plwe":
         pk, params = fileio.load_plwe_public(_read(args.public))
-        bits = _read_bits(args.message)
+        bits = _bits(message)
         n = params.n
         blocks = []
         for i in range(0, max(len(bits), 1), n):
             block = bits[i : i + n]
             block += [0] * (n - len(block))  # zero-pad the final block
             blocks.append(
-                plwe.encrypt(pk, block, params, rng.derive(f"plwe-block-{i // n}"))
+                plwe.encrypt(pk, block, params, rng.derive(f"plwe-block-{i // n}/{digest}"))
             )
         _write_out(args, fileio.dump_plwe_ciphertext(blocks, params))
     else:  # bgv
         params = fileio.load_bgv_params(_read(args.params))
         sk = fileio.load_bgv_secret(_read(args.secret))
-        pt = parse_poly(_read(args.message))
-        ct = bgv.encrypt(pt, sk, params, rng.derive("bgv-encrypt"))
+        pt = parse_poly(message.decode("utf-8", "replace"))
+        ct = bgv.encrypt(pt, sk, params, rng.derive(f"bgv-encrypt/{digest}"))
         _write_out(args, fileio.dump_bgv_ciphertext(ct, params))
     return 0
 
@@ -162,8 +182,8 @@ def cmd_sign(args) -> int:
     rng = _rng_from_args(args)
     sk, params = fileio.load_glyph_secret(_read(args.secret))
     pk, _ = fileio.load_glyph_public(_read(args.public))
-    message = Path(args.message).read_bytes()
-    sig, iters = glyph.sign(sk, pk, message, params, rng.derive("glyph-sign"))
+    message, digest = _read_message(args.message)
+    sig, iters = glyph.sign(sk, pk, message, params, rng.derive(f"glyph-sign/{digest}"))
     print(f"signed in {iters} iteration(s)", file=sys.stderr)
     _write_out(args, fileio.dump_glyph_signature(sig, params))
     return 0
@@ -212,8 +232,7 @@ def cmd_attack(args) -> int:
 def cmd_smear(args) -> int:
     rng = _rng_from_args(args)
     params = fileio.load_plwe_params(_read(args.params))
-    est = attacks.smearing_estimate(params, args.alpha, args.trials, args.t,
-                                    rng.derive("smear"))
+    est = attacks.smearing_estimate(params, args.alpha, args.trials, rng.derive("smear"))
     _write_out(args, f"{est!r}\n")
     return 0
 
@@ -329,13 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keygen", help="generate a key pair")
     p.add_argument("--scheme", required=True, choices=["lwe", "plwe", "glyph", "bgv"])
     p.add_argument("--n", type=_POSITIVE, default=256)
-    p.add_argument("--sigma", type=float, default=3.2)
+    p.add_argument("--sigma", type=_finite_positive, default=3.2)
     p.add_argument("--q-floor", type=_POSITIVE, default=4096)
     p.add_argument("--m", type=_POSITIVE, default=32, help="bgv: cyclotomic index")
     p.add_argument("--p", type=_POSITIVE, default=2, help="bgv: plaintext prime")
     p.add_argument("--r", type=_POSITIVE, default=1, help="bgv: plaintext exponent")
     p.add_argument("--levels", type=_POSITIVE, default=3)
-    p.add_argument("--growth", type=float, default=1.0)
+    p.add_argument("--growth", type=_finite_positive, default=1.0)
     p.add_argument("--base", type=_POSITIVE, default=128)
     p.add_argument("--out-secret", default="secret.key")
     p.add_argument("--out-public", default="public.key")
@@ -380,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="parameter weakness scan for (f, q)")
     p.add_argument("--f", required=True, help="coefficient CSV, lowest first")
     p.add_argument("--q", type=_POSITIVE, required=True)
-    p.add_argument("--r-max", type=int, default=8)
+    p.add_argument("--r-max", type=_POSITIVE, default=8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_scan)
 
@@ -388,17 +407,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", type=int, required=True, choices=[1, 2])
     p.add_argument("--params", help="plwe parameter file (defaults to samples header)")
     p.add_argument("--samples", required=True)
-    p.add_argument("--alpha", type=int, help="root of f mod q (algorithm 2)")
-    p.add_argument("--t", type=float, default=3.0)
-    p.add_argument("--r-max", type=int, default=8)
+    p.add_argument("--alpha", type=_COUNT, help="root of f mod q (algorithm 2)")
+    p.add_argument("--t", type=_finite_positive, default=3.0)
+    p.add_argument("--r-max", type=_POSITIVE, default=8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("smear", help="Monte-Carlo smearing estimate")
     p.add_argument("--params", required=True)
-    p.add_argument("--alpha", type=int, required=True)
+    p.add_argument("--alpha", type=_COUNT, required=True)
     p.add_argument("--trials", type=_POSITIVE, default=100_000)
-    p.add_argument("--t", type=float, default=3.0)
     p.add_argument("--out")
     add_seed(p)
     p.set_defaults(func=cmd_smear)
@@ -415,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw from the lab's distributions")
     p.add_argument("--dist", required=True,
                    choices=["gaussian", "uniform", "plwe-oracle", "plwe-uniform"])
-    p.add_argument("--sigma", type=float, default=3.2)
+    p.add_argument("--sigma", type=_finite_positive, default=3.2)
     p.add_argument("--q", type=_POSITIVE)
     p.add_argument("--count", type=_COUNT, default=16)
     p.add_argument("--params", help="plwe parameter file")

@@ -330,11 +330,11 @@ def load_bgv_secret(text: str) -> bgv_mod.BgvSecretKey:
 
 def dump_bgv_ciphertext(ct: bgv_mod.BgvCiphertext, params: bgv_mod.BgvParams) -> str:
     return _encode("bgv-ciphertext", level=ct.level, mod_index=ct.modulus_index(params),
-                   noise=ct.noise_bound, parts=len(ct.parts), part=ct.parts)
+                   noise=ct.noise_bound, parts=len(ct.parts), part=[p.vec for p in ct.parts])
 
 
 def load_bgv_ciphertext(text: str, params: bgv_mod.BgvParams) -> bgv_mod.BgvCiphertext:
     """Each part must hold params.n residues mod the modulus at its level."""
     _, d = _decode("bgv-ciphertext", text, params=params)
-    parts = tuple(map(tuple, d["part"].tolist()))
+    parts = tuple(_elements(params.ring_at_level(d["level"]), *d["part"]))
     return bgv_mod.BgvCiphertext(parts=parts, level=d["level"], noise_bound=d["noise"])

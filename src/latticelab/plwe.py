@@ -17,7 +17,6 @@ from .gaussian import GaussianParams, fold_to_zq_array
 from .polyring import (
     RingElement,
     RingParams,
-    is_totally_split,
     ring_add,
     ring_from_coeffs,
     ring_mul,
@@ -32,13 +31,10 @@ from .zq import Modulus, is_prime
 class PlweParams:
     ring: RingParams
     sigma: float
-    check_split: bool = False
 
     def __post_init__(self):
         if self.sigma < 0:
             raise InvalidParams("sigma must be non-negative")
-        if self.check_split and not is_totally_split(list(self.ring.f), self.ring.q):
-            raise InvalidParams("f does not split totally mod q")
 
     @property
     def n(self) -> int:

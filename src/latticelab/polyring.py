@@ -120,21 +120,24 @@ def poly_mod_q(c, q: Modulus | int) -> list[int]:
 
 
 def poly_divmod_mod(a: list[int], b: list[int], q: Modulus | int) -> tuple[list[int], list[int]]:
+    """Division with remainder over F_q, reduced lazily: each step reduces only
+    the coefficient it cancels and subtracts over b's nonzero lower terms."""
     q = int(q)
     b = poly_mod_q(b, q)
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
     inv_lead = inv_mod(b[-1], q)
-    r = [x % q for x in a]
+    r = [int(x) for x in a]
     db = len(b) - 1
+    terms = [(j, bj) for j, bj in enumerate(b[:-1]) if bj]
     quo = [0] * max(len(r) - db, 0)
     for i in range(len(r) - 1, db - 1, -1):
-        c = r[i] * inv_lead % q
+        c = r[i] % q * inv_lead % q
         if c:
             quo[i - db] = c
-            for j in range(db + 1):
-                r[i - db + j] = (r[i - db + j] - c * b[j]) % q
-    return poly_trim(quo), poly_trim(r)
+            for j, bj in terms:
+                r[i - db + j] -= c * bj
+    return poly_trim(quo), poly_trim([x % q for x in r[:db]])
 
 
 def poly_gcd_mod(a: list[int], b: list[int], q: Modulus | int) -> list[int]:

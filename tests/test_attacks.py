@@ -241,22 +241,22 @@ def test_alg2_order2_classification():
 
 def test_smearing_small_sigma(rng):
     p = crafted_params(sigma=1.5)
-    est = smearing_estimate(p, 1, trials=5000, t=3.0, rng=rng)
+    est = smearing_estimate(p, 1, trials=5000, rng=rng)
     # sums concentrate within a few sqrt(n)*sigma of zero
     assert 0.0 < est < 0.5
 
 
 def test_smearing_saturates(rng):
     p = crafted_params(sigma=400.0)
-    est = smearing_estimate(p, 1, trials=100_000, t=3.0, rng=rng)
+    est = smearing_estimate(p, 1, trials=100_000, rng=rng)
     assert est > 0.95
 
 
 def test_smearing_trivia(rng):
     p = crafted_params()
-    assert smearing_estimate(p, 1, trials=0, t=3.0, rng=rng) == 0.0
+    assert smearing_estimate(p, 1, trials=0, rng=rng) == 0.0
     with pytest.raises(PreconditionFailed):
-        smearing_estimate(p, 5, trials=10, t=3.0, rng=rng)
+        smearing_estimate(p, 5, trials=10, rng=rng)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from latticelab.bgv import (
@@ -88,7 +90,7 @@ def test_encrypt_zero_noise_hook(rng):
     pt = [1, 0, 1, 1]
     ct = encrypt(pt, sk, params, rng,
                  p1_override=(0,) * 16, e_override=(0,) * 16)
-    assert list(ct.parts[0][:4]) == pt
+    assert list(ct.parts[0].coeffs[:4]) == pt
     assert decrypt(ct, sk, params) == pt + [0] * 12
 
 
@@ -281,3 +283,46 @@ def test_secret_key_length_must_match_the_ring():
             encrypt([1], short, params, SeededRng(b"\x22" * 32))
         with pytest.raises(LengthMismatch):
             decrypt(ct, short, params)
+
+
+def test_ring_at_level_is_one_cached_ring_per_level():
+    params = std_params()
+    rings = [params.ring_at_level(level) for level in range(4)]
+    assert [int(r.q) for r in rings] == list(reversed(params.chain))
+    assert all(r.f == params.f for r in rings)
+    assert params.ring_at_level(2) is rings[2]
+    for bad in (-1, 4):
+        with pytest.raises(LevelExceeded):
+            params.ring_at_level(bad)
+
+
+def test_params_refuse_huge_m_and_plaintext_modulus_at_once():
+    chain = std_params().chain  # q_0 = 131
+    start = time.perf_counter()
+    for bad in ({"m": 4097}, {"m": 999999999999999989}, {"r": 999999999999999999},
+                {"r": 8}, {"p": 3, "r": 5}):
+        with pytest.raises(InvalidParams):
+            BgvParams(**{"m": 32, "p": 2, "r": 1, "chain": chain, **bad})
+    with pytest.raises(InvalidParams):
+        setup(m=999999999999999989, p=2, r=1, levels=2)
+    assert time.perf_counter() - start < 1.0
+    assert BgvParams(m=4096, p=2, r=7, chain=chain).pt_modulus == 128
+
+
+@pytest.mark.parametrize("m, n", [(21, 12), (15, 8)])
+def test_rings_beyond_x_n_plus_1(rng, m, n):
+    """Phi_21 and Phi_15 are not x^n + 1, so every level takes the general product."""
+    params = setup(m=m, p=2, r=1, levels=3)
+    assert params.n == n and not params.ring_at_level(3).negacyclic
+    pr = params.pt_modulus
+    sk = keygen(params, rng)
+    for _ in range(8):
+        a, b, c = ([int(v) for v in rng.uniform_array(pr, n)] for _ in range(3))
+        ca, cb, cc = (encrypt(x, sk, params, rng) for x in (a, b, c))
+        assert decrypt(ca, sk, params) == a
+        assert decrypt(he_add(ca, cb, params), sk, params) == [(x + y) % pr for x, y in zip(a, b)]
+        ab = clear_mul(a, b, m, pr)
+        assert decrypt(he_mul(ca, cb, params), sk, params) == ab
+        wires = eval_circuit(["MUL t a b", "ADD out t c"], {"a": ca, "b": cb, "c": cc}, params)
+        assert wires["out"].level == 2
+        assert decrypt(wires["out"], sk, params) == [(x + y) % pr for x, y in zip(ab, c)]

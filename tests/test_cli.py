@@ -1,8 +1,12 @@
 """End-to-end CLI pipelines driven through main() with on-disk files."""
 
+import time
+
 import pytest
 
+from latticelab import fileio
 from latticelab.cli import main
+from latticelab.polyring import ring_mul, ring_sub
 
 SEED = "5c" * 32
 SEED2 = "6d" * 32
@@ -251,6 +255,20 @@ BAD_NUMBERS = [
     (["smear", "--params", "prm", "--alpha", "1", "--trials", "-3"], 2),
     (["smear", "--params", "prm", "--alpha", "1", "--trials", "0"], 2),
     (["bgv-eval", "--params", "prm", "--circuit", "c", "--in", "a"], 2),
+    (["keygen", "--scheme", "bgv", "--m", "999999999999999989"], 1),
+    (["keygen", "--scheme", "bgv", "--r", "999999999999999999"], 1),
+    (["keygen", "--scheme", "bgv", "--r", "8"], 1),  # 2^8 >= q_0 = 131
+    (["attack", "--alg", "2", "--alpha", "1", "--t", "nan", "--samples", "s"], 2),
+    (["attack", "--alg", "2", "--alpha", "1", "--t", "inf", "--samples", "s"], 2),
+    (["attack", "--alg", "2", "--alpha", "1", "--t", "-1", "--samples", "s"], 2),
+    (["attack", "--alg", "1", "--t", "0", "--samples", "s"], 2),
+    (["attack", "--alg", "2", "--alpha", "1", "--r-max", "-3", "--samples", "s"], 2),
+    (["attack", "--alg", "2", "--alpha", "-1", "--samples", "s"], 2),
+    (["scan", "--f", "1,0,1", "--q", "17", "--r-max", "-5"], 2),
+    (["smear", "--params", "prm", "--alpha", "-1"], 2),
+    (["sample", "--dist", "gaussian", "--sigma", "nan"], 2),
+    (["keygen", "--scheme", "plwe", "--sigma", "-1"], 2),
+    (["keygen", "--scheme", "bgv", "--growth", "nan"], 2),
 ]
 
 
@@ -259,11 +277,70 @@ def test_bad_numbers_exit_with_one_line(tmp_path, capsys, argv, code):
     if argv[0] == "keygen":
         argv = argv + ["--seed", SEED, "--out-secret", str(tmp_path / "s"),
                        "--out-public", str(tmp_path / "p"), "--out-params", str(tmp_path / "m")]
+    start = time.perf_counter()
     try:
         rc = run(argv)
     except SystemExit as e:
         rc = e.code
+    assert time.perf_counter() - start < 1.0
     assert rc == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "error: " in err and "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("field, value", [("m", "999999999999999989"),
+                                          ("r", "999999999999999999")])
+def test_huge_bgv_params_exit_1_at_once(tmp_path, capsys, field, value):
+    prm, sk = tmp_path / "prm.txt", tmp_path / "s.key"
+    pt, ct = tmp_path / "a.pt", tmp_path / "a.ct"
+    run(["keygen", "--scheme", "bgv", "--m", "32", "--levels", "3", "--seed", SEED,
+         "--out-secret", str(sk), "--out-params", str(prm)])
+    pt.write_text("1,0,1")
+    run(["encrypt", "--scheme", "bgv", "--params", str(prm), "--secret", str(sk),
+         "--message", str(pt), "--out", str(ct), "--seed", SEED2])
+    text = prm.read_text()
+    old = next(line for line in text.splitlines() if line.startswith(field + "="))
+    prm.write_text(text.replace(old, f"{field}={value}"))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run(["decrypt", "--scheme", "bgv", "--params", str(prm), "--secret", str(sk),
+                "--in", str(ct), "--out", str(tmp_path / "res.txt")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_one_seed_two_messages_do_not_leak_the_glyph_key(tmp_path):
+    """With one stream per seed, z1 - z1' = s1 (c - c') held whenever both
+    signatures were accepted at the same iteration."""
+    seed = "07" * 32
+    sk, pk = tmp_path / "g.key", tmp_path / "g.pub"
+    assert run(["keygen", "--scheme", "glyph", "--n", "1024", "--seed", seed,
+                "--out-secret", str(sk), "--out-public", str(pk)]) == 0
+    sigs = []
+    for message in "01":
+        (tmp_path / "m.txt").write_text(message)
+        assert run(["sign", "--secret", str(sk), "--public", str(pk), "--message",
+                    str(tmp_path / "m.txt"), "--out", str(tmp_path / "sig.txt"),
+                    "--seed", seed]) == 0
+        sigs.append(fileio.load_glyph_signature((tmp_path / "sig.txt").read_text())[0])
+    s1 = fileio.load_glyph_secret(sk.read_text())[0].s
+    a, b = sigs
+    assert ring_sub(a.z1, b.z1) != ring_mul(s1, ring_sub(a.c, b.c))
+
+
+def test_one_seed_two_bgv_messages_draw_different_masks(tmp_path):
+    prm, sk = tmp_path / "prm.txt", tmp_path / "s.key"
+    run(["keygen", "--scheme", "bgv", "--m", "32", "--levels", "2", "--seed", SEED,
+         "--out-secret", str(sk), "--out-params", str(prm)])
+    params = fileio.load_bgv_params(prm.read_text())
+    parts = []
+    for i, message in enumerate(["1,1", "0,1"]):
+        (tmp_path / "m.txt").write_text(message)
+        ct = tmp_path / f"{i}.ct"
+        assert run(["encrypt", "--scheme", "bgv", "--params", str(prm), "--secret", str(sk),
+                    "--message", str(tmp_path / "m.txt"), "--out", str(ct),
+                    "--seed", SEED2]) == 0
+        parts.append(fileio.load_bgv_ciphertext(ct.read_text(), params).parts)
+    assert parts[0][1] != parts[1][1]

@@ -18,6 +18,7 @@ from latticelab.plwe import (
 )
 from latticelab.polyring import (
     RingParams,
+    is_totally_split,
     ring_add,
     ring_from_coeffs,
     ring_mul,
@@ -43,14 +44,13 @@ def test_split_prime_values():
 
 def test_default_params_split_totally():
     p = toy_params(n=16)
-    assert PlweParams(ring=p.ring, sigma=p.sigma, check_split=True)
+    assert is_totally_split(list(p.ring.f), p.ring.q)
 
 
 def test_check_split_rejects_bad_modulus():
     # x^4 + 1 does not split mod 7
     ring = RingParams(f=(1, 0, 0, 0, 1), q=Modulus(7))
-    with pytest.raises(InvalidParams):
-        PlweParams(ring=ring, sigma=1.0, check_split=True)
+    assert not is_totally_split(list(ring.f), ring.q)
 
 
 def test_default_params_validation():

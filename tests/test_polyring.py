@@ -413,3 +413,48 @@ def test_evaluate_multiplicative_at_roots(rng):
                 evaluate(ring_mul(a, b), alpha)
                 == evaluate(a, alpha) * evaluate(b, alpha) % 17
             )
+
+
+# Primes from 2 to just below 2^62, both ends of the range included.
+_DIVMOD_PRIMES = st.one_of(
+    st.sampled_from([2, 3, 17, 59393, 86851566905398247, (1 << 61) - 1, (1 << 62) - 57]),
+    st.integers(2, (1 << 62) - 58).map(next_prime),
+)
+
+
+@st.composite
+def _divisors(draw, q):
+    """A nonzero divisor mod q: sparse x^d + c, dense, or with any nonzero lead."""
+    d = draw(st.integers(1, 40))
+    coeff = st.integers(0, q - 1)
+    kind = draw(st.sampled_from(["sparse", "dense", "non-monic"]))
+    if kind == "sparse":
+        b = [0] * d + [1]
+        for i in draw(st.lists(st.integers(0, d - 1), max_size=3)):
+            b[i] = draw(coeff)
+    else:
+        b = draw(st.lists(coeff, min_size=d, max_size=d)) + [1]
+        if kind == "non-monic":
+            b[-1] = draw(st.integers(1, q - 1))
+    return b
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_poly_divmod_mod_reconstructs_the_dividend(data):
+    """quo * b + rem = a (mod q) with deg rem < deg b and every residue in [0, q).
+
+    Checked by reconstruction over Z, since the ring's own oracle above
+    divides with poly_divmod_mod itself.
+    """
+    q = data.draw(_DIVMOD_PRIMES)
+    b = data.draw(_divisors(q))
+    a = data.draw(st.lists(st.integers(-(1 << 70), 1 << 70), max_size=90))
+    quo, rem = poly_divmod_mod(a, b, q)
+    assert all(0 <= c < q for c in quo + rem)
+    assert poly_deg(rem) < poly_deg(b)
+    back = poly_mul_z(quo, b)
+    back += [0] * (max(len(a), len(rem)) - len(back))
+    for i, r in enumerate(rem):
+        back[i] += r
+    assert all((x - y) % q == 0 for x, y in zip(back, a + [0] * (len(back) - len(a))))
