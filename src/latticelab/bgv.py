@@ -50,17 +50,27 @@ MAX_CHAIN_MODULUS = 1 << 62
 MAX_M = 4096
 
 
-def validate_chain(chain: tuple[int, ...], p: int) -> None:
-    """Enforce q_i <= min(sqrt(q_{i+1}), q_{i+1}/2) and gcd(p, q_i) = 1."""
+def validate_chain(chain: tuple[int, ...], p: int, r: int) -> None:
+    """Enforce q_i <= min(sqrt(q_{i+1}), q_{i+1}/2), p^r < q_0, gcd(p, q_0) = 1
+    and q_i = q_0 (mod p^r), so a modulus switch keeps the plaintext."""
     if len(chain) < 2:
         raise InvalidParams("chain needs at least two moduli (L >= 1)")
     for i in range(len(chain) - 1):
         lo, hi = chain[i], chain[i + 1]
         if lo * lo > hi or 2 * lo > hi:
             raise InvalidParams(f"chain violates q_{i} <= min(sqrt(q_{i+1}), q_{i+1}/2)")
-    for q in chain:
-        if q % p == 0:
-            raise InvalidParams("chain moduli must be coprime to p")
+    pr = _pt_modulus(p, r, chain[0])
+    if chain[0] % p == 0:
+        raise InvalidParams("chain moduli must be coprime to p")
+    if any((q - chain[0]) % pr for q in chain):
+        raise InvalidParams(f"chain moduli must agree mod p^r = {pr}")
+
+
+def _pt_modulus(p: int, r: int, q0: int) -> int:
+    """p^r, refused unless p^r < q_0; logarithms first, so a huge r is never raised to."""
+    if r * math.log2(p) > math.log2(q0) + 1 or p**r >= q0:
+        raise InvalidParams(f"need p^r < q_0 = {q0}")
+    return p**r
 
 
 def _check_plaintext(m: int, p: int, r: int) -> None:
@@ -80,11 +90,8 @@ class BgvParams:
 
     def __post_init__(self):
         _check_plaintext(self.m, self.p, self.r)
-        validate_chain(self.chain, self.p)
-        # compare logarithms first, so p**r is only computed when it is small
-        q0 = self.chain[0]
-        if self.r * math.log2(self.p) > math.log2(q0) + 1 or self.pt_modulus >= q0:
-            raise InvalidParams(f"need p^r < q_0 = {q0}")
+        validate_chain(self.chain, self.p, self.r)
+        GaussianParams(sigma=self.sigma)  # the error sampler's bounds on sigma
 
     @property
     def levels(self) -> int:
@@ -133,20 +140,21 @@ class BgvCiphertext:
 
 
 def setup(m: int, p: int, r: int, levels: int, growth: float = 1.0, base: int = 128) -> BgvParams:
-    """Build a valid chain: q_0 prime near `base`, then
-    q_{i+1} = next prime >= max(q_i^2, 2 q_i) * growth coprime to p."""
+    """Build a valid chain: q_0 = the first prime >= `base` coprime to p, then
+    q_{i+1} = the first prime >= max(q_i^2, 2 q_i) * growth with q_{i+1} = q_i (mod p^r)."""
     _check_plaintext(m, p, r)
     if levels < 1:
         raise InvalidParams("need at least one level")
     q = next_prime(base)
     while q % p == 0:
         q = next_prime(q + 1)
+    pr = _pt_modulus(p, r, q)
     chain = [q]
     for _ in range(levels):
         target = int(max(q * q, 2 * q) * growth)
-        q = next_prime(target)
-        while q % p == 0:
-            q = next_prime(q + 1)
+        q = target + (q - target) % pr
+        while not is_prime(q):
+            q += pr
         if q > MAX_CHAIN_MODULUS:
             raise ChainOverflow("chain modulus exceeds 2^62")
         chain.append(q)

@@ -52,7 +52,11 @@ def _finite_positive(text: str) -> float:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Prints a usage error as one line, without the usage summary."""
+    """Takes long options only in full; prints a usage error as one line,
+    without the usage summary.  Subparsers are built by the same class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")

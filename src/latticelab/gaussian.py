@@ -1,15 +1,16 @@
 """Discrete Gaussian on the integers, its folding to F_q, and the
 elliptic n-dimensional error sampler.
 
-The distribution assigns mass proportional to exp(-(x-c)^2 / (2 sigma^2))
+The distribution assigns mass proportional to exp(-x^2 / (2 sigma^2))
 to each integer x; sigma is the distribution *parameter*, which is close
 to but not exactly the standard deviation, so tests always compare
 against the truncated pmf itself rather than against sigma^2.
 
 Sampling is inverse-CDF over a precomputed table truncated at
-tail_cut * sigma.  With the default tail cut of 12 the truncated mass is
-below 1e-30, far under every tolerance used here, and table sampling is
-reproducible at constant cost.
+TAIL_CUT * sigma.  With a tail cut of 12 the truncated mass is below
+1e-30, far under every tolerance used here, and table sampling is
+reproducible at constant cost.  Every sampler draws through the array
+path; the scalar names are size-1 array draws.
 """
 
 from __future__ import annotations
@@ -25,23 +26,22 @@ from .rng import SeededRng
 from .zq import Modulus
 
 
+TAIL_CUT = 12
+# Largest sigma: the table then holds at most 24 * 2^15 + 1 < 2^20 entries.
+MAX_SIGMA = 1 << 15
+
+
 @dataclass(frozen=True)
 class GaussianParams:
     sigma: float
-    center: float = 0.0
-    tail_cut: float = 12.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise InvalidParams("sigma must be positive")
-        if self.tail_cut < 6:
-            raise InvalidParams("tail_cut must be >= 6")
+        if not 0 < self.sigma <= MAX_SIGMA:
+            raise InvalidParams(f"sigma must be in (0, {MAX_SIGMA}], got {self.sigma}")
 
     @property
     def support(self) -> tuple[int, int]:
-        lo = math.ceil(self.center - self.tail_cut * self.sigma)
-        hi = math.floor(self.center + self.tail_cut * self.sigma)
-        return lo, hi
+        return math.ceil(-TAIL_CUT * self.sigma), math.floor(TAIL_CUT * self.sigma)
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,8 @@ class EllipticGaussianParams:
 
 
 def rho(x: float, p: GaussianParams) -> float:
-    """Unnormalized Gaussian weight exp(-(x-c)^2 / (2 sigma^2))."""
-    d = x - p.center
-    return math.exp(-(d * d) / (2.0 * p.sigma * p.sigma))
+    """Unnormalized Gaussian weight exp(-x^2 / (2 sigma^2))."""
+    return math.exp(-(x * x) / (2.0 * p.sigma * p.sigma))
 
 
 @lru_cache(maxsize=64)
@@ -72,7 +71,7 @@ def _table(p: GaussianParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(support values, pmf, cumulative) over the truncated support."""
     lo, hi = p.support
     ks = np.arange(lo, hi + 1, dtype=np.int64)
-    w = np.exp(-((ks - p.center) ** 2) / (2.0 * p.sigma * p.sigma))
+    w = np.exp(-(ks.astype(np.float64) ** 2) / (2.0 * p.sigma * p.sigma))
     pmf = w / w.sum()
     return ks, pmf, np.cumsum(pmf)
 
@@ -87,14 +86,12 @@ def pmf_int(k: int, p: GaussianParams) -> float:
 
 
 def sample_int(p: GaussianParams, rng: SeededRng) -> int:
-    """One draw by inverse-CDF lookup over the truncated table."""
-    ks, _, cum = _table(p)
-    u = rng.bits(53) / float(1 << 53)
-    return int(ks[np.searchsorted(cum, u, side="right").clip(0, len(ks) - 1)])
+    """One draw: a size-1 batch of :func:`sample_int_array`."""
+    return int(sample_int_array(p, rng, 1)[0])
 
 
 def sample_int_array(p: GaussianParams, rng: SeededRng, size: int) -> np.ndarray:
-    """Vectorized batch of independent draws from the same distribution."""
+    """Independent draws by inverse-CDF lookup over the truncated table."""
     ks, _, cum = _table(p)
     u = rng.unit_floats(size)
     idx = np.searchsorted(cum, u, side="right").clip(0, len(ks) - 1)
@@ -102,21 +99,15 @@ def sample_int_array(p: GaussianParams, rng: SeededRng, size: int) -> np.ndarray
 
 
 def fold_to_zq(p: GaussianParams, q: Modulus, rng: SeededRng) -> int:
-    """Discrete Gaussian folded to F_q: sample over Z, reduce mod q."""
-    if p.center != 0.0:
-        raise InvalidParams("folding to F_q is defined for center 0")
-    return sample_int(p, rng) % int(q)
+    """One folded draw: a size-1 batch of :func:`fold_to_zq_array`."""
+    return int(fold_to_zq_array(p, q, rng, 1)[0])
 
 
 def fold_to_zq_array(p: GaussianParams, q: Modulus, rng: SeededRng, size: int) -> np.ndarray:
-    if p.center != 0.0:
-        raise InvalidParams("folding to F_q is defined for center 0")
+    """Discrete Gaussian folded to F_q: sample over Z, reduce mod q."""
     return sample_int_array(p, rng, size) % int(q)
 
 
 def sample_error_vector(p: EllipticGaussianParams, q: Modulus, rng: SeededRng) -> list[int]:
     """Independent per-coordinate folded draws with parameter diag[i]."""
-    out = []
-    for s in p.diag:
-        out.append(fold_to_zq(GaussianParams(sigma=s), q, rng))
-    return out
+    return [fold_to_zq(GaussianParams(sigma=s), q, rng) for s in p.diag]

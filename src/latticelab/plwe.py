@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, LengthMismatch
-from .gaussian import GaussianParams, fold_to_zq_array
+from .gaussian import MAX_SIGMA, GaussianParams, fold_to_zq_array
 from .polyring import (
     RingElement,
     RingParams,
@@ -33,8 +33,8 @@ class PlweParams:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise InvalidParams("sigma must be non-negative")
+        if not 0 <= self.sigma <= MAX_SIGMA:
+            raise InvalidParams(f"sigma must be in [0, {MAX_SIGMA}], got {self.sigma}")
 
     @property
     def n(self) -> int:

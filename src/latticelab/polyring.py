@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -70,32 +71,47 @@ def poly_eval_z(c: list[int], x: int) -> int:
     return acc
 
 
-def euler_phi(m: int) -> int:
-    out, n, p = 1, m, 2
+def _factorize(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    p = 2
     while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out *= (p - 1) * p ** (e - 1)
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
         p += 1
     if n > 1:
-        out *= n - 1
+        out[n] = out.get(n, 0) + 1
     return out
 
 
+def euler_phi(m: int) -> int:
+    return math.prod((p - 1) * p ** (e - 1) for p, e in _factorize(m).items())
+
+
 def cyclotomic_poly(m: int) -> list[int]:
-    """m-th cyclotomic polynomial, by dividing x^m - 1 by all proper Phi_d."""
+    """m-th cyclotomic polynomial.
+
+    For m > 1, Phi_m is the product over squarefree d | m of
+    (1 - x^{m/d})^{mu(d)}, taken as power series cut past degree phi(m):
+    multiply by the factors with mu(d) = 1, then divide exactly by those
+    with mu(d) = -1, each in one O(m) pass.
+    """
     if m < 1:
         raise InvalidParams("m must be positive")
-    num = [0] * (m + 1)
-    num[0], num[m] = -1, 1
-    for d in range(1, m):
-        if m % d == 0:
-            num, rem = poly_divmod_z(num, cyclotomic_poly(d))
-            assert not rem, "cyclotomic division must be exact"
-    return num
+    if m == 1:
+        return [-1, 1]
+    primes = list(_factorize(m))
+    size = euler_phi(m) + 1
+    c = [1] + [0] * (size - 1)
+    for divide, k in sorted((len(ps) % 2, m // math.prod(ps))
+                            for r in range(len(primes) + 1) for ps in combinations(primes, r)):
+        if divide:
+            for i in range(k, size):
+                c[i] += c[i - k]
+        else:
+            for i in range(size - 1, k - 1, -1):
+                c[i] -= c[i - k]
+    return c
 
 
 def parse_poly(text: str) -> list[int]:
@@ -193,19 +209,6 @@ def _mul_x_power(acc: np.ndarray, k: int, squarings: list[np.ndarray], q: int) -
             np.remainder(acc, q, out=acc)
         k >>= 1
         j += 1
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def mult_order(alpha: int, q: Modulus) -> int:

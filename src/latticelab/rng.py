@@ -1,11 +1,10 @@
 """Deterministic seeded randomness.
 
-A counter-mode SHA-256 stream keyed by a 256-bit seed.  Identical
-(seed, counter) pairs produce identical byte streams on every platform,
-which is what makes every experiment in this package replayable from a
-single ``--seed`` flag.  Independent sub-streams for parallel or
-logically separate tasks are derived by hashing the parent seed with a
-context label.
+A counter-mode SHA-256 stream keyed by a 256-bit seed.  Identical seeds
+produce identical byte streams on every platform, which is what makes
+every experiment in this package replayable from a single ``--seed``
+flag.  Independent sub-streams for parallel or logically separate tasks
+are derived by hashing the parent seed with a context label.
 """
 
 from __future__ import annotations
@@ -22,22 +21,18 @@ BLOCK_BYTES = 32  # one SHA-256 digest per counter value
 
 
 class SeededRng:
-    """Counter-mode deterministic byte/bit source.
+    """Counter-mode deterministic byte source with one read position.
 
     Single-owner by design: concurrent users must each call
     :meth:`derive` with distinct labels instead of sharing one instance.
     """
 
-    def __init__(self, seed: bytes, counter: int = 0):
+    def __init__(self, seed: bytes):
         if len(seed) != SEED_BYTES:
             raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(seed)}")
-        if counter < 0:
-            raise ValueError("counter must be non-negative")
         self.seed = seed
-        self.counter = counter
+        self.counter = 0
         self._buf = b""
-        self._bitbuf = 0
-        self._bitcount = 0
 
     @classmethod
     def from_hex(cls, hex_seed: str) -> "SeededRng":
@@ -68,30 +63,20 @@ class SeededRng:
         return out
 
     def bits(self, k: int) -> int:
-        """Next k bits of the stream as a non-negative integer."""
-        while self._bitcount < k:
-            self._bitbuf = (self._bitbuf << 8) | self.take_bytes(1)[0]
-            self._bitcount += 8
-        shift = self._bitcount - k
-        out = self._bitbuf >> shift
-        self._bitbuf &= (1 << shift) - 1
-        self._bitcount = shift
-        return out
+        """Top k bits of the next ceil(k/8) bytes, as a non-negative integer."""
+        nbytes = -(-k // 8)
+        return int.from_bytes(self.take_bytes(nbytes), "big") >> (8 * nbytes - k)
 
     def uniform_mod(self, q: int) -> int:
-        """Uniform integer in [0, q), by rejection against 2^ceil(lg q).
+        """One uniform integer in [0, q): a size-1 batch of :meth:`uniform_array`."""
+        return int(self.uniform_array(q, 1)[0])
+
+    def uniform_array(self, q: int, size: int) -> np.ndarray:
+        """Independent uniform draws in [0, q), by rejection against 2^ceil(lg q).
 
         Rejection against the smallest power-of-two ceiling avoids the
         modulo bias a plain ``bits % q`` would introduce.
         """
-        k = _width(q)
-        while True:
-            v = self.bits(k)
-            if v < q:
-                return v
-
-    def uniform_array(self, q: int, size: int) -> np.ndarray:
-        """Vectorized batch of independent uniform draws in [0, q)."""
         k = _width(q)
         nbytes = (k + 7) // 8
         mask = (1 << k) - 1

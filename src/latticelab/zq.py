@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParams, ZeroInverse
-from .rng import SeededRng
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -83,7 +82,3 @@ def inv_mod(x: int, q: Modulus | int) -> int:
         raise ZeroInverse("0 has no inverse mod q")
     return pow(x, q - 2, q)
 
-
-def uniform_sample(q: Modulus | int, rng: SeededRng) -> int:
-    """Bias-free uniform element of {0, ..., q-1}."""
-    return rng.uniform_mod(int(q))

@@ -54,12 +54,12 @@ def test_setup_minimal_and_overflow():
 
 def test_validate_chain_rejects_bad_chains():
     with pytest.raises(InvalidParams):
-        validate_chain((131, 1000), 2)  # 1000 < 131^2
+        validate_chain((131, 1000), 2, 1)  # 1000 < 131^2
     with pytest.raises(InvalidParams):
-        validate_chain((131,), 2)
+        validate_chain((131,), 2, 1)
     with pytest.raises(InvalidParams):
-        validate_chain((3, 15), 3)  # 15 divisible by p=3
-    validate_chain((131, 17167), 2)
+        validate_chain((3, 15), 3, 1)  # 15 divisible by p=3
+    validate_chain((131, 17167), 2, 1)
 
 
 def test_level_modulus_mapping():
@@ -306,7 +306,8 @@ def test_params_refuse_huge_m_and_plaintext_modulus_at_once():
     with pytest.raises(InvalidParams):
         setup(m=999999999999999989, p=2, r=1, levels=2)
     assert time.perf_counter() - start < 1.0
-    assert BgvParams(m=4096, p=2, r=7, chain=chain).pt_modulus == 128
+    chain7 = setup(m=4096, p=2, r=7, levels=3).chain
+    assert BgvParams(m=4096, p=2, r=7, chain=chain7).pt_modulus == 128
 
 
 @pytest.mark.parametrize("m, n", [(21, 12), (15, 8)])
@@ -325,4 +326,31 @@ def test_rings_beyond_x_n_plus_1(rng, m, n):
         assert decrypt(he_mul(ca, cb, params), sk, params) == ab
         wires = eval_circuit(["MUL t a b", "ADD out t c"], {"a": ca, "b": cb, "c": cc}, params)
         assert wires["out"].level == 2
+        assert decrypt(wires["out"], sk, params) == [(x + y) % pr for x, y in zip(ab, c)]
+
+
+def test_chain_moduli_agree_mod_the_plaintext_modulus():
+    for m, p, r in ((15, 3, 2), (32, 5, 1), (32, 7, 1), (32, 2, 3)):
+        chain = setup(m=m, p=p, r=r, levels=3).chain
+        assert len({q % p**r for q in chain}) == 1
+    with pytest.raises(InvalidParams):
+        validate_chain((131, 17167), 5, 1)  # 131 = 1 and 17167 = 2 (mod 5)
+    with pytest.raises(InvalidParams):
+        BgvParams(m=32, p=5, r=1, chain=std_params().chain)
+
+
+@pytest.mark.parametrize("m, p, r", [(15, 3, 2), (32, 5, 1)])
+def test_switching_keeps_the_plaintext_for_odd_p(m, p, r):
+    """Two switches and the depth-2 circuit, for plaintext moduli other than 2."""
+    params = setup(m=m, p=p, r=r, levels=3)
+    pr, n = params.pt_modulus, params.n
+    rng = SeededRng(bytes(range(32)))
+    sk = keygen(params, rng)
+    for _ in range(10):
+        a, b, c = ([int(v) for v in rng.uniform_array(pr, n)] for _ in range(3))
+        ca, cb, cc = (encrypt(x, sk, params, rng) for x in (a, b, c))
+        assert decrypt(switch_down(switch_down(ca, params), params), sk, params) == a
+        wires = eval_circuit(["MUL t a b", "ADD out t c"], {"a": ca, "b": cb, "c": cc}, params)
+        assert wires["out"].level == 2
+        ab = clear_mul(a, b, m, pr)
         assert decrypt(wires["out"], sk, params) == [(x + y) % pr for x, y in zip(ab, c)]

@@ -269,6 +269,9 @@ BAD_NUMBERS = [
     (["sample", "--dist", "gaussian", "--sigma", "nan"], 2),
     (["keygen", "--scheme", "plwe", "--sigma", "-1"], 2),
     (["keygen", "--scheme", "bgv", "--growth", "nan"], 2),
+    (["keygen", "--scheme", "plwe", "--sigma", "1e9"], 1),
+    (["smear", "--params", "prm", "--alpha", "1", "--t", "3"], 2),
+    (["smear", "--params", "prm", "--alph", "1"], 2),
 ]
 
 
@@ -306,6 +309,21 @@ def test_huge_bgv_params_exit_1_at_once(tmp_path, capsys, field, value):
     start = time.perf_counter()
     assert run(["decrypt", "--scheme", "bgv", "--params", str(prm), "--secret", str(sk),
                 "--in", str(ct), "--out", str(tmp_path / "res.txt")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_huge_sigma_in_a_bgv_params_file_exits_1_at_once(tmp_path, capsys):
+    prm, sk, pt = tmp_path / "prm.txt", tmp_path / "s.key", tmp_path / "a.pt"
+    run(["keygen", "--scheme", "bgv", "--m", "32", "--levels", "3", "--seed", SEED,
+         "--out-secret", str(sk), "--out-params", str(prm)])
+    prm.write_text(prm.read_text().replace("sigma=3.2", "sigma=1000000000.0"))
+    pt.write_text("1,0,1")
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run(["encrypt", "--scheme", "bgv", "--params", str(prm), "--secret", str(sk),
+                "--message", str(pt), "--out", str(tmp_path / "a.ct"), "--seed", SEED2]) == 1
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1

@@ -5,6 +5,7 @@ import pytest
 
 from latticelab.errors import InvalidParams
 from latticelab.gaussian import (
+    MAX_SIGMA,
     EllipticGaussianParams,
     GaussianParams,
     fold_to_zq,
@@ -29,8 +30,6 @@ def brute_pmf(k, sigma, center=0.0, window=40):
 
 
 def test_rho_basics():
-    p = GaussianParams(sigma=2.0, center=1.5)
-    assert rho(1.5, p) == 1.0
     assert abs(rho(1.0, GaussianParams(sigma=1.0)) - math.exp(-0.5)) < 1e-15
     p0 = GaussianParams(sigma=3.2)
     for x in (0.5, 1.0, 7.25):
@@ -38,11 +37,11 @@ def test_rho_basics():
 
 
 def test_param_validation():
-    with pytest.raises(InvalidParams):
-        GaussianParams(sigma=0.0)
-    with pytest.raises(InvalidParams):
-        GaussianParams(sigma=1.0, tail_cut=4.0)
-    GaussianParams(sigma=1.0, tail_cut=6.0)
+    for sigma in (0.0, math.nan, math.inf, MAX_SIGMA * 1.001, 1e9):
+        with pytest.raises(InvalidParams):
+            GaussianParams(sigma=sigma)
+    lo, hi = GaussianParams(sigma=MAX_SIGMA).support
+    assert hi - lo + 1 <= 1 << 20
 
 
 def test_pmf_normalization_and_symmetry():
@@ -100,11 +99,6 @@ def test_folding_injective_when_support_fits(rng):
         v = fold_to_zq(p, q, rng)
         lo, hi = p.support
         assert lo <= reduce_centered(v, q) <= hi
-
-
-def test_fold_requires_center_zero(rng):
-    with pytest.raises(InvalidParams):
-        fold_to_zq(GaussianParams(sigma=2.0, center=0.5), Modulus(17), rng)
 
 
 def test_elliptic_params_validation():

@@ -62,6 +62,16 @@ def test_bits_concatenation():
     assert whole == (r2.bits(8) << 16) | (r2.bits(8) << 8) | r2.bits(8)
 
 
+def test_bits_reads_whole_bytes():
+    """bits(k) is the top k bits of the next ceil(k/8) bytes: no bit is carried over."""
+    seed = b"\x0a" * SEED_BYTES
+    stream = SeededRng(seed).take_bytes(3)
+    r = SeededRng(seed)
+    assert r.bits(12) == int.from_bytes(stream[:2], "big") >> 4
+    assert r.bits(4) == stream[2] >> 4
+    assert r.take_bytes(1) == SeededRng(seed).take_bytes(4)[3:]
+
+
 def test_uniform_mod_range():
     r = SeededRng(b"\x03" * SEED_BYTES)
     draws = [r.uniform_mod(257) for _ in range(2000)]
@@ -85,8 +95,6 @@ def test_unit_floats_in_interval():
 def test_bad_seed_length_rejected():
     with pytest.raises(ValueError):
         SeededRng(b"short")
-    with pytest.raises(ValueError):
-        SeededRng(b"\x00" * 32, counter=-1)
 
 
 def test_from_hex_round_trip():

@@ -10,7 +10,6 @@ from latticelab.zq import (
     is_prime,
     next_prime,
     reduce_centered,
-    uniform_sample,
 )
 
 PRIMES_BELOW_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -78,23 +77,6 @@ def test_inv_mod_involution():
     for x in range(1, q):
         assert inv_mod(inv_mod(x, q), q) == x
         assert inv_mod(x, q) * x % q == 1
-
-
-def test_uniform_sample_range_and_determinism(rng):
-    q = Modulus(17)
-    first = [uniform_sample(q, rng) for _ in range(100)]
-    assert all(0 <= v < 17 for v in first)
-
-
-def test_uniform_sample_reproducible():
-    from latticelab.rng import SeededRng
-
-    a = SeededRng(b"\x11" * 32)
-    b = SeededRng(b"\x11" * 32)
-    q = Modulus(17)
-    assert [uniform_sample(q, a) for _ in range(100)] == [
-        uniform_sample(q, b) for _ in range(100)
-    ]
 
 
 def test_uniform_frequencies_million_draws(rng):
