@@ -87,7 +87,7 @@ def weakness_scan(f: list[int], q: Modulus, r_max: int = 8) -> WeaknessReport:
     return WeaknessReport(
         f=tuple(f),
         q=int(q),
-        totally_split=splits_with_roots(f, q, roots),
+        totally_split=splits_with_roots(f, roots),
         root_one=(poly_eval_z(f, 1) % int(q) == 0),
         roots=with_orders,
         small_order_roots=small,

@@ -51,14 +51,17 @@ MAX_M = 4096
 
 
 def validate_chain(chain: tuple[int, ...], p: int, r: int) -> None:
-    """Enforce q_i <= min(sqrt(q_{i+1}), q_{i+1}/2), p^r < q_0, gcd(p, q_0) = 1
-    and q_i = q_0 (mod p^r), so a modulus switch keeps the plaintext."""
+    """Enforce q_i <= min(sqrt(q_{i+1}), q_{i+1}/2), q_L <= MAX_CHAIN_MODULUS,
+    p^r < q_0, gcd(p, q_0) = 1 and q_i = q_0 (mod p^r), so a modulus switch
+    keeps the plaintext."""
     if len(chain) < 2:
         raise InvalidParams("chain needs at least two moduli (L >= 1)")
     for i in range(len(chain) - 1):
         lo, hi = chain[i], chain[i + 1]
         if lo * lo > hi or 2 * lo > hi:
             raise InvalidParams(f"chain violates q_{i} <= min(sqrt(q_{i+1}), q_{i+1}/2)")
+    if chain[-1] > MAX_CHAIN_MODULUS:
+        raise InvalidParams("chain modulus exceeds 2^62")
     pr = _pt_modulus(p, r, chain[0])
     if chain[0] % p == 0:
         raise InvalidParams("chain moduli must be coprime to p")
@@ -180,34 +183,24 @@ def fresh_noise_bound(params: BgvParams) -> float:
     return float(gp.support[1])
 
 
-def encrypt(
-    pt: list[int],
-    sk: BgvSecretKey,
-    params: BgvParams,
-    rng: SeededRng,
-    p1_override: tuple[int, ...] | None = None,
-    e_override: tuple[int, ...] | None = None,
-) -> BgvCiphertext:
-    """Level-0 encryption on q_L: p_0 = alpha + p^r * e - p_1 * s."""
+def encrypt(pt: list[int], sk: BgvSecretKey, params: BgvParams, rng: SeededRng) -> BgvCiphertext:
+    """Level-0 encryption on q_L: p_0 = alpha + p^r * e - p_1 * s, with p_1
+    uniform, e Gaussian and the noise bound fresh_noise_bound(params).
+
+    alpha + p^r * e is exact in int64: p^r < q_0 <= sqrt(q_1) <= 2^31 and
+    |e| <= 12 sigma <= 12 * 2^15, so |p^r * e| < 2^50.
+    """
     ring = params.ring_at_level(0)
     s = _secret(sk, ring)
     if len(pt) > ring.n:
         raise InvalidParams(f"plaintext has more than {ring.n} coefficients")
-    if p1_override is not None:
-        p1 = ring_from_coeffs(p1_override, ring)
-    else:
-        p1 = ring_uniform(ring, rng)
-    if e_override is not None:
-        e = np.array(e_override, dtype=object)
-        bound = float(abs(e).max(initial=0))
-    else:
-        e = sample_int_array(GaussianParams(sigma=params.sigma), rng, ring.n).astype(object)
-        bound = fresh_noise_bound(params)
+    p1 = ring_uniform(ring, rng)
+    e = sample_int_array(GaussianParams(sigma=params.sigma), rng, ring.n)
     pr = params.pt_modulus
-    msg = pr * e  # alpha + p^r * e over Z: object arrays, as p^r * e may pass 2^63
-    msg[: len(pt)] += np.array(pt, dtype=object) % pr
+    msg = pr * e
+    msg[: len(pt)] += np.array([x % pr for x in pt], dtype=np.int64)
     p0 = ring_sub(ring_from_coeffs(msg, ring), ring_mul(s, p1))
-    return BgvCiphertext(parts=(p0, p1), level=0, noise_bound=bound)
+    return BgvCiphertext(parts=(p0, p1), level=0, noise_bound=fresh_noise_bound(params))
 
 
 def decrypt(ct: BgvCiphertext, sk: BgvSecretKey, params: BgvParams) -> list[int]:

@@ -66,14 +66,14 @@ def rho(x: float, p: GaussianParams) -> float:
     return math.exp(-(x * x) / (2.0 * p.sigma * p.sigma))
 
 
-@lru_cache(maxsize=64)
-def _table(p: GaussianParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(support values, pmf, cumulative) over the truncated support."""
+@lru_cache(maxsize=8)
+def _table(p: GaussianParams) -> tuple[np.ndarray, np.ndarray]:
+    """(pmf, cumulative) over the truncated support, indexed from its low end."""
     lo, hi = p.support
-    ks = np.arange(lo, hi + 1, dtype=np.int64)
-    w = np.exp(-(ks.astype(np.float64) ** 2) / (2.0 * p.sigma * p.sigma))
+    ks = np.arange(lo, hi + 1, dtype=np.float64)
+    w = np.exp(-(ks**2) / (2.0 * p.sigma * p.sigma))
     pmf = w / w.sum()
-    return ks, pmf, np.cumsum(pmf)
+    return pmf, np.cumsum(pmf)
 
 
 def pmf_int(k: int, p: GaussianParams) -> float:
@@ -81,8 +81,7 @@ def pmf_int(k: int, p: GaussianParams) -> float:
     lo, hi = p.support
     if k < lo or k > hi:
         return 0.0
-    ks, pmf, _ = _table(p)
-    return float(pmf[k - lo])
+    return float(_table(p)[0][k - lo])
 
 
 def sample_int(p: GaussianParams, rng: SeededRng) -> int:
@@ -92,10 +91,10 @@ def sample_int(p: GaussianParams, rng: SeededRng) -> int:
 
 def sample_int_array(p: GaussianParams, rng: SeededRng, size: int) -> np.ndarray:
     """Independent draws by inverse-CDF lookup over the truncated table."""
-    ks, _, cum = _table(p)
+    cum = _table(p)[1]
     u = rng.unit_floats(size)
-    idx = np.searchsorted(cum, u, side="right").clip(0, len(ks) - 1)
-    return ks[idx]
+    idx = np.searchsorted(cum, u, side="right").clip(0, len(cum) - 1)
+    return idx + p.support[0]
 
 
 def fold_to_zq(p: GaussianParams, q: Modulus, rng: SeededRng) -> int:

@@ -63,44 +63,36 @@ def derive_params(n: int) -> LweParams:
     return LweParams(n=n, q=Modulus(q), alpha=alpha, m=m)
 
 
-def keygen(
-    p: LweParams, rng: SeededRng, sigma_override: float | None = None
-) -> tuple[LweSecretKey, LwePublicKey]:
+def keygen(p: LweParams, rng: SeededRng) -> tuple[LweSecretKey, LwePublicKey]:
     """Uniform secret s; samples b_i = <a_i, s> + e_i with Gaussian e_i.
 
-    sigma_override is a test hook; sigma_override=0 yields the noiseless
-    degenerate cipher.
+    Params with alpha = 0 give the noiseless degenerate cipher (e = 0).
     """
     q = int(p.q)
     s = rng.uniform_array(q, p.n)
     a = rng.uniform_array(q, p.m * p.n).reshape(p.m, p.n)
-    sigma = p.sigma if sigma_override is None else sigma_override
-    if sigma > 0:
-        e = fold_to_zq_array(GaussianParams(sigma=sigma), p.q, rng, p.m)
+    if p.sigma > 0:
+        e = fold_to_zq_array(GaussianParams(sigma=p.sigma), p.q, rng, p.m)
     else:
         e = np.zeros(p.m, dtype=np.int64)
     b = (a @ s + e) % q
     return LweSecretKey(s=s), LwePublicKey(a=a, b=b, params=p)
 
 
-def encrypt_bit(
-    pk: LwePublicKey, z: int, rng: SeededRng, subset: np.ndarray | None = None
-) -> LweCiphertext:
+def encrypt_bit(pk: LwePublicKey, z: int, rng: SeededRng) -> LweCiphertext:
     """u = sum_{i in S} a_i, v = z*floor(q/2) + sum_{i in S} b_i.
 
-    S includes each index independently with probability 1/2; `subset`
-    is a boolean test hook overriding the random choice.
+    S includes each index independently with probability 1/2.
     """
     if z not in (0, 1):
         raise InvalidParams("plaintext must be a bit")
     p = pk.params
     q = int(p.q)
-    if subset is None:
-        raw = np.frombuffer(rng.take_bytes((p.m + 7) // 8), dtype=np.uint8)
-        subset = (np.unpackbits(raw)[: p.m] == 1)
-    u = pk.a[subset].sum(axis=0) % q if subset.any() else np.zeros(p.n, dtype=np.int64)
+    raw = np.frombuffer(rng.take_bytes((p.m + 7) // 8), dtype=np.uint8)
+    subset = np.unpackbits(raw)[: p.m] == 1
+    u = pk.a[subset].sum(axis=0) % q
     v = (z * (q // 2) + int(pk.b[subset].sum())) % q
-    return LweCiphertext(u=u.astype(np.int64), v=v)
+    return LweCiphertext(u=u, v=v)
 
 
 def decrypt_bit(sk: LweSecretKey, ct: LweCiphertext, p: LweParams) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -18,6 +17,9 @@ from .errors import InvalidParams, LengthMismatch, NoConvergence, NonSquarefree,
 from .polyring import poly_deg, poly_derivative, poly_trim
 
 _MAX_ITER = 10_000
+# Root iteration stops once the largest correction is below this; a root
+# whose imaginary part is below it counts as real.
+PRECISION = 1e-10
 
 
 @dataclass(frozen=True)
@@ -34,44 +36,20 @@ class SignatureCount:
 class EmbeddingData:
     f: tuple[int, ...]
     roots: tuple[complex, ...]
-    precision: float
     signature: SignatureCount
 
 
-def _is_squarefree_q(f: list[int]) -> bool:
-    """gcd(f, f') over Q, via Fraction-coefficient Euclid."""
-    a = [Fraction(c) for c in poly_trim(list(f))]
-    b = [Fraction(c) for c in poly_derivative(f)]
-    while b:
-        # remainder of a by b
-        r = a[:]
-        db = len(b) - 1
-        while len(r) - 1 >= db and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < db:
-                break
-            c = r[-1] / b[-1]
-            for j in range(db + 1):
-                r[len(r) - 1 - db + j] -= c * b[j]
-            r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-        a, b = b, r
-    return len(a) == 1
-
-
-def complex_roots(f: list[int], precision: float = 1e-10) -> EmbeddingData:
+def complex_roots(f: list[int]) -> EmbeddingData:
     """All complex roots of a squarefree f, by simultaneous iteration.
 
     Durand-Kerner from a deterministic start (perturbed roots of unity),
-    iterated until the largest correction drops below `precision`.
+    iterated until the largest correction drops below PRECISION.
     """
     f = poly_trim(list(f))
     n = poly_deg(f)
     if n < 1 or n > 64:
         raise InvalidParams("degree must be in [1, 64]")
-    if not _is_squarefree_q(f):
+    if resultant(f, poly_derivative(f)) == 0:  # gcd(f, f') != 1 over Q
         raise NonSquarefree("f has a repeated root")
     monic = [c / f[-1] for c in f]
 
@@ -93,21 +71,21 @@ def complex_roots(f: list[int], precision: float = 1e-10) -> EmbeddingData:
             step = ev(z[k]) / denom
             z[k] -= step
             max_step = max(max_step, abs(step))
-        if max_step < precision:
+        if max_step < PRECISION:
             break
     else:
         raise NoConvergence("root iteration did not converge")
 
     # Real roots first, then conjugate pairs, in a stable order.
-    reals = sorted((r for r in z if abs(r.imag) < precision), key=lambda r: r.real)
+    reals = sorted((r for r in z if abs(r.imag) < PRECISION), key=lambda r: r.real)
     complexes = sorted(
-        (r for r in z if abs(r.imag) >= precision), key=lambda r: (r.real, r.imag)
+        (r for r in z if abs(r.imag) >= PRECISION), key=lambda r: (r.real, r.imag)
     )
     s1, s2 = len(reals), len(complexes) // 2
     if s1 + 2 * s2 != n:
         raise NoConvergence("could not classify roots into a valid signature")
     roots = tuple([complex(r.real, 0.0) for r in reals] + complexes)
-    return EmbeddingData(tuple(f), roots, precision, SignatureCount(s1, s2))
+    return EmbeddingData(tuple(f), roots, SignatureCount(s1, s2))
 
 
 def canonical_embed(coeffs, e: EmbeddingData) -> list[complex]:
@@ -173,15 +151,16 @@ def discriminant(f: list[int]) -> int:
         raise InvalidParams("degree must be in [1, 32]")
     if f[-1] != 1:
         raise InvalidParams("f must be monic")
-    if not _is_squarefree_q(f):
+    res = resultant(f, poly_derivative(f))
+    if res == 0:
         raise NonSquarefree("f has a repeated root")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, poly_derivative(f))
+    return sign * res
 
 
-def discriminant_numeric(f: list[int], precision: float = 1e-10) -> complex:
+def discriminant_numeric(f: list[int]) -> complex:
     """Numeric cross-check: squared determinant of (sigma_i(theta^j))."""
-    e = complex_roots(f, precision)
+    e = complex_roots(f)
     n = len(e.roots)
     m = np.array([[r**j for j in range(n)] for r in e.roots], dtype=complex)
     d = np.linalg.det(m)

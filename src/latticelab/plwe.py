@@ -111,24 +111,17 @@ def keygen(p: PlweParams, rng: SeededRng) -> PlweKeyPair:
 
 
 def encrypt(
-    pk: tuple[RingElement, RingElement],
-    bits: list[int],
-    p: PlweParams,
-    rng: SeededRng,
-    r: RingElement | None = None,
+    pk: tuple[RingElement, RingElement], bits: list[int], p: PlweParams, rng: SeededRng
 ) -> PlweCiphertext:
-    """u = a*r + e1, v = b*r + e2 + floor(q/2) * z, for one n-bit block.
-
-    `r` is a test hook overriding the sampled randomizer.
-    """
+    """u = a*r + e1, v = b*r + e2 + floor(q/2) * z, for one n-bit block,
+    with r, e1 and e2 error-distributed."""
     if len(bits) != p.n:
         raise LengthMismatch(f"expected exactly {p.n} bits, got {len(bits)}")
     if any(b not in (0, 1) for b in bits):
         raise InvalidParams("plaintext must be bits")
     a, b = pk
     half_z = RingElement(np.array(bits, dtype=np.int64) * (int(p.ring.q) // 2), p.ring)
-    if r is None:
-        r = sample_error(p, rng)
+    r = sample_error(p, rng)
     e1 = sample_error(p, rng)
     e2 = sample_error(p, rng)
     u = ring_add(ring_mul(a, r), e1)

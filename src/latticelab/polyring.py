@@ -225,14 +225,13 @@ def mult_order(alpha: int, q: Modulus) -> int:
 
 def is_totally_split(f: list[int], q: Modulus) -> bool:
     """True iff f mod q is squarefree and has deg(f) distinct roots in F_q."""
-    return splits_with_roots(f, q, roots_mod_q(f, q))
+    return splits_with_roots(f, roots_mod_q(f, q))
 
 
-def splits_with_roots(f: list[int], q: Modulus, roots: list[int]) -> bool:
-    """is_totally_split for a caller that already holds roots_mod_q(f, q)."""
-    if len(roots) != poly_deg(f):
-        return False
-    return poly_deg(poly_gcd_mod(f, poly_derivative(f), q)) <= 0
+def splits_with_roots(f: list[int], roots: list[int]) -> bool:
+    """is_totally_split for a caller that already holds roots_mod_q(f, q):
+    deg(f) distinct roots make f mod q squarefree, so no gcd is needed."""
+    return len(roots) == poly_deg(f)
 
 
 def is_irreducible_mod_p(f: list[int], p: int) -> bool:

@@ -9,6 +9,7 @@ from latticelab.bgv import (
     decrypt,
     encrypt,
     eval_circuit,
+    fresh_noise_bound,
     he_add,
     he_mul,
     keygen,
@@ -24,8 +25,9 @@ from latticelab.errors import (
     LevelExceeded,
     ParamMismatch,
 )
-from latticelab.polyring import cyclotomic_poly
+from latticelab.polyring import cyclotomic_poly, ring_add, ring_from_coeffs, ring_mul
 from latticelab.rng import SeededRng
+from latticelab.zq import next_prime
 
 
 def std_params():
@@ -84,14 +86,30 @@ def test_keygen_reproducible():
     assert a.coeffs == b.coeffs
 
 
-def test_encrypt_zero_noise_hook(rng):
-    params = std_params()
+def test_encrypt_equation(rng):
+    # p_0 + s * p_1 = alpha + p^r * e over centered representatives
+    params = setup(m=32, p=3, r=2, levels=2)
     sk = keygen(params, rng)
-    pt = [1, 0, 1, 1]
-    ct = encrypt(pt, sk, params, rng,
-                 p1_override=(0,) * 16, e_override=(0,) * 16)
-    assert list(ct.parts[0].coeffs[:4]) == pt
-    assert decrypt(ct, sk, params) == pt + [0] * 12
+    pt = [1, 0, 8, 4, 7]
+    ct = encrypt(pt, sk, params, rng)
+    assert ct.level == 0 and ct.noise_bound == fresh_noise_bound(params)
+    ring = params.ring_at_level(0)
+    s = ring_from_coeffs(sk.coeffs, ring)
+    msg = ring_add(ct.parts[0], ring_mul(s, ct.parts[1])).centered()
+    alpha = pt + [0] * (params.n - len(pt))
+    e = [(c - a) // 9 for c, a in zip(msg, alpha)]
+    assert [a + 9 * x for a, x in zip(alpha, e)] == msg
+    assert max(map(abs, e)) <= ct.noise_bound
+    assert any(e) and any(ct.parts[1].coeffs)
+    assert decrypt(ct, sk, params) == alpha
+
+
+def test_params_refuse_chain_above_cap():
+    chain = (131, next_prime(2**64))  # valid but for q_L > 2^62
+    with pytest.raises(InvalidParams):
+        validate_chain(chain, 2, 1)
+    with pytest.raises(InvalidParams):
+        BgvParams(m=32, p=2, r=1, chain=chain)
 
 
 def test_roundtrip_fresh(rng):

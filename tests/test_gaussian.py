@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,19 @@ def test_param_validation():
             GaussianParams(sigma=sigma)
     lo, hi = GaussianParams(sigma=MAX_SIGMA).support
     assert hi - lo + 1 <= 1 << 20
+
+
+def test_table_cache_memory_bounded():
+    # one draw at each of 12 large sigmas leaves at most the cache's tables
+    rng = SeededRng(b"\x0c" * 32)
+    tracemalloc.start()
+    try:
+        for sigma in range(MAX_SIGMA - 11, MAX_SIGMA + 1):
+            sample_int_array(GaussianParams(sigma=float(sigma)), rng, 1)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 128 << 20
 
 
 def test_pmf_normalization_and_symmetry():

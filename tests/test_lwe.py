@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from latticelab.gaussian import GaussianParams
 from latticelab.lwe import (
     LweCiphertext,
     LweParams,
+    LwePublicKey,
     decrypt_bit,
     derive_params,
     encrypt_bit,
@@ -47,9 +50,9 @@ def test_keygen_deterministic():
     assert np.array_equal(pk1.a, pk2.a) and np.array_equal(pk1.b, pk2.b)
 
 
-def test_keygen_noiseless_hook(rng):
-    p = derive_params(16)
-    sk, pk = keygen(p, rng, sigma_override=0.0)
+def test_keygen_noiseless(rng):
+    p = dataclasses.replace(derive_params(16), alpha=0.0)
+    sk, pk = keygen(p, rng)
     assert np.array_equal(pk.b, (pk.a @ sk.s) % int(p.q))
 
 
@@ -62,14 +65,15 @@ def test_keygen_errors_in_gaussian_support(rng):
     assert all(lo <= e <= hi for e in errs)
 
 
-def test_encrypt_empty_subset_hook(rng):
+def test_encrypt_zero_public_key(rng):
+    # every subset sum of an all-zero key is zero, as for the empty subset
     p = derive_params(16)
-    sk, pk = keygen(p, rng)
-    empty = np.zeros(p.m, dtype=bool)
-    ct0 = encrypt_bit(pk, 0, rng, subset=empty)
-    assert not ct0.u.any() and ct0.v == 0
-    ct1 = encrypt_bit(pk, 1, rng, subset=empty)
-    assert not ct1.u.any() and ct1.v == int(p.q) // 2
+    pk = LwePublicKey(a=np.zeros((p.m, p.n), dtype=np.int64),
+                      b=np.zeros(p.m, dtype=np.int64), params=p)
+    for z in (0, 1):
+        ct = encrypt_bit(pk, z, rng)
+        assert ct.u.dtype == np.int64 and ct.u.shape == (p.n,) and not ct.u.any()
+        assert ct.v == z * (int(p.q) // 2)
 
 
 def test_encrypt_rejects_non_bit(rng):
@@ -101,8 +105,8 @@ def test_decrypt_dimension_mismatch(rng):
 
 
 def test_noiseless_roundtrip_never_fails(rng):
-    p = derive_params(16)
-    sk, pk = keygen(p, rng, sigma_override=0.0)
+    p = dataclasses.replace(derive_params(16), alpha=0.0)
+    sk, pk = keygen(p, rng)
     for i in range(100):
         z = i & 1
         assert decrypt_bit(sk, encrypt_bit(pk, z, rng), p) == z

@@ -50,9 +50,18 @@ def test_signature_invariant_on_corpus():
         assert len(e.roots) == n
 
 
+def _square_times(g, h):
+    return poly_mul_z(poly_mul_z(g, g), h)
+
+
 def test_nonsquarefree_rejected():
     with pytest.raises(NonSquarefree):
         complex_roots(poly_mul_z([1, 1], [1, 1]))  # (x+1)^2
+    with pytest.raises(NonSquarefree):
+        complex_roots(_square_times([1, 2], [-2, 0, 0, 1]))  # (2x+1)^2 (x^3-2), not monic
+    g, h = [1, 3] + [0] * 8 + [1], [-2, 0, 0, 0, 0, 1] + [0] * 14 + [1]
+    with pytest.raises(NonSquarefree):
+        complex_roots(_square_times(g, h))  # degree 40
     with pytest.raises(InvalidParams):
         complex_roots([1])
 
@@ -133,6 +142,10 @@ def test_discriminant_cross_checks_numeric():
 def test_discriminant_validation():
     with pytest.raises(NonSquarefree):
         discriminant([0, 0, 1])
+    with pytest.raises(NonSquarefree):
+        discriminant(_square_times([1, 1], [-2, 0, 0, 1]))  # (x+1)^2 (x^3-2)
+    with pytest.raises(NonSquarefree):  # degree 32, the largest allowed
+        discriminant(_square_times([1, 3] + [0] * 6 + [1], [-2, 0, 0, 0, 0, 1] + [0] * 10 + [1]))
     with pytest.raises(InvalidParams):
         discriminant([2, 0, 2])  # not monic
 

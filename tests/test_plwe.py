@@ -139,13 +139,14 @@ def test_encrypt_requires_exact_block(rng):
         encrypt((kp.a, kp.b), [0] * (p.n - 1) + [2], p, rng)
 
 
-def test_encrypt_zero_error_hooks(rng):
+def test_encrypt_zero_error(rng):
     p = PlweParams(ring=toy_params().ring, sigma=0.0)
     kp = keygen(p, rng)
     q = int(p.ring.q)
-    # r forced to zero: ciphertext is exactly (0, floor(q/2) * z)
+    # key (0, 0) and no error: ciphertext is exactly (0, floor(q/2) * z)
     bits = [1, 0] * (p.n // 2)
-    ct = encrypt((kp.a, kp.b), bits, p, rng, r=ring_zero(p.ring))
+    zero = ring_zero(p.ring)
+    ct = encrypt((zero, zero), bits, p, rng)
     assert not any(ct.u.coeffs)
     assert ct.v.coeffs == tuple(b * (q // 2) for b in bits)
     assert decrypt(kp.s, ct) == bits

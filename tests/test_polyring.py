@@ -25,8 +25,10 @@ from latticelab.polyring import (
     mult_order,
     parse_poly,
     poly_deg,
+    poly_derivative,
     poly_divmod_mod,
     poly_divmod_z,
+    poly_gcd_mod,
     poly_mul_z,
     ring_add,
     ring_from_coeffs,
@@ -129,6 +131,18 @@ def test_is_totally_split():
     assert is_totally_split([1, 0, 0, 0, 1], Modulus(17))
     # repeated factor: x^2 mod anything is not squarefree
     assert not is_totally_split([0, 0, 1], Modulus(5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 13, 17]),
+       st.lists(st.integers(-40, 40), min_size=1, max_size=8), st.integers(1, 34))
+@example(3, [3, 0, 0], 3)  # f = 3x^3 + 3 is 0 mod 3, so all deg(f) = 3 residues are roots
+def test_is_totally_split_matches_gcd_form(q, low, lead):
+    # a lead divisible by q drops the degree of f mod q
+    f = low + [lead]
+    mod = Modulus(q)
+    squarefree = poly_deg(poly_gcd_mod(f, poly_derivative(f), mod)) <= 0
+    assert is_totally_split(f, mod) == (squarefree and len(roots_mod_q(f, mod)) == poly_deg(f))
 
 
 def test_irreducibility_utility():
