@@ -120,8 +120,10 @@ _GLYPH = _Params(
     lambda d: glyph_mod.GlyphParams(n=d["n"], q=Modulus(d["q"]), b=d["b"], k=d["k"]))
 _BGV_HEAD = _Params("latticelab-bgv-v1")
 _BGV = _Params(
+    # chain entries are int64 like every integer field (a 19-digit entry past
+    # 2^63 - 1 parses as 2^63 - 1); BgvParams refuses moduli above its cap
     _BGV_HEAD.header, (("m", _INT_), ("p", _INT_), ("r", _INT_), ("sigma", _FLOAT),
-                       ("chain", _Vec(None, lambda d: bgv_mod.MAX_CHAIN_MODULUS + 1))), vars,
+                       ("chain", _Vec(None, None))), vars,
     lambda d: bgv_mod.BgvParams(m=d["m"], p=d["p"], r=d["r"], sigma=d["sigma"],
                                 chain=tuple(d["chain"].tolist())))
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -203,12 +204,21 @@ def _mul_x_power(acc: np.ndarray, k: int, squarings: list[np.ndarray], q: int) -
     j = 0
     while k:
         if j == len(squarings):
-            squarings.append(squarings[-1] * squarings[-1] % q)
+            squarings.append(_reduce_nonneg(squarings[-1] * squarings[-1], q))
         if k & 1:
             np.multiply(acc, squarings[j], out=acc)
-            np.remainder(acc, q, out=acc)
+            _reduce_nonneg(acc, q)
         k >>= 1
         j += 1
+
+
+def _reduce_nonneg(a: np.ndarray, q: int) -> np.ndarray:
+    """a %= q in place for non-negative int64 a, as a - (a // q) * q: the same
+    residues, faster than np.remainder on int64."""
+    quo = a // q
+    quo *= q
+    a -= quo
+    return a
 
 
 def mult_order(alpha: int, q: Modulus) -> int:
@@ -312,6 +322,17 @@ class RingParams:
         return self.n * (q - 1) * (q - 1) < (1 << 62)
 
     @cached_property
+    def uses_ntt(self) -> bool:
+        """True where dense products take the negacyclic NTT: f = x^n + 1
+        (within `int64_safe`) with n a power of two, q = 1 (mod 2n) so that
+        f splits into n linear factors mod q, and max(n1, n2) * (q - 1)^2 <
+        2^53 for the four-step split n = n1 * n2, so that every matmul sum
+        is exact in float64."""
+        n, q = self.n, int(self.q)
+        return (self.negacyclic and self.int64_safe and n & (n - 1) == 0 and q % (2 * n) == 1
+                and max(_ntt_split(n)) * (q - 1) * (q - 1) < _FLOAT_EXACT)
+
+    @cached_property
     def mul_dtype(self) -> type:
         """float64 where a convolution of centered residues is exact in it
         (n * floor(q/2)^2 < 2^53), int64 otherwise."""
@@ -324,10 +345,13 @@ class RingElement:
     in [0, q), lowest degree first.
 
     `coeffs` is the same residues as a tuple of Python ints, built on first
-    use; equality and hashing go by (coeffs, params).
+    use; equality and hashing go by (coeffs, params).  On a ring that
+    `uses_ntt`, the element's transform is likewise kept after its first
+    dense product, so a fixed operand (a public key's `a`) is transformed
+    once.
     """
 
-    __slots__ = ("vec", "params", "_coeffs")
+    __slots__ = ("vec", "params", "_coeffs", "_ntt")
 
     def __init__(self, coeffs, params: RingParams):
         try:
@@ -352,6 +376,14 @@ class RingElement:
         if self._coeffs is None:
             object.__setattr__(self, "_coeffs", tuple(self.vec.tolist()))
         return self._coeffs
+
+    def _transform(self) -> np.ndarray:
+        """The NTT of the element (`_ntt_forward`), read-only, built on first use."""
+        if self._ntt is None:
+            t = _ntt_forward(self.vec, _ntt_tables(self.params.n, int(self.params.q)))
+            t.flags.writeable = False
+            object.__setattr__(self, "_ntt", t)
+        return self._ntt
 
     def __setattr__(self, name, value):
         raise AttributeError("RingElement is immutable")
@@ -382,6 +414,7 @@ def _init_element(e: RingElement, vec: np.ndarray, params: RingParams) -> None:
     object.__setattr__(e, "vec", vec)
     object.__setattr__(e, "params", params)
     object.__setattr__(e, "_coeffs", None)
+    object.__setattr__(e, "_ntt", None)
 
 
 def _centered(vec: np.ndarray, q: int) -> np.ndarray:
@@ -443,12 +476,18 @@ def ring_sub(a: RingElement, b: RingElement) -> RingElement:
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     """Product in R_q.
 
-    For f = x^n + 1 (within `int64_safe`) the product is taken on the
-    centered representatives in `params.mul_dtype`, where every partial
-    sum is an exact integer: as a sum of signed rotations when one operand
-    has at most SPARSE_MAX_NONZEROS nonzero coefficients, otherwise as a
-    full convolution folded by x^n = -1.  General f takes the exact
-    Python-int polynomial-division path.
+    For f = x^n + 1 (within `int64_safe`), when one operand has at most
+    SPARSE_MAX_NONZEROS nonzero coefficients, the product is a sum of
+    signed rotations of the other.  Otherwise, on a ring that `uses_ntt`
+    (n a power of two, q = 1 mod 2n, so x^n + 1 splits into linear factors
+    mod q and R_q is F_q^n by evaluation at its roots), it is the pointwise
+    product of the operands' cached number-theoretic transforms, mapped
+    back; on any other x^n + 1 it is a full convolution folded by x^n = -1.
+    The rotations and the convolution work on centered representatives in
+    `params.mul_dtype`, where every partial sum is an exact integer; the
+    transform's float64 matmuls are exact for the same reason (see
+    `_ntt_tables`).  General f takes the exact Python-int
+    polynomial-division path.
     """
     _check(a, b)
     p = a.params
@@ -458,7 +497,11 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
         full = poly_mul_z(list(a.coeffs), list(b.coeffs))
         return _padded(poly_divmod_mod(full, list(p.f), q)[1], p)
     x, y = a.vec, b.vec
-    if np.count_nonzero(x) > np.count_nonzero(y):
+    nx, ny = np.count_nonzero(x), np.count_nonzero(y)
+    if min(nx, ny) > SPARSE_MAX_NONZEROS and p.uses_ntt:
+        prod = a._transform() * b._transform() % q
+        return RingElement._of(_ntt_inverse(prod, _ntt_tables(n, q)), p)
+    if nx > ny:
         x, y = y, x  # x is the sparser operand
     dtype = p.mul_dtype
     yc = _centered(y, q).astype(dtype)
@@ -475,6 +518,90 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
         res[: n - 1] -= res[n:]
         res = res[:n]
     return RingElement._of(res.astype(np.int64) % q, p)
+
+
+# ---------------------------------------------------------------------------
+# The negacyclic number-theoretic transform
+#
+# With psi a primitive 2n-th root of unity mod q, x^n + 1 is the product of
+# (x - psi^(2k+1)) for 0 <= k < n, and a -> (a(psi^(2k+1)))_k maps R_q onto
+# F_q^n, turning products into pointwise products.  Bailey's four-step split
+# computes it with two small DFT matmuls: for n = n1 * n2, i = n2*i1 + i2
+# and k = k1 + n1*k2, since psi^(2n) = 1,
+#
+#     psi^(i(2k+1)) = psi^(n2*i1*(2k1+1)) * psi^(i2*(2k1+1)) * psi^(2*n1*i2*k2),
+#
+# so with A[i1, i2] = a[n2*i1 + i2] the transform is ((M1 @ A) * T) @ M2,
+# laid out as X[k1, k2] = a(psi^(2k+1)), where M1[k1, i1] holds the first
+# factor, the twiddles T[k1, i2] the second and M2[i2, k2] the third.  The
+# inverse runs the steps backwards with psi^-1, with n^-1 folded into its
+# twiddles.
+
+
+def _ntt_split(n: int) -> tuple[int, int]:
+    """(n1, n2) = (2^floor(k/2), 2^ceil(k/2)) for n = 2^k."""
+    n1 = 1 << (n.bit_length() - 1) // 2
+    return n1, n // n1
+
+
+class _NttTables(NamedTuple):
+    """The split n = n1 * n2, q, and the matrices and twiddles above: the
+    matrices float64, the twiddles int64, all residues in [0, q)."""
+
+    n1: int
+    n2: int
+    q: int
+    m1: np.ndarray
+    tw: np.ndarray
+    m2: np.ndarray
+    m2_inv: np.ndarray
+    tw_inv: np.ndarray
+    m1_inv: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _ntt_tables(n: int, q: int) -> _NttTables:
+    """The four-step tables for x^n + 1 mod q, built once per (n, q): a fresh
+    RingParams of the same ring shares them.
+
+    A matmul entry sums max(n1, n2) products of two residues, so under
+    `RingParams.uses_ntt` every partial sum is an integer below 2^53 and
+    exact in float64.
+    """
+    g = 2
+    while pow(g, (q - 1) // 2, q) != q - 1:  # a non-residue: psi below has order 2n
+        g += 1
+    psi = pow(g, (q - 1) // (2 * n), q)
+    powers = [1] * (2 * n)
+    for j in range(1, 2 * n):
+        powers[j] = powers[j - 1] * psi % q
+    fwd = np.array(powers, dtype=np.int64)
+    inv = fwd[-np.arange(2 * n) % (2 * n)]  # psi^-j
+    n1, n2 = _ntt_split(n)
+    odd, i1, i2 = 2 * np.arange(n1) + 1, np.arange(n1), np.arange(n2)
+    e1 = np.outer(odd, n2 * i1) % (2 * n)  # [k1, i1]
+    et = np.outer(odd, i2) % (2 * n)  # [k1, i2]
+    e2 = np.outer(2 * n1 * i2, i2) % (2 * n)  # [i2, k2]
+    f64 = np.float64
+    return _NttTables(n1, n2, q, fwd[e1].astype(f64), fwd[et], fwd[e2].astype(f64),
+                      inv[e2].astype(f64), inv[et] * pow(n, q - 2, q) % q,
+                      inv[e1].T.astype(f64))
+
+
+def _ntt_forward(vec: np.ndarray, t: _NttTables) -> np.ndarray:
+    """Transform of n residues, as the n1 x n2 residue array X above."""
+    q = t.q
+    b = (t.m1 @ vec.reshape(t.n1, t.n2).astype(np.float64)).astype(np.int64) % q
+    b = b * t.tw % q
+    return (b.astype(np.float64) @ t.m2).astype(np.int64) % q
+
+
+def _ntt_inverse(x: np.ndarray, t: _NttTables) -> np.ndarray:
+    """n residues whose transform is the n1 x n2 residue array x."""
+    q = t.q
+    d = (x.astype(np.float64) @ t.m2_inv).astype(np.int64) % q
+    d = d * t.tw_inv % q
+    return ((t.m1_inv @ d.astype(np.float64)).astype(np.int64) % q).reshape(-1)
 
 
 def evaluate(a: RingElement, alpha: int) -> int:

@@ -53,11 +53,15 @@ class SeededRng:
         missing = n - len(self._buf)
         if missing > 0:
             blocks = -(-missing // BLOCK_BYTES)
-            seed, start = self.seed, self.counter
-            self._buf += b"".join(
-                hashlib.sha256(seed + c.to_bytes(8, "little")).digest()
-                for c in range(start, start + blocks)
-            )
+            # block c is sha256(seed || c as 8 bytes little-endian): each is a
+            # copy of one state already fed the seed, finished with c
+            keyed, start = hashlib.sha256(self.seed), self.counter
+            digests = []
+            for c in range(start, start + blocks):
+                h = keyed.copy()
+                h.update(c.to_bytes(8, "little"))
+                digests.append(h.digest())
+            self._buf += b"".join(digests)
             self.counter = start + blocks
         out, self._buf = self._buf[:n], self._buf[n:]
         return out

@@ -293,7 +293,9 @@ def test_bad_numbers_exit_with_one_line(tmp_path, capsys, argv, code):
 
 
 @pytest.mark.parametrize("field, value", [("m", "999999999999999989"),
-                                          ("r", "999999999999999999")])
+                                          ("r", "999999999999999999"),
+                                          ("chain", "131,4611686018427388039"),
+                                          ("chain", "131,9999999999999999999")])
 def test_huge_bgv_params_exit_1_at_once(tmp_path, capsys, field, value):
     prm, sk = tmp_path / "prm.txt", tmp_path / "s.key"
     pt, ct = tmp_path / "a.pt", tmp_path / "a.ct"
@@ -312,6 +314,8 @@ def test_huge_bgv_params_exit_1_at_once(tmp_path, capsys, field, value):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    if field == "chain":
+        assert "chain modulus exceeds 2^62" in err
 
 
 def test_huge_sigma_in_a_bgv_params_file_exits_1_at_once(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticelab import bgv, cli, fileio, glyph, lwe, plwe
-from latticelab.errors import FormatError
+from latticelab.errors import FormatError, InvalidParams
 from latticelab.polyring import RingParams
 from latticelab.rng import SeededRng
 from latticelab.zq import Modulus
@@ -140,6 +140,19 @@ def test_bgv_params_roundtrip():
     params = bgv.setup(m=32, p=2, r=1, levels=2)
     p2 = fileio.load_bgv_params(fileio.dump_bgv_params(params))
     assert p2.chain == params.chain and p2.m == 32
+
+
+# a prime just above the cap, 2^63 and the largest 19-digit entry; the last
+# two parse as int64 2^63 - 1 and must still be refused
+@pytest.mark.parametrize("top", [4611686018427388039, 2**63, 10**19 - 1])
+def test_bgv_chain_above_cap_gives_the_api_reason(top):
+    chain = (131, top)
+    with pytest.raises(InvalidParams, match=r"chain modulus exceeds 2\^62"):
+        bgv.BgvParams(m=32, p=2, r=1, chain=chain)
+    text = fileio.dump_bgv_params(bgv.setup(m=32, p=2, r=1, levels=1))
+    old = next(line for line in text.splitlines() if line.startswith("chain="))
+    with pytest.raises(FormatError, match=r"^chain modulus exceeds 2\^62$"):
+        fileio.load_bgv_params(text.replace(old, f"chain=131,{top}"))
 
 
 def test_bgv_secret_and_ciphertext_roundtrip(rng):

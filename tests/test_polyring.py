@@ -38,6 +38,7 @@ from latticelab.polyring import (
     ring_uniform,
     roots_mod_q,
 )
+from latticelab.polyring import _ntt_forward, _ntt_inverse, _ntt_tables
 from latticelab.zq import Modulus, is_prime, next_prime
 
 
@@ -338,7 +339,8 @@ ALL_BITS = 2**1024 - 1
 @example(masks=(0, ALL_BITS))
 def test_dense_product_at_extreme_coefficients(q, masks):
     # every coefficient (q-1)/2 or (q+1)/2, centered +-(q-1)/2: the largest
-    # magnitudes, so the convolution sums reach n * ((q-1)/2)^2
+    # magnitudes, so the convolution sums reach n * ((q-1)/2)^2 (59393 splits
+    # and takes the NTT; the other two take the float64 and int64 convolutions)
     p = negacyclic(1024, q)
     ac, bc = ([(q - 1) // 2 + (m >> i & 1) for i in range(1024)] for m in masks)
     assert ring_mul(RingElement(ac, p), RingElement(bc, p)).coeffs == division_oracle(ac, bc, p)
@@ -391,6 +393,98 @@ def test_negacyclic_kernels_match_division_oracle(data):
         operands.append(cc.tolist())
     got = ring_mul(RingElement(operands[0], p), RingElement(operands[1], p))
     assert got.coeffs == division_oracle(*operands, p)
+
+
+# ---------------------------------------------------------------------------
+# the negacyclic NTT on split rings
+
+# Rings where 2n divides q - 1, so x^n + 1 splits and dense products take the NTT.
+NTT_RINGS = [(128, 7681), (256, 7681), (128, 59393), (256, 59393), (1024, 59393)]
+
+# At n = 1024 (n1 = n2 = 32) the transform is exact while 32 (q - 1)^2 < 2^53:
+# NTT_EDGE_Q is the largest prime = 1 (mod 2048) that meets it, the next one
+# takes the convolution.
+NTT_EDGE_Q = 16760833
+PAST_NTT_EDGE_Q = 16801793
+
+
+def test_ntt_gate():
+    assert 32 * (NTT_EDGE_Q - 1) ** 2 < 2**53 <= 32 * (PAST_NTT_EDGE_Q - 1) ** 2
+    steps = range(NTT_EDGE_Q, PAST_NTT_EDGE_Q + 1, 2048)
+    assert [q for q in steps if is_prime(q)] == [NTT_EDGE_Q, PAST_NTT_EDGE_Q]
+    assert negacyclic(1024, NTT_EDGE_Q).uses_ntt
+    assert not negacyclic(1024, PAST_NTT_EDGE_Q).uses_ntt
+    assert all(negacyclic(n, q).uses_ntt for n, q in NTT_RINGS)
+    assert not negacyclic(2048, 59393).uses_ntt  # 4096 does not divide q - 1
+    assert not negacyclic(12, 73).uses_ntt  # 24 | 72, but n is no power of two
+    assert not ring(cyclotomic_poly(9), 19).uses_ntt  # splits, but f != x^n + 1
+
+
+@pytest.mark.parametrize("n, q", NTT_RINGS + [(1, 3), (2, 17), (8, 17)])
+def test_ntt_evaluates_at_the_roots_and_inverts(n, q):
+    p = negacyclic(n, q)
+    tables = _ntt_tables(n, q)
+    # the transform of x lists the root each slot evaluates at
+    points = _ntt_forward(ring_from_coeffs([0, 1], p).vec, tables).ravel().tolist()
+    assert sorted(points) == roots_mod_q(list(p.f), Modulus(q))
+    vec = np.random.default_rng(n * q).integers(0, q, n)
+    x = _ntt_forward(vec, tables)
+    assert x.ravel().tolist() == [evaluate(RingElement(vec, p), r) for r in points]
+    assert np.array_equal(_ntt_inverse(x, tables), vec)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_ntt_products_match_division_oracle(data):
+    n, q = data.draw(st.sampled_from(NTT_RINGS))
+    p = negacyclic(n, q)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    operands = []
+    for _ in range(2):
+        # dense (more than SPARSE_MAX_NONZEROS nonzeros), residues at both ends
+        # of [0, q) among uniform ones
+        cc = rng.integers(0, q, n)
+        cc[rng.permutation(n)[:n // 4]] = data.draw(st.sampled_from([1, q - 1]))
+        operands.append(cc.tolist())
+    got = ring_mul(RingElement(operands[0], p), RingElement(operands[1], p))
+    assert got.coeffs == division_oracle(*operands, p)
+
+
+@pytest.mark.parametrize("q", [NTT_EDGE_Q, PAST_NTT_EDGE_Q])
+def test_products_at_the_ntt_edge(q):
+    # all q - 1: every matmul sum of the transform reaches max(n1, n2) (q - 1)^2
+    p = negacyclic(1024, q)
+    top = [q - 1] * 1024
+    other = np.random.default_rng(q).integers(0, q, 1024).tolist()
+    for operand in (top, other):
+        assert ring_mul(RingElement(top, p), RingElement(operand, p)).coeffs == division_oracle(
+            top, operand, p)
+
+
+def test_one_cached_transform_serves_many_products():
+    n, q = 256, 7681
+    p = negacyclic(n, q)
+    rng = np.random.default_rng(11)
+    a = RingElement(rng.integers(0, q, n), p)
+    for _ in range(20):
+        bc = rng.integers(0, q, n).tolist()
+        b = RingElement(bc, p)
+        expect = division_oracle(a.coeffs, bc, p)
+        assert ring_mul(a, b).coeffs == expect and ring_mul(b, a).coeffs == expect
+    cached = a._transform()
+    assert cached is a._transform() and not cached.flags.writeable
+
+
+def test_cached_transform_leaves_equality_hash_and_pickle_alone():
+    p = negacyclic(128, 7681)
+    vec = np.random.default_rng(5).integers(0, 7681, 128)
+    a, fresh = RingElement(vec, p), RingElement(vec, p)
+    ring_mul(a, a)
+    assert a._ntt is not None and fresh._ntt is None
+    assert a == fresh and hash(a) == hash(fresh)
+    assert pickle.dumps(a) == pickle.dumps(fresh)
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and back._ntt is None
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticelab.errors import InvalidParams
@@ -19,6 +19,8 @@ def test_stream_matches_sha256_counter_mode():
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 300)), max_size=20))
+@example([(False, 1), (False, 31), (True, 33), (False, 2080), (False, 65), (True, 7),
+          (False, 63), (False, 1)])  # odd sizes across block edges; 2080 is a GLYPH mask
 def test_chunked_draws_are_one_stream(draws):
     """Any mix of take_bytes(m) and byte-aligned bits(8m) reads the same
     counter-mode stream and leaves the counter at the blocks consumed."""
