@@ -17,7 +17,7 @@ import numpy as np
 from .errors import OrderTooLarge, PreconditionFailed
 from .gaussian import GaussianParams, fold_to_zq_array
 from .plwe import PlweParams, PlweSample
-from .polyring import evaluate, mult_order, poly_deg, poly_eval_z, roots_mod_q, splits_with_roots
+from .polyring import check_scan_q, evaluate, mult_order, poly_deg, poly_eval_z, roots_mod_q
 from .rng import SeededRng
 from .zq import Modulus, is_prime
 
@@ -87,7 +87,7 @@ def weakness_scan(f: list[int], q: Modulus, r_max: int = 8) -> WeaknessReport:
     return WeaknessReport(
         f=tuple(f),
         q=int(q),
-        totally_split=splits_with_roots(f, roots),
+        totally_split=len(roots) == n,
         root_one=(poly_eval_z(f, 1) % int(q) == 0),
         roots=with_orders,
         small_order_roots=small,
@@ -130,7 +130,7 @@ def decide_alg1(
     of parameter sqrt(n) * sigma).  With return_survivors the per-sample
     survivor sets are returned alongside the verdicts.
     """
-    q = int(p.ring.q)
+    q = check_scan_q(p.ring.q)
     if poly_eval_z(list(p.ring.f), 1) % q != 0:
         raise PreconditionFailed("1 is not a root of f mod q")
     thresh = t * math.sqrt(p.n) * p.sigma
@@ -172,7 +172,7 @@ def decide_alg2(
     return_survivors: bool = False,
 ):
     """Small-order-root distinguisher; degenerates to decide_alg1 at alpha=1."""
-    q = int(p.ring.q)
+    q = check_scan_q(p.ring.q)
     if poly_eval_z(list(p.ring.f), alpha) % q != 0:
         raise PreconditionFailed(f"{alpha} is not a root of f mod q")
     r = mult_order(alpha, p.ring.q)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError, InvalidParams, ParamMismatch, ZeroElement
+from .errors import FormatError, InvalidParams, ParamMismatch, PreconditionFailed, ZeroElement
 from .zq import Modulus, inv_mod
 
 # ---------------------------------------------------------------------------
@@ -174,14 +174,27 @@ def poly_derivative(c) -> list[int]:
     return poly_trim([i * int(c[i]) for i in range(1, len(c))])
 
 
+# An exhaustive scan over F_q (roots_mod_q, the attack distinguishers) holds
+# arrays of q entries, 8q bytes each in int64: larger q are refused.
+MAX_SCAN_Q = 1 << 24
+
+
+def check_scan_q(q: Modulus | int) -> int:
+    """int(q), or PreconditionFailed if q exceeds MAX_SCAN_Q."""
+    qi = int(q)
+    if qi > MAX_SCAN_Q:
+        raise PreconditionFailed(f"q = {qi} is above the exhaustive-scan limit {MAX_SCAN_Q}")
+    return qi
+
+
 def roots_mod_q(f: list[int], q: Modulus) -> list[int]:
-    """All roots of f in F_q, by exhaustive scan (valid at desk-scale q).
+    """All roots of f in F_q, by exhaustive scan (q at most MAX_SCAN_Q).
 
     Horner's rule runs over every x in F_q at once, in place.  A run of
     k zero coefficients costs one multiplication by x^(2^j) per set bit
     j of k instead of k multiplications by x.
     """
-    qi = int(q)
+    qi = check_scan_q(q)
     if poly_deg(f) < 1:
         raise InvalidParams("degree must be >= 1")
     coeffs = poly_mod_q(f, qi) or [0]
@@ -234,14 +247,9 @@ def mult_order(alpha: int, q: Modulus) -> int:
 
 
 def is_totally_split(f: list[int], q: Modulus) -> bool:
-    """True iff f mod q is squarefree and has deg(f) distinct roots in F_q."""
-    return splits_with_roots(f, roots_mod_q(f, q))
-
-
-def splits_with_roots(f: list[int], roots: list[int]) -> bool:
-    """is_totally_split for a caller that already holds roots_mod_q(f, q):
+    """True iff f mod q is squarefree and has deg(f) distinct roots in F_q:
     deg(f) distinct roots make f mod q squarefree, so no gcd is needed."""
-    return len(roots) == poly_deg(f)
+    return len(roots_mod_q(f, q)) == poly_deg(f)
 
 
 def is_irreducible_mod_p(f: list[int], p: int) -> bool:
@@ -286,11 +294,6 @@ def _zip_pad(a: list[int], b: list[int]):
 # 2^53 in magnitude.
 _FLOAT_EXACT = 1 << 53
 
-# An operand with at most this many nonzero coefficients is multiplied as
-# a sum of signed rotations of the other operand (GLYPH's challenges have
-# k = 16); denser operands take the full convolution.
-SPARSE_MAX_NONZEROS = 64
-
 
 @dataclass(frozen=True)
 class RingParams:
@@ -323,7 +326,7 @@ class RingParams:
 
     @cached_property
     def uses_ntt(self) -> bool:
-        """True where dense products take the negacyclic NTT: f = x^n + 1
+        """True where products take the negacyclic NTT: f = x^n + 1
         (within `int64_safe`) with n a power of two, q = 1 (mod 2n) so that
         f splits into n linear factors mod q, and max(n1, n2) * (q - 1)^2 <
         2^53 for the four-step split n = n1 * n2, so that every matmul sum
@@ -347,8 +350,7 @@ class RingElement:
     `coeffs` is the same residues as a tuple of Python ints, built on first
     use; equality and hashing go by (coeffs, params).  On a ring that
     `uses_ntt`, the element's transform is likewise kept after its first
-    dense product, so a fixed operand (a public key's `a`) is transformed
-    once.
+    product, so a fixed operand (a public key's `a`) is transformed once.
     """
 
     __slots__ = ("vec", "params", "_coeffs", "_ntt")
@@ -474,19 +476,16 @@ def ring_sub(a: RingElement, b: RingElement) -> RingElement:
 
 
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    """Product in R_q.
+    """Product in R_q, by a kernel chosen from the ring alone.
 
-    For f = x^n + 1 (within `int64_safe`), when one operand has at most
-    SPARSE_MAX_NONZEROS nonzero coefficients, the product is a sum of
-    signed rotations of the other.  Otherwise, on a ring that `uses_ntt`
-    (n a power of two, q = 1 mod 2n, so x^n + 1 splits into linear factors
-    mod q and R_q is F_q^n by evaluation at its roots), it is the pointwise
-    product of the operands' cached number-theoretic transforms, mapped
-    back; on any other x^n + 1 it is a full convolution folded by x^n = -1.
-    The rotations and the convolution work on centered representatives in
-    `params.mul_dtype`, where every partial sum is an exact integer; the
-    transform's float64 matmuls are exact for the same reason (see
-    `_ntt_tables`).  General f takes the exact Python-int
+    On a ring that `uses_ntt` (n a power of two, q = 1 mod 2n, so x^n + 1
+    splits into linear factors mod q and R_q is F_q^n by evaluation at its
+    roots), it is the pointwise product of the operands' cached
+    number-theoretic transforms, mapped back; on any other x^n + 1 (within
+    `int64_safe`) it is a full convolution of centered representatives in
+    `params.mul_dtype`, where every partial sum is an exact integer, folded
+    by x^n = -1.  The transform's float64 matmuls are exact for the same
+    reason (see `_ntt_tables`).  General f takes the exact Python-int
     polynomial-division path.
     """
     _check(a, b)
@@ -496,28 +495,13 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     if not (p.negacyclic and p.int64_safe):
         full = poly_mul_z(list(a.coeffs), list(b.coeffs))
         return _padded(poly_divmod_mod(full, list(p.f), q)[1], p)
-    x, y = a.vec, b.vec
-    nx, ny = np.count_nonzero(x), np.count_nonzero(y)
-    if min(nx, ny) > SPARSE_MAX_NONZEROS and p.uses_ntt:
+    if p.uses_ntt:
         prod = a._transform() * b._transform() % q
         return RingElement._of(_ntt_inverse(prod, _ntt_tables(n, q)), p)
-    if nx > ny:
-        x, y = y, x  # x is the sparser operand
     dtype = p.mul_dtype
-    yc = _centered(y, q).astype(dtype)
-    support = np.flatnonzero(x)
-    if len(support) <= SPARSE_MAX_NONZEROS:
-        # x^i * y = (-y[n-i:], y[:n-i]) is the window [n-i, 2n-i) of (-y, y);
-        # the n+1 windows [r, r+n), 0 <= r <= n, all lie inside (-y, y)
-        ext = np.concatenate([-yc, yc])
-        step = ext.strides[0]
-        windows = np.lib.stride_tricks.as_strided(ext, (n + 1, n), (step, step), writeable=False)
-        res = _centered(x[support], q).astype(dtype) @ windows[n - support]
-    else:
-        res = np.convolve(_centered(x, q).astype(dtype), yc)
-        res[: n - 1] -= res[n:]
-        res = res[:n]
-    return RingElement._of(res.astype(np.int64) % q, p)
+    res = np.convolve(_centered(a.vec, q).astype(dtype), _centered(b.vec, q).astype(dtype))
+    res[: n - 1] -= res[n:]
+    return RingElement._of(res[:n].astype(np.int64) % q, p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,22 @@
 """End-to-end CLI pipelines driven through main() with on-disk files."""
 
 import time
+import tracemalloc
 
 import pytest
 
 from latticelab import fileio
 from latticelab.cli import main
-from latticelab.polyring import ring_mul, ring_sub
+from latticelab.plwe import PlweParams, PlweSample
+from latticelab.polyring import (
+    MAX_SCAN_Q,
+    RingParams,
+    format_poly,
+    ring_from_coeffs,
+    ring_mul,
+    ring_sub,
+)
+from latticelab.zq import Modulus, next_prime
 
 SEED = "5c" * 32
 SEED2 = "6d" * 32
@@ -164,6 +174,32 @@ def test_attack_alg2_requires_alpha(tmp_path, capsys):
          "--count", "2", "--seed", SEED, "--out", str(samples)])
     assert run(["attack", "--alg", "2", "--samples", str(samples)]) == 1
     assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", [next_prime(MAX_SCAN_Q + 1), 2**61 - 1])
+@pytest.mark.parametrize("verb", ["scan", "attack-1", "attack-2"])
+def test_scan_and_attack_refuse_q_above_the_scan_limit(tmp_path, capsys, verb, q):
+    # f(1) = 0 mod q, so past the limit check each would build arrays of q entries
+    f = [q - 2, 1] + [0] * 14 + [1]
+    if verb == "scan":
+        argv = ["scan", "--f", format_poly(f), "--q", str(q)]
+    else:
+        ring = RingParams(tuple(f), Modulus(q))
+        one = ring_from_coeffs([1], ring)
+        samples = tmp_path / "samples.txt"
+        samples.write_text(fileio.dump_plwe_samples([PlweSample(one, one)], PlweParams(ring, 1.5)))
+        argv = ["attack", "--alg", verb[-1], "--alpha", "1", "--samples", str(samples)]
+    tracemalloc.start()
+    try:
+        rc = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert peak < MAX_SCAN_Q  # not even a boolean array of q entries
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_smear_command(tmp_path, capsys):
