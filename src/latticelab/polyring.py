@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError, InvalidParams, ParamMismatch, PreconditionFailed, ZeroElement
-from .zq import Modulus, inv_mod
+from .zq import Modulus, inv_mod, is_prime
 
 # ---------------------------------------------------------------------------
 # Integer polynomials (lists of ints, lowest degree first)
@@ -327,13 +327,16 @@ class RingParams:
     @cached_property
     def uses_ntt(self) -> bool:
         """True where products take the negacyclic NTT: f = x^n + 1
-        (within `int64_safe`) with n a power of two, q = 1 (mod 2n) so that
-        f splits into n linear factors mod q, and max(n1, n2) * (q - 1)^2 <
-        2^53 for the four-step split n = n1 * n2, so that every matmul sum
-        is exact in float64."""
+        (within `int64_safe`) with n a power of two, q a prime = 1 (mod 2n)
+        so that f splits into n linear factors mod q, and max(n1, n2) *
+        (q - 1)^2 < 2^53 for the four-step split n = n1 * n2, so that every
+        matmul sum is exact in float64.  The primality test matters: BGV
+        builds its rings from raw chain moduli, which may be composite, and
+        mod a composite q there may be no primitive 2n-th root to build the
+        transform from."""
         n, q = self.n, int(self.q)
         return (self.negacyclic and self.int64_safe and n & (n - 1) == 0 and q % (2 * n) == 1
-                and max(_ntt_split(n)) * (q - 1) * (q - 1) < _FLOAT_EXACT)
+                and max(_ntt_split(n)) * (q - 1) * (q - 1) < _FLOAT_EXACT and is_prime(q))
 
     @cached_property
     def mul_dtype(self) -> type:

@@ -120,6 +120,16 @@ def test_roundtrip_fresh(rng):
         assert decrypt(encrypt(pt, sk, params, rng), sk, params) == pt
 
 
+def test_roundtrip_with_a_composite_chain_modulus(rng):
+    # validate_chain accepts composite moduli; 9409 = 97^2 = 1 (mod 32), so
+    # x^16 + 1 mod 9409 looks split but has no NTT
+    params = BgvParams(m=32, p=2, r=1, chain=(97, 9409))
+    sk = keygen(params, rng)
+    for _ in range(5):
+        pt = [int(b) for b in rng.uniform_array(2, 16)]
+        assert decrypt(encrypt(pt, sk, params, rng), sk, params) == pt
+
+
 def test_plaintext_too_long(rng):
     params = std_params()
     sk = keygen(params, rng)

@@ -418,6 +418,18 @@ def test_ntt_gate():
     assert not negacyclic(2048, 59393).uses_ntt  # 4096 does not divide q - 1
     assert not negacyclic(12, 73).uses_ntt  # 24 | 72, but n is no power of two
     assert not ring(cyclotomic_poly(9), 19).uses_ntt  # splits, but f != x^n + 1
+    assert not RingParams(negacyclic(16, 97).f, 97 * 97).uses_ntt  # 32 | 9408, but composite
+
+
+@pytest.mark.parametrize("n, q", [(16, 97 * 97), (128, 257 * 257), (256, 7681 * 7681)])
+def test_composite_q_on_x_n_plus_1_takes_the_convolution(n, q):
+    # BGV builds rings from raw chain moduli, which may be composite: q = 1
+    # (mod 2n) there, but mod p^2 no non-residue search can end, so these
+    # products must not reach the transform's tables
+    p = RingParams(negacyclic(n, 97).f, q)
+    gen = np.random.default_rng(n)
+    ac, bc = gen.integers(0, q, n).tolist(), gen.integers(0, q, n).tolist()
+    assert ring_mul(RingElement(ac, p), RingElement(bc, p)).coeffs == division_oracle(ac, bc, p)
 
 
 @pytest.mark.parametrize("n, q", NTT_RINGS + [(1, 3), (2, 17), (8, 17)])
