@@ -17,7 +17,8 @@ import numpy as np
 from .errors import OrderTooLarge, PreconditionFailed
 from .gaussian import GaussianParams, fold_to_zq_array
 from .plwe import PlweParams, PlweSample
-from .polyring import check_scan_q, evaluate, mult_order, poly_deg, poly_eval_z, roots_mod_q
+from .polyring import (check_scan_q, evaluate_many, mult_order, poly_deg, poly_eval_z,
+                       roots_mod_q)
 from .rng import SeededRng
 from .zq import Modulus, is_prime
 
@@ -96,24 +97,48 @@ def weakness_scan(f: list[int], q: Modulus, r_max: int = 8) -> WeaknessReport:
     )
 
 
-def _run_survivor_loop(samples, p: PlweParams, alpha: int, accept: np.ndarray,
-                       return_survivors: bool):
-    """Filter the candidates s in F_q through accept[(b(alpha) - s*a(alpha)) mod q],
-    one sample at a time; accept is a boolean mask of length q."""
+def _solutions(a_val: int, b_val: int, accepted: np.ndarray, q: int) -> np.ndarray:
+    """Every s mod q with (b_val - s * a_val) mod q in `accepted`, for
+    a_val != 0 mod q.  s * a_val = b_val - e has gcd(a_val, q) solutions
+    when the gcd divides b_val - e and none otherwise: one per e for a prime q."""
+    g = math.gcd(a_val, q)
+    m = q // g
+    rhs = (b_val - accepted) % q
+    rhs = rhs[rhs % g == 0] // g
+    base = rhs * pow(a_val // g, -1, m) % m
+    return (base[:, None] + m * np.arange(g, dtype=np.int64)).ravel()
+
+
+def _run_survivor_loop(samples, p: PlweParams, alpha: int, accepted: np.ndarray,
+                       accepts, return_survivors: bool):
+    """Keep the candidates s in F_q with (b(alpha) - s*a(alpha)) mod q in the
+    accepted-error set A, one sample at a time.
+
+    `accepted` lists A's residues once each and `accepts(v)` tests residues
+    for membership in A.  While every sample so far has a(alpha) = 0 the
+    survivors are all of F_q or none, and all of F_q is kept implicitly as
+    None.  The first sample with a(alpha) != 0 leaves the |A| candidates
+    (b(alpha) - e) / a(alpha), e in A, and later samples filter those, so
+    the cost follows |A| and the sample count, not q.  The evaluations at
+    alpha are one `evaluate_many` over every a and b.
+    """
     q = int(p.ring.q)
-    survivors = np.arange(q, dtype=np.int64)
+    k = len(samples)
+    evals = evaluate_many([s.a for s in samples] + [s.b for s in samples], alpha, p.ring)
+    survivors = None
     verdicts = []
     history = []
-    for sample in samples:
-        a_val = evaluate(sample.a, alpha)
-        b_val = evaluate(sample.b, alpha)
-        survivors = survivors[accept[(b_val - survivors * a_val) % q]]
-        verdicts.append(
-            Verdict(label="valid" if survivors.size else "random",
-                    surviving_secrets=int(survivors.size))
-        )
+    for a_val, b_val in zip(evals[:k].tolist(), evals[k:].tolist()):
+        if survivors is not None:
+            survivors = survivors[accepts((b_val - survivors * a_val) % q)]
+        elif a_val:
+            survivors = _solutions(a_val, b_val, accepted, q)
+        elif not accepts(b_val):
+            survivors = accepted[:0]
+        count = q if survivors is None else survivors.size
+        verdicts.append(Verdict(label="valid" if count else "random", surviving_secrets=count))
         if return_survivors:
-            history.append(frozenset(survivors.tolist()))
+            history.append(frozenset(range(q) if survivors is None else survivors.tolist()))
     return verdicts, history
 
 
@@ -133,10 +158,12 @@ def decide_alg1(
     q = check_scan_q(p.ring.q)
     if poly_eval_z(list(p.ring.f), 1) % q != 0:
         raise PreconditionFailed("1 is not a root of f mod q")
-    thresh = t * math.sqrt(p.n) * p.sigma
-    e = np.arange(q, dtype=np.int64)
-    accept = np.minimum(e, q - e) <= thresh  # |centered(e)|
-    verdicts, history = _run_survivor_loop(samples, p, 1, accept, return_survivors)
+    # |centered(e)| <= thresh iff min(e, q - e) <= floor(thresh); the range
+    # below lists each such residue once, all q of them once it saturates.
+    bound = math.floor(t * math.sqrt(p.n) * p.sigma)
+    accepted = np.arange(-min(bound, (q - 1) // 2), min(bound, q // 2) + 1, dtype=np.int64) % q
+    verdicts, history = _run_survivor_loop(
+        samples, p, 1, accepted, lambda v: np.minimum(v, q - v) <= bound, return_survivors)
     return (verdicts, history) if return_survivors else verdicts
 
 
@@ -179,9 +206,12 @@ def decide_alg2(
     if r > r_max:
         raise OrderTooLarge(f"root order {r} exceeds r_max = {r_max}")
     region, _, _ = smallness_region(p, alpha, t)
-    accept = np.zeros(q, dtype=bool)
-    accept[np.fromiter(region, dtype=np.int64, count=len(region))] = True
-    verdicts, history = _run_survivor_loop(samples, p, alpha, accept, return_survivors)
+    accepted = np.sort(np.fromiter(region, dtype=np.int64, count=len(region)))
+    # q, above every residue, keeps each searchsorted index inside the table.
+    table = np.append(accepted, q)
+    verdicts, history = _run_survivor_loop(
+        samples, p, alpha, accepted, lambda v: table[np.searchsorted(table, v)] == v,
+        return_survivors)
     return (verdicts, history) if return_survivors else verdicts
 
 

@@ -174,8 +174,10 @@ def poly_derivative(c) -> list[int]:
     return poly_trim([i * int(c[i]) for i in range(1, len(c))])
 
 
-# An exhaustive scan over F_q (roots_mod_q, the attack distinguishers) holds
-# arrays of q entries, 8q bytes each in int64: larger q are refused.
+# roots_mod_q scans F_q exhaustively in arrays of q entries, 8q bytes each
+# in int64, so it refuses larger q.  The attack distinguishers hold nothing
+# of length q, but they keep the same limit until roots are found without
+# a scan, so that `scan` and `attack` accept the same q.
 MAX_SCAN_Q = 1 << 24
 
 
@@ -297,10 +299,17 @@ _FLOAT_EXACT = 1 << 53
 
 @dataclass(frozen=True)
 class RingParams:
-    """Monic f of degree n >= 1 and a prime modulus q."""
+    """Monic f of degree n >= 1 and a modulus q >= 2.
+
+    q need not be prime: PLWE and GLYPH pass a `Modulus` (a verified
+    prime), but BGV passes its raw chain moduli, which may be composite.
+    Only the NTT needs a prime q, and `uses_ntt` checks it.  Field-only
+    helpers such as `inv_mod`'s Fermat inverse are wrong on a composite q
+    and must not be used on these rings.
+    """
 
     f: tuple[int, ...]
-    q: Modulus
+    q: Modulus | int
 
     def __post_init__(self):
         f = poly_trim(list(self.f))
@@ -598,6 +607,28 @@ def evaluate(a: RingElement, alpha: int) -> int:
     for c in reversed(a.coeffs):
         acc = (acc * alpha + c) % q
     return acc
+
+
+def evaluate_many(elements, alpha: int, params: RingParams) -> np.ndarray:
+    """`evaluate` of every element of `params`' ring at alpha, as int64
+    residues: one matmul of the stacked coefficients against the powers
+    alpha^i mod q.  Each row sum is exact within `int64_safe`; past it the
+    columns go in blocks whose sums are at most 2^62, each block reduced
+    mod q, which needs (q - 1)^2 <= 2^62."""
+    q, n = int(params.q), params.n
+    step = n if params.int64_safe else (1 << 62) // ((q - 1) * (q - 1))
+    if step < 1:
+        raise PreconditionFailed(f"q = {q} is too large for an int64 evaluation")
+    powers = np.empty(n, dtype=np.int64)
+    x = 1
+    for i in range(n):
+        powers[i] = x
+        x = x * alpha % q
+    mat = np.array([e.vec for e in elements], dtype=np.int64).reshape(-1, n)
+    out = np.zeros(len(mat), dtype=np.int64)
+    for j in range(0, n, step):
+        out = (out + mat[:, j:j + step] @ powers[j:j + step]) % q
+    return out
 
 
 def ring_uniform(params: RingParams, rng) -> RingElement:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -17,8 +18,10 @@ from latticelab.attacks import (
 from latticelab.errors import OrderTooLarge, PreconditionFailed
 from latticelab.plwe import PlweParams, PlweSample, oracle_sample, uniform_sample_pair
 from latticelab.polyring import (
+    RingElement,
     RingParams,
     evaluate,
+    evaluate_many,
     mult_order,
     poly_deg,
     poly_derivative,
@@ -361,3 +364,162 @@ def test_scan_matches_brute_force(q, low, lead):
     assert rep.small_order_roots == tuple((a, r) for a, r in rep.roots if r <= 8)
     assert rep.totally_split == (squarefree and len(roots) == poly_deg(f))
     assert rep.root_one == (1 in roots)
+
+
+# ---------------------------------------------------------------------------
+# the survivor loop's edge cases against the set reference
+
+
+def decide(alg, samples, p, alpha, t, **kw):
+    if alg == 1:
+        return decide_alg1(samples, p, t=t, **kw)
+    return decide_alg2(samples, p, alpha, t=t, **kw)
+
+
+def reference_accept(alg, p, alpha, t):
+    """The accept(e) that reference_survivor_loop tests for each algorithm."""
+    if alg == 1:
+        q = int(p.ring.q)
+        thresh = t * math.sqrt(p.n) * p.sigma
+        return lambda e: abs(reduce_centered(e, q)) <= thresh
+    region = reference_region(p, alpha, t)
+    return lambda e: e in region
+
+
+def assert_matches_reference(alg, samples, p, alpha, t):
+    expect = reference_survivor_loop(samples, p, alpha, reference_accept(alg, p, alpha, t))
+    assert decide(alg, samples, p, alpha, t, return_survivors=True) == expect
+    assert decide(alg, samples, p, alpha, t) == expect[0]
+    return expect
+
+
+def element_at(p, alpha, value, rng):
+    """A uniform element moved by its constant term to evaluate to value at alpha."""
+    x = ring_uniform(p.ring, rng)
+    coeffs = list(x.coeffs)
+    coeffs[0] += value - evaluate(x, alpha)
+    return ring_from_coeffs(coeffs, p.ring)
+
+
+# thresh = 3 * sqrt(16) * 1.4 = 16.8 for Algorithm 1, so 17 is the first
+# residue outside; Algorithm 2 at t = 1 has a region of 81 residues mod 257.
+EDGE_CASES = {1: (crafted_params(sigma=1.4), 1, 3.0), 2: (order2_params(), 256, 1.0)}
+
+
+@pytest.mark.parametrize("alg", [1, 2])
+@pytest.mark.parametrize("b_inside", [True, False])
+def test_samples_with_a_zero_at_alpha_match_reference(alg, b_inside, rng):
+    p, alpha, t = EDGE_CASES[alg]
+    q = int(p.ring.q)
+    accept = reference_accept(alg, p, alpha, t)
+    outside = next(e for e in range(q) if not accept(e))
+    b_val = 0 if b_inside else outside
+    secret = ring_uniform(p.ring, rng.derive("secret"))
+    zero = [PlweSample(a=element_at(p, alpha, 0, rng.derive(f"a{i}")),
+                       b=element_at(p, alpha, b_val, rng.derive(f"b{i}")))
+            for i in range(3)]
+    oracle = [oracle_sample(p, secret, rng.derive(f"o{i}")) for i in range(6)]
+    assert all(evaluate(s.a, alpha) == 0 for s in zero)
+    # leading samples with a(alpha) = 0 keep all of F_q or none; one after
+    # the first informative sample keeps the survivors or empties them
+    samples = zero[:2] + oracle[:3] + zero[2:] + oracle[3:]
+    expect = assert_matches_reference(alg, samples, p, alpha, t)
+    assert expect[0][0].surviving_secrets == (q if b_inside else 0)
+
+
+@pytest.mark.parametrize("alg", [1, 2])
+def test_empty_sample_list(alg):
+    p, alpha, t = EDGE_CASES[alg]
+    assert decide(alg, [], p, alpha, t) == []
+    assert decide(alg, [], p, alpha, t, return_survivors=True) == ([], [])
+
+
+# f(1) = 14 + 1 + 1 = 16 = 0 mod 16, for a ring with an even, composite q
+F_MOD_16 = tuple([14, 1] + [0] * 14 + [1])
+
+
+@pytest.mark.parametrize("f, q, sigma", [
+    (CRAFTED_F, 257, 40.0),         # thresh 480: every residue accepted
+    (CRAFTED_F, 257, 128.5 / 12),   # floor(thresh) = 128: 2 * 128 + 1 = q exactly
+    (CRAFTED_F, 257, 127.5 / 12),   # floor(thresh) = 127: one residue pair short
+    (F_MOD_16, 16, 1.0),            # floor(thresh) = 12 > q / 2 with q even
+])
+def test_alg1_saturated_threshold_matches_reference(f, q, sigma, rng):
+    p = PlweParams(ring=RingParams(f=f, q=q), sigma=sigma)
+    secret = ring_uniform(p.ring, rng.derive("secret"))
+    samples = [oracle_sample(p, secret, rng.derive(f"o{i}")) for i in range(4)]
+    samples += [uniform_sample_pair(p, rng.derive(f"u{i}")) for i in range(4)]
+    assert_matches_reference(1, samples, p, 1, 3.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_alg1_composite_modulus_matches_reference(seed):
+    # q = 45: a(1) may share a factor 3, 5, 9 or 15 with q, so s * a(1) = b(1) - e
+    # has several solutions for some e and none for others
+    f = [44] + [0] * 7 + [1]  # f(1) = 45
+    p = PlweParams(ring=RingParams(f=tuple(f), q=45), sigma=0.5)
+    rng = SeededRng(bytes([seed]) * 32)
+    samples = [PlweSample(a=element_at(p, 1, 15 * (i % 3), rng.derive(f"a{i}")),
+                          b=ring_uniform(p.ring, rng.derive(f"b{i}")))
+               for i in range(3)]
+    samples += [uniform_sample_pair(p, rng.derive(f"u{i}")) for i in range(3)]
+    assert_matches_reference(1, samples, p, 1, 3.0)
+
+
+# ---------------------------------------------------------------------------
+# memory and the batched evaluation at q near 2^24
+
+
+BIG_Q = 16777213  # 2^24 - 3, prime
+
+
+def big_q_samples(alpha, lead_with_zero):
+    """20 oracle samples of x^16 + x + c with f(alpha) = 0 mod BIG_Q, after
+    one sample with a(alpha) = 0 and b(alpha) = 0 if asked."""
+    f = [0, 1] + [0] * 14 + [1]
+    f[0] = -poly_eval_z(f, alpha) % BIG_Q
+    p = PlweParams(ring=RingParams(f=tuple(f), q=Modulus(BIG_Q)), sigma=1.5)
+    rng = SeededRng(bytes(32)).derive(f"big-q/{alpha}")
+    secret = ring_uniform(p.ring, rng.derive("secret"))
+    samples = [oracle_sample(p, secret, rng.derive(f"o{i}")) for i in range(20)]
+    if lead_with_zero:
+        samples.insert(0, PlweSample(a=element_at(p, alpha, 0, rng.derive("a")),
+                                     b=element_at(p, alpha, 0, rng.derive("b"))))
+    return p, samples
+
+
+@pytest.mark.parametrize("lead_with_zero", [False, True])
+@pytest.mark.parametrize("alg, alpha", [(1, 1), (2, BIG_Q - 1)])
+def test_distinguishers_allocate_nothing_of_length_q(alg, alpha, lead_with_zero):
+    p, samples = big_q_samples(alpha, lead_with_zero)
+    tracemalloc.start()
+    try:
+        verdicts = decide(alg, samples, p, alpha, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20  # an int64 array of q entries is 128 MiB
+    assert len(verdicts) == len(samples)
+    if lead_with_zero:
+        assert verdicts[0].surviving_secrets == BIG_Q
+
+
+@pytest.mark.parametrize("q, n", [
+    (BIG_Q, (1 << 14) + 1),  # n * (q - 1)^2 just past 2^62: two column blocks
+    ((1 << 31) - 1, 64),     # (q - 1)^2 just below 2^62: one column per block
+])
+def test_evaluate_many_matches_evaluate_past_int64_safe(q, n):
+    ring = RingParams(f=tuple([1] + [0] * (n - 1) + [1]), q=Modulus(q))
+    assert not ring.int64_safe
+    rng = SeededRng(bytes(32)).derive(f"eval/{q}")
+    elements = [RingElement([q - 1] * n, ring), ring_uniform(ring, rng)]
+    for alpha in (1, 2, q - 1, 1 + int(rng.uniform_array(q - 1, 1)[0])):
+        assert evaluate_many(elements, alpha, ring).tolist() == [
+            evaluate(e, alpha) for e in elements]
+    assert evaluate_many([], 2, ring).tolist() == []
+
+
+def test_evaluate_many_refuses_q_past_2_to_31():
+    ring = RingParams(f=(1, 0, 1), q=Modulus((1 << 61) - 1))
+    with pytest.raises(PreconditionFailed):
+        evaluate_many([ring_uniform(ring, SeededRng(bytes(32)))], 2, ring)
