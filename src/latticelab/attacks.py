@@ -83,13 +83,13 @@ def weakness_scan(f: list[int], q: Modulus, r_max: int = 8) -> WeaknessReport:
         "Galois / monogenic / orthogonal-transformation conditions not decided "
         "(no general algorithm; reported conditions are total splitting, "
         "f(1)=0 mod q, and root orders).",
-        f"q = {int(q)}, n = {n}; 'q suitably large' has no quantitative form.",
+        f"q = {q}, n = {n}; 'q suitably large' has no quantitative form.",
     )
     return WeaknessReport(
         f=tuple(f),
-        q=int(q),
+        q=q,
         totally_split=len(roots) == n,
-        root_one=(poly_eval_z(f, 1) % int(q) == 0),
+        root_one=(poly_eval_z(f, 1) % q == 0),
         roots=with_orders,
         small_order_roots=small,
         family_xn_xpx_r=_family_membership(f),
@@ -122,9 +122,9 @@ def _run_survivor_loop(samples, p: PlweParams, alpha: int, accepted: np.ndarray,
     the cost follows |A| and the sample count, not q.  The evaluations at
     alpha are one `evaluate_many` over every a and b.
     """
-    q = int(p.ring.q)
+    q = p.ring.q
     k = len(samples)
-    evals = evaluate_many([s.a for s in samples] + [s.b for s in samples], alpha, p.ring)
+    evals = evaluate_many([s.a.vec for s in samples] + [s.b.vec for s in samples], alpha, p.ring)
     survivors = None
     verdicts = []
     history = []
@@ -174,8 +174,8 @@ def smallness_region(p: PlweParams, alpha: int, t: float) -> tuple[set[int], int
     Returns (region, r, B).  Refused when the predicted size exceeds
     MAX_REGION.
     """
-    q = int(p.ring.q)
-    r = mult_order(alpha, p.ring.q)
+    q = p.ring.q
+    r = mult_order(alpha, q)
     m_blocks = (p.n - 1) // r
     bound = math.floor(t * math.sqrt(m_blocks + 1) * p.sigma)
     if (2 * bound + 1) ** r > MAX_REGION:
@@ -202,7 +202,7 @@ def decide_alg2(
     q = check_scan_q(p.ring.q)
     if poly_eval_z(list(p.ring.f), alpha) % q != 0:
         raise PreconditionFailed(f"{alpha} is not a root of f mod q")
-    r = mult_order(alpha, p.ring.q)
+    r = mult_order(alpha, q)
     if r > r_max:
         raise OrderTooLarge(f"root order {r} exceeds r_max = {r_max}")
     region, _, _ = smallness_region(p, alpha, t)
@@ -216,21 +216,22 @@ def decide_alg2(
 
 
 def smearing_estimate(p: PlweParams, alpha: int, trials: int, rng: SeededRng) -> float:
-    """Monte-Carlo estimate of |pi_alpha(S)| / q over `trials` error draws."""
-    q = int(p.ring.q)
+    """Monte-Carlo estimate of |pi_alpha(S)| / q over `trials` error draws.
+
+    The draws are evaluated by `evaluate_many`, exactly for q up to about
+    2^31; a larger q is refused (PreconditionFailed)."""
+    q = p.ring.q
     if poly_eval_z(list(p.ring.f), alpha) % q != 0:
         raise PreconditionFailed(f"{alpha} is not a root of f mod q")
     if trials <= 0:
         return 0.0
-    powers = np.array([pow(alpha, i, q) for i in range(p.n)], dtype=np.int64)
     hit: set[int] = set()
     chunk = 10_000
     done = 0
     gp = GaussianParams(sigma=p.sigma)
     while done < trials:
         k = min(chunk, trials - done)
-        errs = fold_to_zq_array(gp, p.ring.q, rng, k * p.n).reshape(k, p.n)
-        vals = (errs * powers).sum(axis=1) % q
-        hit.update(int(v) for v in np.unique(vals))
+        errs = fold_to_zq_array(gp, q, rng, k * p.n).reshape(k, p.n)
+        hit.update(np.unique(evaluate_many(errs, alpha, p.ring)).tolist())
         done += k
     return len(hit) / q

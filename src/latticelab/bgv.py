@@ -123,7 +123,7 @@ class BgvParams:
         return self._rings[self.levels - level]
 
     def modulus_at_level(self, level: int) -> int:
-        return int(self.ring_at_level(level).q)
+        return self.ring_at_level(level).q
 
 
 @dataclass(frozen=True)
@@ -142,19 +142,19 @@ class BgvCiphertext:
         return params.levels - self.level
 
 
-def setup(m: int, p: int, r: int, levels: int, growth: float = 1.0, base: int = 128) -> BgvParams:
-    """Build a valid chain: q_0 = the first prime >= `base` coprime to p, then
-    q_{i+1} = the first prime >= max(q_i^2, 2 q_i) * growth with q_{i+1} = q_i (mod p^r)."""
+def setup(m: int, p: int, r: int, levels: int) -> BgvParams:
+    """Build a valid chain: q_0 = the first prime >= 128 coprime to p, then
+    q_{i+1} = the first prime >= max(q_i^2, 2 q_i) with q_{i+1} = q_i (mod p^r)."""
     _check_plaintext(m, p, r)
     if levels < 1:
         raise InvalidParams("need at least one level")
-    q = next_prime(base)
+    q = next_prime(128)
     while q % p == 0:
         q = next_prime(q + 1)
     pr = _pt_modulus(p, r, q)
     chain = [q]
     for _ in range(levels):
-        target = int(max(q * q, 2 * q) * growth)
+        target = max(q * q, 2 * q)
         q = target + (q - target) % pr
         while not is_prime(q):
             q += pr
@@ -206,7 +206,7 @@ def encrypt(pt: list[int], sk: BgvSecretKey, params: BgvParams, rng: SeededRng) 
 def decrypt(ct: BgvCiphertext, sk: BgvSecretKey, params: BgvParams) -> list[int]:
     """Evaluate sum parts[j] * s^j mod q_i by Horner, center, reduce mod p^r."""
     ring = params.ring_at_level(ct.level)
-    q = int(ring.q)
+    q = ring.q
     pr = params.pt_modulus
     s = _secret(sk, ring)
     if ct.noise_bound >= q / pr:
@@ -236,7 +236,7 @@ def switch_down(ct: BgvCiphertext, params: BgvParams) -> BgvCiphertext:
         raise LevelExceeded("already at the bottom modulus")
     q = params.modulus_at_level(ct.level)
     ring_next = params.ring_at_level(ct.level + 1)
-    q_next = int(ring_next.q)
+    q_next = ring_next.q
     pr = params.pt_modulus
     new_parts = []
     for part in ct.parts:

@@ -115,8 +115,7 @@ def cmd_keygen(args) -> int:
         Path(args.out_secret).write_text(fileio.dump_glyph_secret(sk, params))
         Path(args.out_public).write_text(fileio.dump_glyph_public(pk, params))
     else:  # bgv
-        params = bgv.setup(args.m, args.p, args.r, args.levels,
-                           growth=args.growth, base=args.base)
+        params = bgv.setup(args.m, args.p, args.r, args.levels)
         sk = bgv.keygen(params, rng.derive("bgv-keygen"))
         Path(args.out_params).write_text(fileio.dump_bgv_params(params))
         Path(args.out_secret).write_text(fileio.dump_bgv_secret(sk))
@@ -222,8 +221,6 @@ def cmd_attack(args) -> int:
     if args.alg == 1:
         verdicts = attacks.decide_alg1(samples, params, t=args.t)
     else:
-        if args.alpha is None:
-            raise LatticeLabError("--alpha is required for algorithm 2")
         verdicts = attacks.decide_alg2(samples, params, args.alpha, t=args.t,
                                        r_max=args.r_max)
     lines = [
@@ -358,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_POSITIVE, default=2, help="bgv: plaintext prime")
     p.add_argument("--r", type=_POSITIVE, default=1, help="bgv: plaintext exponent")
     p.add_argument("--levels", type=_POSITIVE, default=3)
-    p.add_argument("--growth", type=_finite_positive, default=1.0)
-    p.add_argument("--base", type=_POSITIVE, default=128)
     p.add_argument("--out-secret", default="secret.key")
     p.add_argument("--out-public", default="public.key")
     p.add_argument("--out-params", default="params.txt")
@@ -464,6 +459,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--params is required for scheme bgv")
     if args.verb == "encrypt" and args.scheme == "bgv" and not args.secret:
         parser.error("--secret is required for scheme bgv")
+    if args.verb == "attack" and args.alg == 2 and args.alpha is None:
+        parser.error("--alpha is required for --alg 2")
     if args.verb == "sample" and args.dist == "uniform" and not args.q:
         parser.error("--q is required for --dist uniform")
     if args.verb == "sample" and args.dist.startswith("plwe") and not args.params:

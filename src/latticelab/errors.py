@@ -6,7 +6,7 @@ class LatticeLabError(Exception):
 
 
 class ZeroInverse(LatticeLabError):
-    """Attempted to invert 0 in a prime field."""
+    """Attempted to invert an element that shares a factor with the modulus."""
 
 
 class ZeroElement(LatticeLabError):

@@ -310,7 +310,7 @@ def dump_glyph_signature(sig: glyph_mod.GlyphSignature, p: glyph_mod.GlyphParams
 def load_glyph_signature(text: str) -> tuple[glyph_mod.GlyphSignature, glyph_mod.GlyphParams]:
     p, d = _decode("glyph-signature", text)
     c = np.zeros(p.n, dtype=np.int64)
-    c[[i for i, _ in d["c"]]] = [s % int(p.q) for _, s in d["c"]]
+    c[[i for i, _ in d["c"]]] = [s % p.q for _, s in d["c"]]
     return glyph_mod.GlyphSignature(*_elements(p.ring, c, d["z1"], d["z2"])), p
 
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import InvalidParams
 from .rng import SeededRng
-from .zq import Modulus
 
 
 TAIL_CUT = 12
@@ -97,16 +96,16 @@ def sample_int_array(p: GaussianParams, rng: SeededRng, size: int) -> np.ndarray
     return idx + p.support[0]
 
 
-def fold_to_zq(p: GaussianParams, q: Modulus, rng: SeededRng) -> int:
+def fold_to_zq(p: GaussianParams, q: int, rng: SeededRng) -> int:
     """One folded draw: a size-1 batch of :func:`fold_to_zq_array`."""
     return int(fold_to_zq_array(p, q, rng, 1)[0])
 
 
-def fold_to_zq_array(p: GaussianParams, q: Modulus, rng: SeededRng, size: int) -> np.ndarray:
+def fold_to_zq_array(p: GaussianParams, q: int, rng: SeededRng, size: int) -> np.ndarray:
     """Discrete Gaussian folded to F_q: sample over Z, reduce mod q."""
-    return sample_int_array(p, rng, size) % int(q)
+    return sample_int_array(p, rng, size) % q
 
 
-def sample_error_vector(p: EllipticGaussianParams, q: Modulus, rng: SeededRng) -> list[int]:
+def sample_error_vector(p: EllipticGaussianParams, q: int, rng: SeededRng) -> list[int]:
     """Independent per-coordinate folded draws with parameter diag[i]."""
     return [fold_to_zq(GaussianParams(sigma=s), q, rng) for s in p.diag]

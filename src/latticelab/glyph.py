@@ -39,7 +39,7 @@ class GlyphParams:
     k: int = 16
 
     def __post_init__(self):
-        if int(self.q) % 4 != 1:
+        if self.q % 4 != 1:
             raise InvalidParams("q must be congruent to 1 mod 4")
         if not 0 < self.k <= self.b:
             raise InvalidParams("need 0 < k <= b")
@@ -56,7 +56,7 @@ class GlyphParams:
 
     @property
     def coeff_width(self) -> int:
-        return (int(self.q) - 1).bit_length() + 7 >> 3
+        return (self.q - 1).bit_length() + 7 >> 3
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class VerifyResult:
 def _bounded_uniform(p: GlyphParams, bound: int, rng: SeededRng) -> RingElement:
     """Element with coefficients uniform in {-bound, ..., bound}."""
     vals = rng.uniform_array(2 * bound + 1, p.n) - bound
-    return RingElement(vals % int(p.q), p.ring)
+    return RingElement(vals % p.ring.q, p.ring)
 
 
 def keygen(p: GlyphParams, rng: SeededRng) -> tuple[GlyphSecretKey, GlyphPublicKey]:
@@ -107,7 +107,7 @@ def encode_poly(w: RingElement, p: GlyphParams) -> bytes:
 
 def hash_to_sparse(data: bytes, p: GlyphParams) -> RingElement:
     """Digest-keyed polynomial with exactly k coefficients, each +-1."""
-    q = int(p.q)
+    q = p.ring.q
     placed: dict[int, int] = {}  # index -> residue of +-1
     limit = 65536 - 65536 % p.n  # unbiased index range
     counter = 0

@@ -26,13 +26,13 @@ class LweParams:
     m: int
 
     def __post_init__(self):
-        if not self.n * self.n <= int(self.q) <= 2 * self.n * self.n:
+        if not self.n * self.n <= self.q <= 2 * self.n * self.n:
             raise InvalidParams("q must lie in [n^2, 2n^2]")
 
     @property
     def sigma(self) -> float:
         """Error parameter alpha * q / (2 pi)."""
-        return self.alpha * int(self.q) / (2.0 * math.pi)
+        return self.alpha * self.q / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def keygen(p: LweParams, rng: SeededRng) -> tuple[LweSecretKey, LwePublicKey]:
 
     Params with alpha = 0 give the noiseless degenerate cipher (e = 0).
     """
-    q = int(p.q)
+    q = p.q
     s = rng.uniform_array(q, p.n)
     a = rng.uniform_array(q, p.m * p.n).reshape(p.m, p.n)
     if p.sigma > 0:
@@ -87,7 +87,7 @@ def encrypt_bit(pk: LwePublicKey, z: int, rng: SeededRng) -> LweCiphertext:
     if z not in (0, 1):
         raise InvalidParams("plaintext must be a bit")
     p = pk.params
-    q = int(p.q)
+    q = p.q
     raw = np.frombuffer(rng.take_bytes((p.m + 7) // 8), dtype=np.uint8)
     subset = np.unpackbits(raw)[: p.m] == 1
     u = pk.a[subset].sum(axis=0) % q
@@ -97,7 +97,7 @@ def encrypt_bit(pk: LwePublicKey, z: int, rng: SeededRng) -> LweCiphertext:
 
 def decrypt_bit(sk: LweSecretKey, ct: LweCiphertext, p: LweParams) -> int:
     """Nearest-of-{0, floor(q/2)} rounding on d = v - <u, s>, ties to 0."""
-    q = int(p.q)
+    q = p.q
     if len(ct.u) != len(sk.s):
         raise LengthMismatch("ciphertext/key dimension mismatch")
     d = reduce_centered((ct.v - int(ct.u @ sk.s)) % q, q)

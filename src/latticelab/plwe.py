@@ -120,7 +120,7 @@ def encrypt(
     if any(b not in (0, 1) for b in bits):
         raise InvalidParams("plaintext must be bits")
     a, b = pk
-    half_z = RingElement(np.array(bits, dtype=np.int64) * (int(p.ring.q) // 2), p.ring)
+    half_z = RingElement(np.array(bits, dtype=np.int64) * (p.ring.q // 2), p.ring)
     r = sample_error(p, rng)
     e1 = sample_error(p, rng)
     e2 = sample_error(p, rng)
@@ -131,7 +131,7 @@ def encrypt(
 
 def decrypt(s: RingElement, ct: PlweCiphertext) -> list[int]:
     """Round each coefficient of v - u*s to the nearest of {0, floor(q/2)}."""
-    q = int(s.params.q)
+    q = s.params.q
     r = ring_sub(ct.v, ring_mul(ct.u, s)).vec
     # for odd q the centered c of r has -q < 4c <= q exactly when
     # r <= q//4 or r >= q - q//4

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError, InvalidParams, ParamMismatch, PreconditionFailed, ZeroElement
-from .zq import Modulus, inv_mod, is_prime
+from .zq import inv_mod, is_prime
 
 # ---------------------------------------------------------------------------
 # Integer polynomials (lists of ints, lowest degree first)
@@ -131,15 +131,13 @@ def format_poly(coeffs) -> str:
 # Polynomials over F_q
 
 
-def poly_mod_q(c, q: Modulus | int) -> list[int]:
-    q = int(q)
+def poly_mod_q(c, q: int) -> list[int]:
     return poly_trim([int(x) % q for x in c])
 
 
-def poly_divmod_mod(a: list[int], b: list[int], q: Modulus | int) -> tuple[list[int], list[int]]:
+def poly_divmod_mod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
     """Division with remainder over F_q, reduced lazily: each step reduces only
     the coefficient it cancels and subtracts over b's nonzero lower terms."""
-    q = int(q)
     b = poly_mod_q(b, q)
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
@@ -157,9 +155,8 @@ def poly_divmod_mod(a: list[int], b: list[int], q: Modulus | int) -> tuple[list[
     return poly_trim(quo), poly_trim([x % q for x in r[:db]])
 
 
-def poly_gcd_mod(a: list[int], b: list[int], q: Modulus | int) -> list[int]:
+def poly_gcd_mod(a: list[int], b: list[int], q: int) -> list[int]:
     """Monic gcd of a and b over F_q."""
-    q = int(q)
     a, b = poly_mod_q(a, q), poly_mod_q(b, q)
     while b:
         _, r = poly_divmod_mod(a, b, q)
@@ -181,36 +178,35 @@ def poly_derivative(c) -> list[int]:
 MAX_SCAN_Q = 1 << 24
 
 
-def check_scan_q(q: Modulus | int) -> int:
-    """int(q), or PreconditionFailed if q exceeds MAX_SCAN_Q."""
-    qi = int(q)
-    if qi > MAX_SCAN_Q:
-        raise PreconditionFailed(f"q = {qi} is above the exhaustive-scan limit {MAX_SCAN_Q}")
-    return qi
+def check_scan_q(q: int) -> int:
+    """q, or PreconditionFailed if q exceeds MAX_SCAN_Q."""
+    if q > MAX_SCAN_Q:
+        raise PreconditionFailed(f"q = {q} is above the exhaustive-scan limit {MAX_SCAN_Q}")
+    return q
 
 
-def roots_mod_q(f: list[int], q: Modulus) -> list[int]:
+def roots_mod_q(f: list[int], q: int) -> list[int]:
     """All roots of f in F_q, by exhaustive scan (q at most MAX_SCAN_Q).
 
     Horner's rule runs over every x in F_q at once, in place.  A run of
     k zero coefficients costs one multiplication by x^(2^j) per set bit
     j of k instead of k multiplications by x.
     """
-    qi = check_scan_q(q)
+    check_scan_q(q)
     if poly_deg(f) < 1:
         raise InvalidParams("degree must be >= 1")
-    coeffs = poly_mod_q(f, qi) or [0]
-    squarings = [np.arange(qi, dtype=np.int64)]  # x^(2^j) mod q
-    acc = np.full(qi, coeffs[-1], dtype=np.int64)
+    coeffs = poly_mod_q(f, q) or [0]
+    squarings = [np.arange(q, dtype=np.int64)]  # x^(2^j) mod q
+    acc = np.full(q, coeffs[-1], dtype=np.int64)
     k = 0  # pending power of x
     for c in reversed(coeffs[:-1]):
         k += 1
         if c:
-            _mul_x_power(acc, k, squarings, qi)
+            _mul_x_power(acc, k, squarings, q)
             acc += c  # both below q, so one conditional subtraction reduces
-            np.subtract(acc, qi, out=acc, where=acc >= qi)
+            np.subtract(acc, q, out=acc, where=acc >= q)
             k = 0
-    _mul_x_power(acc, k, squarings, qi)
+    _mul_x_power(acc, k, squarings, q)
     return np.flatnonzero(acc == 0).tolist()
 
 
@@ -236,19 +232,18 @@ def _reduce_nonneg(a: np.ndarray, q: int) -> np.ndarray:
     return a
 
 
-def mult_order(alpha: int, q: Modulus) -> int:
-    """Least r >= 1 with alpha^r = 1 mod q."""
-    qi = int(q)
-    if alpha % qi == 0:
+def mult_order(alpha: int, q: int) -> int:
+    """Least r >= 1 with alpha^r = 1 mod a prime q."""
+    if alpha % q == 0:
         raise ZeroElement("0 has no multiplicative order")
-    order = qi - 1
-    for p in _factorize(qi - 1):
-        while order % p == 0 and pow(alpha, order // p, qi) == 1:
+    order = q - 1
+    for p in _factorize(q - 1):
+        while order % p == 0 and pow(alpha, order // p, q) == 1:
             order //= p
     return order
 
 
-def is_totally_split(f: list[int], q: Modulus) -> bool:
+def is_totally_split(f: list[int], q: int) -> bool:
     """True iff f mod q is squarefree and has deg(f) distinct roots in F_q:
     deg(f) distinct roots make f mod q squarefree, so no gcd is needed."""
     return len(roots_mod_q(f, q)) == poly_deg(f)
@@ -299,25 +294,30 @@ _FLOAT_EXACT = 1 << 53
 
 @dataclass(frozen=True)
 class RingParams:
-    """Monic f of degree n >= 1 and a modulus q >= 2.
+    """Monic f of degree n >= 1 and a modulus 2 <= q < 2^63.
 
-    q need not be prime: PLWE and GLYPH pass a `Modulus` (a verified
-    prime), but BGV passes its raw chain moduli, which may be composite.
-    Only the NTT needs a prime q, and `uses_ntt` checks it.  Field-only
-    helpers such as `inv_mod`'s Fermat inverse are wrong on a composite q
-    and must not be used on these rings.
+    q is converted to a plain `int` and range-checked here, the one place
+    in the package that converts it, so a ring built from a `Modulus`
+    equals the same ring built from its value.  q need not be prime: PLWE
+    and GLYPH pass a `Modulus` (a verified prime), but BGV passes its raw
+    chain moduli, which may be composite.  Only the NTT needs a prime q,
+    and `uses_ntt` checks it.
     """
 
     f: tuple[int, ...]
-    q: Modulus | int
+    q: int
 
     def __post_init__(self):
+        q = int(self.q)
+        if not 2 <= q < 1 << 63:
+            raise InvalidParams(f"q must lie in [2, 2^63), got {q}")
         f = poly_trim(list(self.f))
         if len(f) < 2:
             raise InvalidParams("f must have degree >= 1")
         if f[-1] != 1:
             raise InvalidParams("f must be monic")
         object.__setattr__(self, "f", tuple(f))
+        object.__setattr__(self, "q", q)
 
     @property
     def n(self) -> int:
@@ -330,8 +330,7 @@ class RingParams:
 
     @cached_property
     def int64_safe(self) -> bool:
-        q = int(self.q)
-        return self.n * (q - 1) * (q - 1) < (1 << 62)
+        return self.n * (self.q - 1) * (self.q - 1) < (1 << 62)
 
     @cached_property
     def uses_ntt(self) -> bool:
@@ -343,7 +342,7 @@ class RingParams:
         builds its rings from raw chain moduli, which may be composite, and
         mod a composite q there may be no primitive 2n-th root to build the
         transform from."""
-        n, q = self.n, int(self.q)
+        n, q = self.n, self.q
         return (self.negacyclic and self.int64_safe and n & (n - 1) == 0 and q % (2 * n) == 1
                 and max(_ntt_split(n)) * (q - 1) * (q - 1) < _FLOAT_EXACT and is_prime(q))
 
@@ -351,7 +350,7 @@ class RingParams:
     def mul_dtype(self) -> type:
         """float64 where a convolution of centered residues is exact in it
         (n * floor(q/2)^2 < 2^53), int64 otherwise."""
-        half = int(self.q) // 2
+        half = self.q // 2
         return np.float64 if self.n * half * half < _FLOAT_EXACT else np.int64
 
 
@@ -374,7 +373,7 @@ class RingElement:
             raise InvalidParams("coefficients must be residues in [0, q)") from e
         if vec.shape != (params.n,):
             raise InvalidParams("coefficient count must equal deg f")
-        if vec.min() < 0 or vec.max() >= int(params.q):
+        if vec.min() < 0 or vec.max() >= params.q:
             raise InvalidParams("coefficients must be residues in [0, q)")
         _init_element(self, vec, params)
 
@@ -394,7 +393,7 @@ class RingElement:
     def _transform(self) -> np.ndarray:
         """The NTT of the element (`_ntt_forward`), read-only, built on first use."""
         if self._ntt is None:
-            t = _ntt_forward(self.vec, _ntt_tables(self.params.n, int(self.params.q)))
+            t = _ntt_forward(self.vec, _ntt_tables(self.params.n, self.params.q))
             t.flags.writeable = False
             object.__setattr__(self, "_ntt", t)
         return self._ntt
@@ -417,10 +416,10 @@ class RingElement:
         return RingElement, (self.vec, self.params)
 
     def centered(self) -> list[int]:
-        return _centered(self.vec, int(self.params.q)).tolist()
+        return _centered(self.vec, self.params.q).tolist()
 
     def inf_norm(self) -> int:
-        return int(np.abs(_centered(self.vec, int(self.params.q))).max())
+        return int(np.abs(_centered(self.vec, self.params.q)).max())
 
 
 def _init_element(e: RingElement, vec: np.ndarray, params: RingParams) -> None:
@@ -444,7 +443,7 @@ def _reduce_signed(d: np.ndarray, q: int) -> np.ndarray:
 
 def ring_from_coeffs(coeffs, params: RingParams) -> RingElement:
     """Build an element from up to n integer coefficients (reduced mod q)."""
-    q = int(params.q)
+    q = params.q
     try:
         vec = np.asarray(coeffs, dtype=np.int64) % q
     except OverflowError:
@@ -476,14 +475,14 @@ def _check(a: RingElement, b: RingElement):
 
 def ring_add(a: RingElement, b: RingElement) -> RingElement:
     _check(a, b)
-    q = int(a.params.q)
+    q = a.params.q
     # a - (q - b) lies in (-q, q), so no int64 overflow for any q < 2^63
     return RingElement._of(_reduce_signed(a.vec - (q - b.vec), q), a.params)
 
 
 def ring_sub(a: RingElement, b: RingElement) -> RingElement:
     _check(a, b)
-    q = int(a.params.q)
+    q = a.params.q
     return RingElement._of(_reduce_signed(a.vec - b.vec, q), a.params)
 
 
@@ -502,8 +501,7 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     """
     _check(a, b)
     p = a.params
-    q = int(p.q)
-    n = p.n
+    q, n = p.q, p.n
     if not (p.negacyclic and p.int64_safe):
         full = poly_mul_z(list(a.coeffs), list(b.coeffs))
         return _padded(poly_divmod_mod(full, list(p.f), q)[1], p)
@@ -602,20 +600,20 @@ def _ntt_inverse(x: np.ndarray, t: _NttTables) -> np.ndarray:
 
 def evaluate(a: RingElement, alpha: int) -> int:
     """Horner evaluation of the coefficient representative at alpha mod q."""
-    q = int(a.params.q)
+    q = a.params.q
     acc = 0
     for c in reversed(a.coeffs):
         acc = (acc * alpha + c) % q
     return acc
 
 
-def evaluate_many(elements, alpha: int, params: RingParams) -> np.ndarray:
-    """`evaluate` of every element of `params`' ring at alpha, as int64
-    residues: one matmul of the stacked coefficients against the powers
-    alpha^i mod q.  Each row sum is exact within `int64_safe`; past it the
-    columns go in blocks whose sums are at most 2^62, each block reduced
-    mod q, which needs (q - 1)^2 <= 2^62."""
-    q, n = int(params.q), params.n
+def evaluate_many(mat, alpha: int, params: RingParams) -> np.ndarray:
+    """`evaluate` at alpha of each row of `mat`, k rows of n residues in
+    [0, q) (say the `vec`s of k elements of `params`' ring), as int64
+    residues: one matmul against the powers alpha^i mod q.  Each row sum is
+    exact within `int64_safe`; past it the columns go in blocks whose sums
+    are at most 2^62, each block reduced mod q, which needs (q - 1)^2 <= 2^62."""
+    q, n = params.q, params.n
     step = n if params.int64_safe else (1 << 62) // ((q - 1) * (q - 1))
     if step < 1:
         raise PreconditionFailed(f"q = {q} is too large for an int64 evaluation")
@@ -624,7 +622,7 @@ def evaluate_many(elements, alpha: int, params: RingParams) -> np.ndarray:
     for i in range(n):
         powers[i] = x
         x = x * alpha % q
-    mat = np.array([e.vec for e in elements], dtype=np.int64).reshape(-1, n)
+    mat = np.asarray(mat, dtype=np.int64).reshape(-1, n)
     out = np.zeros(len(mat), dtype=np.int64)
     for j in range(0, n, step):
         out = (out + mat[:, j:j + step] @ powers[j:j + step]) % q
@@ -632,4 +630,4 @@ def evaluate_many(elements, alpha: int, params: RingParams) -> np.ndarray:
 
 
 def ring_uniform(params: RingParams, rng) -> RingElement:
-    return RingElement._of(rng.uniform_array(int(params.q), params.n), params)
+    return RingElement._of(rng.uniform_array(params.q, params.n), params)

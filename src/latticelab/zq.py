@@ -1,14 +1,15 @@
-"""Exact arithmetic modulo a prime q.
+"""Exact arithmetic modulo q.
 
-Everything else in the package sits on top of these few functions.  The
-centered representative convention is fixed once and for all to
-(-q/2, q/2], so every "smallness" test in the attack and decryption code
-means the same thing.
+Everything else in the package sits on top of these few functions.
+`Modulus` is a checked prime `int`; `reduce_centered` and `inv_mod` work
+mod any q >= 2.  The centered representative convention is fixed once
+and for all to (-q/2, q/2], so every "smallness" test in the attack and
+decryption code means the same thing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 from .errors import InvalidParams, ZeroInverse
 
@@ -50,35 +51,29 @@ def next_prime(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """A verified odd prime modulus q < 2^63."""
+class Modulus(int):
+    """A verified odd prime q < 2^63, usable wherever its value is."""
 
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q < 3:
-            raise InvalidParams(f"q must be >= 3, got {self.q}")
-        if self.q >= 1 << 63:
+    def __new__(cls, q: int):
+        if q < 3:
+            raise InvalidParams(f"q must be >= 3, got {q}")
+        if q >= 1 << 63:
             raise InvalidParams("q must fit below 2^63")
-        if not is_prime(self.q):
-            raise InvalidParams(f"q = {self.q} is not prime")
-
-    def __int__(self) -> int:
-        return self.q
+        if not is_prime(q):
+            raise InvalidParams(f"q = {q} is not prime")
+        return super().__new__(cls, q)
 
 
-def reduce_centered(x: int, q: Modulus | int) -> int:
+def reduce_centered(x: int, q: int) -> int:
     """Unique representative of x mod q in (-q/2, q/2]."""
-    q = int(q)
     r = x % q
     return r if 2 * r <= q else r - q
 
 
-def inv_mod(x: int, q: Modulus | int) -> int:
-    """Multiplicative inverse in the prime field F_q."""
-    q = int(q)
-    if x % q == 0:
-        raise ZeroInverse("0 has no inverse mod q")
-    return pow(x, q - 2, q)
-
+def inv_mod(x: int, q: int) -> int:
+    """Multiplicative inverse of x mod q, for any modulus q >= 2."""
+    if math.gcd(x, q) != 1:
+        raise ZeroInverse(f"{x} has no inverse mod {q}")
+    return pow(x, -1, q)

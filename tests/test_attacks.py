@@ -16,6 +16,7 @@ from latticelab.attacks import (
     weakness_scan,
 )
 from latticelab.errors import OrderTooLarge, PreconditionFailed
+from latticelab.gaussian import GaussianParams, fold_to_zq_array
 from latticelab.plwe import PlweParams, PlweSample, oracle_sample, uniform_sample_pair
 from latticelab.polyring import (
     RingElement,
@@ -255,11 +256,31 @@ def test_smearing_saturates(rng):
     assert est > 0.95
 
 
+def _x8_minus_1(q: int) -> PlweParams:
+    """x^8 - 1 at sigma = 1; its roots mod q include 1 and q - 1."""
+    return PlweParams(RingParams((-1,) + (0,) * 7 + (1,), Modulus(q)), 1.0)
+
+
 def test_smearing_trivia(rng):
     p = crafted_params()
     assert smearing_estimate(p, 1, trials=0, rng=rng) == 0.0
     with pytest.raises(PreconditionFailed):
         smearing_estimate(p, 5, trials=10, rng=rng)
+    with pytest.raises(PreconditionFailed):  # past q ~ 2^31 an int64 sum can wrap
+        smearing_estimate(_x8_minus_1((1 << 61) - 1), 1, trials=50, rng=rng)
+
+
+def test_smearing_is_exact_at_q_2_to_31():
+    """At alpha = q - 1 half the powers are q - 1, and a negative error folds
+    to a residue near q, so single products come near 2^62 and a plain int64
+    row sum wraps; the hit count must match Python-int sums of the same draws."""
+    q, alpha, trials = (1 << 31) - 1, (1 << 31) - 2, 200
+    p = _x8_minus_1(q)
+    est = smearing_estimate(p, alpha, trials, SeededRng(bytes(32)).derive("smear"))
+    rows = fold_to_zq_array(GaussianParams(p.sigma), q, SeededRng(bytes(32)).derive("smear"),
+                            trials * p.n).reshape(trials, p.n).tolist()
+    hits = {sum(e * pow(alpha, i, q) for i, e in enumerate(row)) % q for row in rows}
+    assert est == len(hits) / q
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +535,7 @@ def test_evaluate_many_matches_evaluate_past_int64_safe(q, n):
     rng = SeededRng(bytes(32)).derive(f"eval/{q}")
     elements = [RingElement([q - 1] * n, ring), ring_uniform(ring, rng)]
     for alpha in (1, 2, q - 1, 1 + int(rng.uniform_array(q - 1, 1)[0])):
-        assert evaluate_many(elements, alpha, ring).tolist() == [
+        assert evaluate_many([e.vec for e in elements], alpha, ring).tolist() == [
             evaluate(e, alpha) for e in elements]
     assert evaluate_many([], 2, ring).tolist() == []
 
@@ -522,4 +543,4 @@ def test_evaluate_many_matches_evaluate_past_int64_safe(q, n):
 def test_evaluate_many_refuses_q_past_2_to_31():
     ring = RingParams(f=(1, 0, 1), q=Modulus((1 << 61) - 1))
     with pytest.raises(PreconditionFailed):
-        evaluate_many([ring_uniform(ring, SeededRng(bytes(32)))], 2, ring)
+        evaluate_many([ring_uniform(ring, SeededRng(bytes(32))).vec], 2, ring)

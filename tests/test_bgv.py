@@ -27,7 +27,7 @@ from latticelab.errors import (
 )
 from latticelab.polyring import cyclotomic_poly, ring_add, ring_from_coeffs, ring_mul
 from latticelab.rng import SeededRng
-from latticelab.zq import next_prime
+from latticelab.zq import is_prime, next_prime
 
 
 def std_params():
@@ -43,6 +43,18 @@ def test_setup_builds_valid_chain():
         lo, hi = params.chain[i], params.chain[i + 1]
         assert lo * lo <= hi and 2 * lo <= hi
         assert hi % 2 == 1  # coprime to p = 2
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 2), (17, 1)])
+def test_setup_takes_the_first_prime_at_each_step(p, r):
+    """q_{i+1} is the first prime = q_0 (mod p^r) at or above max(q_i^2, 2 q_i).
+    At (17, 1), q_2^2 is past 2^53, where a float product would round it."""
+    chain = setup(m=32, p=p, r=r, levels=3).chain
+    pr = p**r
+    for lo, hi in zip(chain, chain[1:]):
+        target = max(lo * lo, 2 * lo)
+        start = target + (chain[0] - target) % pr
+        assert hi == next(x for x in range(start, hi + 1, pr) if is_prime(x))
 
 
 def test_setup_minimal_and_overflow():

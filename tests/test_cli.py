@@ -166,14 +166,12 @@ def test_attack_pipeline(tmp_path):
 
 
 def test_attack_alg2_requires_alpha(tmp_path, capsys):
-    samples = tmp_path / "samples.txt"
-    prm = tmp_path / "prm.txt"
-    f = "255,1," + ",".join(["0"] * 14) + ",1"
-    prm.write_text("latticelab-plwe-v1\nn=16\nq=257\nf=" + f + "\nsigma=1.5\n")
-    run(["sample", "--dist", "plwe-uniform", "--params", str(prm),
-         "--count", "2", "--seed", SEED, "--out", str(samples)])
-    assert run(["attack", "--alg", "2", "--samples", str(samples)]) == 1
-    assert "alpha" in capsys.readouterr().err
+    """A usage error, refused before any file is read: the samples file is missing."""
+    with pytest.raises(SystemExit) as exc:
+        run(["attack", "--alg", "2", "--samples", str(tmp_path / "missing.txt")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "--alpha" in err
 
 
 @pytest.mark.parametrize("q", [next_prime(MAX_SCAN_Q + 1), 2**61 - 1])
@@ -210,6 +208,16 @@ def test_smear_command(tmp_path, capsys):
                 "--trials", "2000", "--seed", SEED]) == 0
     est = float(capsys.readouterr().out.strip().splitlines()[-1])
     assert 0.0 < est < 1.0
+
+
+def test_smear_refuses_q_past_2_to_31(tmp_path, capsys):
+    q = (1 << 61) - 1
+    prm = tmp_path / "prm.txt"
+    prm.write_text(f"latticelab-plwe-v1\nn=8\nq={q}\nf={q - 1},0,0,0,0,0,0,0,1\nsigma=1.0\n")
+    assert run(["smear", "--params", str(prm), "--alpha", "1",
+                "--trials", "50", "--seed", SEED]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 def test_sample_gaussian(capsys):
@@ -304,7 +312,7 @@ BAD_NUMBERS = [
     (["smear", "--params", "prm", "--alpha", "-1"], 2),
     (["sample", "--dist", "gaussian", "--sigma", "nan"], 2),
     (["keygen", "--scheme", "plwe", "--sigma", "-1"], 2),
-    (["keygen", "--scheme", "bgv", "--growth", "nan"], 2),
+    (["keygen", "--scheme", "bgv", "--growth", "1.0"], 2),  # no such option
     (["keygen", "--scheme", "plwe", "--sigma", "1e9"], 1),
     (["smear", "--params", "prm", "--alpha", "1", "--t", "3"], 2),
     (["smear", "--params", "prm", "--alph", "1"], 2),

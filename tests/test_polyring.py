@@ -164,6 +164,20 @@ def test_ring_params_validation():
         RingParams(f=(5,), q=Modulus(17))
     with pytest.raises(InvalidParams):
         RingParams(f=(1, 0, 2), q=Modulus(17))  # not monic
+    for q in (0, 1, 1 << 63, 1 << 64, -17):
+        with pytest.raises(InvalidParams):
+            RingParams(f=(1, 0, 1), q=q)
+
+
+def test_ring_params_store_q_as_a_plain_int():
+    f = (1, 0, 0, 0, 1)
+    plain, checked = RingParams(f, 17), RingParams(f, Modulus(17))
+    assert plain == checked and hash(plain) == hash(checked)
+    assert type(checked.q) is int
+    a = ring_from_coeffs([1, 2, 3], plain)
+    b = ring_from_coeffs([16, 16, 16, 16], checked)
+    assert ring_add(a, b).coeffs == (0, 1, 2, 16)
+    assert ring_mul(a, b) == ring_mul(ring_from_coeffs([1, 2, 3], checked), b)
 
 
 def test_x_times_x_is_minus_one():

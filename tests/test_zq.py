@@ -42,6 +42,15 @@ def test_modulus_validation():
         Modulus(2)
     with pytest.raises(InvalidParams):
         Modulus(1)
+    with pytest.raises(InvalidParams):
+        Modulus(1 << 64)
+
+
+def test_modulus_is_its_value():
+    q = Modulus(17)
+    assert isinstance(q, int) and q == 17 and hash(q) == hash(17)
+    assert str(q) == repr(q) == "17"
+    assert pow(3, q - 2, q) == 6 and type(q % 5) is int
 
 
 def test_reduce_centered_examples():
@@ -70,6 +79,13 @@ def test_inv_mod_examples():
         inv_mod(0, 7)
     with pytest.raises(ZeroInverse):
         inv_mod(14, 7)
+    # any modulus: a unit has its inverse, a non-unit none
+    assert inv_mod(2, 9) == 5
+    assert inv_mod(7, 10) == 3
+    with pytest.raises(ZeroInverse):
+        inv_mod(3, 9)
+    with pytest.raises(ZeroInverse):
+        inv_mod(4, 10)
 
 
 def test_inv_mod_involution():
