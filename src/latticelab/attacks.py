@@ -216,10 +216,8 @@ def decide_alg2(
 
 
 def smearing_estimate(p: PlweParams, alpha: int, trials: int, rng: SeededRng) -> float:
-    """Monte-Carlo estimate of |pi_alpha(S)| / q over `trials` error draws.
-
-    The draws are evaluated by `evaluate_many`, exactly for q up to about
-    2^31; a larger q is refused (PreconditionFailed)."""
+    """Monte-Carlo estimate of |pi_alpha(S)| / q over `trials` error draws,
+    evaluated exactly by `evaluate_many` for every q."""
     q = p.ring.q
     if poly_eval_z(list(p.ring.f), alpha) % q != 0:
         raise PreconditionFailed(f"{alpha} is not a root of f mod q")

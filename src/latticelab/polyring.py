@@ -179,10 +179,10 @@ MAX_SCAN_Q = 1 << 24
 
 
 def check_scan_q(q: int) -> int:
-    """q, or PreconditionFailed if q exceeds MAX_SCAN_Q."""
+    """q as a plain int for numpy, or PreconditionFailed if q exceeds MAX_SCAN_Q."""
     if q > MAX_SCAN_Q:
         raise PreconditionFailed(f"q = {q} is above the exhaustive-scan limit {MAX_SCAN_Q}")
-    return q
+    return int(q)
 
 
 def roots_mod_q(f: list[int], q: int) -> list[int]:
@@ -192,7 +192,7 @@ def roots_mod_q(f: list[int], q: int) -> list[int]:
     k zero coefficients costs one multiplication by x^(2^j) per set bit
     j of k instead of k multiplications by x.
     """
-    check_scan_q(q)
+    q = check_scan_q(q)
     if poly_deg(f) < 1:
         raise InvalidParams("degree must be >= 1")
     coeffs = poly_mod_q(f, q) or [0]
@@ -287,9 +287,22 @@ def _zip_pad(a: list[int], b: list[int]):
 # ---------------------------------------------------------------------------
 # The quotient ring R_q = F_q[x]/(f)
 
-# A float64 sum of integers stays exact while every partial sum is below
-# 2^53 in magnitude.
 _FLOAT_EXACT = 1 << 53
+
+
+def _exact_dtype(bound: int) -> type:
+    """The narrowest dtype in which a sum of integers is exact when no partial
+    sum exceeds `bound` in magnitude: float64 below 2^53 (`_FLOAT_EXACT`),
+    int64 below 2^63, Python ints (`object`) beyond."""
+    return np.float64 if bound < _FLOAT_EXACT else np.int64 if bound < 1 << 63 else object
+
+
+def _residues(sums: np.ndarray, q: int) -> np.ndarray:
+    """Exact integer sums as int64 residues mod q.  Python ints are reduced
+    before the cast, as they may not fit; float64 after it, which is faster."""
+    if sums.dtype == object:
+        sums = sums % q
+    return sums.astype(np.int64) % q
 
 
 @dataclass(frozen=True)
@@ -301,7 +314,7 @@ class RingParams:
     equals the same ring built from its value.  q need not be prime: PLWE
     and GLYPH pass a `Modulus` (a verified prime), but BGV passes its raw
     chain moduli, which may be composite.  Only the NTT needs a prime q,
-    and `uses_ntt` checks it.
+    and `uses_ntt` checks it; `ring_mul` is exact for every f and q.
     """
 
     f: tuple[int, ...]
@@ -348,10 +361,10 @@ class RingParams:
 
     @cached_property
     def mul_dtype(self) -> type:
-        """float64 where a convolution of centered residues is exact in it
-        (n * floor(q/2)^2 < 2^53), int64 otherwise."""
+        """`ring_mul`'s convolution dtype: its sums have at most n products of
+        centered residues, so `_exact_dtype(n * floor(q/2)^2)`."""
         half = self.q // 2
-        return np.float64 if self.n * half * half < _FLOAT_EXACT else np.int64
+        return _exact_dtype(self.n * half * half)
 
 
 class RingElement:
@@ -487,31 +500,28 @@ def ring_sub(a: RingElement, b: RingElement) -> RingElement:
 
 
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    """Product in R_q, by a kernel chosen from the ring alone.
+    """Product in R_q, by one of two exact kernels chosen from the ring alone.
 
     On a ring that `uses_ntt` (n a power of two, q = 1 mod 2n, so x^n + 1
     splits into linear factors mod q and R_q is F_q^n by evaluation at its
     roots), it is the pointwise product of the operands' cached
-    number-theoretic transforms, mapped back; on any other x^n + 1 (within
-    `int64_safe`) it is a full convolution of centered representatives in
-    `params.mul_dtype`, where every partial sum is an exact integer, folded
-    by x^n = -1.  The transform's float64 matmuls are exact for the same
-    reason (see `_ntt_tables`).  General f takes the exact Python-int
-    polynomial-division path.
-    """
+    number-theoretic transforms, mapped back, by float64 matmuls that are
+    exact (see `_ntt_tables`).  On every other ring it is the product over
+    Z, a full convolution of centered representatives in `params.mul_dtype`,
+    where every partial sum is exact, reduced mod f: folded by x^n = -1 on
+    x^n + 1, divided by f otherwise."""
     _check(a, b)
     p = a.params
     q, n = p.q, p.n
-    if not (p.negacyclic and p.int64_safe):
-        full = poly_mul_z(list(a.coeffs), list(b.coeffs))
-        return _padded(poly_divmod_mod(full, list(p.f), q)[1], p)
     if p.uses_ntt:
         prod = a._transform() * b._transform() % q
         return RingElement._of(_ntt_inverse(prod, _ntt_tables(n, q)), p)
     dtype = p.mul_dtype
     res = np.convolve(_centered(a.vec, q).astype(dtype), _centered(b.vec, q).astype(dtype))
+    if not p.negacyclic:
+        return _padded(poly_divmod_mod(res.tolist(), list(p.f), q)[1], p)
     res[: n - 1] -= res[n:]
-    return RingElement._of(res[:n].astype(np.int64) % q, p)
+    return RingElement._of(_residues(res[:n], q), p)
 
 
 # ---------------------------------------------------------------------------
@@ -610,23 +620,15 @@ def evaluate(a: RingElement, alpha: int) -> int:
 def evaluate_many(mat, alpha: int, params: RingParams) -> np.ndarray:
     """`evaluate` at alpha of each row of `mat`, k rows of n residues in
     [0, q) (say the `vec`s of k elements of `params`' ring), as int64
-    residues: one matmul against the powers alpha^i mod q.  Each row sum is
-    exact within `int64_safe`; past it the columns go in blocks whose sums
-    are at most 2^62, each block reduced mod q, which needs (q - 1)^2 <= 2^62."""
+    residues: one matmul against the powers alpha^i mod q, in the dtype
+    where its row sums, at most n * (q - 1)^2, are exact (`_exact_dtype`)."""
     q, n = params.q, params.n
-    step = n if params.int64_safe else (1 << 62) // ((q - 1) * (q - 1))
-    if step < 1:
-        raise PreconditionFailed(f"q = {q} is too large for an int64 evaluation")
-    powers = np.empty(n, dtype=np.int64)
-    x = 1
-    for i in range(n):
-        powers[i] = x
-        x = x * alpha % q
+    dtype = _exact_dtype(n * (q - 1) * (q - 1))
+    powers = [1] * n
+    for i in range(1, n):
+        powers[i] = powers[i - 1] * alpha % q
     mat = np.asarray(mat, dtype=np.int64).reshape(-1, n)
-    out = np.zeros(len(mat), dtype=np.int64)
-    for j in range(0, n, step):
-        out = (out + mat[:, j:j + step] @ powers[j:j + step]) % q
-    return out
+    return _residues(mat.astype(dtype) @ np.array(powers, dtype=dtype), q)
 
 
 def ring_uniform(params: RingParams, rng) -> RingElement:

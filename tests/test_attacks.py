@@ -261,13 +261,24 @@ def _x8_minus_1(q: int) -> PlweParams:
     return PlweParams(RingParams((-1,) + (0,) * 7 + (1,), Modulus(q)), 1.0)
 
 
+def smear_recount(p: PlweParams, alpha: int, trials: int, rng: SeededRng) -> float:
+    """`smearing_estimate` recounted with Python-int sums of the same draws."""
+    q = p.ring.q
+    rows = fold_to_zq_array(GaussianParams(p.sigma), q, rng, trials * p.n).reshape(
+        trials, p.n).tolist()
+    return len({sum(e * pow(alpha, i, q) for i, e in enumerate(row)) % q for row in rows}) / q
+
+
 def test_smearing_trivia(rng):
     p = crafted_params()
     assert smearing_estimate(p, 1, trials=0, rng=rng) == 0.0
     with pytest.raises(PreconditionFailed):
         smearing_estimate(p, 5, trials=10, rng=rng)
-    with pytest.raises(PreconditionFailed):  # past q ~ 2^31 an int64 sum can wrap
-        smearing_estimate(_x8_minus_1((1 << 61) - 1), 1, trials=50, rng=rng)
+    # past q ~ 2^31 an int64 sum can wrap, so these sums take Python ints
+    big = _x8_minus_1((1 << 61) - 1)
+    for alpha in (1, big.ring.q - 1):
+        assert smearing_estimate(big, alpha, 50, SeededRng(bytes(32))) == smear_recount(
+            big, alpha, 50, SeededRng(bytes(32)))
 
 
 def test_smearing_is_exact_at_q_2_to_31():
@@ -277,10 +288,7 @@ def test_smearing_is_exact_at_q_2_to_31():
     q, alpha, trials = (1 << 31) - 1, (1 << 31) - 2, 200
     p = _x8_minus_1(q)
     est = smearing_estimate(p, alpha, trials, SeededRng(bytes(32)).derive("smear"))
-    rows = fold_to_zq_array(GaussianParams(p.sigma), q, SeededRng(bytes(32)).derive("smear"),
-                            trials * p.n).reshape(trials, p.n).tolist()
-    hits = {sum(e * pow(alpha, i, q) for i, e in enumerate(row)) % q for row in rows}
-    assert est == len(hits) / q
+    assert est == smear_recount(p, alpha, trials, SeededRng(bytes(32)).derive("smear"))
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +534,10 @@ def test_distinguishers_allocate_nothing_of_length_q(alg, alpha, lead_with_zero)
 
 
 @pytest.mark.parametrize("q, n", [
-    (BIG_Q, (1 << 14) + 1),  # n * (q - 1)^2 just past 2^62: two column blocks
-    ((1 << 31) - 1, 64),     # (q - 1)^2 just below 2^62: one column per block
+    (BIG_Q, (1 << 14) + 1),  # n * (q - 1)^2 just past 2^62: int64 sums
+    ((1 << 31) - 1, 64),     # n * (q - 1)^2 past 2^63: Python-int sums
+    ((1 << 61) - 1, 3),
+    ((1 << 63) - 25, 3),     # the largest prime below 2^63
 ])
 def test_evaluate_many_matches_evaluate_past_int64_safe(q, n):
     ring = RingParams(f=tuple([1] + [0] * (n - 1) + [1]), q=Modulus(q))
@@ -538,9 +548,3 @@ def test_evaluate_many_matches_evaluate_past_int64_safe(q, n):
         assert evaluate_many([e.vec for e in elements], alpha, ring).tolist() == [
             evaluate(e, alpha) for e in elements]
     assert evaluate_many([], 2, ring).tolist() == []
-
-
-def test_evaluate_many_refuses_q_past_2_to_31():
-    ring = RingParams(f=(1, 0, 1), q=Modulus((1 << 61) - 1))
-    with pytest.raises(PreconditionFailed):
-        evaluate_many([ring_uniform(ring, SeededRng(bytes(32))).vec], 2, ring)

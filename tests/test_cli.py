@@ -7,6 +7,7 @@ import pytest
 
 from latticelab import fileio
 from latticelab.cli import main
+from latticelab.gaussian import GaussianParams, fold_to_zq_array
 from latticelab.plwe import PlweParams, PlweSample
 from latticelab.polyring import (
     MAX_SCAN_Q,
@@ -16,6 +17,7 @@ from latticelab.polyring import (
     ring_mul,
     ring_sub,
 )
+from latticelab.rng import SeededRng
 from latticelab.zq import Modulus, next_prime
 
 SEED = "5c" * 32
@@ -210,14 +212,18 @@ def test_smear_command(tmp_path, capsys):
     assert 0.0 < est < 1.0
 
 
-def test_smear_refuses_q_past_2_to_31(tmp_path, capsys):
+def test_smear_is_exact_past_2_to_31(tmp_path, capsys):
     q = (1 << 61) - 1
     prm = tmp_path / "prm.txt"
     prm.write_text(f"latticelab-plwe-v1\nn=8\nq={q}\nf={q - 1},0,0,0,0,0,0,0,1\nsigma=1.0\n")
-    assert run(["smear", "--params", str(prm), "--alpha", "1",
-                "--trials", "50", "--seed", SEED]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    # q - 1 is a root of x^8 - 1, and its powers make products near 2^122
+    assert run(["smear", "--params", str(prm), "--alpha", str(q - 1),
+                "--trials", "50", "--seed", SEED]) == 0
+    est = float(capsys.readouterr().out.strip().splitlines()[-1])
+    rows = fold_to_zq_array(GaussianParams(1.0), q, SeededRng.from_hex(SEED).derive("smear"),
+                            50 * 8).reshape(50, 8).tolist()
+    hits = {sum(e * pow(q - 1, i, q) for i, e in enumerate(row)) % q for row in rows}
+    assert est == len(hits) / q
 
 
 def test_sample_gaussian(capsys):

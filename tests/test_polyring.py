@@ -15,6 +15,7 @@ from latticelab.errors import (
 from latticelab.polyring import (
     RingElement,
     RingParams,
+    check_scan_q,
     cyclotomic_poly,
     euler_phi,
     evaluate,
@@ -98,6 +99,12 @@ def test_roots_mod_q():
     assert roots_mod_q([1, 0, 1], Modulus(5)) == [2, 3]
     assert roots_mod_q([1, 0, 1], Modulus(7)) == []
     assert roots_mod_q([1, 0, 0, 0, 1], Modulus(17)) == [2, 8, 9, 15]
+
+
+def test_check_scan_q_hands_numpy_a_plain_int():
+    # a Modulus, an int subclass, would take numpy's slower path for Python objects
+    assert type(check_scan_q(Modulus(257))) is int
+    assert check_scan_q(Modulus(257)) == 257
 
 
 def test_roots_satisfy_f_and_order_divides():
@@ -342,6 +349,27 @@ def test_float_exactness_edge_at_n_1024():
     assert edge.mul_dtype is np.int64 and edge.int64_safe
 
 
+# n * floor(q/2)^2 < 2^63 holds at n = 16 up to q = 2 * 759250124 + 1; the
+# next q takes Python ints.  Neither q is prime, as a BGV chain modulus may not be.
+INT64_TOP_Q = 1518500249
+
+
+def test_int64_exactness_edge_at_n_16():
+    h = INT64_TOP_Q // 2
+    assert 16 * h * h < 2**63 <= 16 * (h + 1) ** 2
+    top = INT64_TOP_Q + 1
+    for q, dtype in [(INT64_TOP_Q, np.int64), (top, object)]:
+        uniform = np.random.default_rng(q).integers(0, q, 16).tolist()
+        # x^n + 1 and the dense Phi_17; all q // 2, the largest centered
+        # magnitude, so the middle sum of the convolution is 16 * (q // 2)^2
+        for f in (negacyclic(16, 3).f, cyclotomic_poly(17)):
+            p = RingParams(f, q)
+            assert p.mul_dtype is dtype and not p.uses_ntt
+            for ac, bc in [([q // 2] * 16, [q // 2] * 16), ([q // 2] * 16, uniform)]:
+                got = ring_mul(RingElement(ac, p), RingElement(bc, p))
+                assert got.coeffs == division_oracle(ac, bc, p)
+
+
 ALL_BITS = 2**1024 - 1
 
 
@@ -392,7 +420,7 @@ def test_negacyclic_kernels_match_division_oracle(data):
     # small rings with sparse and dense operands (GLYPH's challenges have
     # k = 16 nonzeros); the NTT wherever 2n divides q - 1 (n = 8 at q = 17,
     # say), the float64 convolution, the int64 one (at q = 2^27 + 29 its
-    # sums pass 2^53 by far) and a q outside int64_safe (the Python-int path).
+    # sums pass 2^53 by far) and a q outside int64_safe (Python ints at 2^61 - 1).
     # q is a raw int, as BGV's chain gives it, so it may be composite: 97^2
     # and 257^2 are 1 mod 2n for some n here, but have no NTT
     n = data.draw(st.sampled_from([1, 2, 8, 64, 128]))
@@ -406,6 +434,44 @@ def test_negacyclic_kernels_match_division_oracle(data):
         cc = np.zeros(n, dtype=np.int64)
         support = rng.permutation(n)[: min(weight, n)]
         cc[support] = rng.integers(1, q, len(support))
+        operands.append(cc.tolist())
+    got = ring_mul(RingElement(operands[0], p), RingElement(operands[1], p))
+    assert got.coeffs == division_oracle(*operands, p)
+
+
+# For the degrees below (up to 64) these q reach each dtype of the
+# convolution: float64, int64 and Python ints.  2^62 + 1, 3^39 and 2^63 - 1
+# are composite, 2^63 - 25 is the largest prime below 2^63.
+GENERAL_QS = [3, 257, 97**2, 131101, 2**31 - 1, INT64_TOP_Q, INT64_TOP_Q + 1, 3**39,
+              2**61 - 1, 2**62 + 1, 2**63 - 25, 2**63 - 1]
+
+
+@pytest.mark.parametrize("q", GENERAL_QS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_general_f_products_match_division_oracle(q, data):
+    # monic f other than x^n + 1: Phi_m for odd m (dense for m = 105),
+    # attack-style sparse f and dense f; sparse and dense operands
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["cyclotomic", "sparse", "dense"]))
+    if kind == "cyclotomic":
+        f = cyclotomic_poly(data.draw(st.sampled_from([3, 9, 15, 21, 45, 63, 105])))
+    else:
+        n = data.draw(st.integers(1, 64))
+        f = [0] * n + [1]
+        low = rng.permutation(n)[: 2 if kind == "sparse" else n]
+        f[0] = int(rng.integers(0, q))
+        for i in low:
+            f[i] = int(rng.integers(0, q))
+    p = RingParams(f, q)
+    n = p.n
+    operands = []
+    for _ in range(2):
+        weight = data.draw(st.sampled_from([1, 3, n]))
+        cc = np.zeros(n, dtype=np.int64)
+        support = rng.permutation(n)[:weight]
+        extreme = data.draw(st.sampled_from([None, 1, q - 1, q // 2, (q + 1) // 2]))
+        cc[support] = rng.integers(0, q, len(support)) if extreme is None else extreme
         operands.append(cc.tolist())
     got = ring_mul(RingElement(operands[0], p), RingElement(operands[1], p))
     assert got.coeffs == division_oracle(*operands, p)
