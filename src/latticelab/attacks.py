@@ -1,10 +1,11 @@
 """Evaluation attacks on PLWE and the parameter-weakness scanner.
 
-Both distinguishers keep one survivor set of candidate secret
-evaluations across the whole sample sequence: a candidate must survive
-every sample seen so far, and each sample's verdict comes from its own
-pass over the current set.  A nonempty survivor set means "valid" even
-if the survivor is not the planted secret.
+One distinguisher, at a root alpha of f mod q (Algorithm 1 is alpha = 1),
+keeps one survivor set of candidate secret evaluations across the whole
+sample sequence: a candidate must leave an error in the smallness region
+for every sample seen so far, and each sample's verdict comes from its
+own pass over the current set.  A nonempty survivor set means "valid"
+even if the survivor is not the planted secret.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OrderTooLarge, PreconditionFailed
+from .errors import OrderTooLarge, ParamMismatch, PreconditionFailed
 from .gaussian import GaussianParams, fold_to_zq_array
 from .plwe import PlweParams, PlweSample
 from .polyring import (check_scan_q, evaluate_many, mult_order, poly_deg, poly_eval_z,
@@ -77,7 +78,7 @@ def weakness_scan(f: list[int], q: Modulus, r_max: int = 8) -> WeaknessReport:
     if n < 2:
         raise PreconditionFailed("f must have degree >= 2")
     roots = roots_mod_q(f, q)
-    with_orders = tuple((a, mult_order(a, q)) for a in roots if a != 0)
+    with_orders = tuple((a, mult_order(a, q)) for a in roots if math.gcd(a, q) == 1)
     small = tuple((a, r) for a, r in with_orders if r <= r_max)
     notes = (
         "Galois / monogenic / orthogonal-transformation conditions not decided "
@@ -110,19 +111,25 @@ def _solutions(a_val: int, b_val: int, accepted: np.ndarray, q: int) -> np.ndarr
 
 
 def _run_survivor_loop(samples, p: PlweParams, alpha: int, accepted: np.ndarray,
-                       accepts, return_survivors: bool):
+                       return_survivors: bool):
     """Keep the candidates s in F_q with (b(alpha) - s*a(alpha)) mod q in the
     accepted-error set A, one sample at a time.
 
-    `accepted` lists A's residues once each and `accepts(v)` tests residues
-    for membership in A.  While every sample so far has a(alpha) = 0 the
-    survivors are all of F_q or none, and all of F_q is kept implicitly as
-    None.  The first sample with a(alpha) != 0 leaves the |A| candidates
-    (b(alpha) - e) / a(alpha), e in A, and later samples filter those, so
-    the cost follows |A| and the sample count, not q.  The evaluations at
-    alpha are one `evaluate_many` over every a and b.
+    `accepted` lists A's residues once each in ascending order, and one
+    `searchsorted` test decides membership.  While every sample so far has
+    a(alpha) = 0 the survivors are all of F_q or none, and all of F_q is
+    kept implicitly as None.  The first sample with a(alpha) != 0 leaves
+    the |A| candidates (b(alpha) - e) / a(alpha), e in A, and later samples
+    filter those, so the cost follows |A| and the sample count, not q.  The
+    evaluations at alpha are one `evaluate_many` over every a and b.
     """
     q = p.ring.q
+    # q, above every residue, keeps each searchsorted index inside the table.
+    table = np.append(accepted, q)
+
+    def accepts(v):
+        return table[table.searchsorted(v)] == v
+
     k = len(samples)
     evals = evaluate_many([s.a.vec for s in samples] + [s.b.vec for s in samples], alpha, p.ring)
     survivors = None
@@ -152,42 +159,55 @@ def decide_alg1(
 
     A candidate s survives a sample iff |centered(b(1) - s*a(1))| is
     within t * sqrt(n) * sigma (the error evaluation at 1 is a Gaussian
-    of parameter sqrt(n) * sigma).  With return_survivors the per-sample
-    survivor sets are returned alongside the verdicts.
+    of parameter sqrt(n) * sigma).  It is `decide_alg2` at alpha = 1: the
+    root has order 1 and its smallness region is that threshold range.
+    With return_survivors the per-sample survivor sets are returned
+    alongside the verdicts.
     """
-    q = check_scan_q(p.ring.q)
-    if poly_eval_z(list(p.ring.f), 1) % q != 0:
-        raise PreconditionFailed("1 is not a root of f mod q")
-    # |centered(e)| <= thresh iff min(e, q - e) <= floor(thresh); the range
-    # below lists each such residue once, all q of them once it saturates.
-    bound = math.floor(t * math.sqrt(p.n) * p.sigma)
-    accepted = np.arange(-min(bound, (q - 1) // 2), min(bound, q // 2) + 1, dtype=np.int64) % q
-    verdicts, history = _run_survivor_loop(
-        samples, p, 1, accepted, lambda v: np.minimum(v, q - v) <= bound, return_survivors)
-    return (verdicts, history) if return_survivors else verdicts
+    return _decide(samples, p, 1, t, 1, return_survivors)
 
 
 def smallness_region(p: PlweParams, alpha: int, t: float) -> tuple[set[int], int, int]:
-    """The set of F_q values reachable as sum c_i alpha^i with per-block
-    bound |c_i| <= floor(t * sqrt(M+1) * sigma), where n-1 = r*M + l.
+    """The set of F_q values reachable as sum c_i alpha^i, i < r = order of
+    alpha, with |c_i| <= B = floor(t * sqrt(M+1) * sigma), n-1 = r*M + l.
 
-    Returns (region, r, B).  Refused when the predicted size exceeds
-    MAX_REGION.
+    Returns (region, r, B).  Offsets are capped at the centred residues,
+    which leaves the set unchanged and saturates it at all of F_q once
+    2B+1 >= q.  At r = 1 (Algorithm 1's threshold range when alpha = 1)
+    the region has at most q residues and no budget applies; for r > 1 it
+    is refused when (2B+1)^r exceeds MAX_REGION.
     """
     q = p.ring.q
     r = mult_order(alpha, q)
     m_blocks = (p.n - 1) // r
     bound = math.floor(t * math.sqrt(m_blocks + 1) * p.sigma)
-    if (2 * bound + 1) ** r > MAX_REGION:
+    if r > 1 and (2 * bound + 1) ** r > MAX_REGION:
         raise OrderTooLarge(
             f"region size (2*{bound}+1)^{r} exceeds budget {MAX_REGION}"
         )
-    offsets = np.arange(-bound, bound + 1, dtype=np.int64)
+    offsets = np.arange(-min(bound, (q - 1) // 2), min(bound, q // 2) + 1, dtype=np.int64)
     values = np.zeros(1, dtype=np.int64)
     for i in range(r):
         block = offsets * pow(alpha, i, q)
         values = np.unique((values[:, None] + block[None, :]) % q)
     return set(values.tolist()), r, bound
+
+
+def _decide(samples: list[PlweSample], p: PlweParams, alpha: int, t: float, r_max: int,
+            return_survivors: bool):
+    """The distinguisher at the root alpha, with `smallness_region` as A."""
+    q = check_scan_q(p.ring.q)
+    if any(x.params is not p.ring and x.params != p.ring for s in samples for x in (s.a, s.b)):
+        raise ParamMismatch("samples live in a different ring from the params")
+    if poly_eval_z(list(p.ring.f), alpha) % q != 0:
+        raise PreconditionFailed(f"{alpha} is not a root of f mod q")
+    r = mult_order(alpha, q)
+    if r > r_max:
+        raise OrderTooLarge(f"root order {r} exceeds r_max = {r_max}")
+    region, _, _ = smallness_region(p, alpha, t)
+    accepted = np.sort(np.fromiter(region, dtype=np.int64, count=len(region)))
+    verdicts, history = _run_survivor_loop(samples, p, alpha, accepted, return_survivors)
+    return (verdicts, history) if return_survivors else verdicts
 
 
 def decide_alg2(
@@ -198,21 +218,10 @@ def decide_alg2(
     r_max: int = 8,
     return_survivors: bool = False,
 ):
-    """Small-order-root distinguisher; degenerates to decide_alg1 at alpha=1."""
-    q = check_scan_q(p.ring.q)
-    if poly_eval_z(list(p.ring.f), alpha) % q != 0:
-        raise PreconditionFailed(f"{alpha} is not a root of f mod q")
-    r = mult_order(alpha, q)
-    if r > r_max:
-        raise OrderTooLarge(f"root order {r} exceeds r_max = {r_max}")
-    region, _, _ = smallness_region(p, alpha, t)
-    accepted = np.sort(np.fromiter(region, dtype=np.int64, count=len(region)))
-    # q, above every residue, keeps each searchsorted index inside the table.
-    table = np.append(accepted, q)
-    verdicts, history = _run_survivor_loop(
-        samples, p, alpha, accepted, lambda v: table[np.searchsorted(table, v)] == v,
-        return_survivors)
-    return (verdicts, history) if return_survivors else verdicts
+    """Small-order-root distinguisher; requires f(alpha) = 0 mod q and an
+    order of alpha at most r_max.  The accepted errors are
+    `smallness_region(p, alpha, t)`; at alpha = 1 this is `decide_alg1`."""
+    return _decide(samples, p, alpha, t, r_max, return_survivors)
 
 
 def smearing_estimate(p: PlweParams, alpha: int, trials: int, rng: SeededRng) -> float:

@@ -461,6 +461,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--secret is required for scheme bgv")
     if args.verb == "attack" and args.alg == 2 and args.alpha is None:
         parser.error("--alpha is required for --alg 2")
+    if args.verb == "attack" and args.alg == 1 and args.alpha is not None:
+        parser.error("--alpha is only for --alg 2")
     if args.verb == "sample" and args.dist == "uniform" and not args.q:
         parser.error("--q is required for --dist uniform")
     if args.verb == "sample" and args.dist.startswith("plwe") and not args.params:

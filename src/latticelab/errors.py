@@ -10,7 +10,7 @@ class ZeroInverse(LatticeLabError):
 
 
 class ZeroElement(LatticeLabError):
-    """Operation requires a non-zero field element."""
+    """Operation requires a non-zero field element, or a unit mod q."""
 
 
 class InvalidParams(LatticeLabError):

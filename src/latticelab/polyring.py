@@ -233,11 +233,15 @@ def _reduce_nonneg(a: np.ndarray, q: int) -> np.ndarray:
 
 
 def mult_order(alpha: int, q: int) -> int:
-    """Least r >= 1 with alpha^r = 1 mod a prime q."""
-    if alpha % q == 0:
-        raise ZeroElement("0 has no multiplicative order")
-    order = q - 1
-    for p in _factorize(q - 1):
+    """Least r >= 1 with alpha^r = 1 mod q, for a unit alpha mod q.
+
+    The order divides q - 1 whenever alpha^(q-1) = 1, as it always is for
+    a prime q, and phi(q) otherwise; the search descends from that bound.
+    """
+    if math.gcd(alpha, q) != 1:
+        raise ZeroElement(f"{alpha} is not a unit mod {q}, so it has no multiplicative order")
+    order = q - 1 if pow(alpha, q - 1, q) == 1 else euler_phi(q)
+    for p in _factorize(order):
         while order % p == 0 and pow(alpha, order // p, q) == 1:
             order //= p
     return order

@@ -15,7 +15,7 @@ from latticelab.attacks import (
     smearing_estimate,
     weakness_scan,
 )
-from latticelab.errors import OrderTooLarge, PreconditionFailed
+from latticelab.errors import OrderTooLarge, ParamMismatch, PreconditionFailed
 from latticelab.gaussian import GaussianParams, fold_to_zq_array
 from latticelab.plwe import PlweParams, PlweSample, oracle_sample, uniform_sample_pair
 from latticelab.polyring import (
@@ -80,6 +80,12 @@ def test_scan_family_membership():
 def test_scan_degree_check():
     with pytest.raises(PreconditionFailed):
         weakness_scan([1, 1], Modulus(17))
+
+
+def test_scan_orders_only_the_unit_roots():
+    # mod 16 the roots 2, 6, 10, 14 of x^2 - 4 are not units and have no order
+    rep = weakness_scan([-4, 0, 1], 16)
+    assert rep.roots == () and rep.small_order_roots == ()
 
 
 def test_report_renders():
@@ -309,13 +315,17 @@ def reference_survivor_loop(samples, p, alpha, accept):
     return verdicts, history
 
 
+def brute_force_order(alpha, q):
+    return next(r for r in range(1, q) if pow(alpha, r, q) == 1)
+
+
 def reference_region(p, alpha, t):
     """Every sum c_i alpha^i over the (2B+1)^r coefficient tuples, or None
-    when that count exceeds MAX_REGION."""
+    when r > 1 and that count exceeds MAX_REGION."""
     q = int(p.ring.q)
-    r = mult_order(alpha, p.ring.q)
+    r = brute_force_order(alpha, q)
     bound = math.floor(t * math.sqrt((p.n - 1) // r + 1) * p.sigma)
-    if (2 * bound + 1) ** r > MAX_REGION:
+    if r > 1 and (2 * bound + 1) ** r > MAX_REGION:
         return None
     powers = [pow(alpha, i, q) for i in range(r)]
     return {sum(c * w for c, w in zip(cs, powers)) % q
@@ -465,6 +475,8 @@ def test_empty_sample_list(alg):
 
 # f(1) = 14 + 1 + 1 = 16 = 0 mod 16, for a ring with an even, composite q
 F_MOD_16 = tuple([14, 1] + [0] * 14 + [1])
+# f(1) = 255 + 1 + 1 = 257 = 0 mod 257 at degree 256
+F_DEG_256 = tuple([255, 1] + [0] * 254 + [1])
 
 
 @pytest.mark.parametrize("f, q, sigma", [
@@ -472,13 +484,58 @@ F_MOD_16 = tuple([14, 1] + [0] * 14 + [1])
     (CRAFTED_F, 257, 128.5 / 12),   # floor(thresh) = 128: 2 * 128 + 1 = q exactly
     (CRAFTED_F, 257, 127.5 / 12),   # floor(thresh) = 127: one residue pair short
     (F_MOD_16, 16, 1.0),            # floor(thresh) = 12 > q / 2 with q even
+    (F_DEG_256, 257, 12000.0),      # thresh 576000: 2 * 576000 + 1 > MAX_REGION
 ])
 def test_alg1_saturated_threshold_matches_reference(f, q, sigma, rng):
     p = PlweParams(ring=RingParams(f=f, q=q), sigma=sigma)
     secret = ring_uniform(p.ring, rng.derive("secret"))
     samples = [oracle_sample(p, secret, rng.derive(f"o{i}")) for i in range(4)]
     samples += [uniform_sample_pair(p, rng.derive(f"u{i}")) for i in range(4)]
-    assert_matches_reference(1, samples, p, 1, 3.0)
+    expect = assert_matches_reference(1, samples, p, 1, 3.0)
+    # Algorithm 2 at alpha = 1 accepts the same range, with no region budget at r = 1
+    assert decide(2, samples, p, 1, 3.0, return_survivors=True) == expect
+    accept = reference_accept(1, p, 1, 3.0)
+    region, r, bound = smallness_region(p, 1, 3.0)
+    assert r == 1 and region == {e for e in range(q) if accept(e)}
+    if 2 * bound + 1 > MAX_REGION:
+        assert region == set(range(q))
+
+
+def test_alpha_one_region_caps_offsets_at_the_centred_residues():
+    # at t = 1e15 the offsets -B..B would need over 2^53 entries; capped, they are F_q
+    p = crafted_params()
+    region, r, bound = smallness_region(p, 1, 1e15)
+    assert r == 1 and bound > 1 << 52 and region == set(range(257))
+    s = ring_from_coeffs([2, 7, 1], p.ring)
+    samples = [oracle_sample(p, s, SeededRng(bytes(32)).derive(f"o{i}")) for i in range(3)]
+    assert decide_alg1(samples, p, t=1e15) == decide_alg2(samples, p, 1, t=1e15) == [
+        Verdict("valid", 257)] * 3
+
+
+# f(15) = 1 + 1 + 14 = 16 = 0 mod 16, and 15 = -1 mod 16 has order 2
+F_ORDER2_MOD_16 = tuple([14, 0, 1] + [0] * 13 + [1])
+
+
+@pytest.mark.parametrize("t", [1.0, 3.0])
+def test_alg2_composite_modulus_matches_reference(t, rng):
+    p = PlweParams(ring=RingParams(f=F_ORDER2_MOD_16, q=16), sigma=0.5)
+    secret = ring_uniform(p.ring, rng.derive("secret"))
+    samples = [oracle_sample(p, secret, rng.derive(f"o{i}")) for i in range(4)]
+    samples += [uniform_sample_pair(p, rng.derive(f"u{i}")) for i in range(4)]
+    assert_matches_reference(2, samples, p, 15, t)
+
+
+@pytest.mark.parametrize("alg", [1, 2])
+def test_distinguishers_refuse_samples_from_another_ring(alg, rng):
+    p, alpha, t = EDGE_CASES[alg]
+    samples = [uniform_sample_pair(p, rng.derive(f"u{i}")) for i in range(3)]
+    # the same ring built again is equal, not identical, and is accepted
+    same = PlweParams(ring=RingParams(f=p.ring.f, q=p.ring.q), sigma=p.sigma)
+    assert decide(alg, samples, same, alpha, t) == decide(alg, samples, p, alpha, t)
+    # x^32 + x^2 + 255 has both rings' alphas, 1 and 256, as roots, at twice the degree
+    wide = PlweParams(ring=RingParams(f=(255, 0, 1) + (0,) * 29 + (1,), q=257), sigma=p.sigma)
+    with pytest.raises(ParamMismatch):
+        decide(alg, samples, wide, alpha, t)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -176,6 +176,35 @@ def test_attack_alg2_requires_alpha(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and "--alpha" in err
 
 
+def test_attack_alg1_refuses_alpha(tmp_path, capsys):
+    """Algorithm 1 evaluates at 1 only, so --alpha is a usage error, not ignored."""
+    with pytest.raises(SystemExit) as exc:
+        run(["attack", "--alg", "1", "--alpha", "1", "--samples", str(tmp_path / "missing.txt")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "--alpha is only for --alg 2" in err
+
+
+def _root_one_params(n: int) -> str:
+    # f = x^n + x^2 + 255 has the roots 1 and 256 = -1 mod 257 for every n
+    f = "255,0,1," + ",".join(["0"] * (n - 3)) + ",1"
+    return f"latticelab-plwe-v1\nn={n}\nq=257\nf={f}\nsigma=1.5\n"
+
+
+@pytest.mark.parametrize("alg", [["--alg", "1"], ["--alg", "2", "--alpha", "256"]],
+                         ids=["alg1", "alg2"])
+def test_attack_refuses_samples_from_another_ring(tmp_path, capsys, alg):
+    s16, w32, samples = tmp_path / "s16.prm", tmp_path / "w32.prm", tmp_path / "s16.txt"
+    s16.write_text(_root_one_params(16))
+    w32.write_text(_root_one_params(32))
+    assert run(["sample", "--dist", "plwe-uniform", "--params", str(s16), "--count", "5",
+                "--seed", SEED, "--out", str(samples)]) == 0
+    assert run(["attack", *alg, "--samples", str(samples), "--params", str(w32)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "ring" in err
+
+
 @pytest.mark.parametrize("q", [next_prime(MAX_SCAN_Q + 1), 2**61 - 1])
 @pytest.mark.parametrize("verb", ["scan", "attack-1", "attack-2"])
 def test_scan_and_attack_refuse_q_above_the_scan_limit(tmp_path, capsys, verb, q):
@@ -188,7 +217,9 @@ def test_scan_and_attack_refuse_q_above_the_scan_limit(tmp_path, capsys, verb, q
         one = ring_from_coeffs([1], ring)
         samples = tmp_path / "samples.txt"
         samples.write_text(fileio.dump_plwe_samples([PlweSample(one, one)], PlweParams(ring, 1.5)))
-        argv = ["attack", "--alg", verb[-1], "--alpha", "1", "--samples", str(samples)]
+        argv = ["attack", "--alg", verb[-1], "--samples", str(samples)]
+        if verb == "attack-2":
+            argv += ["--alpha", "1"]
     tracemalloc.start()
     try:
         rc = run(argv)

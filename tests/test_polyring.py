@@ -124,6 +124,22 @@ def test_mult_order():
         mult_order(0, q)
 
 
+def test_mult_order_matches_brute_force_for_composite_moduli():
+    # q - 1 bounds the order only when alpha^(q-1) = 1 (always for a prime
+    # q); otherwise the search starts from phi(q): 15 = -1 mod 16 has order 2
+    for q in range(2, 400):
+        for alpha in range(1, q):
+            if math.gcd(alpha, q) != 1:
+                continue
+            x, r = alpha % q, 1
+            while x != 1:
+                x, r = x * alpha % q, r + 1
+            assert mult_order(alpha, q) == r
+    assert mult_order(15, 16) == 2
+    with pytest.raises(ZeroElement):
+        mult_order(3, 45)
+
+
 def test_mult_order_brute_force_agreement():
     q = Modulus(257)
     for a in (3, 5, 10, 100, 256):
