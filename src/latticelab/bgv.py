@@ -149,15 +149,13 @@ def setup(m: int, p: int, r: int, levels: int) -> BgvParams:
     if levels < 1:
         raise InvalidParams("need at least one level")
     q = next_prime(128)
-    while q % p == 0:
+    if q == p:  # q_0 is coprime to the prime p unless it is p
         q = next_prime(q + 1)
     pr = _pt_modulus(p, r, q)
     chain = [q]
     for _ in range(levels):
         target = max(q * q, 2 * q)
-        q = target + (q - target) % pr
-        while not is_prime(q):
-            q += pr
+        q = next_prime(target + (q - target) % pr, pr)
         if q > MAX_CHAIN_MODULUS:
             raise ChainOverflow("chain modulus exceeds 2^62")
         chain.append(q)

@@ -34,7 +34,7 @@ class NotSquarefree(LatticeLabError):
 
 
 class NoConvergence(LatticeLabError):
-    """Iterative root finder hit its iteration cap."""
+    """The numeric root finder (numpy's eigenvalue solver) did not converge."""
 
 
 class NTooSmall(LatticeLabError):

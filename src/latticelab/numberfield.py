@@ -3,7 +3,8 @@
 The discriminant here is the discriminant of the order Z[x]/(f), computed
 exactly as a resultant.  For monogenic fields (in particular the
 cyclotomic ones) this agrees with the field discriminant; deciding
-monogenicity in general is out of scope.
+monogenicity in general is out of scope.  The embeddings are numeric:
+their roots are numpy's companion-matrix eigenvalues.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ import numpy as np
 from .errors import InvalidParams, LengthMismatch, NoConvergence, NonSquarefree, NotSquarefree
 from .polyring import poly_deg, poly_derivative, poly_trim
 
-_MAX_ITER = 10_000
-# Root iteration stops once the largest correction is below this; a root
-# whose imaginary part is below it counts as real.
+# A root whose imaginary part is below this counts as real.
 PRECISION = 1e-10
 
 
@@ -40,52 +39,23 @@ class EmbeddingData:
 
 
 def complex_roots(f: list[int]) -> EmbeddingData:
-    """All complex roots of a squarefree f, by simultaneous iteration.
-
-    Durand-Kerner from a deterministic start (perturbed roots of unity),
-    iterated until the largest correction drops below PRECISION.
-    """
+    """All complex roots of a squarefree f, as the eigenvalues of its
+    companion matrix (`np.roots`): the real roots ascending, then the
+    conjugate pairs by (real, imag)."""
     f = poly_trim(list(f))
     n = poly_deg(f)
     if n < 1 or n > 64:
         raise InvalidParams("degree must be in [1, 64]")
     if resultant(f, poly_derivative(f)) == 0:  # gcd(f, f') != 1 over Q
         raise NonSquarefree("f has a repeated root")
-    monic = [c / f[-1] for c in f]
-
-    def ev(z: complex) -> complex:
-        acc = 0j
-        for c in reversed(monic):
-            acc = acc * z + c
-        return acc
-
-    # Deterministic start: powers of a point off the unit circle.
-    z = [complex(0.4, 0.9) ** (k + 1) for k in range(n)]
-    for _ in range(_MAX_ITER):
-        max_step = 0.0
-        for k in range(n):
-            denom = 1 + 0j
-            for j in range(n):
-                if j != k:
-                    denom *= z[k] - z[j]
-            step = ev(z[k]) / denom
-            z[k] -= step
-            max_step = max(max_step, abs(step))
-        if max_step < PRECISION:
-            break
-    else:
-        raise NoConvergence("root iteration did not converge")
-
-    # Real roots first, then conjugate pairs, in a stable order.
-    reals = sorted((r for r in z if abs(r.imag) < PRECISION), key=lambda r: r.real)
-    complexes = sorted(
-        (r for r in z if abs(r.imag) >= PRECISION), key=lambda r: (r.real, r.imag)
-    )
-    s1, s2 = len(reals), len(complexes) // 2
-    if s1 + 2 * s2 != n:
-        raise NoConvergence("could not classify roots into a valid signature")
-    roots = tuple([complex(r.real, 0.0) for r in reals] + complexes)
-    return EmbeddingData(tuple(f), roots, SignatureCount(s1, s2))
+    try:
+        z = np.roots(np.array(f[::-1], dtype=float)).astype(complex).tolist()
+    except np.linalg.LinAlgError as e:
+        raise NoConvergence(f"root finder did not converge: {e}") from e
+    reals = sorted(r.real for r in z if abs(r.imag) < PRECISION)
+    complexes = sorted((r for r in z if abs(r.imag) >= PRECISION), key=lambda r: (r.real, r.imag))
+    roots = tuple([complex(r, 0.0) for r in reals] + complexes)
+    return EmbeddingData(tuple(f), roots, SignatureCount(len(reals), len(complexes) // 2))
 
 
 def canonical_embed(coeffs, e: EmbeddingData) -> list[complex]:
@@ -93,13 +63,7 @@ def canonical_embed(coeffs, e: EmbeddingData) -> list[complex]:
     n = len(e.roots)
     if len(coeffs) != n:
         raise LengthMismatch(f"expected {n} coefficients, got {len(coeffs)}")
-    out = []
-    for r in e.roots:
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * r + c
-        out.append(acc)
-    return out
+    return np.polyval(np.array(coeffs, dtype=complex)[::-1], np.array(e.roots)).tolist()
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
@@ -160,10 +124,7 @@ def discriminant(f: list[int]) -> int:
 
 def discriminant_numeric(f: list[int]) -> complex:
     """Numeric cross-check: squared determinant of (sigma_i(theta^j))."""
-    e = complex_roots(f)
-    n = len(e.roots)
-    m = np.array([[r**j for j in range(n)] for r in e.roots], dtype=complex)
-    d = np.linalg.det(m)
+    d = np.linalg.det(np.vander(complex_roots(f).roots, increasing=True))
     return d * d
 
 

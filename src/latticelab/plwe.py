@@ -24,7 +24,7 @@ from .polyring import (
     ring_uniform,
 )
 from .rng import SeededRng
-from .zq import Modulus, is_prime
+from .zq import Modulus, next_prime
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,7 @@ def split_prime(n: int, floor: int = 4096) -> int:
 
     q = 1 mod 2n makes x^n + 1 split totally mod q.
     """
-    q = floor + ((1 - floor) % (2 * n))
-    while not is_prime(q):
-        q += 2 * n
-    return q
+    return next_prime(floor + (1 - floor) % (2 * n), 2 * n)
 
 
 def default_params(n: int, sigma: float = 3.2, floor: int = 4096) -> PlweParams:

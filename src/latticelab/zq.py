@@ -1,14 +1,17 @@
 """Exact arithmetic modulo q.
 
 Everything else in the package sits on top of these few functions.
-`Modulus` is a checked prime `int`; `reduce_centered` and `inv_mod` work
-mod any q >= 2.  The centered representative convention is fixed once
-and for all to (-q/2, q/2], so every "smallness" test in the attack and
-decryption code means the same thing.
+`Modulus` is a checked prime `int`; `next_prime` is the one search for a
+prime in an arithmetic progression, which LWE, PLWE and BGV all use to
+find q; `reduce_centered` and `inv_mod` work mod any q >= 2.  The centered
+representative convention is fixed once and for all to (-q/2, q/2], so
+every "smallness" test in the attack and decryption code means the same
+thing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .errors import InvalidParams, ZeroInverse
@@ -41,14 +44,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def next_prime(n: int) -> int:
-    """Smallest prime >= n."""
-    if n <= 2:
-        return 2
-    n |= 1
-    while not is_prime(n):
-        n += 2
-    return n
+def next_prime(n: int, step: int = 1) -> int:
+    """Smallest prime among n, n + step, n + 2*step, ... (terms below 2 skipped).
+
+    Refuses step < 1, and gcd(n, step) > 1 with n composite, where every
+    term is a multiple of the gcd past it and no prime can follow.
+    """
+    if step < 1:
+        raise InvalidParams(f"step must be >= 1, got {step}")
+    if n < 2:
+        n -= (n - 2) // step * step
+    if math.gcd(n, step) > 1 and not is_prime(n):
+        raise InvalidParams(f"no prime in {n} + {step}k: gcd({n}, {step}) > 1")
+    return next(x for x in itertools.count(n, step) if is_prime(x))
 
 
 class Modulus(int):

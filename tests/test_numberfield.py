@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from latticelab.errors import (
     InvalidParams,
     LengthMismatch,
+    NoConvergence,
     NonSquarefree,
     NotSquarefree,
 )
@@ -48,6 +50,15 @@ def test_signature_invariant_on_corpus():
         n = len(f) - 1
         assert e.signature.s1 + 2 * e.signature.s2 == n
         assert len(e.roots) == n
+
+
+def test_root_finder_failure_is_no_convergence(monkeypatch):
+    def fail(coeffs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np, "roots", fail)
+    with pytest.raises(NoConvergence):
+        complex_roots([1, 0, 1])
 
 
 def _square_times(g, h):

@@ -32,6 +32,18 @@ def test_next_prime():
     assert next_prime(4096) == 4099
     assert next_prime(17) == 17
     assert next_prime(-5) == 2
+    # the first prime of n, n + step, ...: 4097 = 17 * 241 and 4129 = 1 mod 32
+    assert next_prime(4097, 32) == 4129
+    assert next_prime(4129, 32) == 4129
+    assert next_prime(1, 4) == 5  # terms below 2 are skipped
+    assert next_prime(0, 2) == next_prime(2, 2) == 2  # gcd 2, but 2 is prime
+    assert next_prime(17168, 9) == 17231  # q_1 of BGV's chain at p^r = 9
+    for n, step in ((4, 2), (15, 3), (21, 6)):  # every term a multiple of the gcd
+        with pytest.raises(InvalidParams):
+            next_prime(n, step)
+    for step in (0, -2):
+        with pytest.raises(InvalidParams):
+            next_prime(17, step)
 
 
 def test_modulus_validation():
