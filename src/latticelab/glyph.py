@@ -4,8 +4,8 @@ Interoperability decisions (changing any of these breaks verification
 against other implementations):
 
 * H is SHAKE-256; the digest stream is consumed 3 bytes per candidate
-  (2 for a position, 1 for a sign bit), repeated positions rejected,
-  until exactly k distinct +-1 coefficients are placed.
+  (2 for a position, so n <= 2^16, and 1 for a sign bit), repeated
+  positions rejected, until exactly k distinct +-1 coefficients are placed.
 * omega is the fixed-width little-endian byte encoding of all n
   coefficients of w in [0, q).
 * challenge coefficients are +-1, which is what makes the rejection
@@ -43,8 +43,8 @@ class GlyphParams:
             raise InvalidParams("q must be congruent to 1 mod 4")
         if not 0 < self.k <= self.b:
             raise InvalidParams("need 0 < k <= b")
-        if self.n < 2 or self.n & (self.n - 1):
-            raise InvalidParams("n must be a power of two")
+        if self.n < 2 or self.n > 1 << 16 or self.n & (self.n - 1):
+            raise InvalidParams("n must be a power of two in [2, 2^16]: a position is 2 bytes")
 
     @property
     def beta(self) -> int:
@@ -109,7 +109,6 @@ def hash_to_sparse(data: bytes, p: GlyphParams) -> RingElement:
     """Digest-keyed polynomial with exactly k coefficients, each +-1."""
     q = p.ring.q
     placed: dict[int, int] = {}  # index -> residue of +-1
-    limit = 65536 - 65536 % p.n  # unbiased index range
     counter = 0
     stream = b""
     pos = 0
@@ -118,10 +117,7 @@ def hash_to_sparse(data: bytes, p: GlyphParams) -> RingElement:
             h = hashlib.shake_256(data + counter.to_bytes(4, "little"))
             stream, pos, counter = h.digest(1024), 0, counter + 1
         chunk, pos = stream[pos : pos + 3], pos + 3
-        val = chunk[0] | (chunk[1] << 8)
-        if val >= limit:
-            continue
-        idx = val % p.n
+        idx = (chunk[0] | (chunk[1] << 8)) % p.n  # unbiased: n divides 2^16
         if idx in placed:
             continue
         placed[idx] = 1 if chunk[2] & 1 else q - 1

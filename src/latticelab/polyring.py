@@ -72,7 +72,10 @@ def poly_eval_z(c: list[int], x: int) -> int:
     return acc
 
 
-def _factorize(n: int) -> dict[int, int]:
+@lru_cache(maxsize=256)
+def _factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of n >= 1, ascending, by trial division;
+    memoised, since `mult_order` factors the same q - 1 for every root."""
     out: dict[int, int] = {}
     p = 2
     while p * p <= n:
@@ -82,11 +85,11 @@ def _factorize(n: int) -> dict[int, int]:
         p += 1
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return out
+    return tuple(out.items())
 
 
 def euler_phi(m: int) -> int:
-    return math.prod((p - 1) * p ** (e - 1) for p, e in _factorize(m).items())
+    return math.prod((p - 1) * p ** (e - 1) for p, e in _factorize(m))
 
 
 def cyclotomic_poly(m: int) -> list[int]:
@@ -101,7 +104,7 @@ def cyclotomic_poly(m: int) -> list[int]:
         raise InvalidParams("m must be positive")
     if m == 1:
         return [-1, 1]
-    primes = list(_factorize(m))
+    primes = [p for p, _ in _factorize(m)]
     size = euler_phi(m) + 1
     c = [1] + [0] * (size - 1)
     for divide, k in sorted((len(ps) % 2, m // math.prod(ps))
@@ -241,7 +244,7 @@ def mult_order(alpha: int, q: int) -> int:
     if math.gcd(alpha, q) != 1:
         raise ZeroElement(f"{alpha} is not a unit mod {q}, so it has no multiplicative order")
     order = q - 1 if pow(alpha, q - 1, q) == 1 else euler_phi(q)
-    for p in _factorize(order):
+    for p, _ in _factorize(order):
         while order % p == 0 and pow(alpha, order // p, q) == 1:
             order //= p
     return order
@@ -275,7 +278,7 @@ def is_irreducible_mod_p(f: list[int], p: int) -> bool:
     xpn = powx(p**n)
     if poly_trim([(a - b) % p for a, b in _zip_pad(xpn, [0, 1])]):
         return False
-    for d in _factorize(n):
+    for d, _ in _factorize(n):
         xpk = powx(p ** (n // d))
         g = poly_gcd_mod([(a - b) % p for a, b in _zip_pad(xpk, [0, 1])], f, p)
         if poly_deg(g) != 0:

@@ -45,11 +45,13 @@ def test_setup_builds_valid_chain():
         assert hi % 2 == 1  # coprime to p = 2
 
 
-@pytest.mark.parametrize("p, r", [(2, 1), (3, 2), (17, 1)])
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 2), (17, 1), (131, 1)])
 def test_setup_takes_the_first_prime_at_each_step(p, r):
-    """q_{i+1} is the first prime = q_0 (mod p^r) at or above max(q_i^2, 2 q_i).
-    At (17, 1), q_2^2 is past 2^53, where a float product would round it."""
+    """q_0 is the first prime >= 128 other than p, and q_{i+1} the first prime
+    = q_0 (mod p^r) at or above max(q_i^2, 2 q_i).  At (17, 1), q_2^2 is past
+    2^53, where a float product would round it; p = 131 skips 131 for q_0."""
     chain = setup(m=32, p=p, r=r, levels=3).chain
+    assert chain[0] == next(x for x in range(128, 256) if is_prime(x) and x != p)
     pr = p**r
     for lo, hi in zip(chain, chain[1:]):
         target = max(lo * lo, 2 * lo)
@@ -73,6 +75,8 @@ def test_validate_chain_rejects_bad_chains():
         validate_chain((131,), 2, 1)
     with pytest.raises(InvalidParams):
         validate_chain((3, 15), 3, 1)  # 15 divisible by p=3
+    with pytest.raises(InvalidParams, match="coprime to p"):
+        validate_chain((6, 36), 3, 1)  # q_0 = 6 divisible by p=3
     validate_chain((131, 17167), 2, 1)
 
 
@@ -283,6 +287,10 @@ def test_depth2_circuit(rng):
             params,
         )
         expect = [(x + y) % 2 for x, y in zip(clear_mul(a, b, 32, 2), c)]
+        assert wires["out"].level == 2
+        assert decrypt(wires["out"], sk, params) == expect
+        # the fresher ciphertext on the left: c is switched down to t's level
+        wires = eval_circuit(["MUL t a b", "ADD out c t"], wires, params)
         assert wires["out"].level == 2
         assert decrypt(wires["out"], sk, params) == expect
 

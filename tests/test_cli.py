@@ -280,19 +280,26 @@ def test_bench_table(capsys):
     assert "lwe-keygen" in table and "pk-size-ratio" in table
 
 
-def test_usage_errors_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        run(["encrypt", "--scheme", "glyph", "--message", "m"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run(["keygen", "--scheme", "plwe", "--bogus-flag"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run(["encrypt", "--scheme", "plwe", "--message", "m"])  # missing --public
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run(["sample", "--dist", "uniform"])  # missing --q
-    assert exc.value.code == 2
+USAGE_ERRORS = [
+    ["encrypt", "--scheme", "glyph", "--message", "m"],
+    ["keygen", "--scheme", "plwe", "--bogus-flag"],
+    ["encrypt", "--scheme", "plwe", "--message", "m"],  # missing --public
+    ["sample", "--dist", "uniform"],  # missing --q
+    ["encrypt", "--scheme", "bgv", "--secret", "k", "--message", "m"],  # missing --params
+    ["decrypt", "--scheme", "bgv", "--secret", "k", "--in", "c"],  # missing --params
+    ["encrypt", "--scheme", "bgv", "--params", "p", "--message", "m"],  # missing --secret
+    ["sample", "--dist", "plwe-uniform"],  # missing --params
+    ["sample", "--dist", "plwe-oracle", "--params", "p"],  # missing --secret
+]
+
+
+def test_usage_errors_exit_2(capsys):
+    for argv in USAGE_ERRORS:
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "error: " in err, argv
 
 
 def test_missing_file_is_domain_error(tmp_path, capsys):
@@ -353,6 +360,7 @@ BAD_NUMBERS = [
     (["keygen", "--scheme", "plwe", "--sigma", "1e9"], 1),
     (["smear", "--params", "prm", "--alpha", "1", "--t", "3"], 2),
     (["smear", "--params", "prm", "--alph", "1"], 2),
+    (["keygen", "--scheme", "glyph", "--n", "131072"], 1),  # n > 2^16
 ]
 
 
@@ -412,6 +420,25 @@ def test_huge_sigma_in_a_bgv_params_file_exits_1_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_verify_refuses_a_glyph_key_past_2_to_16(tmp_path, capsys):
+    """A challenge position is 2 digest bytes, so a key at n = 2^17 is refused
+    as it loads instead of hashing forever."""
+    head = f"latticelab-glyph-v1\nn={1 << 17}\nq=59393\nb=16383\nk=16\n"
+    zeros = ",".join(["0"] * (1 << 17))
+    c = ",".join(f"{i}:+1" for i in range(16))
+    pub, msg, sig = tmp_path / "g.pub", tmp_path / "m.txt", tmp_path / "sig.txt"
+    pub.write_text(f"{head}a={zeros}\nt={zeros}\n")
+    sig.write_text(f"{head}c={c}\nz1={zeros}\nz2={zeros}\n")
+    msg.write_text("hi")
+    start = time.perf_counter()
+    assert run(["verify", "--public", str(pub), "--message", str(msg),
+                "--signature", str(sig)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "2^16" in err
 
 
 def test_one_seed_two_messages_do_not_leak_the_glyph_key(tmp_path):

@@ -45,6 +45,8 @@ def test_param_validation():
     with pytest.raises(InvalidParams):
         GlyphParams(n=1000)
     with pytest.raises(InvalidParams):
+        GlyphParams(n=1 << 17)  # a position is 2 digest bytes
+    with pytest.raises(InvalidParams):
         GlyphParams(b=4, k=9)
 
 
