@@ -15,10 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, LengthMismatch, NoConvergence, NonSquarefree, NotSquarefree
-from .polyring import poly_deg, poly_derivative, poly_trim
+from .polyring import poly_deg, poly_derivative, poly_gcd_mod, poly_trim
 
 # A root whose imaginary part is below this counts as real.
 PRECISION = 1e-10
+
+# The primes `_is_squarefree` tries before it falls back to the resultant.
+_SQUAREFREE_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1)
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,7 @@ def complex_roots(f: list[int]) -> EmbeddingData:
     n = poly_deg(f)
     if n < 1 or n > 64:
         raise InvalidParams("degree must be in [1, 64]")
-    if resultant(f, poly_derivative(f)) == 0:  # gcd(f, f') != 1 over Q
+    if not _is_squarefree(f):
         raise NonSquarefree("f has a repeated root")
     try:
         z = np.roots(np.array(f[::-1], dtype=float)).astype(complex).tolist()
@@ -56,6 +59,18 @@ def complex_roots(f: list[int]) -> EmbeddingData:
     complexes = sorted((r for r in z if abs(r.imag) >= PRECISION), key=lambda r: (r.real, r.imag))
     roots = tuple([complex(r, 0.0) for r in reals] + complexes)
     return EmbeddingData(tuple(f), roots, SignatureCount(len(reals), len(complexes) // 2))
+
+
+def _is_squarefree(f: list[int]) -> bool:
+    """Whether f, of degree >= 1, has no repeated complex root, i.e.
+    resultant(f, f') != 0.  A prime p that does not divide lc(f) and for
+    which gcd(f mod p, f' mod p) = 1 does not divide that resultant, so
+    one such p settles it; the exact resultant decides only when every
+    prime in `_SQUAREFREE_PRIMES` fails."""
+    df = poly_derivative(f)
+    if any(f[-1] % p and len(poly_gcd_mod(f, df, p)) == 1 for p in _SQUAREFREE_PRIMES):
+        return True
+    return resultant(f, df) != 0
 
 
 def canonical_embed(coeffs, e: EmbeddingData) -> list[complex]:

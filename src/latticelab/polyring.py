@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, count
 from typing import NamedTuple
 
 import numpy as np
@@ -72,20 +72,64 @@ def poly_eval_z(c: list[int], x: int) -> int:
     return acc
 
 
+# _factorize divides out every factor below this before it turns to rho.
+_TRIAL_DIVISION_LIMIT = 1 << 10
+
+
 @lru_cache(maxsize=256)
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """The (prime, exponent) pairs of n >= 1, ascending, by trial division;
-    memoised, since `mult_order` factors the same q - 1 for every root."""
+    """The (prime, exponent) pairs of n >= 1, ascending; memoised, since
+    `mult_order` factors the same q - 1 for every root.
+
+    Trial division takes the factors below `_TRIAL_DIVISION_LIMIT`; the
+    cofactor is split by Brent's rho until every part passes `is_prime`.
+    """
     out: dict[int, int] = {}
     p = 2
-    while p * p <= n:
+    while p < _TRIAL_DIVISION_LIMIT and p * p <= n:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
         p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return tuple(out.items())
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _brent_rho(m)
+            parts += [d, m // d]
+    return tuple(sorted(out.items()))
+
+
+def _brent_rho(n: int) -> int:
+    """A factor 1 < d < n of a composite n with no factor below
+    `_TRIAL_DIVISION_LIMIT`, by Brent's variant of Pollard's rho on
+    y -> y^2 + c mod n.  The constants c = 1, 2, ... are tried in turn, so
+    the factor found depends on n alone."""
+    batch = 128  # products |x - y| folded into one gcd
+    for c in count(1):
+        y, r, g, acc = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * abs(x - y) % n
+                g = math.gcd(acc, n)
+                k += batch
+            r *= 2
+        if g == n:  # the batch overshot: step again from its start one gcd at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(abs(x - saved), n)
+        if g != n:
+            return g
 
 
 def euler_phi(m: int) -> int:
@@ -174,11 +218,19 @@ def poly_derivative(c) -> list[int]:
     return poly_trim([i * int(c[i]) for i in range(1, len(c))])
 
 
-# roots_mod_q scans F_q exhaustively in arrays of q entries, 8q bytes each
-# in int64, so it refuses larger q.  The attack distinguishers hold nothing
-# of length q, but they keep the same limit until roots are found without
-# a scan, so that `scan` and `attack` accept the same q.
+# roots_mod_q scans F_q in arrays of q entries, 8q bytes each in int64, for
+# composite q and below the gcd crossover (GCD_ROOTS_MIN_Q); above it the
+# roots of f mod a prime q come from the gcd path, which holds nothing of
+# length q.  The cap stays until the attack distinguishers' own blockers
+# to a larger q go, so that `scan` and `attack` accept the same q.
 MAX_SCAN_Q = 1 << 24
+
+# The least prime q whose roots come from gcd(x^q - x, f) rather than the
+# scan, for deg f <= 64.  The scan's cost grows with q; the gcd path's with
+# log q and, through its Euclid steps and splitting in Python, with
+# deg(f)^2, so past degree 64 the least q grows as deg(f)^2.  Measured in
+# BENCH_roots.json ("crossover").
+GCD_ROOTS_MIN_Q = 1 << 15
 
 
 def check_scan_q(q: int) -> int:
@@ -189,15 +241,29 @@ def check_scan_q(q: int) -> int:
 
 
 def roots_mod_q(f: list[int], q: int) -> list[int]:
-    """All roots of f in F_q, by exhaustive scan (q at most MAX_SCAN_Q).
+    """All distinct roots of f in F_q, ascending (q at most MAX_SCAN_Q).
 
-    Horner's rule runs over every x in F_q at once, in place.  A run of
-    k zero coefficients costs one multiplication by x^(2^j) per set bit
-    j of k instead of k multiplications by x.
+    A prime q from GCD_ROOTS_MIN_Q * max(1, deg(f) / 64)^2 up takes
+    `_roots_by_gcd`; every other q the exhaustive `_roots_by_scan`.  Both
+    return every residue when f = 0 mod q and none when f is a nonzero
+    constant mod q.
     """
     q = check_scan_q(q)
-    if poly_deg(f) < 1:
+    n = poly_deg(f)
+    if n < 1:
         raise InvalidParams("degree must be >= 1")
+    if q >= GCD_ROOTS_MIN_Q * max(1, n / 64) ** 2 and is_prime(q):
+        return _roots_by_gcd(f, q)
+    return _roots_by_scan(f, q)
+
+
+def _roots_by_scan(f: list[int], q: int) -> list[int]:
+    """The roots of f in F_q by evaluating f at every x in F_q at once.
+
+    Horner's rule runs in place.  A run of k zero coefficients costs one
+    multiplication by x^(2^j) per set bit j of k instead of k
+    multiplications by x.
+    """
     coeffs = poly_mod_q(f, q) or [0]
     squarings = [np.arange(q, dtype=np.int64)]  # x^(2^j) mod q
     acc = np.full(q, coeffs[-1], dtype=np.int64)
@@ -211,6 +277,93 @@ def roots_mod_q(f: list[int], q: int) -> list[int]:
             k = 0
     _mul_x_power(acc, k, squarings, q)
     return np.flatnonzero(acc == 0).tolist()
+
+
+def _roots_by_gcd(f: list[int], q: int) -> list[int]:
+    """The roots of f in F_q, q prime: g = gcd(x^q - x, f) is the product
+    of x - r over the distinct roots r, and `_split_roots` factors it."""
+    f = poly_mod_q(f, q)
+    if not f:
+        return list(range(q))
+    if len(f) == 1:
+        return []
+    f = _monic(f, q)
+    return sorted(_split_roots(poly_gcd_mod(_x_pow_minus_x(q, f, q), f, q), q))
+
+
+def _split_roots(g: list[int], q: int) -> list[int]:
+    """The roots of g, monic and a product of distinct linear factors over
+    F_q (q prime), by Cantor and Zassenhaus's splitting.
+
+    For delta = 0, 1, 2, ... every factor h of degree >= 2 splits into
+    gcd(w - 1, h) and its cofactor, where w = (x + delta)^((q-1)/2) mod g:
+    the roots r with r + delta a nonzero square mod q, and the rest.  One
+    w serves every factor, since h divides g.  Two distinct roots differ
+    in that test for some delta < q, so the loop ends.
+    """
+    if len(g) - 1 == q:  # g = x^q - x; for q = 2 this is the only g of degree 2
+        return list(range(q))
+    roots, parts = [], [g]
+    for delta in count():
+        roots += [-h[0] % q for h in parts if len(h) == 2]
+        parts = [h for h in parts if len(h) > 2]
+        if not parts:
+            return roots
+        w = _pow_x((q - 1) // 2, g, q, delta)
+        split = []
+        for h in parts:
+            u = poly_divmod_mod(w, h, q)[1] or [0]
+            u[0] -= 1
+            a = poly_gcd_mod(u, h, q)
+            split += [a, poly_divmod_mod(h, a, q)[0]] if 1 < len(a) < len(h) else [h]
+        parts = split
+
+
+def _monic(f: list[int], q: int) -> list[int]:
+    """f, nonzero mod the prime q, scaled to leading coefficient 1."""
+    inv_lead = inv_mod(f[-1], q)
+    return [c * inv_lead % q for c in f]
+
+
+def _x_pow_minus_x(e: int, f: list[int], q: int) -> list[int]:
+    """x^e - x, with x^e reduced mod (f, q) by `_pow_x`."""
+    r = _pow_x(e, f, q) + [0, 0]
+    r[1] = (r[1] - 1) % q
+    return poly_trim(r)
+
+
+def _pow_x(e: int, f: list[int], q: int, shift: int = 0) -> list[int]:
+    """(x + shift)^e mod (f, q), for f monic of degree n >= 1 with
+    coefficients in [0, q), by left-to-right square and multiply.
+
+    Every product is an `np.convolve` of residues in the dtype where its
+    sums, at most n * (q - 1)^2, are exact (`_exact_dtype`), as in
+    `ring_mul`.  A product c of degree n + m - 1 is reduced by division
+    with a precomputed inverse: with rev the coefficient reversal, the
+    quotient's rev is rev(c's top m coefficients) * rev(f)^-1 mod x^m, so
+    a step is three convolutions and the state is O(n).
+    """
+    n = len(f) - 1
+    dtype = _exact_dtype(n * (q - 1) * (q - 1))
+    low = np.array(f[:-1], dtype=dtype)
+    # rev(f)^-1 mod x^n is the rev of the quotient of x^(2n-1) by f
+    inv = np.array(poly_divmod_mod([0] * (2 * n - 1) + [1], f, q)[0][::-1], dtype=dtype)
+
+    def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        c = np.convolve(a, b) % q
+        m = len(c) - n
+        if m <= 0:
+            return c
+        quo = (np.convolve(c[: n - 1 : -1], inv[:m])[:m] % q)[::-1]
+        return (c[:n] - np.convolve(quo, low)[:n]) % q
+
+    base = np.array([shift % q, 1], dtype=dtype)
+    r = np.ones(1, dtype=dtype)
+    for bit in bin(e)[2:] if e else "":
+        r = mul(r, r)
+        if bit == "1":
+            r = mul(r, base)
+    return [int(c) for c in r]
 
 
 def _mul_x_power(acc: np.ndarray, k: int, squarings: list[np.ndarray], q: int) -> None:
@@ -257,38 +410,21 @@ def is_totally_split(f: list[int], q: int) -> bool:
 
 
 def is_irreducible_mod_p(f: list[int], p: int) -> bool:
-    """Irreducibility of f over F_p (utility; irreducible mod p for one
-    prime p not dividing disc implies irreducible over Q)."""
-    n = poly_deg(f)
+    """Irreducibility of f mod the prime p (utility; irreducible mod p for one
+    prime p not dividing disc implies irreducible over Q), by Rabin's test:
+    f of degree n divides x^(p^n) - x and is coprime to x^(p^(n/d)) - x for
+    every prime d | n."""
+    f = poly_mod_q(f, p)
+    n = len(f) - 1
     if n <= 0:
         return False
     if n == 1:
         return True
-
-    def powx(e: int) -> list[int]:
-        # x^e mod (f, p) by square and multiply
-        result, base = [1], [0, 1]
-        while e:
-            if e & 1:
-                result = poly_divmod_mod(poly_mul_z(result, base), f, p)[1]
-            base = poly_divmod_mod(poly_mul_z(base, base), f, p)[1]
-            e >>= 1
-        return result
-
-    xpn = powx(p**n)
-    if poly_trim([(a - b) % p for a, b in _zip_pad(xpn, [0, 1])]):
+    f = _monic(f, p)
+    if _x_pow_minus_x(p**n, f, p):
         return False
-    for d, _ in _factorize(n):
-        xpk = powx(p ** (n // d))
-        g = poly_gcd_mod([(a - b) % p for a, b in _zip_pad(xpk, [0, 1])], f, p)
-        if poly_deg(g) != 0:
-            return False
-    return True
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+    return all(len(poly_gcd_mod(_x_pow_minus_x(p ** (n // d), f, p), f, p)) == 1
+               for d, _ in _factorize(n))
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,14 @@ def test_roots_of_x3_minus_2_residuals():
         assert abs(r**3 - 2) < 1e-9
 
 
+# divisible by every prime the modular squarefree test tries, so x^2 - D
+# and D x^2 - 1 reach the resultant
+D = (2**31 - 1) * (2**61 - 1) * (2**89 - 1)
+
+
 def test_signature_invariant_on_corpus():
     for f in ([1, 0, 1], [-2, 0, 1], [-2, 0, 0, 1], cyclotomic_poly(16),
-              [1, 1, 1], [-1, -1, 0, 0, 1]):
+              [1, 1, 1], [-1, -1, 0, 0, 1], [-D, 0, 1], [-1, 0, D]):
         e = complex_roots(f)
         n = len(f) - 1
         assert e.signature.s1 + 2 * e.signature.s2 == n

@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latticelab.errors import (
@@ -12,7 +12,9 @@ from latticelab.errors import (
     ParamMismatch,
     ZeroElement,
 )
+from latticelab import polyring
 from latticelab.polyring import (
+    GCD_ROOTS_MIN_Q,
     RingElement,
     RingParams,
     check_scan_q,
@@ -28,6 +30,7 @@ from latticelab.polyring import (
     poly_derivative,
     poly_divmod_mod,
     poly_divmod_z,
+    poly_eval_z,
     poly_gcd_mod,
     poly_mul_z,
     ring_add,
@@ -38,7 +41,8 @@ from latticelab.polyring import (
     ring_uniform,
     roots_mod_q,
 )
-from latticelab.polyring import _ntt_forward, _ntt_inverse, _ntt_tables
+from latticelab.polyring import (_factorize, _ntt_forward, _ntt_inverse, _ntt_tables,
+                                 _roots_by_gcd, _roots_by_scan, _x_pow_minus_x)
 from latticelab.zq import Modulus, is_prime, next_prime
 
 
@@ -101,6 +105,89 @@ def test_roots_mod_q():
     assert roots_mod_q([1, 0, 0, 0, 1], Modulus(17)) == [2, 8, 9, 15]
 
 
+def test_roots_mod_q_on_both_sides_of_the_gcd_crossover(monkeypatch):
+    paths = []
+    for name in ("_roots_by_gcd", "_roots_by_scan"):
+        monkeypatch.setattr(polyring, name, lambda f, q, fn=getattr(polyring, name), name=name:
+                            paths.append(name) or fn(f, q))
+    # x^4 + 1 splits mod 65537 = 1 mod 8: its roots are 16^k for odd k
+    assert roots_mod_q([1, 0, 0, 0, 1], Modulus(65537)) == [16, 4096, 61441, 65521]
+    assert roots_mod_q([1, 0, 0, 0, 1], Modulus(17)) == [2, 8, 9, 15]
+    # a composite q above the crossover is scanned: x^2 = 1 has four roots mod 3 * 32771
+    q = 3 * 32771
+    assert roots_mod_q([-1, 0, 1], q) == [x for x in range(q) if (x * x - 1) % q == 0]
+    # past degree 64 the crossover grows as deg(f)^2: x^1024 + 1 mod 59393 is scanned
+    assert len(roots_mod_q([1] + [0] * 1023 + [1], Modulus(59393))) == 1024
+    assert paths == ["_roots_by_gcd", "_roots_by_scan", "_roots_by_scan", "_roots_by_scan"]
+
+
+_ROOT_PRIMES = (st.integers(1, 16).flatmap(lambda k: st.integers(1 << k, (2 << k) - 1))
+                .map(next_prime).filter(lambda q: q < 1 << 17))
+
+
+@st.composite
+def _polys_mod_primes(draw):
+    """(f, q) with q a prime below 2^17 and f over Z: sparse or dense of
+    degree 1-64, with a repeated root, with a lead divisible by q, 0 or a
+    nonzero constant mod q, or a cyclotomic Phi_m with q = 1 mod m."""
+    q = draw(_ROOT_PRIMES)
+    kind = draw(st.sampled_from(["sparse", "dense", "repeated", "lead", "zero", "constant",
+                                 "cyclotomic"]))
+    if kind == "cyclotomic":  # Phi_m splits into phi(m) <= 64 linear factors mod q
+        m = draw(st.sampled_from([3, 4, 8, 12, 16, 60, 64, 105, 128]))
+        q = next_prime(q - q % m + 1, m)
+        assume(q < 1 << 17)
+        return cyclotomic_poly(m), q
+    n = draw(st.integers(1, 64))
+    coeff = st.integers(-q, q)
+    if kind == "dense":
+        f = draw(st.lists(coeff, min_size=n + 1, max_size=n + 1))
+    else:
+        f = [0] * n + [1]
+        for i, c in draw(st.lists(st.tuples(st.integers(0, n - 1), coeff), max_size=4)):
+            f[i] = c
+    f[-1] = f[-1] or 1
+    if kind == "repeated":  # (x - r)^k times a cofactor of degree at most 64 - k
+        r, k = draw(st.integers(0, q - 1)), draw(st.integers(2, 4))
+        f = f[: 65 - k]
+        for _ in range(k):
+            f = poly_mul_z(f, [-r, 1])
+    elif kind == "lead":
+        f.append(q * draw(st.integers(1, 3)))
+    elif kind == "zero":
+        f = [q * c for c in f]
+    elif kind == "constant":
+        f = [draw(st.integers(1, q - 1))] + [q * c for c in f]
+    return f, q
+
+
+@settings(max_examples=120, deadline=None)
+@given(_polys_mod_primes())
+@example(([0, 1, 1], 2))  # x^2 + x = x^q - x mod 2: every residue
+@example(([0, 1, 0, 1], 2))  # x (x + 1)^2 mod 2
+@example(([5, 0, 5], 5))  # 0 mod 5
+@example(([3, 7, 0, 7], 7))  # a nonzero constant mod 7
+@example(([1, 2, 1, 3 * 65537], 65537))  # the lead vanishes mod q: (x + 1)^2
+@example((cyclotomic_poly(128), 17921))  # totally split, degree 64
+@example(([-1] + [0] * 63 + [1], 65537))  # x^64 - 1 splits into 64 distinct roots
+def test_gcd_roots_match_the_scan(case):
+    f, q = case
+    assert _roots_by_gcd(f, q) == _roots_by_scan(f, q)
+
+
+def test_gcd_roots_at_a_61_bit_prime():
+    # (x - r1)^2 (x - r2) (x - r3) (x^2 + 1) with x^2 + 1 irreducible, since q = 3 mod 4
+    q = (1 << 61) - 1
+    planted = [3, 1 << 40, q - 5]
+    f = [1, 0, 1]
+    for r in planted + planted[:1]:
+        f = poly_mul_z(f, [-r, 1])
+    roots = _roots_by_gcd(f, q)
+    assert roots == sorted(planted)
+    assert all(poly_eval_z(f, r) % q == 0 for r in roots)
+    assert len(roots) == poly_deg(poly_gcd_mod(_x_pow_minus_x(q, f, q), f, q))
+
+
 def test_check_scan_q_hands_numpy_a_plain_int():
     # a Modulus, an int subclass, would take numpy's slower path for Python objects
     assert type(check_scan_q(Modulus(257))) is int
@@ -148,6 +235,34 @@ def test_mult_order_brute_force_agreement():
         assert all(pow(a, k, 257) != 1 for k in range(1, r))
 
 
+# q = 2p + 1 with p prime: the unit orders are 1, 2, p and 2p, and trial
+# division of q - 1 would need sqrt(p) ~ 1.5e9 steps
+SAFE_PRIME_P = 2305843009213697249
+
+
+def test_mult_order_at_a_62_bit_safe_prime():
+    q = Modulus(2 * SAFE_PRIME_P + 1)
+    assert mult_order(q - 1, q) == 2
+    assert mult_order(3, q) == SAFE_PRIME_P  # a square mod q
+    assert mult_order(2, q) == q - 1  # q = 3 mod 8, so 2 is not a square
+
+
+def test_factorize_splits_a_semiprime_of_31_bit_primes():
+    assert _factorize(2147483629 * 2147483647) == ((2147483629, 1), (2147483647, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, (1 << 62) - 1))
+@example(2147483647**2)  # a prime square past trial division
+@example(2 * SAFE_PRIME_P)
+@example(1)
+def test_factorize_multiplies_back_to_primes(n):
+    pairs = _factorize(n)
+    assert math.prod(p**e for p, e in pairs) == n
+    assert [p for p, _ in pairs] == sorted({p for p, _ in pairs})
+    assert all(is_prime(p) and e >= 1 for p, e in pairs)
+
+
 def test_is_totally_split():
     assert is_totally_split([1, 0, 1], Modulus(5))
     assert not is_totally_split([1, 0, 1], Modulus(7))
@@ -172,6 +287,12 @@ def test_irreducibility_utility():
     assert is_irreducible_mod_p([1, 0, 1], 7)  # x^2+1 irreducible mod 7
     assert not is_irreducible_mod_p([1, 0, 1], 5)
     assert is_irreducible_mod_p([1, 1, 1], 2)
+    assert is_irreducible_mod_p(cyclotomic_poly(5), 2)  # 2 has order 4 = phi(5) mod 5
+    assert not is_irreducible_mod_p(cyclotomic_poly(7), 2)  # 2 has order 3 < 6 mod 7
+    assert not is_irreducible_mod_p([1, 0, 0, 0, 1], 3)  # x^4 + 1 factors mod every prime
+    assert not is_irreducible_mod_p(poly_mul_z([1, 1, 1], [1, 1, 1]), 2)
+    assert is_irreducible_mod_p([1, 0, 1], (1 << 61) - 1)
+    assert is_irreducible_mod_p([1, 0, 1, 7], 7)  # x^2 + 1 once the lead vanishes
 
 
 # ---------------------------------------------------------------------------
