@@ -78,6 +78,8 @@ def test_nonsquarefree_rejected():
     g, h = [1, 3] + [0] * 8 + [1], [-2, 0, 0, 0, 0, 1] + [0] * 14 + [1]
     with pytest.raises(NonSquarefree):
         complex_roots(_square_times(g, h))  # degree 40
+    with pytest.raises(NonSquarefree):
+        complex_roots(poly_mul_z([1, D], [1, D]))  # (Dx + 1)^2 is 1 mod each prime tried
     with pytest.raises(InvalidParams):
         complex_roots([1])
 

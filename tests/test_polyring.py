@@ -107,9 +107,13 @@ def test_roots_mod_q():
 
 def test_roots_mod_q_on_both_sides_of_the_gcd_crossover(monkeypatch):
     paths = []
+
+    def recorded(name):
+        fn = getattr(polyring, name)
+        return lambda f, q: paths.append(name) or fn(f, q)
+
     for name in ("_roots_by_gcd", "_roots_by_scan"):
-        monkeypatch.setattr(polyring, name, lambda f, q, fn=getattr(polyring, name), name=name:
-                            paths.append(name) or fn(f, q))
+        monkeypatch.setattr(polyring, name, recorded(name))
     # x^4 + 1 splits mod 65537 = 1 mod 8: its roots are 16^k for odd k
     assert roots_mod_q([1, 0, 0, 0, 1], Modulus(65537)) == [16, 4096, 61441, 65521]
     assert roots_mod_q([1, 0, 0, 0, 1], Modulus(17)) == [2, 8, 9, 15]
@@ -291,6 +295,8 @@ def test_irreducibility_utility():
     assert not is_irreducible_mod_p(cyclotomic_poly(7), 2)  # 2 has order 3 < 6 mod 7
     assert not is_irreducible_mod_p([1, 0, 0, 0, 1], 3)  # x^4 + 1 factors mod every prime
     assert not is_irreducible_mod_p(poly_mul_z([1, 1, 1], [1, 1, 1]), 2)
+    # degrees 2 + 3: no factor of degree 5 / 5 = 1, so only x^(2^5) != x mod f tells
+    assert not is_irreducible_mod_p(poly_mul_z([1, 1, 1], [1, 1, 0, 1]), 2)
     assert is_irreducible_mod_p([1, 0, 1], (1 << 61) - 1)
     assert is_irreducible_mod_p([1, 0, 1, 7], 7)  # x^2 + 1 once the lead vanishes
 
