@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OrderTooLarge, ParamMismatch, PreconditionFailed
+from .errors import InvalidParams, OrderTooLarge, ParamMismatch, PreconditionFailed
 from .gaussian import GaussianParams, fold_to_zq_array
 from .plwe import PlweParams, PlweSample
 from .polyring import (check_scan_q, evaluate_many, mult_order, poly_deg, poly_eval_z,
@@ -175,12 +175,16 @@ def smallness_region(p: PlweParams, alpha: int, t: float) -> tuple[set[int], int
     which leaves the set unchanged and saturates it at all of F_q once
     2B+1 >= q.  At r = 1 (Algorithm 1's threshold range when alpha = 1)
     the region has at most q residues and no budget applies; for r > 1 it
-    is refused when (2B+1)^r exceeds MAX_REGION.
+    is refused when (2B+1)^r exceeds MAX_REGION, and for every r when
+    t * sqrt(M+1) * sigma overflows a float.
     """
     q = p.ring.q
     r = mult_order(alpha, q)
     m_blocks = (p.n - 1) // r
-    bound = math.floor(t * math.sqrt(m_blocks + 1) * p.sigma)
+    scaled = t * math.sqrt(m_blocks + 1) * p.sigma
+    if not math.isfinite(scaled):
+        raise InvalidParams(f"the bound t * sqrt(M+1) * sigma overflows at t = {t}")
+    bound = math.floor(scaled)
     if r > 1 and (2 * bound + 1) ** r > MAX_REGION:
         raise OrderTooLarge(
             f"region size (2*{bound}+1)^{r} exceeds budget {MAX_REGION}"

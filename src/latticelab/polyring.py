@@ -208,10 +208,7 @@ def poly_gcd_mod(a: list[int], b: list[int], q: int) -> list[int]:
     while b:
         _, r = poly_divmod_mod(a, b, q)
         a, b = b, r
-    if a:
-        inv_lead = inv_mod(a[-1], q)
-        a = [c * inv_lead % q for c in a]
-    return a
+    return _monic(a, q) if a else a
 
 
 def poly_derivative(c) -> list[int]:
@@ -320,7 +317,7 @@ def _split_roots(g: list[int], q: int) -> list[int]:
 
 
 def _monic(f: list[int], q: int) -> list[int]:
-    """f, nonzero mod the prime q, scaled to leading coefficient 1."""
+    """f, with a unit leading coefficient mod q, scaled to leading coefficient 1."""
     inv_lead = inv_mod(f[-1], q)
     return [c * inv_lead % q for c in f]
 
@@ -333,36 +330,20 @@ def _x_pow_minus_x(e: int, f: list[int], q: int) -> list[int]:
 
 
 def _pow_x(e: int, f: list[int], q: int, shift: int = 0) -> list[int]:
-    """(x + shift)^e mod (f, q), for f monic of degree n >= 1 with
-    coefficients in [0, q), by left-to-right square and multiply.
+    """(x + shift)^e mod (f, q), for f monic of degree n >= 1, by
+    left-to-right square and multiply.
 
-    Every product is an `np.convolve` of residues in the dtype where its
-    sums, at most n * (q - 1)^2, are exact (`_exact_dtype`), as in
-    `ring_mul`.  A product c of degree n + m - 1 is reduced by division
-    with a precomputed inverse: with rev the coefficient reversal, the
-    quotient's rev is rev(c's top m coefficients) * rev(f)^-1 mod x^m, so
-    a step is three convolutions and the state is O(n).
+    Every product is an `np.convolve` of residues in `_FDivision`'s dtype,
+    where its sums, at most n * (q - 1)^2, are exact, reduced by one
+    `_FDivision` built for the call; the state is O(n).
     """
-    n = len(f) - 1
-    dtype = _exact_dtype(n * (q - 1) * (q - 1))
-    low = np.array(f[:-1], dtype=dtype)
-    # rev(f)^-1 mod x^n is the rev of the quotient of x^(2n-1) by f
-    inv = np.array(poly_divmod_mod([0] * (2 * n - 1) + [1], f, q)[0][::-1], dtype=dtype)
-
-    def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        c = np.convolve(a, b) % q
-        m = len(c) - n
-        if m <= 0:
-            return c
-        quo = (np.convolve(c[: n - 1 : -1], inv[:m])[:m] % q)[::-1]
-        return (c[:n] - np.convolve(quo, low)[:n]) % q
-
-    base = np.array([shift % q, 1], dtype=dtype)
-    r = np.ones(1, dtype=dtype)
+    div = _FDivision(f, q)
+    base = np.array([shift % q, 1], dtype=div.dtype)
+    r = np.ones(1, dtype=div.dtype)
     for bit in bin(e)[2:] if e else "":
-        r = mul(r, r)
+        r = div(np.convolve(r, r))
         if bit == "1":
-            r = mul(r, base)
+            r = div(np.convolve(r, base))
     return [int(c) for c in r]
 
 
@@ -448,6 +429,38 @@ def _residues(sums: np.ndarray, q: int) -> np.ndarray:
     return sums.astype(np.int64) % q
 
 
+class _FDivision:
+    """Division by a monic f of degree n mod q with a precomputed inverse
+    (von zur Gathen and Gerhard, Modern Computer Algebra, 9.1).
+
+    With rev the coefficient reversal, the quotient by f of a c of degree
+    n + m - 1, m <= n, is the rev of rev(c's top m coefficients) *
+    rev(f)^-1 mod x^m, so a call is two convolutions.  f's low
+    coefficients and rev(f)^-1 mod x^n are held as residues in `dtype`,
+    where sums of n products of residues, at most n * (q - 1)^2, are
+    exact (`_exact_dtype`).
+    """
+
+    def __init__(self, f, q: int):
+        n = len(f) - 1
+        self.n, self.q, self.dtype = n, q, _exact_dtype(n * (q - 1) * (q - 1))
+        self.low = np.array([c % q for c in f[:-1]], dtype=self.dtype)
+        # rev(f)^-1 mod x^n is the rev of the quotient of x^(2n-1) by f
+        self.inv = np.array(poly_divmod_mod([0] * (2 * n - 1) + [1], f, q)[0][::-1],
+                            dtype=self.dtype)
+
+    def __call__(self, sums: np.ndarray) -> np.ndarray:
+        """The residues in `dtype` of c mod (f, q), for c given as its at
+        most 2n exact integer coefficients in `dtype` or a narrower one."""
+        n, q = self.n, self.q
+        c = (sums % q).astype(self.dtype, copy=False)
+        m = len(c) - n
+        if m <= 0:
+            return c
+        quo = (np.convolve(c[: n - 1 : -1], self.inv[:m])[:m] % q)[::-1]
+        return (c[:n] - np.convolve(quo, self.low)[:n]) % q
+
+
 @dataclass(frozen=True)
 class RingParams:
     """Monic f of degree n >= 1 and a modulus 2 <= q < 2^63.
@@ -508,6 +521,11 @@ class RingParams:
         centered residues, so `_exact_dtype(n * floor(q/2)^2)`."""
         half = self.q // 2
         return _exact_dtype(self.n * half * half)
+
+    @cached_property
+    def division(self) -> _FDivision:
+        """`ring_mul`'s reduction mod f off x^n + 1, built on first use."""
+        return _FDivision(self.f, self.q)
 
 
 class RingElement:
@@ -652,7 +670,10 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     exact (see `_ntt_tables`).  On every other ring it is the product over
     Z, a full convolution of centered representatives in `params.mul_dtype`,
     where every partial sum is exact, reduced mod f: folded by x^n = -1 on
-    x^n + 1, divided by f otherwise."""
+    x^n + 1, divided by f otherwise.  The division is `params.division`,
+    built once per ring and shared with `_pow_x`: two more convolutions,
+    of residues, against f's low coefficients and the precomputed inverse
+    of its reversal, in the dtype where n * (q - 1)^2 is exact."""
     _check(a, b)
     p = a.params
     q, n = p.q, p.n
@@ -662,7 +683,7 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     dtype = p.mul_dtype
     res = np.convolve(_centered(a.vec, q).astype(dtype), _centered(b.vec, q).astype(dtype))
     if not p.negacyclic:
-        return _padded(poly_divmod_mod(res.tolist(), list(p.f), q)[1], p)
+        return RingElement._of(p.division(res).astype(np.int64), p)
     res[: n - 1] -= res[n:]
     return RingElement._of(_residues(res[:n], q), p)
 

@@ -109,7 +109,8 @@ class SeededRng:
 
 
 def _width(q: int) -> int:
-    """Bits per rejection-sampling draw in [0, q); q < 1 has no draws."""
-    if q < 1:
-        raise InvalidParams(f"uniform draws need q >= 1, got {q}")
+    """Bits per rejection-sampling draw in [0, q).  q < 1 has no draws, and
+    q > 2^63 has draws that an int64 array cannot hold."""
+    if not 1 <= q <= 1 << 63:
+        raise InvalidParams(f"uniform draws need 1 <= q <= 2^63, got {q}")
     return (q - 1).bit_length() if q > 1 else 1

@@ -330,6 +330,8 @@ def test_fresh_seed_notice_goes_to_stderr(capsys):
     assert capsys.readouterr().out == out
 
 
+WEAK_SAMPLES = "<weak.txt>"  # stands for the `weak_samples` fixture's file
+
 BAD_NUMBERS = [
     (["sample", "--dist", "uniform", "--q", "-5"], 2),
     (["sample", "--dist", "uniform", "--q", "0"], 2),
@@ -361,11 +363,28 @@ BAD_NUMBERS = [
     (["smear", "--params", "prm", "--alpha", "1", "--t", "3"], 2),
     (["smear", "--params", "prm", "--alph", "1"], 2),
     (["keygen", "--scheme", "glyph", "--n", "131072"], 1),  # n > 2^16
+    (["sample", "--dist", "uniform", "--q", str(2**64), "--count", "3", "--seed", SEED], 1),
+    (["sample", "--dist", "uniform", "--q", "100000000000000000000000", "--count", "3",
+      "--seed", SEED], 1),
+    # t * sqrt(16) * 1.5 overflows a float on the README's weak ring
+    (["attack", "--alg", "1", "--t", "1e308", "--samples", WEAK_SAMPLES], 1),
 ]
 
 
+@pytest.fixture(scope="module")
+def weak_samples(tmp_path_factory):
+    """The README's tour: 20 uniform pairs in weak.prm's ring x^16 + x + 255 mod 257."""
+    d = tmp_path_factory.mktemp("weak")
+    f = "255,1," + ",".join(["0"] * 14) + ",1"
+    (d / "weak.prm").write_text(f"latticelab-plwe-v1\nn=16\nq=257\nf={f}\nsigma=1.5\n")
+    assert run(["sample", "--dist", "plwe-uniform", "--params", str(d / "weak.prm"),
+                "--count", "20", "--seed", SEED, "--out", str(d / "weak.txt")]) == 0
+    return str(d / "weak.txt")
+
+
 @pytest.mark.parametrize("argv, code", BAD_NUMBERS)
-def test_bad_numbers_exit_with_one_line(tmp_path, capsys, argv, code):
+def test_bad_numbers_exit_with_one_line(tmp_path, capsys, weak_samples, argv, code):
+    argv = [weak_samples if a == WEAK_SAMPLES else a for a in argv]
     if argv[0] == "keygen":
         argv = argv + ["--seed", SEED, "--out-secret", str(tmp_path / "s"),
                        "--out-public", str(tmp_path / "p"), "--out-params", str(tmp_path / "m")]

@@ -42,7 +42,7 @@ from latticelab.polyring import (
     roots_mod_q,
 )
 from latticelab.polyring import (_factorize, _ntt_forward, _ntt_inverse, _ntt_tables,
-                                 _roots_by_gcd, _roots_by_scan, _x_pow_minus_x)
+                                 _pow_x, _roots_by_gcd, _roots_by_scan, _x_pow_minus_x)
 from latticelab.zq import Modulus, is_prime, next_prime
 
 
@@ -190,6 +190,37 @@ def test_gcd_roots_at_a_61_bit_prime():
     assert roots == sorted(planted)
     assert all(poly_eval_z(f, r) % q == 0 for r in roots)
     assert len(roots) == poly_deg(poly_gcd_mod(_x_pow_minus_x(q, f, q), f, q))
+
+
+# For deg f <= 16, _pow_x's products are exact in float64 at the first three
+# q, in int64 at 2^31 - 1 and deg f = 1, and in Python ints past that.
+POW_X_QS = [3, 257, 131101, 2**31 - 1, 2**61 - 1]
+
+
+@pytest.mark.parametrize("q", POW_X_QS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pow_x_matches_repeated_ring_mul(q, data):
+    # (x + shift)^e against e products by x + shift in RingParams(f, q), for
+    # sparse, dense and cyclotomic f; the low coefficients of the first two
+    # lie in [-q, 3q), so that the division reduces f mod q itself
+    kind = data.draw(st.sampled_from(["sparse", "dense", "cyclotomic"]))
+    if kind == "cyclotomic":
+        f = cyclotomic_poly(data.draw(st.sampled_from([2, 3, 5, 7, 9, 12, 15, 17, 20, 21])))
+    else:
+        n = data.draw(st.integers(1, 16))
+        coeff = st.integers(-q, 3 * q - 1)
+        f = data.draw(st.lists(coeff, min_size=n, max_size=n)) + [1]
+        if kind == "sparse":  # x^n + c x^k + c0
+            k = data.draw(st.integers(0, n - 1))
+            f = [c if i in (0, k, n) else 0 for i, c in enumerate(f)]
+    e, shift = data.draw(st.integers(0, 40)), data.draw(st.integers(-q, 2 * q))
+    p = RingParams(f, q)
+    base, expect = ring_from_coeffs([shift, 1], p), ring_one(p)
+    for _ in range(e):
+        expect = ring_mul(expect, base)
+    got = _pow_x(e, f, q, shift)
+    assert got + [0] * (p.n - len(got)) == list(expect.coeffs)
 
 
 def test_check_scan_q_hands_numpy_a_plain_int():

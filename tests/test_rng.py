@@ -111,3 +111,14 @@ def test_uniform_draws_refuse_an_empty_range(q):
         r.uniform_mod(q)
     with pytest.raises(InvalidParams):
         r.uniform_array(q, 4)
+
+
+def test_uniform_draws_refuse_q_past_int64():
+    r = SeededRng(bytes(32))
+    for q in (2**63 + 1, 2**64, 10**23):
+        with pytest.raises(InvalidParams):
+            r.uniform_array(q, 4)
+    # q = 2^63 is the largest range an int64 array holds
+    draws = r.uniform_array(2**63, 1000)
+    assert draws.dtype == np.int64 and draws.min() >= 0
+    assert len(set(draws.tolist())) == 1000 and (draws >= 2**62).any()
