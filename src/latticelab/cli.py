@@ -10,6 +10,7 @@ failed attack precondition), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import re
@@ -268,10 +269,10 @@ def cmd_sample(args) -> int:
             draws = fold_to_zq_array(gp, Modulus(args.q), rng, args.count)
         else:
             draws = sample_int_array(gp, rng, args.count)
-        _write_out(args, "\n".join(str(int(d)) for d in draws) + "\n")
+        _write_out(args, "\n".join(map(str, draws.tolist())) + "\n")
     elif args.dist == "uniform":
         draws = rng.uniform_array(args.q, args.count)
-        _write_out(args, "\n".join(str(int(d)) for d in draws) + "\n")
+        _write_out(args, "\n".join(map(str, draws.tolist())) + "\n")
     else:
         params = fileio.load_plwe_params(_read(args.params))
         if args.dist == "plwe-oracle":
@@ -334,7 +335,10 @@ def cmd_bench(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argparse tree, built on first use and shared by
+    every later call, so nothing may change it once built."""
     parser = _Parser(
         prog="latticelab",
         description="Lattice cryptography laboratory: LWE, PLWE/LPR, GLYPH, BGV, "
@@ -359,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-public", default="public.key")
     p.add_argument("--out-params", default="params.txt")
     add_seed(p)
-    p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("encrypt", help="encrypt a message")
     p.add_argument("--scheme", required=True, choices=["lwe", "plwe", "bgv"])
@@ -369,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--message", required=True)
     p.add_argument("--out")
     add_seed(p)
-    p.set_defaults(func=cmd_encrypt)
 
     p = sub.add_parser("decrypt", help="decrypt a ciphertext")
     p.add_argument("--scheme", required=True, choices=["lwe", "plwe", "bgv"])
@@ -377,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="parameter file (bgv)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_decrypt)
 
     p = sub.add_parser("sign", help="sign a message (glyph)")
     p.add_argument("--scheme", choices=["glyph"], default="glyph")
@@ -386,21 +387,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--message", required=True)
     p.add_argument("--out")
     add_seed(p)
-    p.set_defaults(func=cmd_sign)
 
     p = sub.add_parser("verify", help="verify a signature (glyph)")
     p.add_argument("--scheme", choices=["glyph"], default="glyph")
     p.add_argument("--public", required=True)
     p.add_argument("--message", required=True)
     p.add_argument("--signature", required=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="parameter weakness scan for (f, q)")
     p.add_argument("--f", required=True, help="coefficient CSV, lowest first")
     p.add_argument("--q", type=_POSITIVE, required=True)
     p.add_argument("--r-max", type=_POSITIVE, default=8)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("attack", help="run a PLWE evaluation distinguisher")
     p.add_argument("--alg", type=int, required=True, choices=[1, 2])
@@ -410,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_finite_positive, default=3.0)
     p.add_argument("--r-max", type=_POSITIVE, default=8)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("smear", help="Monte-Carlo smearing estimate")
     p.add_argument("--params", required=True)
@@ -418,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_POSITIVE, default=100_000)
     p.add_argument("--out")
     add_seed(p)
-    p.set_defaults(func=cmd_smear)
 
     p = sub.add_parser("bgv-eval", help="evaluate an ADD/MUL circuit homomorphically")
     p.add_argument("--params", required=True)
@@ -427,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="WIRE=FILE")
     p.add_argument("--out", dest="outputs", action="append", default=[], type=_BINDING,
                    metavar="WIRE=FILE")
-    p.set_defaults(func=cmd_bgv_eval)
 
     p = sub.add_parser("sample", help="draw from the lab's distributions")
     p.add_argument("--dist", required=True,
@@ -439,18 +434,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--secret", help="plwe secret key (oracle samples)")
     p.add_argument("--out")
     add_seed(p)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("bench", help="operation timings and key sizes")
     p.add_argument("--n", type=_POSITIVE, default=64)
     p.add_argument("--out")
     add_seed(p)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one verb; returns the exit code, or exits 2 on a usage error.
+
+    The parser is built once per process, and the verb's `cmd_<verb>` is
+    looked up by name at call time, so a replaced module attribute is the
+    one that runs.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.verb == "encrypt" and args.scheme in ("lwe", "plwe") and not args.public:
@@ -470,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.verb == "sample" and args.dist == "plwe-oracle" and not args.secret:
         parser.error("--secret is required for --dist plwe-oracle")
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.verb.replace("-", "_")](args)
     except (LatticeLabError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

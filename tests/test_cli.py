@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from latticelab import fileio
+from latticelab import cli, fileio
 from latticelab.cli import main
 from latticelab.gaussian import GaussianParams, fold_to_zq_array
 from latticelab.plwe import PlweParams, PlweSample
@@ -109,6 +109,9 @@ def test_bgv_pipeline_and_eval(tmp_path):
     assert run(["bgv-eval", "--params", str(prm), "--circuit", str(circuit),
                 "--in", f"a={tmp_path}/a.ct", "--in", f"b={tmp_path}/b.ct",
                 "--in", f"c={tmp_path}/c.ct", "--out", f"out={tmp_path}/out.ct"]) == 0
+    # the shared parser copies its append defaults: the next call starts empty
+    args = cli.build_parser().parse_args(["bgv-eval", "--params", "p", "--circuit", "c"])
+    assert args.inputs == [] and args.outputs == []
     out = tmp_path / "res.txt"
     assert run(["decrypt", "--scheme", "bgv", "--params", str(prm),
                 "--secret", str(sk), "--in", f"{tmp_path}/out.ct",
@@ -141,6 +144,28 @@ def test_scan_command(tmp_path, capsys):
     report = capsys.readouterr().out
     assert "totally_split : True" in report
     assert "root_one      : False" in report
+
+
+SCAN = ["scan", "--f", "1,0,0,0,1", "--q", "17"]
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    assert run(SCAN) == 0
+    with pytest.raises(SystemExit):
+        run(["sample", "--dist", "uniform"])
+    assert run(["sample", "--dist", "uniform", "--q", "17", "--seed", SEED]) == 0
+    assert run(SCAN) == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_verbs_are_looked_up_at_call_time(monkeypatch, capsys):
+    # labbench's tracer wraps cli.cmd_* after main may already have run
+    assert run(SCAN) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_scan", lambda args: seen.append(args.q) or 7)
+    assert run(SCAN) == 7
+    assert seen == [17]
 
 
 def test_attack_pipeline(tmp_path):

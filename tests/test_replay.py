@@ -131,14 +131,24 @@ def _first_moved(want: dict, got: dict) -> str | None:
     return None
 
 
-def test_cli_outputs_match_the_manifest(tmp_path):
+def _assert_matches_manifest(got: list[dict]) -> None:
     want = json.loads(MANIFEST.read_text())
     assert want["seed"] == SEED
-    got = run_steps(tmp_path)
     for i, (w, g) in enumerate(zip(want["steps"], got)):
         moved = _first_moved(w, g)
         assert moved is None, f"step {i} `{w['command']}`: {moved} moved"
     assert len(got) == len(want["steps"])
+
+
+def test_cli_outputs_match_the_manifest(tmp_path):
+    _assert_matches_manifest(run_steps(tmp_path))
+
+
+def test_a_second_run_in_one_process_matches_the_manifest(tmp_path):
+    # main shares one parser per process: no call may leave state for the next
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+        _assert_matches_manifest(run_steps(tmp_path / name))
 
 
 def _readme_tour() -> list[str]:
