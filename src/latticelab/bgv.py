@@ -8,9 +8,9 @@ omitted: multiplication grows the part count and decryption evaluates
 the ciphertext at s by Horner's rule.  Each part is a RingElement of
 R_{q_i} = Z_{q_i}[x]/(Phi_m) at its level's modulus q_i.
 
-Each ciphertext carries a worst-case noise-bound estimate so that
-decryption failure is raised deterministically instead of silently
-corrupting the plaintext.
+Decryption yields epsilon = alpha + p^r * e; each ciphertext carries a
+worst-case estimate of the noise's max |e|, and `decrypt` refuses wherever
+noise within it could wrap mod q_i, so it errs only if the estimate errs.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class BgvSecretKey:
 class BgvCiphertext:
     parts: tuple[RingElement, ...]  # elements of the ring at `level`
     level: int
-    noise_bound: float  # upper bound estimate on ||epsilon||_inf
+    noise_bound: float  # worst-case estimate of max |e| in epsilon = alpha + p^r * e
 
     def modulus_index(self, params: "BgvParams") -> int:
         """Position in the chain: fresh ciphertexts sit at the top."""
@@ -202,15 +202,21 @@ def encrypt(pt: list[int], sk: BgvSecretKey, params: BgvParams, rng: SeededRng) 
 
 
 def decrypt(ct: BgvCiphertext, sk: BgvSecretKey, params: BgvParams) -> list[int]:
-    """Evaluate sum parts[j] * s^j mod q_i by Horner, center, reduce mod p^r."""
+    """Evaluate sum parts[j] * s^j mod q_i by Horner, center, reduce mod p^r.
+
+    With alpha in [0, p^r) and |e| <= B = floor(noise_bound), epsilon =
+    alpha + p^r * e lies in [-p^r * B, p^r * (B + 1) - 1], and centering
+    returns it, hence alpha, iff -q_i < 2 * epsilon <= q_i: as p^r >= 2, iff
+    2 * (p^r * (B + 1) - 1) <= q_i, that is noise_bound < (q_i + 2) // (2 p^r).
+    Past it, alpha = p^r - 1 and e = B center to epsilon - q_i, wrong mod p^r
+    as q_i is prime to p; so any other bound, inf and NaN too, raises DecryptFail.
+    """
     ring = params.ring_at_level(ct.level)
-    q = ring.q
-    pr = params.pt_modulus
+    q, pr = ring.q, params.pt_modulus
     s = _secret(sk, ring)
-    if ct.noise_bound >= q / pr:
-        raise DecryptFail(
-            f"noise bound {ct.noise_bound:.1f} >= q_i/p^r = {q / pr:.1f}"
-        )
+    limit = (q + 2) // (2 * pr)
+    if not ct.noise_bound < limit:
+        raise DecryptFail(f"noise bound {ct.noise_bound:.1f} >= (q_i + 2) // (2 p^r) = {limit}")
     acc = ct.parts[-1]
     for part in reversed(ct.parts[:-1]):
         acc = ring_add(ring_mul(s, acc), part)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, LengthMismatch, NoConvergence, NonSquarefree, NotSquarefree
-from .polyring import poly_deg, poly_derivative, poly_gcd_mod, poly_trim
+from .polyring import _factorize, poly_deg, poly_derivative, poly_gcd_mod, poly_trim
 
 # A root whose imaginary part is below this counts as real.
 PRECISION = 1e-10
@@ -144,18 +144,9 @@ def discriminant_numeric(f: list[int]) -> complex:
 
 
 def is_squarefree_int(d: int) -> bool:
-    """Trial division up to 10^6 (sufficient for desk-scale inputs)."""
-    d = abs(d)
-    if d == 0:
-        return False
-    p = 2
-    while p * p <= d and p <= 1_000_000:
-        if d % (p * p) == 0:
-            return False
-        while d % p == 0:
-            d //= p
-        p += 1
-    return True
+    """Whether d != 0 and every exponent in `_factorize(|d|)` is 1: exact for
+    every d, at the cost of factoring it."""
+    return d != 0 and all(e == 1 for _, e in _factorize(abs(d)))
 
 
 def quadratic_ring_basis(d: int) -> tuple[str, str]:

@@ -334,10 +334,10 @@ def _pow_x(e: int, f: list[int], q: int, shift: int = 0) -> list[int]:
     left-to-right square and multiply.
 
     Every product is an `np.convolve` of residues in `_FDivision`'s dtype,
-    where its sums, at most n * (q - 1)^2, are exact, reduced by one
-    `_FDivision` built for the call; the state is O(n).
+    where its sums, at most n * (q - 1)^2, are exact, reduced by the
+    division `_f_division` holds for (f mod q, q); the state is O(n).
     """
-    div = _FDivision(f, q)
+    div = _f_division(tuple(c % q for c in f), q)
     base = np.array([shift % q, 1], dtype=div.dtype)
     r = np.ones(1, dtype=div.dtype)
     for bit in bin(e)[2:] if e else "":
@@ -461,6 +461,12 @@ class _FDivision:
         return (c[:n] - np.convolve(quo, self.low)[:n]) % q
 
 
+@lru_cache(maxsize=32)  # past the 11 (f, q) of a labbench `attack` round
+def _f_division(f: tuple[int, ...], q: int) -> _FDivision:
+    """The one `_FDivision` by f, as residues mod q, for `ring_mul` and `_pow_x`."""
+    return _FDivision(f, q)
+
+
 @dataclass(frozen=True)
 class RingParams:
     """Monic f of degree n >= 1 and a modulus 2 <= q < 2^63.
@@ -524,8 +530,8 @@ class RingParams:
 
     @cached_property
     def division(self) -> _FDivision:
-        """`ring_mul`'s reduction mod f off x^n + 1, built on first use."""
-        return _FDivision(self.f, self.q)
+        """`ring_mul`'s reduction mod f off x^n + 1, shared with `_pow_x`."""
+        return _f_division(tuple(c % self.q for c in self.f), self.q)
 
 
 class RingElement:
@@ -671,7 +677,7 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     Z, a full convolution of centered representatives in `params.mul_dtype`,
     where every partial sum is exact, reduced mod f: folded by x^n = -1 on
     x^n + 1, divided by f otherwise.  The division is `params.division`,
-    built once per ring and shared with `_pow_x`: two more convolutions,
+    built once per (f, q) and shared with `_pow_x`: two more convolutions,
     of residues, against f's low coefficients and the precomputed inverse
     of its reversal, in the dtype where n * (q - 1)^2 is exact."""
     _check(a, b)
@@ -773,16 +779,12 @@ def _ntt_inverse(x: np.ndarray, t: _NttTables) -> np.ndarray:
 
 
 def evaluate(a: RingElement, alpha: int) -> int:
-    """Horner evaluation of the coefficient representative at alpha mod q."""
-    q = a.params.q
-    acc = 0
-    for c in reversed(a.coeffs):
-        acc = (acc * alpha + c) % q
-    return acc
+    """a's coefficient representative at alpha mod q, by `evaluate_many`."""
+    return int(evaluate_many(a.vec, alpha, a.params)[0])
 
 
 def evaluate_many(mat, alpha: int, params: RingParams) -> np.ndarray:
-    """`evaluate` at alpha of each row of `mat`, k rows of n residues in
+    """The value at alpha mod q of each row of `mat`, k rows of n residues in
     [0, q) (say the `vec`s of k elements of `params`' ring), as int64
     residues: one matmul against the powers alpha^i mod q, in the dtype
     where its row sums, at most n * (q - 1)^2, are exact (`_exact_dtype`)."""

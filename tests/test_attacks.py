@@ -594,6 +594,7 @@ def test_distinguishers_allocate_nothing_of_length_q(alg, alpha, lead_with_zero)
     (BIG_Q, (1 << 14) + 1),  # n * (q - 1)^2 just past 2^62: int64 sums
     ((1 << 31) - 1, 64),     # n * (q - 1)^2 past 2^63: Python-int sums
     ((1 << 61) - 1, 3),
+    ((1 << 62) - 57, 3),     # the largest prime below 2^62
     ((1 << 63) - 25, 3),     # the largest prime below 2^63
 ])
 def test_evaluate_many_matches_evaluate_past_int64_safe(q, n):
@@ -602,6 +603,7 @@ def test_evaluate_many_matches_evaluate_past_int64_safe(q, n):
     rng = SeededRng(bytes(32)).derive(f"eval/{q}")
     elements = [RingElement([q - 1] * n, ring), ring_uniform(ring, rng)]
     for alpha in (1, 2, q - 1, 1 + int(rng.uniform_array(q - 1, 1)[0])):
-        assert evaluate_many([e.vec for e in elements], alpha, ring).tolist() == [
-            evaluate(e, alpha) for e in elements]
+        horner = [poly_eval_z(e.coeffs, alpha) % q for e in elements]
+        assert evaluate_many([e.vec for e in elements], alpha, ring).tolist() == horner
+        assert [evaluate(e, alpha) for e in elements] == horner
     assert evaluate_many([], 2, ring).tolist() == []

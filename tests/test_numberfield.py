@@ -180,6 +180,11 @@ def test_squarefree_detector():
     assert is_squarefree_int(-15)
     assert not is_squarefree_int(12)
     assert not is_squarefree_int(0)
+    assert is_squarefree_int(1)
+    # prime squares past 10^6, and a 12-digit squarefree semiprime
+    assert not is_squarefree_int(2 * 1000003**2)
+    assert not is_squarefree_int(-(999983**2) * 999979)
+    assert is_squarefree_int(999983 * 999979)
 
 
 def test_quadratic_basis():
@@ -190,3 +195,5 @@ def test_quadratic_basis():
         quadratic_ring_basis(4)
     with pytest.raises(NotSquarefree):
         quadratic_ring_basis(1)
+    with pytest.raises(NotSquarefree):
+        quadratic_ring_basis(1000003**2)

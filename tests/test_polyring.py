@@ -223,6 +223,45 @@ def test_pow_x_matches_repeated_ring_mul(q, data):
     assert got + [0] * (p.n - len(got)) == list(expect.coeffs)
 
 
+@pytest.fixture
+def division_builds(monkeypatch):
+    """The (f, q) of every `_FDivision` built while the test runs, from an
+    empty division cache."""
+    builds = []
+
+    class Counting(polyring._FDivision):
+        def __init__(self, f, q):
+            builds.append((tuple(f), q))
+            super().__init__(f, q)
+
+    monkeypatch.setattr(polyring, "_FDivision", Counting)
+    polyring._f_division.cache_clear()
+    yield builds
+    polyring._f_division.cache_clear()
+
+
+def test_the_gcd_root_finder_builds_one_division(division_builds):
+    # Phi_128 splits totally mod 65537, so gcd(x^q - x, f) is f itself, and
+    # x^q mod f and every splitting step's (x + delta)^((q-1)/2) divide by f
+    f, q = cyclotomic_poly(128), 65537
+    assert _roots_by_gcd(f, q) == _roots_by_scan(f, q)
+    assert division_builds == [(tuple(f), q)]
+    assert is_irreducible_mod_p([1, 1, 1], 2) and len(division_builds) == 2
+
+
+def test_ring_division_is_the_one_pow_x_uses(monkeypatch):
+    # f = x^4 + x - 2: both callers key the division by f's residues mod q
+    f, q = [-2, 1, 0, 0, 1], 257
+    used = []
+    call = polyring._FDivision.__call__
+    monkeypatch.setattr(polyring._FDivision, "__call__",
+                        lambda div, sums: used.append(div) or call(div, sums))
+    division = RingParams(f, q).division
+    assert _pow_x(1000, f, q)
+    assert used and all(div is division for div in used)
+    assert RingParams(tuple(f), Modulus(q)).division is division
+
+
 def test_check_scan_q_hands_numpy_a_plain_int():
     # a Modulus, an int subclass, would take numpy's slower path for Python objects
     assert type(check_scan_q(Modulus(257))) is int
