@@ -262,7 +262,7 @@ def measured_noise(ct, sk, params, alpha):
     """max |e| over the coefficients of epsilon = alpha + p^r * e, the sum of
     parts[j] * s^j over Z[x]/(Phi_m) centered mod q_i, or None where that sum
     is not alpha mod p^r (the noise wrapped).  Schoolbook arithmetic on
-    Python ints, apart from ring_mul."""
+    Python ints, apart from the ring code that `decrypt` uses."""
     f, q, pr = list(params.f), params.modulus_at_level(ct.level), params.pt_modulus
     acc = []
     for part in reversed(ct.parts):
