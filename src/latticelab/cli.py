@@ -269,10 +269,10 @@ def cmd_sample(args) -> int:
             draws = fold_to_zq_array(gp, Modulus(args.q), rng, args.count)
         else:
             draws = sample_int_array(gp, rng, args.count)
-        _write_out(args, "\n".join(map(str, draws.tolist())) + "\n")
+        _write_out(args, fileio.format_rows(draws[:, None]) or "\n")  # no draws: one newline
     elif args.dist == "uniform":
         draws = rng.uniform_array(args.q, args.count)
-        _write_out(args, "\n".join(map(str, draws.tolist())) + "\n")
+        _write_out(args, fileio.format_rows(draws[:, None]) or "\n")
     else:
         params = fileio.load_plwe_params(_read(args.params))
         if args.dist == "plwe-oracle":

@@ -5,8 +5,10 @@ encoder and read by one decoder that accepts exactly what the encoder
 writes (README, "File formats"): the header, each ``key=value`` field in
 its declared order, then the rows its count field announces.  Anything
 else raises FormatError, so no key, ciphertext or signature has a second
-text encoding.  Text beats binary here: inspectability matters more than
-compactness.
+text encoding.  Vectors, the bulk of every file, take one %-format per
+record and one np.fromstring per row kind; a length identity, not a regex,
+proves their spelling canonical (`_Vec.rows`).  Text beats binary here:
+inspectability matters more than compactness.
 """
 
 from __future__ import annotations
@@ -24,10 +26,17 @@ from .polyring import RingElement, RingParams
 from .zq import Modulus
 
 _INT = "(?:0|[1-9][0-9]{0,18})"
-_VEC_RE = re.compile(f"{_INT}(?:,{_INT})*")
-_MONIC_RE = re.compile(f"(?:{_INT},)+1")
-_TERNARY_RE = re.compile("(?:-1|0|1)(?:,(?:-1|0|1))*")
 _CHALLENGE_RE = re.compile(f"{_INT}:[+-]1(?:,{_INT}:[+-]1)*")
+_POW10 = [10**k for k in range(1, 19)]
+
+
+def format_rows(rows, prefixes=("",)) -> str:
+    """One line per row of the 2-D int array `rows`: the next of `prefixes`
+    in turn, then the row's entries in decimal, joined by commas.  One
+    %-format over the flattened array, not one join per row."""
+    rows = np.asarray(rows)
+    line = "".join(p + ",".join(["%d"] * rows.shape[1]) + "\n" for p in prefixes)
+    return line * (len(rows) // len(prefixes)) % tuple(rows.ravel().tolist())
 
 
 class _Num:
@@ -53,29 +62,47 @@ class _Num:
 
 
 class _Vec:
-    """Comma-separated integers, n(fields) of them (any number if n is None),
-    each below q(fields) if q is given; decoded as int64."""
+    """Comma-separated integers, n(fields) of them (one row of any length if
+    n is None), each below q(fields) if q is given; negative ones, spelled
+    with a leading minus, only if signed; ok(rows), if given, must hold of
+    the parsed rows.  Decoded as int64."""
 
-    def __init__(self, n, q, pattern=_VEC_RE):
-        self.n, self.q, self.pattern = n, q, pattern
+    def __init__(self, n, q, ok=None, signed=False):
+        self.n, self.q, self.ok, self.signed = n, q, ok, signed
 
     @staticmethod
     def encode(v):
-        return ",".join(map(str, v.tolist() if isinstance(v, np.ndarray) else v))
+        return format_rows([v])[:-1]
 
     def decode(self, text, d, key):
         return self.rows([text], d, key)[0]
 
     def rows(self, texts, d, key):
-        """Lines of this kind as one (lines, n) array."""
-        n = None if self.n is None else self.n(d)
-        for t in texts:
-            if not self.pattern.fullmatch(t) or (n is not None and t.count(",") != n - 1):
-                raise FormatError(f"bad vector {key!r}: wrong length or spelling")
-        vals = np.fromstring(",".join(texts), dtype=np.int64, sep=",")
-        if self.q is not None and vals.size and vals.max() >= self.q(d):
+        """Lines of this kind as one (lines, n) array.  Before np.fromstring
+        reads them, every field is ASCII digits (after a leading minus if
+        signed) and every line has n - 1 commas.  A field is then never
+        shorter than its value's digits and minus sign, and longer only with
+        a leading zero, a -0 or a 20th digit, so one length sum checks all."""
+        bad = FormatError(f"bad vector {key!r}: wrong length or spelling")
+        body = ",".join(texts)
+        digits = ("," + body).replace(",-", ",")[1:] if self.signed else body
+        n = self.n(d) if self.n else body.count(",") + 1
+        if texts and (",," in f",{digits}," or digits.encode().translate(None, b"0123456789,")
+                      or any(t.count(",") != n - 1 for t in texts)):
+            raise bad
+        vals = np.fromstring(body, dtype=np.int64, sep=",")
+        mag = np.abs(vals) if self.signed else vals
+        top = int(mag.max(initial=0))
+        width = 2 * vals.size - 1 + np.count_nonzero(vals < 0) + sum(
+            np.count_nonzero(mag >= p) for p in _POW10[:len(str(top)) - 1])
+        if texts and len(body) != width:
+            raise bad
+        if self.q is not None and top >= self.q(d):
             raise FormatError(f"vector {key!r} has an entry outside [0, q)")
-        return vals.reshape(len(texts), -1 if n is None else n)
+        vals = vals.reshape(len(texts), n)
+        if self.ok and not self.ok(vals):
+            raise bad
+        return vals
 
 
 class _Challenge:
@@ -97,6 +124,8 @@ class _Challenge:
 _INT_, _FLOAT = _Num(int, lambda v, d: v < 1 << 63), _Num(float)
 _RES = _Vec(lambda d: d["n"], lambda d: d["q"])
 _RES_N1 = _Vec(lambda d: d["n"] + 1, lambda d: d["q"])
+_MONIC = _Vec(_RES_N1.n, _RES_N1.q, lambda rows: rows.shape[1] > 1 and (rows[:, -1] == 1).all())
+_TERNARY = _Vec(None, None, lambda rows: (abs(rows) <= 1).all(), signed=True)
 
 
 class _Params:
@@ -112,7 +141,7 @@ _LWE = _Params(
     lambda d: lwe_mod.LweParams(n=d["n"], q=Modulus(d["q"]), alpha=d["alpha"], m=d["m"]))
 _PLWE = _Params(  # f is monic of degree n, so RingParams keeps all n + 1 coefficients
     "latticelab-plwe-v1",
-    (("n", _INT_), ("q", _INT_), ("f", _Vec(_RES_N1.n, _RES_N1.q, _MONIC_RE)), ("sigma", _FLOAT)),
+    (("n", _INT_), ("q", _INT_), ("f", _MONIC), ("sigma", _FLOAT)),
     lambda p: {"n": p.n, "q": p.ring.q, "f": p.ring.f, "sigma": p.sigma},
     lambda d: plwe_mod.PlweParams(RingParams(tuple(d["f"].tolist()), Modulus(d["q"])), d["sigma"]))
 _GLYPH = _Params(
@@ -151,7 +180,7 @@ RECORDS = {
     "glyph-public": _Record(_GLYPH, None, (("a", _RES), ("t", _RES))),
     "glyph-signature": _Record(_GLYPH, None, (("c", _Challenge()), ("z1", _RES), ("z2", _RES))),
     "bgv-params": _Record(_BGV, "params"),
-    "bgv-secret": _Record(_BGV_HEAD, "secret", (("s", _Vec(None, None, _TERNARY_RE)),)),
+    "bgv-secret": _Record(_BGV_HEAD, "secret", (("s", _TERNARY),)),
     "bgv-ciphertext": _Record(_BGV_HEAD, "ciphertext", (
         ("level", _INT_),  # <= L, since mod_index = L - level is >= 0
         ("mod_index", _Num(int, lambda v, d: v == d["params"].levels - d["level"])),
@@ -164,11 +193,13 @@ RECORDS = {
 def _encode(name: str, params=None, **values) -> str:
     rec = RECORDS[name]
     values.update(rec.params.write(params))
-    lines = [rec.head] + [f"{key}={kind.encode(values[key])}" for key, kind in rec.fields]
-    _, keys, kind = rec.rows
-    for row in zip(*(values[key] for key in keys)):
-        lines += [f"{key}={kind.encode(v)}" for key, v in zip(keys, row)]
-    return "\n".join(lines) + "\n"
+    text = rec.head + "\n" + "".join(f"{key}={kind.encode(values[key])}\n"
+                                     for key, kind in rec.fields)
+    _, keys, _ = rec.rows
+    if keys:  # the rows of each key, interleaved: (count, len(keys), cols)
+        rows = np.stack([np.asarray(values[key]) for key in keys], axis=1)
+        text += format_rows(rows.reshape(-1, rows.shape[-1]), [key + "=" for key in keys])
+    return text
 
 
 def _decode(name: str, text: str, **context) -> tuple[object, dict]:
@@ -217,7 +248,7 @@ def load_lwe_secret(text: str) -> tuple[lwe_mod.LweSecretKey, lwe_mod.LweParams]
 
 
 def dump_lwe_public(pk: lwe_mod.LwePublicKey) -> str:
-    return _encode("lwe-public", pk.params, sample=np.column_stack((pk.a, pk.b)).tolist())
+    return _encode("lwe-public", pk.params, sample=np.column_stack((pk.a, pk.b)))
 
 
 def load_lwe_public(text: str) -> lwe_mod.LwePublicKey:
@@ -226,7 +257,7 @@ def load_lwe_public(text: str) -> lwe_mod.LwePublicKey:
 
 
 def dump_lwe_ciphertext(cts: list[lwe_mod.LweCiphertext], p: lwe_mod.LweParams) -> str:
-    rows = [ct.u.tolist() + [int(ct.v)] for ct in cts]
+    rows = np.column_stack(([ct.u for ct in cts], [ct.v for ct in cts]))
     return _encode("lwe-ciphertext", p, bits=len(cts), ct=rows)
 
 

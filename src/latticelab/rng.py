@@ -90,12 +90,11 @@ class SeededRng:
             want = size - filled
             # Modest oversampling keeps the expected number of refills low.
             batch = int(want * (1 << k) / q) + 16
-            raw = np.frombuffer(self.take_bytes(batch * nbytes), dtype=np.uint8)
-            raw = raw.reshape(batch, nbytes).astype(np.uint64)
-            vals = np.zeros(batch, dtype=np.uint64)
-            for i in range(nbytes):
-                vals = (vals << np.uint64(8)) | raw[:, i]
-            vals &= np.uint64(mask)
+            # each draw's big-endian bytes, zero-padded on the left to one >u8
+            raw = np.zeros((batch, 8), dtype=np.uint8)
+            raw[:, 8 - nbytes:] = np.frombuffer(self.take_bytes(batch * nbytes),
+                                                dtype=np.uint8).reshape(batch, nbytes)
+            vals = raw.view(">u8").ravel() & np.uint64(mask)
             vals = vals[vals < q]
             take = min(len(vals), want)
             out[filled : filled + take] = vals[:take].astype(np.int64)

@@ -290,6 +290,11 @@ def test_sample_gaussian(capsys):
     assert all(abs(v) <= 24 for v in vals)
 
 
+def test_sample_no_draws_prints_one_newline(capsys):
+    assert run(["sample", "--dist", "gaussian", "--count", "0", "--seed", SEED]) == 0
+    assert capsys.readouterr().out == "\n"
+
+
 def test_sample_seed_reproducible(capsys):
     run(["sample", "--dist", "uniform", "--q", "17", "--count", "50",
          "--seed", SEED])

@@ -310,6 +310,96 @@ def test_bgv_ciphertext_negative_level_rejected():
             fileio.load_bgv_ciphertext(text.replace("level=0", f"level={level}"), params)
 
 
+def test_records_with_zero_rows_round_trip(lwe_setup, plwe_setup):
+    lp = lwe_setup[0]
+    text = fileio.dump_lwe_ciphertext([], lp)
+    assert text.endswith("\nbits=0\n")
+    assert fileio.load_lwe_ciphertext(text) == ([], lp)
+    pp = plwe_setup[0]
+    for dump, load, count in [(fileio.dump_plwe_ciphertext, fileio.load_plwe_ciphertext, "blocks"),
+                              (fileio.dump_plwe_samples, fileio.load_plwe_samples, "count")]:
+        text = dump([], pp)
+        assert text.endswith(f"\n{count}=0\n")
+        loaded, p2 = load(text)
+        assert loaded == [] and p2.ring == pp.ring and p2.sigma == pp.sigma
+
+
+# The vector spellings the codec accepted through one regex per row; the
+# codec now checks characters, empty fields and lengths instead.
+_INT = "(?:0|[1-9][0-9]{0,18})"
+_OLD_VEC = {"plain": re.compile(f"{_INT}(?:,{_INT})*"),
+            "monic": re.compile(f"(?:{_INT},)+1"),
+            "ternary": re.compile("(?:-1|0|1)(?:,(?:-1|0|1))*")}
+_KINDS = {"plain": dict(fileio.RECORDS["bgv-params"].fields)["chain"],
+          "monic": dict(fileio.RECORDS["plwe-params"].fields)["f"],
+          "ternary": dict(fileio.RECORDS["bgv-secret"].fields)["s"]}
+_CANONICAL = st.builds(  # some ternary, some ending in 1 as a monic f does
+    lambda v, tail: ",".join(map(str, v + tail)),
+    st.one_of(st.lists(st.integers(-1, 1), min_size=1, max_size=5),
+              st.lists(st.one_of(st.integers(-1, 1), st.integers(0, 10**20)), min_size=1,
+                       max_size=5)),
+    st.sampled_from([[], [1]]))
+_NOISE = st.lists(st.one_of(st.text("0123456789", min_size=1, max_size=21),
+                            st.sampled_from([",", "-", "+", " ", "\u0661", "\r"])),
+                  max_size=8).map("".join)
+
+
+def _vector(kind, text):
+    """`text` as one vector of `kind`; f's length is set to match, q to 2^63."""
+    return kind.decode(text, {"n": text.count(","), "q": 2**63}, "v")
+
+
+def _decoded(kind, text):
+    try:
+        return _vector(kind, text)
+    except FormatError:
+        return None
+
+
+@settings(max_examples=600, deadline=None)
+@given(name=st.sampled_from(sorted(_KINDS)), text=st.one_of(_CANONICAL, _NOISE))
+def test_vector_decoding_accepts_what_the_old_patterns_accepted(name, text):
+    got = _decoded(_KINDS[name], text)
+    if _OLD_VEC[name].fullmatch(text):
+        assert got is not None and got.dtype == np.int64
+        assert got.tolist() == np.fromstring(text, dtype=np.int64, sep=",").tolist()
+    else:
+        assert got is None
+
+
+@pytest.mark.parametrize("name, text", [
+    # longer than its digits: a leading zero, -0 or a 20th digit
+    ("plain", "01"), ("plain", "1,007"), ("plain", "9" * 20), ("ternary", "-0"),
+    ("monic", "3,01"),
+    # an empty field
+    ("plain", ""), ("plain", "1,,2"), ("plain", "1,"), ("plain", ",1"), ("ternary", "-,1"),
+    # a character other than a digit or comma, or a minus off the ternary secret
+    ("plain", "-1"), ("plain", "+1"), ("plain", " 1"), ("plain", "1\r"), ("plain", "\u0661"),
+    ("ternary", "1-1"), ("ternary", "--1"), ("monic", "-3,1"),
+])
+def test_vector_spelling_is_refused(name, text):
+    with pytest.raises(FormatError, match="wrong length or spelling"):
+        _vector(_KINDS[name], text)
+
+
+@pytest.mark.parametrize("texts", [["1,2,3", "4"], ["1", "2,3,4"], ["1,2,3", "4,5"], ["1,2", ""]])
+def test_rows_with_the_wrong_field_count_are_refused(texts):
+    with pytest.raises(FormatError):
+        fileio._RES.rows(texts, {"n": 2, "q": 17}, "v")
+    assert fileio._RES.rows(["1,2", "3,4"], {"n": 2, "q": 17}, "v").tolist() == [[1, 2], [3, 4]]
+
+
+_INT64 = st.one_of(st.sampled_from([0, -1, -(2**63), 2**63 - 1]),
+                   st.integers(-(2**63), 2**63 - 1))
+
+
+@given(vals=st.lists(_INT64, min_size=1, max_size=8), column=st.booleans())
+def test_format_rows_spells_each_row_as_str_join(vals, column):
+    rows = np.array(vals, dtype=np.int64).reshape((-1, 1) if column else (1, -1))
+    want = "".join(f"k={','.join(map(str, row))}\n" for row in rows.tolist())
+    assert fileio.format_rows(rows, ["k="]) == want
+
+
 # ---------------------------------------------------------------------------
 # Every record type: canonical round trip, line and token mutations, CLI.
 
