@@ -53,12 +53,13 @@ MAX_M = 4096
 def validate_chain(chain: tuple[int, ...], p: int, r: int) -> None:
     """Enforce q_i <= min(sqrt(q_{i+1}), q_{i+1}/2), q_L <= MAX_CHAIN_MODULUS,
     p^r < q_0, gcd(p, q_0) = 1 and q_i = q_0 (mod p^r), so a modulus switch
-    keeps the plaintext."""
+    keeps the plaintext.  Only q_i^2 <= q_{i+1} is tested: p^r < q_0 makes
+    every q_i >= 3, where q_i^2 >= 2 q_i."""
     if len(chain) < 2:
         raise InvalidParams("chain needs at least two moduli (L >= 1)")
     for i in range(len(chain) - 1):
         lo, hi = chain[i], chain[i + 1]
-        if lo * lo > hi or 2 * lo > hi:
+        if lo * lo > hi:
             raise InvalidParams(f"chain violates q_{i} <= min(sqrt(q_{i+1}), q_{i+1}/2)")
     if chain[-1] > MAX_CHAIN_MODULUS:
         raise InvalidParams("chain modulus exceeds 2^62")
@@ -70,8 +71,9 @@ def validate_chain(chain: tuple[int, ...], p: int, r: int) -> None:
 
 
 def _pt_modulus(p: int, r: int, q0: int) -> int:
-    """p^r, refused unless p^r < q_0; logarithms first, so a huge r is never raised to."""
-    if r * math.log2(p) > math.log2(q0) + 1 or p**r >= q0:
+    """p^r, refused unless p^r < q_0: first q_0 <= p, so the logarithms are
+    defined, then by logarithms, so a huge r is never raised to."""
+    if q0 <= p or r * math.log2(p) > math.log2(q0) + 1 or p**r >= q0:
         raise InvalidParams(f"need p^r < q_0 = {q0}")
     return p**r
 
@@ -144,7 +146,7 @@ class BgvCiphertext:
 
 def setup(m: int, p: int, r: int, levels: int) -> BgvParams:
     """Build a valid chain: q_0 = the first prime >= 128 coprime to p, then
-    q_{i+1} = the first prime >= max(q_i^2, 2 q_i) with q_{i+1} = q_i (mod p^r)."""
+    q_{i+1} = the first prime >= q_i^2 with q_{i+1} = q_i (mod p^r)."""
     _check_plaintext(m, p, r)
     if levels < 1:
         raise InvalidParams("need at least one level")
@@ -154,7 +156,7 @@ def setup(m: int, p: int, r: int, levels: int) -> BgvParams:
     pr = _pt_modulus(p, r, q)
     chain = [q]
     for _ in range(levels):
-        target = max(q * q, 2 * q)
+        target = q * q
         q = next_prime(target + (q - target) % pr, pr)
         if q > MAX_CHAIN_MODULUS:
             raise ChainOverflow("chain modulus exceeds 2^62")
@@ -220,7 +222,7 @@ def decrypt(ct: BgvCiphertext, sk: BgvSecretKey, params: BgvParams) -> list[int]
     acc = ct.parts[-1]
     for part in reversed(ct.parts[:-1]):
         acc = ring_add(ring_mul(s, acc), part)
-    return (np.array(acc.centered()) % pr).tolist()
+    return (reduce_centered(acc.vec, q) % pr).tolist()
 
 
 def _secret_power_norm_sum(params: BgvParams, count: int) -> float:
@@ -234,7 +236,8 @@ def switch_down(ct: BgvCiphertext, params: BgvParams) -> BgvCiphertext:
 
     Raises the level by one without touching the plaintext; used both by
     the homomorphic operations and to align operand levels.  The rounding
-    runs on Python ints, since 2 * x * q' overflows int64 at q ~ 2^57.
+    runs on an `object` array of Python ints, since 2 * x * q' overflows
+    int64 at q ~ 2^57.
     """
     if ct.level >= params.levels:
         raise LevelExceeded("already at the bottom modulus")
@@ -242,17 +245,13 @@ def switch_down(ct: BgvCiphertext, params: BgvParams) -> BgvCiphertext:
     ring_next = params.ring_at_level(ct.level + 1)
     q_next = ring_next.q
     pr = params.pt_modulus
-    new_parts = []
-    for part in ct.parts:
-        out = []
-        for c in part.coeffs:
-            x = reduce_centered(c, q)
-            v = (2 * x * q_next + q) // (2 * q)  # round(x * q'/q)
-            out.append(v + reduce_centered(x - v, pr))
-        new_parts.append(ring_from_coeffs(out, ring_next))
+    x = reduce_centered(np.array([part.vec for part in ct.parts], dtype=object), q)
+    v = (2 * x * q_next + q) // (2 * q)  # round(x * q'/q)
+    rows = v + reduce_centered(x - v, pr)  # the nearest value to v that is x mod p^r
+    new_parts = tuple(ring_from_coeffs(row, ring_next) for row in rows)
     rounding = (pr / 2.0) * _secret_power_norm_sum(params, len(ct.parts))
     bound = ct.noise_bound * q_next / q + rounding
-    return BgvCiphertext(parts=tuple(new_parts), level=ct.level + 1, noise_bound=bound)
+    return BgvCiphertext(parts=new_parts, level=ct.level + 1, noise_bound=bound)
 
 
 def _check_ops(c1: BgvCiphertext, c2: BgvCiphertext, params: BgvParams) -> int:

@@ -156,6 +156,6 @@ def verify(
         return VerifyResult(False, "norm")
     w = ring_sub(ring_add(ring_mul(pk.a, sig.z1), sig.z2), ring_mul(pk.t, sig.c))
     c_prime = hash_to_sparse(encode_poly(w, p) + message, p)
-    if c_prime.coeffs != sig.c.coeffs:
+    if not np.array_equal(c_prime.vec, sig.c.vec):
         return VerifyResult(False, "challenge mismatch")
     return VerifyResult(True)

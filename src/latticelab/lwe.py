@@ -96,13 +96,12 @@ def encrypt_bit(pk: LwePublicKey, z: int, rng: SeededRng) -> LweCiphertext:
 
 
 def decrypt_bit(sk: LweSecretKey, ct: LweCiphertext, p: LweParams) -> int:
-    """Nearest-of-{0, floor(q/2)} rounding on d = v - <u, s>, ties to 0."""
-    q = p.q
+    """Nearest-of-{0, floor(q/2)} rounding on d = v - <u, s>: the bit is 1
+    iff the centered d has |d| > floor(q/4).  For odd q, |d| = q/4 cannot
+    occur, so this is the nearest point exactly."""
     if len(ct.u) != len(sk.s):
         raise LengthMismatch("ciphertext/key dimension mismatch")
-    d = reduce_centered((ct.v - int(ct.u @ sk.s)) % q, q)
-    # centered d in (-q/4, q/4] means bit 0; exact rational comparison
-    return 0 if -q < 4 * d <= q else 1
+    return int(abs(reduce_centered(ct.v - int(ct.u @ sk.s), p.q)) > p.q // 4)
 
 
 def public_key_size(p: LweParams) -> int:

@@ -24,7 +24,7 @@ from .polyring import (
     ring_uniform,
 )
 from .rng import SeededRng
-from .zq import Modulus, next_prime
+from .zq import Modulus, next_prime, reduce_centered
 
 
 @dataclass(frozen=True)
@@ -127,12 +127,11 @@ def encrypt(
 
 
 def decrypt(s: RingElement, ct: PlweCiphertext) -> list[int]:
-    """Round each coefficient of v - u*s to the nearest of {0, floor(q/2)}."""
+    """Round each coefficient of v - u*s to the nearest of {0, floor(q/2)}:
+    1 iff its centered value c has |c| > floor(q/4), as in `lwe.decrypt_bit`."""
     q = s.params.q
-    r = ring_sub(ct.v, ring_mul(ct.u, s)).vec
-    # for odd q the centered c of r has -q < 4c <= q exactly when
-    # r <= q//4 or r >= q - q//4
-    return ((r > q // 4) & (r < q - q // 4)).astype(np.int64).tolist()
+    d = reduce_centered(ring_sub(ct.v, ring_mul(ct.u, s)).vec, q)
+    return (abs(d) > q // 4).astype(np.int64).tolist()
 
 
 def public_key_size(p: PlweParams) -> int:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError, InvalidParams, ParamMismatch, PreconditionFailed, ZeroElement
-from .zq import inv_mod, is_prime
+from .zq import inv_mod, is_prime, reduce_centered
 
 # ---------------------------------------------------------------------------
 # Integer polynomials (lists of ints, lowest degree first)
@@ -596,10 +596,10 @@ class RingElement:
         return RingElement, (self.vec, self.params)
 
     def centered(self) -> list[int]:
-        return _centered(self.vec, self.params.q).tolist()
+        return reduce_centered(self.vec, self.params.q).tolist()
 
     def inf_norm(self) -> int:
-        return int(np.abs(_centered(self.vec, self.params.q)).max())
+        return int(np.abs(reduce_centered(self.vec, self.params.q)).max())
 
 
 def _init_element(e: RingElement, vec: np.ndarray, params: RingParams) -> None:
@@ -608,11 +608,6 @@ def _init_element(e: RingElement, vec: np.ndarray, params: RingParams) -> None:
     object.__setattr__(e, "params", params)
     object.__setattr__(e, "_coeffs", None)
     object.__setattr__(e, "_ntt", None)
-
-
-def _centered(vec: np.ndarray, q: int) -> np.ndarray:
-    """Representatives in (-q/2, q/2] of residues in [0, q) (q odd)."""
-    return vec - q * (vec > q // 2)
 
 
 def _reduce_signed(d: np.ndarray, q: int) -> np.ndarray:
@@ -687,7 +682,7 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
         prod = a._transform() * b._transform() % q
         return RingElement._of(_ntt_inverse(prod, _ntt_tables(n, q)), p)
     dtype = p.mul_dtype
-    res = np.convolve(_centered(a.vec, q).astype(dtype), _centered(b.vec, q).astype(dtype))
+    res = np.convolve(*(reduce_centered(x.vec, q).astype(dtype) for x in (a, b)))
     if not p.negacyclic:
         return RingElement._of(p.division(res).astype(np.int64), p)
     res[: n - 1] -= res[n:]

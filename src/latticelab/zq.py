@@ -4,9 +4,10 @@ Everything else in the package sits on top of these few functions.
 `Modulus` is a checked prime `int`; `next_prime` is the one search for a
 prime in an arithmetic progression, which LWE, PLWE and BGV all use to
 find q; `reduce_centered` and `inv_mod` work mod any q >= 2.  The centered
-representative convention is fixed once and for all to (-q/2, q/2], so
-every "smallness" test in the attack and decryption code means the same
-thing.
+representative convention is fixed once and for all to (-q/2, q/2], and
+`reduce_centered` is its one implementation, for ints and integer arrays
+alike, so every "smallness" test in the ring, attack and decryption code
+means the same thing.
 """
 
 from __future__ import annotations
@@ -74,10 +75,12 @@ class Modulus(int):
         return super().__new__(cls, q)
 
 
-def reduce_centered(x: int, q: int) -> int:
-    """Unique representative of x mod q in (-q/2, q/2]."""
+def reduce_centered(x, q: int):
+    """Unique representative of x mod q in (-q/2, q/2], for an int or
+    elementwise for an int64 or `object` array (q < 2^63).  It never forms
+    2 * r, so int64 entries near 2^63 stay exact."""
     r = x % q
-    return r if 2 * r <= q else r - q
+    return r - q * (r > q // 2)
 
 
 def inv_mod(x: int, q: int) -> int:

@@ -177,6 +177,45 @@ def test_switch_down_preserves_plaintext(rng):
         assert decrypt(down, sk, params) == pt
 
 
+def switch_down_by_coefficient(ct, params):
+    """The parts of `switch_down(ct, params)`, rounded one coefficient at a
+    time on Python ints, with centering written out: the reference for its
+    array rounding."""
+    def centered(x, q):
+        r = x % q
+        return r if 2 * r <= q else r - q
+
+    q = params.modulus_at_level(ct.level)
+    ring_next = params.ring_at_level(ct.level + 1)
+    pr = params.pt_modulus
+    parts = []
+    for part in ct.parts:
+        out = []
+        for c in part.coeffs:
+            x = centered(c, q)
+            v = (2 * x * ring_next.q + q) // (2 * q)
+            out.append(v + centered(x - v, pr))
+        parts.append(ring_from_coeffs(out, ring_next))
+    return tuple(parts)
+
+
+@pytest.mark.parametrize("m", [9, 32, 255])
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 2)])
+def test_switch_down_matches_the_per_coefficient_rounding(m, p, r):
+    """Three uniform parts and one of the residues at the centering
+    boundary, from every level; at m = 255 the top ring's products
+    run on Python ints."""
+    params = setup(m=m, p=p, r=r, levels=3)
+    rng = SeededRng(bytes([m, p, r, 0]) * 8)
+    for level in range(params.levels):
+        ring = params.ring_at_level(level)
+        q = ring.q
+        edges = ring_from_coeffs([0, 1, q // 2, q // 2 + 1, q - 1], ring)
+        parts = tuple(ring_uniform(ring, rng) for _ in range(3)) + (edges,)
+        ct = BgvCiphertext(parts=parts, level=level, noise_bound=1.0)
+        assert switch_down(ct, params).parts == switch_down_by_coefficient(ct, params)
+
+
 def test_switch_down_bottoms_out(rng):
     params = std_params()
     sk = keygen(params, rng)

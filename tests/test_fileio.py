@@ -155,6 +155,20 @@ def test_bgv_chain_above_cap_gives_the_api_reason(top):
         fileio.load_bgv_params(text.replace(old, f"chain=131,{top}"))
 
 
+def test_bgv_chain_cap_admits_2_to_the_62():
+    """q_L = 2^62 loads, through the API and a params file; the next
+    modulus = q_0 (mod p^r = 3), 2^62 + 3, is refused by the cap alone."""
+    params = bgv.BgvParams(m=9, p=3, r=1, chain=(7, 1 << 62))
+    text = fileio.dump_bgv_params(params)
+    assert fileio.load_bgv_params(text) == params
+    with pytest.raises(InvalidParams, match=r"chain modulus exceeds 2\^62"):
+        bgv.BgvParams(m=9, p=3, r=1, chain=(7, (1 << 62) + 3))
+    over = text.replace(f"chain=7,{1 << 62}\n", f"chain=7,{(1 << 62) + 3}\n")
+    assert over != text
+    with pytest.raises(FormatError, match=r"^chain modulus exceeds 2\^62$"):
+        fileio.load_bgv_params(over)
+
+
 def test_bgv_secret_and_ciphertext_roundtrip(rng):
     params = bgv.setup(m=32, p=2, r=1, levels=2)
     sk = bgv.keygen(params, rng)
@@ -513,6 +527,17 @@ def _join(lines):
     return "\n".join(lines) + "\n"
 
 
+def _field(text, key):
+    return next(ln for ln in _lines(text) if ln.startswith(key + "="))[len(key) + 1:]
+
+
+def _with_fields(text, **values):
+    """`text` with each "key=..." line given a new value."""
+    for key, value in values.items():
+        text = text.replace(f"\n{key}={_field(text, key)}\n", f"\n{key}={value}\n", 1)
+    return text
+
+
 # Line mutations: (lines, i) -> lines, for every line index i.
 LINE_MUTATIONS = {
     "drop": lambda ls, i: ls[:i] + ls[i + 1:],
@@ -603,6 +628,25 @@ def test_found_cases_are_format_errors():
         _refused("glyph-signature", text.replace("\nz1=", "\nz1=" + prefix))
     ct = RECORDS["bgv-ciphertext"][0]
     _refused("bgv-ciphertext", re.sub("parts=[0-9]+", "parts=x", ct))
+    for chain in ["0,5", "0,0", "0,1", "1,1"]:  # q_0 <= p: log2(q_0) may be undefined
+        _refused("bgv-params", _with_fields(RECORDS["bgv-params"][0], chain=chain))
+
+
+# Values at the edges of each integer field: zero, one, the smallest prime
+# and its successor, and the largest int64.
+_EDGES = st.one_of(st.none(), st.sampled_from([0, 1, 2, 3, 2**63 - 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_EDGES, p=_EDGES, r=_EDGES, q0=_EDGES, q1=_EDGES)
+def test_bgv_params_with_edge_values_load_or_are_format_errors(m, p, r, q0, q1):
+    """m, p, r and the first two chain entries, each kept or set to an edge
+    value: loading round-trips or raises FormatError, never anything else."""
+    text = RECORDS["bgv-params"][0]
+    chain = _field(text, "chain").split(",")
+    chain[:2] = [str(old if new is None else new) for old, new in zip(chain, (q0, q1))]
+    edits = {k: v for k, v in {"m": m, "p": p, "r": r}.items() if v is not None}
+    _round_trips_or_refused("bgv-params", _with_fields(text, chain=",".join(chain), **edits))
 
 
 @pytest.mark.parametrize("case", ["cut", "padded", "level above L", "mod_index"])
@@ -697,3 +741,5 @@ def test_cli_found_cases_exit_1_with_one_line(tmp_path, capsys):
     ct = RECORDS["bgv-ciphertext"][0]
     err = _run_cli(tmp_path, "bgv-ciphertext", re.sub("parts=[0-9]+", "parts=x", ct), capsys)
     assert "parts" in err
+    prm = _with_fields(RECORDS["bgv-params"][0], chain="0,5")
+    assert "need p^r < q_0" in _run_cli(tmp_path, "bgv-params", prm, capsys)

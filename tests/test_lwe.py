@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -95,6 +96,19 @@ def test_decrypt_boundaries():
     assert decrypt_bit(sk, LweCiphertext(u=zero_u, v=q // 4 + 1), p) == 1
     # negative side of the window is open: -floor(q/4) decodes to 1 only past -q/4
     assert decrypt_bit(sk, LweCiphertext(u=zero_u, v=q - q // 4), p) == 0
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 257, 4099, 65537])
+def test_decrypt_matches_the_residue_window_on_every_residue(q):
+    """The bit is 1 iff |centered d| > floor(q/4); for odd q that is the
+    window -q < 4d <= q, written on centered d, that decoding used before."""
+    p = LweParams(n=math.isqrt(q), q=Modulus(q), alpha=0.0, m=1)
+    sk = type("SK", (), {"s": np.zeros(1, dtype=np.int64)})()
+    zero_u = np.zeros(1, dtype=np.int64)
+    for v in range(q):
+        d = v - q if 2 * v > q else v
+        want = 0 if -q < 4 * d <= q else 1
+        assert decrypt_bit(sk, LweCiphertext(u=zero_u, v=v), p) == want
 
 
 def test_decrypt_dimension_mismatch(rng):

@@ -174,6 +174,18 @@ def test_decrypt_noiseless_and_ties():
     assert decrypt(s, past)[0] == 1
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 12, 257, 1024, 4099])
+def test_decrypt_matches_the_residue_window_on_every_residue(q):
+    """Bit 1 iff |centered r| > floor(q/4) equals the window on residues,
+    floor(q/4) < r < q - floor(q/4), that decoding used before, for odd and even q."""
+    ring = RingParams((1,) + (0,) * 63 + (1,), q)
+    s = ring_zero(ring)
+    residues = np.arange(-(-q // 64) * 64) % q
+    for r in residues.reshape(-1, 64):
+        ct = PlweCiphertext(u=ring_zero(ring), v=ring_from_coeffs(r, ring))
+        assert decrypt(s, ct) == ((r > q // 4) & (r < q - q // 4)).astype(np.int64).tolist()
+
+
 def test_correctness_identity_symbolic(rng):
     # v - u*s == e*r + e2 - e1*s + floor(q/2)*z, exactly, per instance
     p = toy_params()

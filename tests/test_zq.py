@@ -77,11 +77,21 @@ def test_reduce_centered_boundary():
     assert reduce_centered(9, 17) == -8
 
 
-@given(st.integers(-10**9, 10**9), st.sampled_from([3, 5, 17, 257, 4099]))
-def test_reduce_centered_contract(x, q):
-    r = reduce_centered(x, q)
-    assert (r - x) % q == 0
-    assert -q / 2 < r <= q / 2
+@given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=6),
+       st.sampled_from([2, 3, 4, 5, 17, 256, 257, 4099, 2**62 - 57, 2**63 - 25]))
+def test_reduce_centered_contract(xs, q):
+    """The scalar rule, and the same rule entry by entry on int64 and
+    `object` arrays, for odd and even q up to 2^63 - 25."""
+    xs = xs + [q // 2 - 1, q // 2, q // 2 + 1, q - 1, q, -(q // 2), -1, 0]
+    for x in xs:
+        r = reduce_centered(x, q)
+        assert (r - x) % q == 0
+        assert -q < 2 * r <= q
+    for dtype in (np.int64, object):
+        arr = np.array(xs, dtype=dtype)
+        out = reduce_centered(arr, q)
+        assert out.dtype == arr.dtype
+        assert out.tolist() == [reduce_centered(x, q) for x in xs]
 
 
 def test_inv_mod_examples():
