@@ -220,10 +220,11 @@ def _decode(name: str, text: str, **context) -> tuple[object, dict]:
     if len(rows) != want:
         raise FormatError(f"{len(rows)} line(s) after the fields, expected {want}")
     for i, key in enumerate(keys):
-        texts = rows[i::len(keys)]
-        if not all(t.startswith(key + "=") for t in texts):
+        prefix = key + "="  # checked and stripped in one pass over the key's rows
+        texts = [t[len(prefix):] for t in rows[i::len(keys)] if t.startswith(prefix)]
+        if len(texts) != d[count]:
             raise FormatError(f"rows must repeat {', '.join(keys)} in that order")
-        d[key] = kind.rows([t[len(key) + 1:] for t in texts], d, key)
+        d[key] = kind.rows(texts, d, key)
     try:
         return rec.params.read(d), d
     except InvalidParams as e:

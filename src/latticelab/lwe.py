@@ -53,10 +53,17 @@ class LweCiphertext:
     v: int
 
 
+# keygen holds an m x n matrix, m ~ 2.2 n log2(n): at n = 2^10 that is 23 M
+# residues, seconds of work and a peak near 1 GB, so n stops there.
+MAX_N = 1 << 10
+
+
 def derive_params(n: int) -> LweParams:
     """q = next prime >= n^2, alpha = 1/(sqrt(n) log2(n)^2), m = ceil(1.1 n log2 q)."""
     if n < 16 or n & (n - 1):
         raise NTooSmall("n must be a power of two, n >= 16")
+    if n > MAX_N:
+        raise InvalidParams(f"n must be at most {MAX_N}, got {n}")
     q = next_prime(n * n)
     alpha = 1.0 / (math.sqrt(n) * math.log2(n) ** 2)
     m = math.ceil(1.1 * n * math.log2(q))

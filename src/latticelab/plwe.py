@@ -68,10 +68,15 @@ def split_prime(n: int, floor: int = 4096) -> int:
     return next_prime(floor + (1 - floor) % (2 * n), 2 * n)
 
 
+# Past 2^16 the default q fails the NTT's float64 bound, and products fall
+# back to convolutions: keygen took 0.1 s at n = 2^16 and a minute at 2^18.
+MAX_N = 1 << 16
+
+
 def default_params(n: int, sigma: float = 3.2, floor: int = 4096) -> PlweParams:
-    """f = x^n + 1 with a totally-splitting prime above `floor`."""
-    if n < 2 or n & (n - 1):
-        raise InvalidParams("n must be a power of two >= 2")
+    """f = x^n + 1 with a totally-splitting prime above `floor`, n <= MAX_N."""
+    if n < 2 or n & (n - 1) or n > MAX_N:
+        raise InvalidParams(f"n must be a power of two in [2, {MAX_N}], got {n}")
     f = tuple([1] + [0] * (n - 1) + [1])
     return PlweParams(ring=RingParams(f=f, q=Modulus(split_prime(n, floor))), sigma=sigma)
 

@@ -333,17 +333,16 @@ def _pow_x(e: int, f: list[int], q: int, shift: int = 0) -> list[int]:
     """(x + shift)^e mod (f, q), for f monic of degree n >= 1, by
     left-to-right square and multiply.
 
-    Every product is an `np.convolve` of residues in `_FDivision`'s dtype,
-    where its sums, at most n * (q - 1)^2, are exact, reduced by the
-    division `_f_division` holds for (f mod q, q); the state is O(n).
+    Each step divides once, by the `_f_division` for (f mod q, q): r^2, or
+    on a 1 bit (r^2 mod q) * (x + shift), at most 2n coefficients, each a
+    sum of min(n, 2) products of residues.  Both products are
+    `_convolve_exact`s within the division's bound, n * (q - 1)^2.
     """
     div = _f_division(tuple(c % q for c in f), q)
-    base = np.array([shift % q, 1], dtype=div.dtype)
-    r = np.ones(1, dtype=div.dtype)
+    bound, base, r = div.bound, np.array([shift % q, 1]), np.ones(1, dtype=np.int64)
     for bit in bin(e)[2:] if e else "":
-        r = div(np.convolve(r, r))
-        if bit == "1":
-            r = div(np.convolve(r, base))
+        r = _convolve_exact(r, r, bound)
+        r = div(_convolve_exact(r % q, base, bound) if bit == "1" else r)
     return [int(c) for c in r]
 
 
@@ -421,6 +420,14 @@ def _exact_dtype(bound: int) -> type:
     return np.float64 if bound < _FLOAT_EXACT else np.int64 if bound < 1 << 63 else object
 
 
+def _convolve_exact(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """The full convolution over Z of the integer arrays a and b, computed
+    in `_exact_dtype(bound)`, so exact when no partial sum exceeds `bound`
+    in magnitude.  Every polynomial product in the package goes through it."""
+    dtype = _exact_dtype(bound)
+    return np.convolve(a.astype(dtype, copy=False), b.astype(dtype, copy=False))
+
+
 def _residues(sums: np.ndarray, q: int) -> np.ndarray:
     """Exact integer sums as int64 residues mod q.  Python ints are reduced
     before the cast, as they may not fit; float64 after it, which is faster."""
@@ -435,30 +442,29 @@ class _FDivision:
 
     With rev the coefficient reversal, the quotient by f of a c of degree
     n + m - 1, m <= n, is the rev of rev(c's top m coefficients) *
-    rev(f)^-1 mod x^m, so a call is two convolutions.  f's low
-    coefficients and rev(f)^-1 mod x^n are held as residues in `dtype`,
-    where sums of n products of residues, at most n * (q - 1)^2, are
-    exact (`_exact_dtype`).
+    rev(f)^-1 mod x^m, so a call is two `_convolve_exact`s of residues
+    against f's low coefficients and rev(f)^-1 mod x^n.  Their sums, of at
+    most n products of residues, are within `bound` = n * (q - 1)^2.
     """
 
     def __init__(self, f, q: int):
         n = len(f) - 1
-        self.n, self.q, self.dtype = n, q, _exact_dtype(n * (q - 1) * (q - 1))
-        self.low = np.array([c % q for c in f[:-1]], dtype=self.dtype)
+        self.n, self.q, self.bound = n, q, n * (q - 1) * (q - 1)
+        dtype = _exact_dtype(self.bound)  # what `_convolve_exact` computes in: no cast per call
+        self.low = np.array([c % q for c in f[:-1]], dtype=dtype)
         # rev(f)^-1 mod x^n is the rev of the quotient of x^(2n-1) by f
-        self.inv = np.array(poly_divmod_mod([0] * (2 * n - 1) + [1], f, q)[0][::-1],
-                            dtype=self.dtype)
+        self.inv = np.array(poly_divmod_mod([0] * (2 * n - 1) + [1], f, q)[0][::-1], dtype=dtype)
 
     def __call__(self, sums: np.ndarray) -> np.ndarray:
-        """The residues in `dtype` of c mod (f, q), for c given as its at
-        most 2n exact integer coefficients in `dtype` or a narrower one."""
+        """The residues of c mod (f, q), for c given as its at most 2n exact
+        integer coefficients in the dtype of `low` or a narrower one."""
         n, q = self.n, self.q
-        c = (sums % q).astype(self.dtype, copy=False)
+        c = (sums % q).astype(self.low.dtype, copy=False)
         m = len(c) - n
         if m <= 0:
             return c
-        quo = (np.convolve(c[: n - 1 : -1], self.inv[:m])[:m] % q)[::-1]
-        return (c[:n] - np.convolve(quo, self.low)[:n]) % q
+        quo = (_convolve_exact(c[: n - 1 : -1], self.inv[:m], self.bound)[:m] % q)[::-1]
+        return (c[:n] - _convolve_exact(quo, self.low, self.bound)[:n]) % q
 
 
 @lru_cache(maxsize=32)  # past the 11 (f, q) of a labbench `attack` round
@@ -471,9 +477,12 @@ def _f_division(f: tuple[int, ...], q: int) -> _FDivision:
 class RingParams:
     """Monic f of degree n >= 1 and a modulus 2 <= q < 2^63.
 
-    q is converted to a plain `int` and range-checked here, the one place
-    in the package that converts it, so a ring built from a `Modulus`
-    equals the same ring built from its value.  q need not be prime: PLWE
+    f is kept as R_q sees it: its leading coefficient must be exactly 1,
+    and the others are stored as residues in [0, q), so two spellings of
+    one f mod q give equal rings and write the same files.  q is converted
+    to a plain `int` and range-checked here, the one place in the package
+    that converts it, so a ring built from a `Modulus` equals the same
+    ring built from its value.  q need not be prime: PLWE
     and GLYPH pass a `Modulus` (a verified prime), but BGV passes its raw
     chain moduli, which may be composite.  Only the NTT needs a prime q,
     and `uses_ntt` checks it; `ring_mul` is exact for every f and q.
@@ -491,7 +500,7 @@ class RingParams:
             raise InvalidParams("f must have degree >= 1")
         if f[-1] != 1:
             raise InvalidParams("f must be monic")
-        object.__setattr__(self, "f", tuple(f))
+        object.__setattr__(self, "f", tuple(int(c) % q for c in f[:-1]) + (1,))
         object.__setattr__(self, "q", q)
 
     @property
@@ -509,29 +518,22 @@ class RingParams:
 
     @cached_property
     def uses_ntt(self) -> bool:
-        """True where products take the negacyclic NTT: f = x^n + 1
-        (within `int64_safe`) with n a power of two, q a prime = 1 (mod 2n)
-        so that f splits into n linear factors mod q, and max(n1, n2) *
-        (q - 1)^2 < 2^53 for the four-step split n = n1 * n2, so that every
-        matmul sum is exact in float64.  The primality test matters: BGV
-        builds its rings from raw chain moduli, which may be composite, and
-        mod a composite q there may be no primitive 2n-th root to build the
-        transform from."""
+        """True where products take the negacyclic NTT: f = x^n + 1 with
+        n a power of two, q a prime = 1 (mod 2n) so that f splits into n
+        linear factors mod q, and max(n1, n2) * (q - 1)^2 < 2^53 for the
+        four-step split n = n1 * n2, so that every matmul sum is exact in
+        float64 and every pointwise product, at most (q - 1)^2, in int64.
+        The primality test matters: BGV builds its rings from raw chain
+        moduli, which may be composite, and mod a composite q there may be
+        no primitive 2n-th root to build the transform from."""
         n, q = self.n, self.q
-        return (self.negacyclic and self.int64_safe and n & (n - 1) == 0 and q % (2 * n) == 1
+        return (self.negacyclic and n & (n - 1) == 0 and q % (2 * n) == 1
                 and max(_ntt_split(n)) * (q - 1) * (q - 1) < _FLOAT_EXACT and is_prime(q))
-
-    @cached_property
-    def mul_dtype(self) -> type:
-        """`ring_mul`'s convolution dtype: its sums have at most n products of
-        centered residues, so `_exact_dtype(n * floor(q/2)^2)`."""
-        half = self.q // 2
-        return _exact_dtype(self.n * half * half)
 
     @cached_property
     def division(self) -> _FDivision:
         """`ring_mul`'s reduction mod f off x^n + 1, shared with `_pow_x`."""
-        return _f_division(tuple(c % self.q for c in self.f), self.q)
+        return _f_division(self.f, self.q)
 
 
 class RingElement:
@@ -669,20 +671,18 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     roots), it is the pointwise product of the operands' cached
     number-theoretic transforms, mapped back, by float64 matmuls that are
     exact (see `_ntt_tables`).  On every other ring it is the product over
-    Z, a full convolution of centered representatives in `params.mul_dtype`,
-    where every partial sum is exact, reduced mod f: folded by x^n = -1 on
-    x^n + 1, divided by f otherwise.  The division is `params.division`,
-    built once per (f, q) and shared with `_pow_x`: two more convolutions,
-    of residues, against f's low coefficients and the precomputed inverse
-    of its reversal, in the dtype where n * (q - 1)^2 is exact."""
+    Z, a `_convolve_exact` of centered representatives (n products of
+    magnitude at most floor(q/2)^2 per sum), reduced mod f: folded by
+    x^n = -1 on x^n + 1, divided by f otherwise, by `params.division`,
+    built once per (f, q) and shared with `_pow_x`."""
     _check(a, b)
     p = a.params
     q, n = p.q, p.n
     if p.uses_ntt:
         prod = a._transform() * b._transform() % q
         return RingElement._of(_ntt_inverse(prod, _ntt_tables(n, q)), p)
-    dtype = p.mul_dtype
-    res = np.convolve(*(reduce_centered(x.vec, q).astype(dtype) for x in (a, b)))
+    half = q // 2
+    res = _convolve_exact(*(reduce_centered(x.vec, q) for x in (a, b)), n * half * half)
     if not p.negacyclic:
         return RingElement._of(p.division(res).astype(np.int64), p)
     res[: n - 1] -= res[n:]

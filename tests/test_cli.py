@@ -393,6 +393,9 @@ BAD_NUMBERS = [
     (["smear", "--params", "prm", "--alpha", "1", "--t", "3"], 2),
     (["smear", "--params", "prm", "--alph", "1"], 2),
     (["keygen", "--scheme", "glyph", "--n", "131072"], 1),  # n > 2^16
+    (["keygen", "--scheme", "plwe", "--n", str(2**34)], 1),  # n > 2^16
+    (["keygen", "--scheme", "lwe", "--n", str(2**30)], 1),  # n > 2^10
+    (["bench", "--n", str(2**30), "--seed", SEED], 1),
     (["sample", "--dist", "uniform", "--q", str(2**64), "--count", "3", "--seed", SEED], 1),
     (["sample", "--dist", "uniform", "--q", "100000000000000000000000", "--count", "3",
       "--seed", SEED], 1),

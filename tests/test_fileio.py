@@ -99,6 +99,24 @@ def test_plwe_samples_roundtrip(plwe_setup, rng):
         assert x.a.coeffs == y.a.coeffs and x.b.coeffs == y.b.coeffs
 
 
+@pytest.mark.parametrize("f", [(-2, 1, 0, 0, 1),  # x^4 + x - 2: 255, 1, 0, 0, 1 mod 257
+                               (-259, 258, 257, -514, 1),  # the same f mod 257
+                               (2**62, -(2**62), 0, 0, 1)])  # shifts far past q
+def test_plwe_records_with_f_spelled_outside_zq_round_trip(f, rng):
+    # f's low coefficients lie outside [0, q), shifted by multiples of q; the
+    # ring keeps them mod q, so every record writes an f its loader accepts
+    p = plwe.PlweParams(RingParams(f, Modulus(257)), sigma=1.5)
+    assert all(0 <= c < 257 for c in p.ring.f)
+    kp = plwe.keygen(p, rng)
+    ct = plwe.encrypt((kp.a, kp.b), [1, 0, 1, 1], p, rng)
+    sample = plwe.oracle_sample(p, kp.s, rng)
+    assert fileio.load_plwe_params(fileio.dump_plwe_params(p)) == p
+    assert fileio.load_plwe_secret(fileio.dump_plwe_secret(kp, p)) == (kp.s, p)
+    assert fileio.load_plwe_public(fileio.dump_plwe_public(kp, p)) == ((kp.a, kp.b), p)
+    assert fileio.load_plwe_ciphertext(fileio.dump_plwe_ciphertext([ct], p)) == ([ct], p)
+    assert fileio.load_plwe_samples(fileio.dump_plwe_samples([sample], p)) == ([sample], p)
+
+
 def test_plwe_header_field_checks():
     with pytest.raises(FormatError):
         fileio.load_plwe_params("latticelab-plwe-v1\nn=4\nq=17\n")  # missing f, sigma

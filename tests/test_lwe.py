@@ -38,6 +38,13 @@ def test_derive_params_rejects_bad_n():
         derive_params(48)  # not a power of two
 
 
+def test_derive_params_caps_n_at_2_to_the_10():
+    assert derive_params(1 << 10).n == 1 << 10
+    for n in (1 << 11, 1 << 30):
+        with pytest.raises(InvalidParams, match="at most 1024"):
+            derive_params(n)
+
+
 def test_params_q_window_enforced():
     with pytest.raises(InvalidParams):
         LweParams(n=16, q=Modulus(521), alpha=0.01, m=100)  # 521 > 2*256

@@ -56,6 +56,10 @@ def test_check_split_rejects_bad_modulus():
 def test_default_params_validation():
     with pytest.raises(InvalidParams):
         default_params(12)
+    assert default_params(1 << 16).ring.uses_ntt
+    for n in (1 << 17, 1 << 34):  # refused before f is built
+        with pytest.raises(InvalidParams):
+            default_params(n)
     with pytest.raises(InvalidParams):
         PlweParams(ring=toy_params().ring, sigma=-1.0)
 

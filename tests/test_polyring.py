@@ -33,6 +33,7 @@ from latticelab.polyring import (
     poly_eval_z,
     poly_gcd_mod,
     poly_mul_z,
+    poly_trim,
     ring_add,
     ring_from_coeffs,
     ring_mul,
@@ -41,8 +42,9 @@ from latticelab.polyring import (
     ring_uniform,
     roots_mod_q,
 )
-from latticelab.polyring import (_factorize, _ntt_forward, _ntt_inverse, _ntt_tables,
-                                 _pow_x, _roots_by_gcd, _roots_by_scan, _x_pow_minus_x)
+from latticelab.polyring import (_convolve_exact, _exact_dtype, _factorize, _ntt_forward,
+                                 _ntt_inverse, _ntt_split, _ntt_tables, _pow_x, _roots_by_gcd,
+                                 _roots_by_scan, _x_pow_minus_x)
 from latticelab.zq import Modulus, is_prime, next_prime
 
 
@@ -400,6 +402,17 @@ def test_ring_params_store_q_as_a_plain_int():
     assert ring_mul(a, b) == ring_mul(ring_from_coeffs([1, 2, 3], checked), b)
 
 
+def test_ring_params_keep_f_mod_q():
+    # x^4 + x - 2 and x^4 + x + 255 are one ring over F_257
+    a, b = RingParams((-2, 1, 0, 0, 1), 257), RingParams((255, 1, 0, 0, 1), 257)
+    assert a == b and hash(a) == hash(b) and a.f == (255, 1, 0, 0, 1)
+    assert RingParams((-259, 258, 257, -514, 1), Modulus(257)) == a
+    assert a.division is b.division
+    assert RingParams((-1, 0, 1), 2).negacyclic  # x^2 - 1 = x^2 + 1 mod 2
+    with pytest.raises(InvalidParams):
+        RingParams((1, 0, 258), 257)  # 258 = 1 mod 257, but f is not monic
+
+
 def test_x_times_x_is_minus_one():
     p = ring([1, 0, 1], 17)
     x = ring_from_coeffs([0, 1], p)
@@ -553,13 +566,19 @@ def division_oracle(ac, bc, p):
     return tuple(rem + [0] * (p.n - len(rem)))
 
 
+def mul_dtype(p):
+    """The dtype of `ring_mul`'s convolution on p: n products of centered
+    residues, at most floor(q/2)^2 each, per sum."""
+    return _exact_dtype(p.n * (p.q // 2) ** 2)
+
+
 def test_float_exactness_edge_at_n_1024():
     assert FLOAT_EDGE_Q == 2 * math.isqrt((2**53 - 1) // 1024) + 1
     assert is_prime(FLOAT_EDGE_Q) and next_prime(FLOAT_EDGE_Q + 1) == INT64_EDGE_Q
-    assert negacyclic(1024, 59393).mul_dtype is np.float64
-    assert negacyclic(1024, FLOAT_EDGE_Q).mul_dtype is np.float64
+    assert mul_dtype(negacyclic(1024, 59393)) is np.float64
+    assert mul_dtype(negacyclic(1024, FLOAT_EDGE_Q)) is np.float64
     edge = negacyclic(1024, INT64_EDGE_Q)
-    assert edge.mul_dtype is np.int64 and edge.int64_safe
+    assert mul_dtype(edge) is np.int64 and edge.int64_safe
 
 
 # n * floor(q/2)^2 < 2^63 holds at n = 16 up to q = 2 * 759250124 + 1; the
@@ -577,10 +596,52 @@ def test_int64_exactness_edge_at_n_16():
         # magnitude, so the middle sum of the convolution is 16 * (q // 2)^2
         for f in (negacyclic(16, 3).f, cyclotomic_poly(17)):
             p = RingParams(f, q)
-            assert p.mul_dtype is dtype and not p.uses_ntt
+            assert mul_dtype(p) is dtype and not p.uses_ntt
             for ac, bc in [([q // 2] * 16, [q // 2] * 16), ([q // 2] * 16, uniform)]:
                 got = ring_mul(RingElement(ac, p), RingElement(bc, p))
                 assert got.coeffs == division_oracle(ac, bc, p)
+
+
+# (n, q, dtype): each side of the float64 edge at n = 1024 and of the
+# int64 edge at n = 16, for sums of n products of magnitude floor(q/2)^2
+CONVOLVE_BANDS = [(1024, FLOAT_EDGE_Q, np.float64), (1024, INT64_EDGE_Q, np.int64),
+                  (16, INT64_TOP_Q, np.int64), (16, INT64_TOP_Q + 1, object)]
+
+
+def check_convolve_exact(a, b, n, q, dtype):
+    bound = n * (q // 2) ** 2
+    assert _exact_dtype(bound) is dtype
+    got = _convolve_exact(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), bound)
+    assert got.dtype == dtype
+    assert poly_trim([int(x) for x in got]) == poly_mul_z(a, b)
+
+
+@pytest.mark.parametrize("n, q, dtype", CONVOLVE_BANDS)
+def test_convolve_exact_at_the_band_edges(n, q, dtype):
+    # n entries of magnitude h = floor(q/2): the middle sum of all h is n * h^2,
+    # the bound itself; with one h - 1 at opposite ends it is n * h^2 - 2h + 1,
+    # odd for even h, so float64 cannot hold it once it passes 2^53
+    h = q // 2
+    for a, b in [([h] * n, [h] * n), ([-h] * n, [h] * n),
+                 ([h - 1] + [h] * (n - 1), [h] * (n - 1) + [h - 1])]:
+        check_convolve_exact(a, b, n, q, dtype)
+
+
+@pytest.mark.parametrize("n, q, dtype", CONVOLVE_BANDS)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_convolve_exact_matches_poly_mul_z_in_every_band(n, q, dtype, data):
+    # up to n entries of magnitude at most floor(q/2), one sign per operand or
+    # mixed; a small spread keeps them near floor(q/2), near the bound
+    half = q // 2
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    operands = []
+    for _ in range(2):
+        size = data.draw(st.integers(1, n))
+        mag = half - rng.integers(0, data.draw(st.sampled_from([1, 2, 1000, half + 1])), size)
+        sign = data.draw(st.sampled_from([1, -1, None]))
+        operands.append((mag * (sign or rng.choice([-1, 1], size))).tolist())
+    check_convolve_exact(*operands, n, q, dtype)
 
 
 ALL_BITS = 2**1024 - 1
@@ -714,6 +775,19 @@ def test_ntt_gate():
     assert not negacyclic(12, 73).uses_ntt  # 24 | 72, but n is no power of two
     assert not ring(cyclotomic_poly(9), 19).uses_ntt  # splits, but f != x^n + 1
     assert not RingParams(negacyclic(16, 97).f, 97 * 97).uses_ntt  # 32 | 9408, but composite
+
+
+def test_the_ntt_bound_implies_int64_safe():
+    # `uses_ntt` has no int64_safe term: every prime q = 1 (mod 2n) within the
+    # float64 bound max(n1, n2) * (q - 1)^2 < 2^53 is int64_safe.  Only at
+    # n = 2^20 does the bound admit an unsafe q = 1 (mod 2n), 2^21 + 1 = 3 * 699051
+    unsafe = []
+    for n in (1 << k for k in range(40)):
+        q = math.isqrt((2**53 - 1) // max(_ntt_split(n))) // (2 * n) * (2 * n) + 1
+        while q > 1 and n * (q - 1) ** 2 >= 2**62:  # from the largest q down
+            unsafe.append(q)
+            q -= 2 * n
+    assert unsafe == [2**21 + 1] and not is_prime(unsafe[0])
 
 
 @pytest.mark.parametrize("n, q", NTT_RINGS + [(1, 3), (2, 17), (8, 17)])
