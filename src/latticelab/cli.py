@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import attacks, bgv, fileio, glyph, lwe, plwe
-from .errors import LatticeLabError
+from .errors import LatticeLabError, ParamMismatch
 from .gaussian import GaussianParams, fold_to_zq_array, sample_int_array
 from .polyring import parse_poly
 from .rng import SEED_BYTES, SeededRng
@@ -185,7 +185,12 @@ def cmd_decrypt(args) -> int:
 def cmd_sign(args) -> int:
     rng = _rng_from_args(args)
     sk, params = fileio.load_glyph_secret(_read(args.secret))
-    pk, _ = fileio.load_glyph_public(_read(args.public))
+    pk, pk_params = fileio.load_glyph_public(_read(args.public))
+    if pk_params != params:
+        pair = {f: (getattr(pk_params, f), getattr(params, f)) for f in ("n", "q", "b", "k")}
+        diff = ", ".join(f"{f}={pub} against {sec}" for f, (pub, sec) in pair.items() if pub != sec)
+        raise ParamMismatch(f"the public key's GLYPH parameters differ from the secret key's: "
+                            f"{diff}")
     message, digest = _read_message(args.message)
     sig, iters = glyph.sign(sk, pk, message, params, rng.derive(f"glyph-sign/{digest}"))
     print(f"signed in {iters} iteration(s)", file=sys.stderr)

@@ -64,11 +64,11 @@ class _Num:
 class _Vec:
     """Comma-separated integers, n(fields) of them (one row of any length if
     n is None), each below q(fields) if q is given; negative ones, spelled
-    with a leading minus, only if signed; ok(rows), if given, must hold of
-    the parsed rows.  Decoded as int64."""
+    with a leading minus, only if signed; ok(rows, fields), if given, must
+    hold of the parsed rows, or the error names `rule`.  Decoded as int64."""
 
-    def __init__(self, n, q, ok=None, signed=False):
-        self.n, self.q, self.ok, self.signed = n, q, ok, signed
+    def __init__(self, n, q, ok=None, rule="", signed=False):
+        self.n, self.q, self.ok, self.rule, self.signed = n, q, ok, rule, signed
 
     @staticmethod
     def encode(v):
@@ -100,8 +100,8 @@ class _Vec:
         if self.q is not None and top >= self.q(d):
             raise FormatError(f"vector {key!r} has an entry outside [0, q)")
         vals = vals.reshape(len(texts), n)
-        if self.ok and not self.ok(vals):
-            raise bad
+        if self.ok and not self.ok(vals, d):
+            raise FormatError(f"bad vector {key!r}: {self.rule}")
         return vals
 
 
@@ -124,8 +124,14 @@ class _Challenge:
 _INT_, _FLOAT = _Num(int, lambda v, d: v < 1 << 63), _Num(float)
 _RES = _Vec(lambda d: d["n"], lambda d: d["q"])
 _RES_N1 = _Vec(lambda d: d["n"] + 1, lambda d: d["q"])
-_MONIC = _Vec(_RES_N1.n, _RES_N1.q, lambda rows: rows.shape[1] > 1 and (rows[:, -1] == 1).all())
-_TERNARY = _Vec(None, None, lambda rows: (abs(rows) <= 1).all(), signed=True)
+_MONIC = _Vec(_RES_N1.n, _RES_N1.q,
+              lambda rows, d: rows.shape[1] > 1 and (rows[:, -1] == 1).all(),
+              "must be monic of degree >= 1")
+_TERNARY = _Vec(None, None, lambda rows, d: (abs(rows) <= 1).all(), "entries must be -1, 0 or 1",
+                signed=True)
+# GLYPH's secret, ternary as residues: sign's bound |s*c| <= k rests on it
+_TERNARY_RES = _Vec(_RES.n, _RES.q, lambda rows, d: ((rows <= 1) | (rows == d["q"] - 1)).all(),
+                    "entries must be 0, 1 or q - 1")
 
 
 class _Params:
@@ -176,7 +182,7 @@ RECORDS = {
     "plwe-public": _Record(_PLWE, None, (("a", _RES), ("b", _RES))),
     "plwe-ciphertext": _Record(_PLWE, None, (("blocks", _INT_),), ("blocks", ("u", "v"), _RES)),
     "plwe-samples": _Record(_PLWE, None, (("count", _INT_),), ("count", ("a", "b"), _RES)),
-    "glyph-secret": _Record(_GLYPH, None, (("s", _RES), ("e", _RES))),
+    "glyph-secret": _Record(_GLYPH, None, (("s", _TERNARY_RES), ("e", _TERNARY_RES))),
     "glyph-public": _Record(_GLYPH, None, (("a", _RES), ("t", _RES))),
     "glyph-signature": _Record(_GLYPH, None, (("c", _Challenge()), ("z1", _RES), ("z2", _RES))),
     "bgv-params": _Record(_BGV, "params"),

@@ -12,7 +12,15 @@ against other implementations):
   bound beta = b - k work: each coefficient of s*c is a signed sum of k
   ternary secret entries, so |s*c| <= k coefficient-wise.
 * secret-key coefficients are ternary {-1, 0, 1}; masking polynomials
-  y1, y2 are uniform in {-b, ..., b}.
+  y1, y2 are uniform in {-b, ..., b}.  `GlyphParams` requires
+  b + k < q/2, so z = y + s*c, at most b + k in magnitude, is its own
+  centered residue, and the norm test over Z_q is one over Z.
+
+`sign` never transforms c.  Since c is k signed powers of x, s*c is a
+signed sum of k negacyclic rotations x^j * s, which `sign` gathers from
+one window table per call (`_rotations`) and adds exactly in int64; it
+tests the norms on the integers y + s*c and reduces mod q only the pair
+it returns.  a*y1 and everything in `verify` stay on `ring_mul`.
 """
 
 from __future__ import annotations
@@ -23,10 +31,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParams, RejectionOverflow
+from .errors import InvalidParams, ParamMismatch, RejectionOverflow
 from .polyring import RingElement, RingParams, ring_add, ring_mul, ring_sub, ring_uniform
 from .rng import SeededRng
-from .zq import Modulus
+from .zq import Modulus, reduce_centered
 
 MAX_SIGN_ITERS = 10_000
 
@@ -45,6 +53,10 @@ class GlyphParams:
             raise InvalidParams("need 0 < k <= b")
         if self.n < 2 or self.n > 1 << 16 or self.n & (self.n - 1):
             raise InvalidParams("n must be a power of two in [2, 2^16]: a position is 2 bytes")
+        if self.k > self.n:
+            raise InvalidParams(f"need k <= n: a challenge has k = {self.k} distinct positions")
+        if 2 * (self.b + self.k) >= self.q:
+            raise InvalidParams("need b + k < q/2, or a centered z = y + s*c wraps mod q")
 
     @property
     def beta(self) -> int:
@@ -84,10 +96,14 @@ class VerifyResult:
     reason: str | None = None
 
 
+def _bounded_draw(p: GlyphParams, bound: int, rng: SeededRng) -> np.ndarray:
+    """n integers uniform in {-bound, ..., bound}."""
+    return rng.uniform_array(2 * bound + 1, p.n) - bound
+
+
 def _bounded_uniform(p: GlyphParams, bound: int, rng: SeededRng) -> RingElement:
     """Element with coefficients uniform in {-bound, ..., bound}."""
-    vals = rng.uniform_array(2 * bound + 1, p.n) - bound
-    return RingElement(vals % p.ring.q, p.ring)
+    return RingElement._of(_bounded_draw(p, bound, rng) % p.ring.q, p.ring)
 
 
 def keygen(p: GlyphParams, rng: SeededRng) -> tuple[GlyphSecretKey, GlyphPublicKey]:
@@ -126,6 +142,37 @@ def hash_to_sparse(data: bytes, p: GlyphParams) -> RingElement:
     return RingElement(coeffs, p.ring)
 
 
+def _rotations(x: np.ndarray) -> np.ndarray:
+    """The n + 1 windows of length n over [-x, x], for x of length n: row
+    n - j is x^j * x in Z[x]/(x^n + 1), for 0 <= j < n."""
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([-x, x]), len(x))
+
+
+def _challenge_rows(c: RingElement) -> tuple[np.ndarray, np.ndarray]:
+    """The `_rotations` rows x^j for c's +1 positions j, and for its -1 positions."""
+    n, pos = c.params.n, np.flatnonzero(c.vec)
+    plus = c.vec[pos] == 1
+    return n - pos[plus], n - pos[~plus]
+
+
+def _challenge_product(rot: np.ndarray, rows: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """x * c over Z[x]/(x^n + 1) for rot = `_rotations(x)` and rows =
+    `_challenge_rows(c)`: k rows of x's entries, exact in int64."""
+    plus, minus = rows
+    return rot[plus].sum(axis=0) - rot[minus].sum(axis=0)
+
+
+def _ternary(x: RingElement, p: GlyphParams) -> np.ndarray:
+    """The centered coefficients of x, a secret-key element of p's ring,
+    which must lie in {-1, 0, 1}."""
+    if x.params is not p.ring and x.params != p.ring:
+        raise ParamMismatch("the secret key lives in another ring")
+    v = reduce_centered(x.vec, p.ring.q)
+    if np.abs(v).max() > 1:
+        raise InvalidParams("a GLYPH secret key must be ternary")
+    return v
+
+
 def sign(
     sk: GlyphSecretKey,
     pk: GlyphPublicKey,
@@ -133,18 +180,24 @@ def sign(
     p: GlyphParams,
     rng: SeededRng,
 ) -> tuple[GlyphSignature, int]:
-    """Rejection-sampling loop; returns the signature and iteration count."""
+    """Rejection-sampling loop; returns the signature and iteration count.
+    s*c and e*c are `_challenge_product`s, and z1, z2 are tested over Z
+    (module docstring)."""
+    q = p.ring.q
+    rot_s, rot_e = (_rotations(_ternary(x, p)) for x in (sk.s, sk.e))
     for it in range(1, MAX_SIGN_ITERS + 1):
-        y1 = _bounded_uniform(p, p.b, rng)
-        y2 = _bounded_uniform(p, p.b, rng)
-        w = ring_add(ring_mul(pk.a, y1), y2)
-        c = hash_to_sparse(encode_poly(w, p) + message, p)
-        z1 = ring_add(ring_mul(sk.s, c), y1)
-        if z1.inf_norm() > p.beta:
+        y1 = _bounded_draw(p, p.b, rng)
+        y2 = _bounded_draw(p, p.b, rng)
+        w = ring_mul(pk.a, RingElement._of(y1 % q, p.ring)).vec + y2
+        c = hash_to_sparse(encode_poly(RingElement._of(w % q, p.ring), p) + message, p)
+        rows = _challenge_rows(c)
+        z1 = y1 + _challenge_product(rot_s, rows)
+        if np.abs(z1).max() > p.beta:
             continue  # z2 draws no randomness, so skipping it keeps the stream
-        z2 = ring_add(ring_mul(sk.e, c), y2)
-        if z2.inf_norm() <= p.beta:
-            return GlyphSignature(c=c, z1=z1, z2=z2), it
+        z2 = y2 + _challenge_product(rot_e, rows)
+        if np.abs(z2).max() <= p.beta:
+            return GlyphSignature(c=c, z1=RingElement._of(z1 % q, p.ring),
+                                  z2=RingElement._of(z2 % q, p.ring)), it
     raise RejectionOverflow(f"no acceptable signature in {MAX_SIGN_ITERS} iterations")
 
 

@@ -614,7 +614,7 @@ def _init_element(e: RingElement, vec: np.ndarray, params: RingParams) -> None:
 
 def _reduce_signed(d: np.ndarray, q: int) -> np.ndarray:
     """Values in (-q, q) to residues in [0, q), in place."""
-    np.add(d, q, out=d, where=d < 0)
+    d += q * (d < 0)
     return d
 
 

@@ -90,11 +90,11 @@ class SeededRng:
             want = size - filled
             # Modest oversampling keeps the expected number of refills low.
             batch = int(want * (1 << k) / q) + 16
-            # each draw's big-endian bytes, zero-padded on the left to one >u8
-            raw = np.zeros((batch, 8), dtype=np.uint8)
-            raw[:, 8 - nbytes:] = np.frombuffer(self.take_bytes(batch * nbytes),
-                                                dtype=np.uint8).reshape(batch, nbytes)
-            vals = raw.view(">u8").ravel() & np.uint64(mask)
+            # draw i is the >u8 ending at its last byte: a stride of nbytes over
+            # the stream behind 8 - nbytes zero bytes, its high bytes (those of
+            # earlier draws, or the zeros) cleared by the mask
+            raw = bytes(8 - nbytes) + self.take_bytes(batch * nbytes)
+            vals = np.ndarray((batch,), ">u8", raw, strides=(nbytes,)) & np.uint64(mask)
             vals = vals[vals < q]
             take = min(len(vals), want)
             out[filled : filled + take] = vals[:take].astype(np.int64)

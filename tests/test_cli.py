@@ -1,7 +1,11 @@
 """End-to-end CLI pipelines driven through main() with on-disk files."""
 
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -472,6 +476,61 @@ def test_huge_sigma_in_a_bgv_params_file_exits_1_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def glyph16(tmp_path_factory):
+    """A GLYPH key pair at n = 16 (q = 59393, b = 16383, k = 16) and a message."""
+    d = tmp_path_factory.mktemp("glyph16")
+    assert run(["keygen", "--scheme", "glyph", "--n", "16", "--seed", SEED,
+                "--out-secret", str(d / "g.key"), "--out-public", str(d / "g.pub")]) == 0
+    (d / "m.txt").write_text("hi")
+    return d
+
+
+@pytest.mark.parametrize("old, new, reason", [
+    ("k=16", "k=17", "k <= n"),  # the challenge hash cannot place k distinct positions
+    ("b=16383", "b=29681", "q/2"),  # b + k = 29697 >= q/2: a centered z may wrap mod q
+])
+def test_sign_with_glyph_keys_past_their_limits_exits_1(glyph16, tmp_path, old, new, reason):
+    """Both key files edited alike.  In a subprocess with a timeout, so that
+    a sign that loops forever, as k > n once did, fails instead of hanging."""
+    for name in ("g.key", "g.pub"):
+        text = (glyph16 / name).read_text()
+        assert f"\n{old}\n" in text
+        (tmp_path / name).write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticelab.cli", "sign", "--secret", str(tmp_path / "g.key"),
+         "--public", str(tmp_path / "g.pub"), "--message", str(glyph16 / "m.txt"),
+         "--out", str(tmp_path / "sig.txt"), "--seed", SEED],
+        capture_output=True, text=True, timeout=5, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and reason in lines[0]
+    assert not (tmp_path / "sig.txt").exists()
+
+
+@pytest.mark.parametrize("key, old, new", [("g.pub", "b=16383", "b=16000"),
+                                           ("g.key", "k=16", "k=15")])
+def test_sign_refuses_keys_with_different_glyph_params(glyph16, tmp_path, capsys,
+                                                       key, old, new):
+    """A public key at b = 16000 and a secret key at b = 16383 once signed,
+    and verify then answered `reject: norm`."""
+    for name in ("g.key", "g.pub"):
+        text = (glyph16 / name).read_text()
+        (tmp_path / name).write_text(text.replace(f"\n{old}\n", f"\n{new}\n")
+                                     if name == key else text)
+    capsys.readouterr()
+    assert run(["sign", "--secret", str(tmp_path / "g.key"), "--public", str(tmp_path / "g.pub"),
+                "--message", str(glyph16 / "m.txt"), "--out", str(tmp_path / "sig.txt"),
+                "--seed", SEED]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert new.split("=")[0] + "=" in err and "differ" in err
+    assert not (tmp_path / "sig.txt").exists()
 
 
 def test_verify_refuses_a_glyph_key_past_2_to_16(tmp_path, capsys):

@@ -147,6 +147,19 @@ def test_glyph_signature_roundtrip(rng):
     assert glyph.verify(pk, b"payload", sig2, TOY_GLYPH).accepted
 
 
+@pytest.mark.parametrize("key", ["s", "e"])
+@pytest.mark.parametrize("value", [2, 128, 255])
+def test_glyph_secret_must_be_ternary(key, value):
+    """s and e hold only the residues 0, 1 and q - 1 = 256 of -1, 0 and 1."""
+    sk, _ = glyph.keygen(TOY_GLYPH, SeededRng(b"\x33" * 32))
+    text = fileio.dump_glyph_secret(sk, TOY_GLYPH)
+    assert fileio.load_glyph_secret(text)[0] == sk
+    entries = _field(text, key).split(",")
+    entries[5] = str(value)
+    with pytest.raises(FormatError, match="0, 1 or q - 1"):
+        fileio.load_glyph_secret(_with_fields(text, **{key: ",".join(entries)}))
+
+
 def test_glyph_bad_sparse_entry():
     head = "latticelab-glyph-v1\nn=16\nq=257\nb=63\nk=4\n"
     body = "c=3:x\nz1=" + ",".join(["0"] * 16) + "\nz2=" + ",".join(["0"] * 16) + "\n"

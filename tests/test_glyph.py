@@ -1,24 +1,34 @@
+import copy
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from latticelab.errors import InvalidParams, RejectionOverflow
+from latticelab import glyph
+from latticelab.errors import InvalidParams, ParamMismatch, RejectionOverflow
 from latticelab.fileio import dump_glyph_signature
 from latticelab.glyph import (
     GlyphParams,
     GlyphSecretKey,
     GlyphSignature,
+    _bounded_uniform,
+    _challenge_product,
+    _challenge_rows,
+    _rotations,
     encode_poly,
     hash_to_sparse,
     keygen,
     sign,
     verify,
 )
-from latticelab.polyring import RingElement, ring_add, ring_mul, ring_sub, ring_zero
+from latticelab.polyring import RingElement, RingParams, ring_add, ring_mul, ring_sub, ring_zero
 from latticelab.rng import SeededRng
-from latticelab.zq import Modulus
+from latticelab.zq import Modulus, next_prime
 
 TOY = GlyphParams(n=16, q=Modulus(257), b=63, k=4)
+CRAMPED = GlyphParams(n=16, q=Modulus(257), b=4, k=4)  # beta = 0: no signature in reach
 
 
 def test_fixed_seed_signature_is_golden():
@@ -48,6 +58,21 @@ def test_param_validation():
         GlyphParams(n=1 << 17)  # a position is 2 digest bytes
     with pytest.raises(InvalidParams):
         GlyphParams(b=4, k=9)
+
+
+def test_params_refuse_k_past_n_and_b_plus_k_from_q_over_2():
+    """k > n leaves hash_to_sparse no k distinct positions to place; from
+    b + k >= q/2 on, a centered z = y + s*c can wrap mod q."""
+    assert GlyphParams(n=16, k=16).k == 16
+    with pytest.raises(InvalidParams, match="k <= n"):
+        GlyphParams(n=16, k=17)
+    q = 59393  # (q - 1) / 2 = 29696 is the largest b + k
+    assert GlyphParams(q=Modulus(q), b=29696 - 16).beta == 29680 - 16
+    with pytest.raises(InvalidParams, match="q/2"):
+        GlyphParams(q=Modulus(q), b=29697 - 16)
+    with pytest.raises(InvalidParams, match="q/2"):
+        GlyphParams(n=16, q=Modulus(257), b=125, k=4)
+    assert GlyphParams(n=16, q=Modulus(257), b=124, k=4).b == 124
 
 
 def test_keygen_ternary_and_consistent(rng):
@@ -138,8 +163,6 @@ def test_zero_key_degenerate(rng):
 
 def test_verification_identity_symbolic(rng):
     # a*z1 + z2 - t*c == a*y1 + y2 for honestly built signatures
-    from latticelab.glyph import _bounded_uniform
-
     for _ in range(1000):
         sk, pk = keygen(TOY, rng)
         y1 = _bounded_uniform(TOY, TOY.b, rng)
@@ -156,7 +179,102 @@ def test_verification_identity_symbolic(rng):
 
 def test_rejection_overflow_on_broken_params(rng):
     # b = k makes beta = 0; the loop cannot realistically succeed
-    cramped = GlyphParams(n=16, q=Modulus(257), b=4, k=4)
-    sk, pk = keygen(cramped, rng)
+    sk, pk = keygen(CRAMPED, rng)
     with pytest.raises(RejectionOverflow):
-        sign(sk, pk, b"m", cramped, rng)
+        sign(sk, pk, b"m", CRAMPED, rng)
+
+
+def test_sign_refuses_a_secret_key_that_is_not_ternary(rng):
+    """|s*c| <= k, the bound beta = b - k and the int64 challenge product
+    all rest on a ternary key."""
+    sk, pk = keygen(TOY, rng)
+    for name in ("s", "e"):
+        vec = getattr(sk, name).vec.copy()
+        vec[3] = 2
+        bad = GlyphSecretKey(**{**vars(sk), name: RingElement(vec, TOY.ring)})
+        with pytest.raises(InvalidParams, match="ternary"):
+            sign(bad, pk, b"m", TOY, rng)
+
+
+def test_sign_refuses_a_secret_key_from_another_ring(rng):
+    sk, pk = keygen(TOY, rng)
+    other = GlyphParams(n=32, q=Modulus(257), b=63, k=4)
+    sk_other, _ = keygen(other, rng)
+    with pytest.raises(ParamMismatch):
+        sign(sk_other, pk, b"m", TOY, rng)
+
+
+# q on the NTT at every n here (59393 = 1 + 29 * 2^11), on it up to n = 128
+# (257), and a prime near 2^61 whose products run on Python ints
+BIG_Q = next_prime((1 << 61) + 1, 4)
+assert BIG_Q % 4 == 1 and BIG_Q < 1 << 62
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@example(data=None)  # n = 1024, k = 16 at GLYPH's q, ends included
+def test_challenge_product_matches_ring_mul(data):
+    """x*c from `_challenge_rows` and `_rotations` equals ring_mul(x, c) for
+    ternary x and any k signed positions, 0 and n - 1 among them or not."""
+    if data is None:
+        n, q, k, ends, seed = 1024, 59393, 16, {0, 1023}, 0
+    else:
+        n = data.draw(st.sampled_from([1 << e for e in range(1, 11)]) | st.integers(2, 1024))
+        q = data.draw(st.sampled_from([257, 59393, BIG_Q]))
+        k = data.draw(st.integers(1, n))
+        ends = data.draw(st.sets(st.sampled_from([0, n - 1]), max_size=min(k, 2)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+    gen = np.random.default_rng(seed)
+    rest = gen.permutation(sorted(set(range(n)) - ends))[: k - len(ends)]
+    pos = np.concatenate([sorted(ends), rest]).astype(np.int64)
+    ring = RingParams(f=(1,) + (0,) * (n - 1) + (1,), q=q)
+    cv = np.zeros(n, dtype=np.int64)
+    cv[pos] = np.where(gen.integers(0, 2, k) == 1, 1, q - 1)
+    c = RingElement(cv, ring)
+    x = gen.integers(-1, 2, n)
+    got = _challenge_product(_rotations(x), _challenge_rows(c))
+    assert np.abs(got).max() <= k
+    assert np.array_equal(got % q, ring_mul(RingElement(x % q, ring), c).vec)
+
+
+def sign_by_ring_mul(sk, pk, message, p, rng):
+    """The sign loop as it was before the challenge product: s*c and e*c by
+    ring_mul, and the norms tested on residues mod q.  The reference for
+    `sign`."""
+    for it in range(1, glyph.MAX_SIGN_ITERS + 1):
+        y1 = _bounded_uniform(p, p.b, rng)
+        y2 = _bounded_uniform(p, p.b, rng)
+        w = ring_add(ring_mul(pk.a, y1), y2)
+        c = hash_to_sparse(encode_poly(w, p) + message, p)
+        z1 = ring_add(ring_mul(sk.s, c), y1)
+        if z1.inf_norm() > p.beta:
+            continue
+        z2 = ring_add(ring_mul(sk.e, c), y2)
+        if z2.inf_norm() <= p.beta:
+            return GlyphSignature(c=c, z1=z1, z2=z2), it
+    raise RejectionOverflow(f"no acceptable signature in {glyph.MAX_SIGN_ITERS} iterations")
+
+
+def _outcome(signer, sk, pk, message, p, rng):
+    try:
+        return signer(sk, pk, message, p, rng)
+    except RejectionOverflow as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("p", [TOY, CRAMPED, GlyphParams(), GlyphParams(n=256)],
+                         ids=["toy", "cramped", "default", "n256"])
+def test_sign_matches_the_ring_mul_loop(p, monkeypatch):
+    """The same signature and iteration count as `sign_by_ring_mul`, and the
+    stream left at the same place, for three messages per parameter set;
+    CRAMPED overflows in both, after a shortened loop."""
+    monkeypatch.setattr(glyph, "MAX_SIGN_ITERS", 300)
+    sk, pk = keygen(p, SeededRng(bytes([p.n % 256, p.b % 256]) * 16))
+    for i in range(3):
+        message = b"message %d" % i
+        rng = SeededRng(bytes([i + 1]) * 32)
+        ref_rng = copy.deepcopy(rng)
+        got = _outcome(sign, sk, pk, message, p, rng)
+        assert got == _outcome(sign_by_ring_mul, sk, pk, message, p, ref_rng)
+        assert isinstance(got, str) == (p is CRAMPED)
+        assert (rng.counter, rng._buf) == (ref_rng.counter, ref_rng._buf)

@@ -88,6 +88,44 @@ def test_uniform_array_matches_range_and_determinism():
     assert np.array_equal(a, b)
 
 
+def uniform_array_zero_padded(rng, q, size):
+    """`uniform_array` as it decoded before the strided view: each draw's
+    bytes copied into a zeroed (batch, 8) array and read as >u8.  The
+    reference for its decode."""
+    k = (q - 1).bit_length() if q > 1 else 1
+    nbytes = (k + 7) // 8
+    out = np.empty(size, dtype=np.int64)
+    filled = 0
+    while filled < size:
+        want = size - filled
+        batch = int(want * (1 << k) / q) + 16
+        raw = np.zeros((batch, 8), dtype=np.uint8)
+        raw[:, 8 - nbytes:] = np.frombuffer(rng.take_bytes(batch * nbytes),
+                                            dtype=np.uint8).reshape(batch, nbytes)
+        vals = raw.view(">u8").ravel() & np.uint64((1 << k) - 1)
+        vals = vals[vals < q]
+        take = min(len(vals), want)
+        out[filled : filled + take] = vals[:take].astype(np.int64)
+        filled += take
+    return out
+
+
+# one q at each byte width 1..8 (3 * 2^(8w - 3) + 1: 8w - 1 bits, a quarter
+# of the draws rejected), the two ends, and GLYPH's mask range
+WIDTH_QS = [(3 << (8 * w - 3)) + 1 for w in range(1, 9)] + [1, 2, 2**63, 2 * 16383 + 1]
+
+
+@pytest.mark.parametrize("q", WIDTH_QS)
+def test_uniform_array_matches_the_zero_padded_decode(q):
+    """The same draws, and the stream left at the same place, over sizes
+    that end mid-block and batches that refill."""
+    seed = hashlib.sha256(str(q).encode()).digest()
+    r, ref = SeededRng(seed), SeededRng(seed)
+    for size in (1, 7, 33, 1024, 0, 5):
+        assert np.array_equal(r.uniform_array(q, size), uniform_array_zero_padded(ref, q, size))
+        assert (r.counter, r._buf) == (ref.counter, ref._buf)
+
+
 def test_unit_floats_in_interval():
     u = SeededRng(b"\x06" * SEED_BYTES).unit_floats(10_000)
     assert u.min() >= 0.0 and u.max() < 1.0
