@@ -182,15 +182,20 @@ def cmd_decrypt(args) -> int:
 # sign / verify
 
 
+def _check_same_glyph_params(mine: glyph.GlyphParams, theirs: glyph.GlyphParams,
+                             whose: str, against: str) -> None:
+    """ParamMismatch naming every field where two records' GLYPH headers differ."""
+    if mine != theirs:
+        diff = ", ".join(f"{f}={getattr(mine, f)} against {getattr(theirs, f)}"
+                         for f in ("n", "q", "b", "k") if getattr(mine, f) != getattr(theirs, f))
+        raise ParamMismatch(f"{whose} GLYPH parameters differ from {against}: {diff}")
+
+
 def cmd_sign(args) -> int:
     rng = _rng_from_args(args)
     sk, params = fileio.load_glyph_secret(_read(args.secret))
     pk, pk_params = fileio.load_glyph_public(_read(args.public))
-    if pk_params != params:
-        pair = {f: (getattr(pk_params, f), getattr(params, f)) for f in ("n", "q", "b", "k")}
-        diff = ", ".join(f"{f}={pub} against {sec}" for f, (pub, sec) in pair.items() if pub != sec)
-        raise ParamMismatch(f"the public key's GLYPH parameters differ from the secret key's: "
-                            f"{diff}")
+    _check_same_glyph_params(pk_params, params, "the public key's", "the secret key's")
     message, digest = _read_message(args.message)
     sig, iters = glyph.sign(sk, pk, message, params, rng.derive(f"glyph-sign/{digest}"))
     print(f"signed in {iters} iteration(s)", file=sys.stderr)
@@ -200,7 +205,8 @@ def cmd_sign(args) -> int:
 
 def cmd_verify(args) -> int:
     pk, params = fileio.load_glyph_public(_read(args.public))
-    sig, _ = fileio.load_glyph_signature(_read(args.signature))
+    sig, sig_params = fileio.load_glyph_signature(_read(args.signature))
+    _check_same_glyph_params(sig_params, params, "the signature's", "the public key's")
     message = Path(args.message).read_bytes()
     result = glyph.verify(pk, message, sig, params)
     if not result.accepted:

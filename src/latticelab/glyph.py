@@ -16,11 +16,14 @@ against other implementations):
   b + k < q/2, so z = y + s*c, at most b + k in magnitude, is its own
   centered residue, and the norm test over Z_q is one over Z.
 
-`sign` never transforms c.  Since c is k signed powers of x, s*c is a
-signed sum of k negacyclic rotations x^j * s, which `sign` gathers from
-one window table per call (`_rotations`) and adds exactly in int64; it
-tests the norms on the integers y + s*c and reduces mod q only the pair
-it returns.  a*y1 and everything in `verify` stay on `ring_mul`.
+Neither `sign` nor `verify` transforms c.  Since c is k signed powers of
+x, x*c is a signed sum of k negacyclic rotations +-x^j * x, which both
+gather from a window table (`_windows`) and add exactly: s*c and e*c from
+the secret key's tables, t*c from the public key's, each built once per
+key object.  `sign` takes c as its k (position, sign) pairs
+(`challenge_pairs`), multiplies the centered mask y1 by a through
+`ring_mul_vec`, tests the norms on the integers y + s*c, and builds c and
+reduces mod q only for the signature it returns.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParams, ParamMismatch, RejectionOverflow
-from .polyring import RingElement, RingParams, ring_add, ring_mul, ring_sub, ring_uniform
+from .polyring import RingElement, RingParams, ring_add, ring_mul, ring_mul_vec, ring_uniform
 from .rng import SeededRng
 from .zq import Modulus, reduce_centered
 
@@ -57,6 +60,9 @@ class GlyphParams:
             raise InvalidParams(f"need k <= n: a challenge has k = {self.k} distinct positions")
         if 2 * (self.b + self.k) >= self.q:
             raise InvalidParams("need b + k < q/2, or a centered z = y + s*c wraps mod q")
+        if (self.k + 2) * self.q >= 1 << 63:
+            raise InvalidParams("need (k + 2) * q < 2^63: verify sums a*z1, z2 and k rows of t "
+                                "in int64")
 
     @property
     def beta(self) -> int:
@@ -76,11 +82,24 @@ class GlyphSecretKey:
     s: RingElement
     e: RingElement
 
+    @cached_property
+    def windows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The int8 `_windows` of s and e, whose centered coefficients must lie
+        in {-1, 0, 1}: |s*c| <= k, the bound beta = b - k and the narrow
+        `_challenge_product` rest on it.  Built on first use; a key that fails
+        the check caches nothing and fails it again on every use."""
+        return tuple(_windows(_ternary(x).astype(np.int8)) for x in (self.s, self.e))
+
 
 @dataclass(frozen=True)
 class GlyphPublicKey:
     a: RingElement
     t: RingElement
+
+    @cached_property
+    def t_windows(self) -> np.ndarray:
+        """The `_windows` of t's residues, built on first use."""
+        return _windows(self.t.vec)
 
 
 @dataclass(frozen=True)
@@ -116,15 +135,19 @@ def keygen(p: GlyphParams, rng: SeededRng) -> tuple[GlyphSecretKey, GlyphPublicK
 
 
 def encode_poly(w: RingElement, p: GlyphParams) -> bytes:
-    """Canonical fixed-width little-endian encoding of all n coefficients."""
-    raw = w.vec.astype("<u8").view(np.uint8).reshape(p.n, 8)
-    return raw[:, : p.coeff_width].tobytes()
+    """Canonical fixed-width little-endian encoding of all n coefficients:
+    one cast where the width is a numpy integer size (2 bytes at the
+    default q), else a slice of each little-endian 8-byte word."""
+    width = p.coeff_width
+    if width & (width - 1) == 0:
+        return w.vec.astype(f"<u{width}").tobytes()
+    return w.vec.astype("<u8").view(np.uint8).reshape(p.n, 8)[:, :width].tobytes()
 
 
-def hash_to_sparse(data: bytes, p: GlyphParams) -> RingElement:
-    """Digest-keyed polynomial with exactly k coefficients, each +-1."""
-    q = p.ring.q
-    placed: dict[int, int] = {}  # index -> residue of +-1
+def challenge_pairs(data: bytes, p: GlyphParams) -> dict[int, int]:
+    """The digest-keyed challenge as its k nonzero coefficients, position ->
+    +1 or -1, in the order the stream placed them."""
+    n, placed = p.n, {}
     counter = 0
     stream = b""
     pos = 0
@@ -132,45 +155,73 @@ def hash_to_sparse(data: bytes, p: GlyphParams) -> RingElement:
         if pos + 3 > len(stream):
             h = hashlib.shake_256(data + counter.to_bytes(4, "little"))
             stream, pos, counter = h.digest(1024), 0, counter + 1
-        chunk, pos = stream[pos : pos + 3], pos + 3
-        idx = (chunk[0] | (chunk[1] << 8)) % p.n  # unbiased: n divides 2^16
-        if idx in placed:
-            continue
-        placed[idx] = 1 if chunk[2] & 1 else q - 1
+        idx = (stream[pos] | (stream[pos + 1] << 8)) % n  # unbiased: n divides 2^16
+        if idx not in placed:
+            placed[idx] = 1 if stream[pos + 2] & 1 else -1
+        pos += 3
+    return placed
+
+
+def hash_to_sparse(data: bytes, p: GlyphParams) -> RingElement:
+    """Digest-keyed polynomial with exactly k coefficients, each +-1."""
+    return _sparse(challenge_pairs(data, p), p)
+
+
+def _sparse(pairs: dict[int, int], p: GlyphParams) -> RingElement:
+    """The element with the coefficients `pairs` (position -> +-1), zero elsewhere."""
     coeffs = np.zeros(p.n, dtype=np.int64)
-    coeffs[list(placed)] = list(placed.values())
-    return RingElement(coeffs, p.ring)
+    coeffs[list(pairs)] = list(pairs.values())
+    return RingElement._of(coeffs % p.ring.q, p.ring)
 
 
-def _rotations(x: np.ndarray) -> np.ndarray:
-    """The n + 1 windows of length n over [-x, x], for x of length n: row
-    n - j is x^j * x in Z[x]/(x^n + 1), for 0 <= j < n."""
-    return np.lib.stride_tricks.sliding_window_view(np.concatenate([-x, x]), len(x))
+def _windows(x: np.ndarray) -> np.ndarray:
+    """The 2n + 1 windows of length n over [-x, x, -x], in x's dtype, for x
+    of length n: row n - j is x^j * x in Z[x]/(x^n + 1), and row 2n - j is
+    -x^j * x, for 0 <= j < n."""
+    flat = np.concatenate([-x, x, -x])
+    step = flat.strides[0]
+    return np.lib.stride_tricks.as_strided(flat, (2 * len(x) + 1, len(x)), (step, step),
+                                           writeable=False)
 
 
-def _challenge_rows(c: RingElement) -> tuple[np.ndarray, np.ndarray]:
-    """The `_rotations` rows x^j for c's +1 positions j, and for its -1 positions."""
-    n, pos = c.params.n, np.flatnonzero(c.vec)
-    plus = c.vec[pos] == 1
-    return n - pos[plus], n - pos[~plus]
+def _window_rows(pairs: dict[int, int], n: int) -> np.ndarray:
+    """The `_windows` rows +-x^j for the challenge `pairs` (position j -> +-1)."""
+    return np.array([n - j if sgn > 0 else 2 * n - j for j, sgn in pairs.items()])
 
 
-def _challenge_product(rot: np.ndarray, rows: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """x * c over Z[x]/(x^n + 1) for rot = `_rotations(x)` and rows =
-    `_challenge_rows(c)`: k rows of x's entries, exact in int64."""
-    plus, minus = rows
-    return rot[plus].sum(axis=0) - rot[minus].sum(axis=0)
+def _pairs_of(c: RingElement, p: GlyphParams) -> dict[int, int] | None:
+    """c's nonzero coefficients as position -> +-1 when it has exactly k of
+    them, each +-1, as every challenge does; None otherwise."""
+    pos = np.flatnonzero(c.vec)
+    signs = reduce_centered(c.vec[pos], p.ring.q)
+    if len(pos) != p.k or np.abs(signs).max() != 1:
+        return None
+    return dict(zip(pos.tolist(), signs.tolist()))
 
 
-def _ternary(x: RingElement, p: GlyphParams) -> np.ndarray:
-    """The centered coefficients of x, a secret-key element of p's ring,
-    which must lie in {-1, 0, 1}."""
-    if x.params is not p.ring and x.params != p.ring:
-        raise ParamMismatch("the secret key lives in another ring")
-    v = reduce_centered(x.vec, p.ring.q)
+def _challenge_product(win: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """x * c over Z[x]/(x^n + 1) for win = `_windows(x)` and rows =
+    `_window_rows` of c: a sum of k rows of x's entries.  A ternary x comes
+    as int8 and sums, at most k in magnitude, in the narrowest type that
+    holds +-k; residues come as int64 and sum in it (`GlyphParams` keeps
+    k * q below 2^63)."""
+    dtype = np.promote_types(win.dtype, np.min_scalar_type(-len(rows) - 1))
+    return win[rows].sum(axis=0, dtype=dtype)
+
+
+def _ternary(x: RingElement) -> np.ndarray:
+    """The centered coefficients of x, a secret-key element, which must lie
+    in {-1, 0, 1}."""
+    v = reduce_centered(x.vec, x.params.q)
     if np.abs(v).max() > 1:
         raise InvalidParams("a GLYPH secret key must be ternary")
     return v
+
+
+def _check_ring(p: GlyphParams, *elements: RingElement) -> None:
+    """ParamMismatch unless every element lives in p's ring."""
+    if any(x.params is not p.ring and x.params != p.ring for x in elements):
+        raise ParamMismatch("a key or signature lives in another ring than the parameters'")
 
 
 def sign(
@@ -183,20 +234,21 @@ def sign(
     """Rejection-sampling loop; returns the signature and iteration count.
     s*c and e*c are `_challenge_product`s, and z1, z2 are tested over Z
     (module docstring)."""
-    q = p.ring.q
-    rot_s, rot_e = (_rotations(_ternary(x, p)) for x in (sk.s, sk.e))
+    q, n = p.ring.q, p.n
+    _check_ring(p, sk.s, sk.e, pk.a)
+    win_s, win_e = sk.windows
     for it in range(1, MAX_SIGN_ITERS + 1):
         y1 = _bounded_draw(p, p.b, rng)
         y2 = _bounded_draw(p, p.b, rng)
-        w = ring_mul(pk.a, RingElement._of(y1 % q, p.ring)).vec + y2
-        c = hash_to_sparse(encode_poly(RingElement._of(w % q, p.ring), p) + message, p)
-        rows = _challenge_rows(c)
-        z1 = y1 + _challenge_product(rot_s, rows)
+        w = RingElement._of((ring_mul_vec(pk.a, y1) + y2) % q, p.ring)
+        pairs = challenge_pairs(encode_poly(w, p) + message, p)
+        rows = _window_rows(pairs, n)
+        z1 = y1 + _challenge_product(win_s, rows)
         if np.abs(z1).max() > p.beta:
             continue  # z2 draws no randomness, so skipping it keeps the stream
-        z2 = y2 + _challenge_product(rot_e, rows)
+        z2 = y2 + _challenge_product(win_e, rows)
         if np.abs(z2).max() <= p.beta:
-            return GlyphSignature(c=c, z1=RingElement._of(z1 % q, p.ring),
+            return GlyphSignature(c=_sparse(pairs, p), z1=RingElement._of(z1 % q, p.ring),
                                   z2=RingElement._of(z2 % q, p.ring)), it
     raise RejectionOverflow(f"no acceptable signature in {MAX_SIGN_ITERS} iterations")
 
@@ -204,11 +256,18 @@ def sign(
 def verify(
     pk: GlyphPublicKey, message: bytes, sig: GlyphSignature, p: GlyphParams
 ) -> VerifyResult:
-    """Norm check, then recompute the challenge from w' = a*z1 + z2 - t*c."""
+    """Norm check, then recompute the challenge from w' = a*z1 + z2 - t*c,
+    with t*c a `_challenge_product`.  A c that is not k coefficients +-1
+    cannot equal the recomputed challenge, so it is a mismatch at once."""
+    _check_ring(p, pk.a, pk.t, sig.c, sig.z1, sig.z2)
     if sig.z1.inf_norm() > p.beta or sig.z2.inf_norm() > p.beta:
         return VerifyResult(False, "norm")
-    w = ring_sub(ring_add(ring_mul(pk.a, sig.z1), sig.z2), ring_mul(pk.t, sig.c))
-    c_prime = hash_to_sparse(encode_poly(w, p) + message, p)
+    pairs = _pairs_of(sig.c, p)
+    if pairs is None:
+        return VerifyResult(False, "challenge mismatch")
+    tc = _challenge_product(pk.t_windows, _window_rows(pairs, p.n))
+    w = (ring_mul(pk.a, sig.z1).vec + sig.z2.vec - tc) % p.ring.q
+    c_prime = hash_to_sparse(encode_poly(RingElement._of(w, p.ring), p) + message, p)
     if not np.array_equal(c_prime.vec, sig.c.vec):
         return VerifyResult(False, "challenge mismatch")
     return VerifyResult(True)

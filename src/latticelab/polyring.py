@@ -339,10 +339,10 @@ def _pow_x(e: int, f: list[int], q: int, shift: int = 0) -> list[int]:
     `_convolve_exact`s within the division's bound, n * (q - 1)^2.
     """
     div = _f_division(tuple(c % q for c in f), q)
-    bound, base, r = div.bound, np.array([shift % q, 1]), np.ones(1, dtype=np.int64)
+    dtype, base, r = div.dtype, np.array([shift % q, 1]), np.ones(1, dtype=np.int64)
     for bit in bin(e)[2:] if e else "":
-        r = _convolve_exact(r, r, bound)
-        r = div(_convolve_exact(r % q, base, bound) if bit == "1" else r)
+        r = _convolve_exact(r, r, dtype)
+        r = div(_convolve_exact(r % q, base, dtype) if bit == "1" else r)
     return [int(c) for c in r]
 
 
@@ -420,11 +420,10 @@ def _exact_dtype(bound: int) -> type:
     return np.float64 if bound < _FLOAT_EXACT else np.int64 if bound < 1 << 63 else object
 
 
-def _convolve_exact(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+def _convolve_exact(a: np.ndarray, b: np.ndarray, dtype: type) -> np.ndarray:
     """The full convolution over Z of the integer arrays a and b, computed
-    in `_exact_dtype(bound)`, so exact when no partial sum exceeds `bound`
-    in magnitude.  Every polynomial product in the package goes through it."""
-    dtype = _exact_dtype(bound)
+    in `dtype`, so exact when `dtype` is `_exact_dtype` of a bound on its
+    partial sums.  Every polynomial product in the package goes through it."""
     return np.convolve(a.astype(dtype, copy=False), b.astype(dtype, copy=False))
 
 
@@ -444,27 +443,27 @@ class _FDivision:
     n + m - 1, m <= n, is the rev of rev(c's top m coefficients) *
     rev(f)^-1 mod x^m, so a call is two `_convolve_exact`s of residues
     against f's low coefficients and rev(f)^-1 mod x^n.  Their sums, of at
-    most n products of residues, are within `bound` = n * (q - 1)^2.
+    most n products of residues, are within n * (q - 1)^2, exact in `dtype`.
     """
 
     def __init__(self, f, q: int):
         n = len(f) - 1
-        self.n, self.q, self.bound = n, q, n * (q - 1) * (q - 1)
-        dtype = _exact_dtype(self.bound)  # what `_convolve_exact` computes in: no cast per call
+        self.n, self.q = n, q
+        self.dtype = dtype = _exact_dtype(n * (q - 1) * (q - 1))  # no cast per call
         self.low = np.array([c % q for c in f[:-1]], dtype=dtype)
         # rev(f)^-1 mod x^n is the rev of the quotient of x^(2n-1) by f
         self.inv = np.array(poly_divmod_mod([0] * (2 * n - 1) + [1], f, q)[0][::-1], dtype=dtype)
 
     def __call__(self, sums: np.ndarray) -> np.ndarray:
         """The residues of c mod (f, q), for c given as its at most 2n exact
-        integer coefficients in the dtype of `low` or a narrower one."""
+        integer coefficients in `dtype` or a narrower one."""
         n, q = self.n, self.q
-        c = (sums % q).astype(self.low.dtype, copy=False)
+        c = (sums % q).astype(self.dtype, copy=False)
         m = len(c) - n
         if m <= 0:
             return c
-        quo = (_convolve_exact(c[: n - 1 : -1], self.inv[:m], self.bound)[:m] % q)[::-1]
-        return (c[:n] - _convolve_exact(quo, self.low, self.bound)[:n]) % q
+        quo = (_convolve_exact(c[: n - 1 : -1], self.inv[:m], self.dtype)[:m] % q)[::-1]
+        return (c[:n] - _convolve_exact(quo, self.low, self.dtype)[:n]) % q
 
 
 @lru_cache(maxsize=32)  # past the 11 (f, q) of a labbench `attack` round
@@ -517,12 +516,19 @@ class RingParams:
         return self.n * (self.q - 1) * (self.q - 1) < (1 << 62)
 
     @cached_property
+    def product_dtype(self) -> type:
+        """The dtype of `ring_mul`'s convolution off the NTT: its sums, of n
+        products of centered residues, are at most n * floor(q/2)^2."""
+        half = self.q // 2
+        return _exact_dtype(self.n * half * half)
+
+    @cached_property
     def uses_ntt(self) -> bool:
         """True where products take the negacyclic NTT: f = x^n + 1 with
         n a power of two, q a prime = 1 (mod 2n) so that f splits into n
         linear factors mod q, and max(n1, n2) * (q - 1)^2 < 2^53 for the
-        four-step split n = n1 * n2, so that every matmul sum is exact in
-        float64 and every pointwise product, at most (q - 1)^2, in int64.
+        four-step split n = n1 * n2, so that every matmul sum and pointwise
+        product of the float64 transform is exact (see `_center`).
         The primality test matters: BGV builds its rings from raw chain
         moduli, which may be composite, and mod a composite q there may be
         no primitive 2n-th root to build the transform from."""
@@ -573,9 +579,12 @@ class RingElement:
         return self._coeffs
 
     def _transform(self) -> np.ndarray:
-        """The NTT of the element (`_ntt_forward`), read-only, built on first use."""
+        """The NTT of the element (`_ntt_forward`) as residues in [0, q),
+        float64 and read-only, built on first use."""
         if self._ntt is None:
-            t = _ntt_forward(self.vec, _ntt_tables(self.params.n, self.params.q))
+            tables = _ntt_tables(self.params.n, self.params.q)
+            t = _ntt_forward(self.vec, tables)
+            t += tables.q * (t < 0)
             t.flags.writeable = False
             object.__setattr__(self, "_ntt", t)
         return self._ntt
@@ -670,19 +679,17 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     splits into linear factors mod q and R_q is F_q^n by evaluation at its
     roots), it is the pointwise product of the operands' cached
     number-theoretic transforms, mapped back, by float64 matmuls that are
-    exact (see `_ntt_tables`).  On every other ring it is the product over
-    Z, a `_convolve_exact` of centered representatives (n products of
-    magnitude at most floor(q/2)^2 per sum), reduced mod f: folded by
-    x^n = -1 on x^n + 1, divided by f otherwise, by `params.division`,
-    built once per (f, q) and shared with `_pow_x`."""
+    exact (see the section on the transform).  On every other ring it is
+    the product over Z, a `_convolve_exact` of centered representatives in
+    `params.product_dtype`, reduced mod f: folded by x^n = -1 on x^n + 1,
+    divided by f otherwise, by `params.division`, built once per (f, q)
+    and shared with `_pow_x`."""
     _check(a, b)
     p = a.params
     q, n = p.q, p.n
     if p.uses_ntt:
-        prod = a._transform() * b._transform() % q
-        return RingElement._of(_ntt_inverse(prod, _ntt_tables(n, q)), p)
-    half = q // 2
-    res = _convolve_exact(*(reduce_centered(x.vec, q) for x in (a, b)), n * half * half)
+        return RingElement._of(_ntt_product(a._transform(), b._transform(), _ntt_tables(n, q)), p)
+    res = _convolve_exact(*(reduce_centered(x.vec, q) for x in (a, b)), p.product_dtype)
     if not p.negacyclic:
         return RingElement._of(p.division(res).astype(np.int64), p)
     res[: n - 1] -= res[n:]
@@ -705,6 +712,15 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
 # factor, the twiddles T[k1, i2] the second and M2[i2, k2] the third.  The
 # inverse runs the steps backwards with psi^-1, with n^-1 folded into its
 # twiddles.
+#
+# Every step runs in float64 on integers, and every product and matmul is
+# followed by `_center`, except the inverse's last matmul, whose sums become
+# the int64 residues it returns.  The operands are below q in magnitude
+# (residues, a centered vector, or `_center`'s output) and the tables hold
+# centered residues, at most (q - 1)/2, so a matmul sum of max(n1, n2)
+# products is below max(n1, n2) * q(q - 1)/2 <= max(n1, n2) * (q - 1)^2 <
+# 2^53, the `uses_ntt` bound, and exact in any order; so is a pointwise
+# product.
 
 
 def _ntt_split(n: int) -> tuple[int, int]:
@@ -714,12 +730,13 @@ def _ntt_split(n: int) -> tuple[int, int]:
 
 
 class _NttTables(NamedTuple):
-    """The split n = n1 * n2, q, and the matrices and twiddles above: the
-    matrices float64, the twiddles int64, all residues in [0, q)."""
+    """The split n = n1 * n2, q and 1/q, and the matrices and twiddles
+    above as centered residues in float64."""
 
     n1: int
     n2: int
-    q: int
+    q: float
+    inv_q: float
     m1: np.ndarray
     tw: np.ndarray
     m2: np.ndarray
@@ -731,12 +748,7 @@ class _NttTables(NamedTuple):
 @lru_cache(maxsize=8)
 def _ntt_tables(n: int, q: int) -> _NttTables:
     """The four-step tables for x^n + 1 mod q, built once per (n, q): a fresh
-    RingParams of the same ring shares them.
-
-    A matmul entry sums max(n1, n2) products of two residues, so under
-    `RingParams.uses_ntt` every partial sum is an integer below 2^53 and
-    exact in float64.
-    """
+    RingParams of the same ring shares them."""
     g = 2
     while pow(g, (q - 1) // 2, q) != q - 1:  # a non-residue: psi below has order 2n
         g += 1
@@ -744,33 +756,73 @@ def _ntt_tables(n: int, q: int) -> _NttTables:
     powers = [1] * (2 * n)
     for j in range(1, 2 * n):
         powers[j] = powers[j - 1] * psi % q
-    fwd = np.array(powers, dtype=np.int64)
+    fwd = reduce_centered(np.array(powers, dtype=np.int64), q)
     inv = fwd[-np.arange(2 * n) % (2 * n)]  # psi^-j
     n1, n2 = _ntt_split(n)
     odd, i1, i2 = 2 * np.arange(n1) + 1, np.arange(n1), np.arange(n2)
     e1 = np.outer(odd, n2 * i1) % (2 * n)  # [k1, i1]
     et = np.outer(odd, i2) % (2 * n)  # [k1, i2]
     e2 = np.outer(2 * n1 * i2, i2) % (2 * n)  # [i2, k2]
-    f64 = np.float64
-    return _NttTables(n1, n2, q, fwd[e1].astype(f64), fwd[et], fwd[e2].astype(f64),
-                      inv[e2].astype(f64), inv[et] * pow(n, q - 2, q) % q,
-                      inv[e1].T.astype(f64))
+    tw_inv = reduce_centered(inv[et] * pow(n, q - 2, q) % q, q)
+    return _NttTables(n1, n2, float(q), 1.0 / q,
+                      *(x.astype(np.float64) for x in (fwd[e1], fwd[et], fwd[e2], inv[e2], tw_inv,
+                                                       inv[e1].T)))
+
+
+def _center(x: np.ndarray, t: _NttTables) -> np.ndarray:
+    """x - q * rint(x * (1/q)) in place, for float64 integers x below 2^53 in
+    magnitude and an odd q: an integer r = x mod q with |r| < q/2 + 2.
+
+    The float x * (1/q), two roundings off x/q, is within about
+    |x| * 2^-52 / q of it, and x/q lies at least 1/(2q) from every
+    half-integer.  So rint gives the integer nearest x/q, and r is
+    centered, whenever |x| <= 2^50; beyond that it may be one off, only
+    next to a half-integer, where |r| is still below q/2 + 2.
+    q * rint(...) and r are integers below 2^53, so exact.
+    """
+    r = x * t.inv_q
+    np.rint(r, out=r)
+    r *= t.q
+    x -= r
+    return x
 
 
 def _ntt_forward(vec: np.ndarray, t: _NttTables) -> np.ndarray:
-    """Transform of n residues, as the n1 x n2 residue array X above."""
-    q = t.q
-    b = (t.m1 @ vec.reshape(t.n1, t.n2).astype(np.float64)).astype(np.int64) % q
-    b = b * t.tw % q
-    return (b.astype(np.float64) @ t.m2).astype(np.int64) % q
+    """Transform of n integers below q in magnitude (residues or a centered
+    vector), as the n1 x n2 array X above: float64 integers, each congruent
+    mod q to its entry of X and below q in magnitude (`_center`)."""
+    b = _center(t.m1 @ vec.reshape(t.n1, t.n2).astype(np.float64), t)
+    b *= t.tw
+    return _center(_center(b, t) @ t.m2, t)
 
 
 def _ntt_inverse(x: np.ndarray, t: _NttTables) -> np.ndarray:
-    """n residues whose transform is the n1 x n2 residue array x."""
-    q = t.q
-    d = (x.astype(np.float64) @ t.m2_inv).astype(np.int64) % q
-    d = d * t.tw_inv % q
-    return ((t.m1_inv @ d.astype(np.float64)).astype(np.int64) % q).reshape(-1)
+    """The n residues in [0, q), int64, whose transform is x mod q, for x an
+    n1 x n2 float64 array of integers below q in magnitude.  The last
+    matmul's exact sums are reduced once, as int64 (`_residues`)."""
+    d = _center(x @ t.m2_inv, t)
+    d *= t.tw_inv
+    return _residues(t.m1_inv @ _center(d, t), int(t.q)).reshape(-1)
+
+
+def _ntt_product(ta: np.ndarray, tb: np.ndarray, t: _NttTables) -> np.ndarray:
+    """The residues of the product whose operands have the transforms ta,
+    residues in [0, q) (`_transform()`), and tb (from `_ntt_forward` or
+    `_transform()`): each pointwise product is at most (q - 1)^2 in
+    magnitude, below 2^53."""
+    return _ntt_inverse(_center(ta * tb, t), t)
+
+
+def ring_mul_vec(a: RingElement, y: np.ndarray) -> np.ndarray:
+    """The residues in [0, q), int64, of a * y, for y n integers below q in
+    magnitude (a centered vector, say).  On a ring that `uses_ntt`, y goes
+    into the transform as it is, against a's cached one; on every other
+    ring it is reduced mod q and taken by `ring_mul`."""
+    p = a.params
+    if p.uses_ntt:
+        t = _ntt_tables(p.n, p.q)
+        return _ntt_product(a._transform(), _ntt_forward(y, t), t)
+    return ring_mul(a, RingElement._of(y % p.q, p)).vec
 
 
 def evaluate(a: RingElement, alpha: int) -> int:

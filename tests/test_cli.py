@@ -533,6 +533,27 @@ def test_sign_refuses_keys_with_different_glyph_params(glyph16, tmp_path, capsys
     assert not (tmp_path / "sig.txt").exists()
 
 
+@pytest.mark.parametrize("old, new", [("b=16383", "b=100"), ("q=59393", "q=59417")])
+def test_verify_refuses_a_signature_whose_glyph_params_differ(glyph16, tmp_path, capsys,
+                                                              old, new):
+    """A signature edited to b = 100 once printed `accept`: verify ignored
+    its header.  (An edited n or k fails to load: c and z1 no longer fit.)"""
+    sig = tmp_path / "sig.txt"
+    assert run(["sign", "--secret", str(glyph16 / "g.key"), "--public", str(glyph16 / "g.pub"),
+                "--message", str(glyph16 / "m.txt"), "--out", str(sig), "--seed", SEED]) == 0
+    verify = ["verify", "--public", str(glyph16 / "g.pub"), "--message", str(glyph16 / "m.txt"),
+              "--signature", str(sig)]
+    capsys.readouterr()
+    assert run(verify) == 0 and capsys.readouterr().out == "accept\n"
+    text = sig.read_text()
+    assert f"\n{old}\n" in text
+    sig.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+    assert run(verify) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert f"{new} against {old.split('=')[1]}" in err and "signature" in err
+
+
 def test_verify_refuses_a_glyph_key_past_2_to_16(tmp_path, capsys):
     """A challenge position is 2 digest bytes, so a key at n = 2^17 is refused
     as it loads instead of hashing forever."""

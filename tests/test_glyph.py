@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import types
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from latticelab.glyph import (
     GlyphSignature,
     _bounded_uniform,
     _challenge_product,
-    _challenge_rows,
-    _rotations,
+    _pairs_of,
+    _window_rows,
+    _windows,
+    challenge_pairs,
     encode_poly,
     hash_to_sparse,
     keygen,
@@ -73,6 +76,14 @@ def test_params_refuse_k_past_n_and_b_plus_k_from_q_over_2():
     with pytest.raises(InvalidParams, match="q/2"):
         GlyphParams(n=16, q=Modulus(257), b=125, k=4)
     assert GlyphParams(n=16, q=Modulus(257), b=124, k=4).b == 124
+
+
+def test_params_refuse_a_q_whose_verify_sums_pass_int64():
+    """verify's w' = a*z1 + z2 - t*c adds k + 2 residues in int64."""
+    assert 3 * BIG_Q < 2**63 <= 4 * BIG_Q
+    assert GlyphParams(n=16, q=Modulus(BIG_Q), b=63, k=1).k == 1
+    with pytest.raises(InvalidParams, match="int64"):
+        GlyphParams(n=16, q=Modulus(BIG_Q), b=63, k=2)
 
 
 def test_keygen_ternary_and_consistent(rng):
@@ -196,6 +207,18 @@ def test_sign_refuses_a_secret_key_that_is_not_ternary(rng):
             sign(bad, pk, b"m", TOY, rng)
 
 
+def test_a_key_that_is_not_ternary_is_refused_on_every_call(rng):
+    """A failed check caches nothing: the second call checks again."""
+    sk, pk = keygen(TOY, rng)
+    vec = sk.s.vec.copy()
+    vec[0] = 2
+    bad = GlyphSecretKey(s=RingElement(vec, TOY.ring), e=sk.e)
+    for _ in range(3):
+        with pytest.raises(InvalidParams, match="ternary"):
+            sign(bad, pk, b"m", TOY, rng)
+    assert "windows" not in vars(bad)
+
+
 def test_sign_refuses_a_secret_key_from_another_ring(rng):
     sk, pk = keygen(TOY, rng)
     other = GlyphParams(n=32, q=Modulus(257), b=63, k=4)
@@ -214,8 +237,10 @@ assert BIG_Q % 4 == 1 and BIG_Q < 1 << 62
 @given(data=st.data())
 @example(data=None)  # n = 1024, k = 16 at GLYPH's q, ends included
 def test_challenge_product_matches_ring_mul(data):
-    """x*c from `_challenge_rows` and `_rotations` equals ring_mul(x, c) for
-    ternary x and any k signed positions, 0 and n - 1 among them or not."""
+    """x*c from `_windows` and `_window_rows` equals ring_mul(x, c) for any k
+    signed positions, 0 and n - 1 among them or not: for ternary x, as
+    `sign` takes s*c and e*c from the pairs, and for residues x, as
+    `verify` takes t*c from the pairs `_pairs_of` reads back from c."""
     if data is None:
         n, q, k, ends, seed = 1024, 59393, 16, {0, 1023}, 0
     else:
@@ -228,13 +253,46 @@ def test_challenge_product_matches_ring_mul(data):
     rest = gen.permutation(sorted(set(range(n)) - ends))[: k - len(ends)]
     pos = np.concatenate([sorted(ends), rest]).astype(np.int64)
     ring = RingParams(f=(1,) + (0,) * (n - 1) + (1,), q=q)
+    pairs = dict(zip(pos.tolist(), np.where(gen.integers(0, 2, k) == 1, 1, -1).tolist()))
     cv = np.zeros(n, dtype=np.int64)
-    cv[pos] = np.where(gen.integers(0, 2, k) == 1, 1, q - 1)
+    cv[list(pairs)] = [v % q for v in pairs.values()]
     c = RingElement(cv, ring)
+    rows = _window_rows(pairs, n)
     x = gen.integers(-1, 2, n)
-    got = _challenge_product(_rotations(x), _challenge_rows(c))
+    got = _challenge_product(_windows(x.astype(np.int8)), rows)  # as the secret key holds it
     assert np.abs(got).max() <= k
-    assert np.array_equal(got % q, ring_mul(RingElement(x % q, ring), c).vec)
+    assert np.array_equal(got.astype(np.int64) % q, ring_mul(RingElement(x % q, ring), c).vec)
+    # verify's t*c: the rows of c's own pairs, over the residues of t, where
+    # GlyphParams admits q at this k (BIG_Q only up to k = 1)
+    params = types.SimpleNamespace(k=k, ring=ring)
+    assert _pairs_of(c, params) == pairs
+    if (k + 2) * q < 2**63:
+        t = RingElement(gen.integers(0, q, n), ring)
+        tc = _challenge_product(_windows(t.vec), _window_rows(_pairs_of(c, params), n))
+        assert np.array_equal(tc % q, ring_mul(t, c).vec)
+
+
+def test_pairs_of_refuses_what_no_challenge_is():
+    """verify reads t*c from c's pairs only when c has exactly k entries +-1."""
+    q = int(TOY.q)
+    c = hash_to_sparse(b"m", TOY)
+    assert _pairs_of(c, TOY) == challenge_pairs(b"m", TOY)
+    pos = int(np.flatnonzero(c.vec)[0])
+    for value in (0, 2, q - 2):  # one entry fewer, one entry off +-1 either way
+        vec = c.vec.copy()
+        vec[pos] = value
+        assert _pairs_of(RingElement(vec, TOY.ring), TOY) is None
+    vec = c.vec.copy()
+    vec[np.flatnonzero(vec == 0)[0]] = 1  # one entry more
+    assert _pairs_of(RingElement(vec, TOY.ring), TOY) is None
+
+
+def test_verify_rejects_a_challenge_of_the_wrong_shape(rng):
+    sk, pk = keygen(TOY, rng)
+    sig, _ = sign(sk, pk, b"m", TOY, rng)
+    for vec in (np.zeros(TOY.n, dtype=np.int64), sig.c.vec * 2 % int(TOY.q)):
+        bad = GlyphSignature(c=RingElement(vec, TOY.ring), z1=sig.z1, z2=sig.z2)
+        assert verify(pk, b"m", bad, TOY) == glyph.VerifyResult(False, "challenge mismatch")
 
 
 def sign_by_ring_mul(sk, pk, message, p, rng):
@@ -278,3 +336,23 @@ def test_sign_matches_the_ring_mul_loop(p, monkeypatch):
         assert got == _outcome(sign_by_ring_mul, sk, pk, message, p, ref_rng)
         assert isinstance(got, str) == (p is CRAMPED)
         assert (rng.counter, rng._buf) == (ref_rng.counter, ref_rng._buf)
+
+
+# 59417 = 1 + 8 * 7427: x^16 + 1 does not split, so a*y1 takes ring_mul's convolution
+@pytest.mark.parametrize("p", [TOY, GlyphParams(n=256), GlyphParams(n=16, q=Modulus(59417))],
+                         ids=["toy", "n256", "off-ntt"])
+def test_sign_with_keys_taken_in_turn_matches_the_ring_mul_loop(p):
+    """Each key's tables are its own: signing with A, then B, then A again
+    gives what `sign_by_ring_mul` gives for each, and leaves the stream
+    where it does."""
+    assert p.ring.uses_ntt == (p.q != 59417)
+    keys = [keygen(p, SeededRng(bytes([i]) * 32)) for i in (1, 2)]
+    tables = []
+    for turn, (sk, pk) in enumerate([keys[0], keys[1], keys[0]]):
+        message = b"turn %d" % turn
+        rng = SeededRng(bytes([turn + 7]) * 32)
+        ref_rng = copy.deepcopy(rng)
+        assert sign(sk, pk, message, p, rng) == sign_by_ring_mul(sk, pk, message, p, ref_rng)
+        assert (rng.counter, rng._buf) == (ref_rng.counter, ref_rng._buf)
+        tables.append(sk.windows)
+    assert tables[2] is tables[0] and tables[1] is not tables[0]  # A's, built once

@@ -1,5 +1,6 @@
 import math
 import pickle
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -42,9 +43,9 @@ from latticelab.polyring import (
     ring_uniform,
     roots_mod_q,
 )
-from latticelab.polyring import (_convolve_exact, _exact_dtype, _factorize, _ntt_forward,
-                                 _ntt_inverse, _ntt_split, _ntt_tables, _pow_x, _roots_by_gcd,
-                                 _roots_by_scan, _x_pow_minus_x)
+from latticelab.polyring import (_center, _convolve_exact, _exact_dtype, _factorize,
+                                 _ntt_forward, _ntt_inverse, _ntt_split, _ntt_tables, _pow_x,
+                                 _roots_by_gcd, _roots_by_scan, _x_pow_minus_x, ring_mul_vec)
 from latticelab.zq import Modulus, is_prime, next_prime
 
 
@@ -572,6 +573,22 @@ def mul_dtype(p):
     return _exact_dtype(p.n * (p.q // 2) ** 2)
 
 
+def test_ring_mul_takes_the_dtype_its_ring_chose_once(monkeypatch):
+    """`product_dtype` is `mul_dtype`, and a product on a ring that has
+    chosen it runs no `_exact_dtype`: folded on x^n + 1, divided otherwise."""
+    rings = [negacyclic(16, 59399), negacyclic(1024, INT64_EDGE_Q),
+             RingParams(negacyclic(16, 3).f, INT64_TOP_Q + 1), ring(cyclotomic_poly(9), 59399),
+             RingParams(tuple(cyclotomic_poly(9)), 2**61 - 1)]
+    operands = []
+    for p in rings:
+        assert p.product_dtype is mul_dtype(p) and not p.uses_ntt
+        x = RingElement(np.arange(p.n) * 12345 % p.q, p)
+        operands.append((x, ring_mul(x, x)))
+    monkeypatch.setattr(polyring, "_exact_dtype", None)
+    for x, square in operands:
+        assert ring_mul(x, x) == square
+
+
 def test_float_exactness_edge_at_n_1024():
     assert FLOAT_EDGE_Q == 2 * math.isqrt((2**53 - 1) // 1024) + 1
     assert is_prime(FLOAT_EDGE_Q) and next_prime(FLOAT_EDGE_Q + 1) == INT64_EDGE_Q
@@ -611,7 +628,7 @@ CONVOLVE_BANDS = [(1024, FLOAT_EDGE_Q, np.float64), (1024, INT64_EDGE_Q, np.int6
 def check_convolve_exact(a, b, n, q, dtype):
     bound = n * (q // 2) ** 2
     assert _exact_dtype(bound) is dtype
-    got = _convolve_exact(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), bound)
+    got = _convolve_exact(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), dtype)
     assert got.dtype == dtype
     assert poly_trim([int(x) for x in got]) == poly_mul_z(a, b)
 
@@ -794,12 +811,13 @@ def test_the_ntt_bound_implies_int64_safe():
 def test_ntt_evaluates_at_the_roots_and_inverts(n, q):
     p = negacyclic(n, q)
     tables = _ntt_tables(n, q)
-    # the transform of x lists the root each slot evaluates at
-    points = _ntt_forward(ring_from_coeffs([0, 1], p).vec, tables).ravel().tolist()
+    # the transform of x lists the root each slot evaluates at, mod q
+    points = _ntt_forward(ring_from_coeffs([0, 1], p).vec, tables) % q
+    points = points.astype(int).ravel().tolist()
     assert sorted(points) == roots_mod_q(list(p.f), Modulus(q))
     vec = np.random.default_rng(n * q).integers(0, q, n)
     x = _ntt_forward(vec, tables)
-    assert x.ravel().tolist() == [evaluate(RingElement(vec, p), r) for r in points]
+    assert (x % q).ravel().tolist() == [evaluate(RingElement(vec, p), r) for r in points]
     assert np.array_equal(_ntt_inverse(x, tables), vec)
 
 
@@ -828,6 +846,82 @@ def test_products_at_the_ntt_edge(q):
     for operand in (top, other):
         assert ring_mul(RingElement(top, p), RingElement(operand, p)).coeffs == division_oracle(
             top, operand, p)
+
+
+def negacyclic_reference(a, b, n, q):
+    """a * b mod (x^n + 1, q) for integer lists a and b, by `poly_mul_z` and
+    the fold x^n = -1."""
+    full = poly_mul_z(list(a), list(b)) + [0] * (2 * n)
+    return [(full[i] - full[i + n]) % q for i in range(n)]
+
+
+@lru_cache(maxsize=None)
+def largest_ntt_prime(n):
+    """The largest prime q = 1 (mod 2n) with max(n1, n2) * (q - 1)^2 < 2^53."""
+    q = math.isqrt((2**53 - 1) // max(_ntt_split(n))) // (2 * n) * (2 * n) + 1
+    while not is_prime(q):
+        q -= 2 * n
+    return q
+
+
+def test_largest_ntt_prime_is_the_edge_of_uses_ntt():
+    assert largest_ntt_prime(1024) == NTT_EDGE_Q
+    for n in (1 << e for e in range(11)):
+        q = largest_ntt_prime(n)
+        above = q + 2 * n
+        while not is_prime(above):
+            above += 2 * n
+        assert negacyclic(n, q).uses_ntt and not negacyclic(n, above).uses_ntt
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@example(data=None)  # n = 1024 at the largest q, every operand entry at an end
+def test_split_ring_products_match_poly_mul_z(data):
+    """ring_mul and ring_mul_vec against a schoolbook negacyclic product, at
+    every power of two n <= 1024, at q = 257, 59393 and the largest prime
+    `uses_ntt` admits at n, on operands salted with 0, q - 1 and
+    +-floor(q/2); ring_mul_vec also on centered vectors.  The transform's
+    matmul sums grow with q, so the largest q is where an inexact float64
+    step would show."""
+    if data is None:
+        n, q = 1024, NTT_EDGE_Q
+        h = q // 2
+        a = [q - 1, h, q - h, 0] * 256
+        b = [h, q - 1, 0, q - h] * 256
+        y = [-h, h, q - 1, -(q - 1)] * 256
+    else:
+        n = data.draw(st.sampled_from([1 << e for e in range(11)]))
+        q = data.draw(st.sampled_from([q for q in (257, 59393) if q % (2 * n) == 1]
+                                      + [largest_ntt_prime(n)]))
+        h = q // 2
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ends = [0, q - 1, h, q - h]
+        a, b = (np.where(gen.random(n) < 0.5, gen.choice(ends, n), gen.integers(0, q, n)).tolist()
+                for _ in range(2))
+        y = np.where(gen.random(n) < 0.5, gen.choice([0, -h, h, q - 1, 1 - q], n),
+                     gen.integers(-h, h + 1, n)).tolist()
+    p = negacyclic(n, q)
+    assert p.uses_ntt
+    ea, eb = RingElement(a, p), RingElement(b, p)
+    assert list(ring_mul(ea, eb).coeffs) == negacyclic_reference(a, b, n, q)
+    assert ring_mul_vec(ea, np.array(y)).tolist() == negacyclic_reference(a, y, n, q)
+    for x in (ea, eb):
+        t = x._transform()
+        assert t.min() >= 0 and t.max() < q
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.integers(-(2**53 - 1), 2**53 - 1) | st.integers(-(2**50), 2**50),
+       q=st.sampled_from([3, 17, 257, 59393, NTT_EDGE_Q]))
+@example(x=2**53 - 1, q=NTT_EDGE_Q)
+@example(x=NTT_EDGE_Q // 2 + 1, q=NTT_EDGE_Q)
+def test_center_reduces_exactly_into_the_centered_range(x, q):
+    """`_center` keeps x mod q, and centers it exactly up to |x| = 2^50 and
+    to within 2 beyond, where rint may be one off next to a half-integer."""
+    r = _center(np.array([float(x)]), _ntt_tables(1, q))[0]
+    assert r == int(r) and (x - int(r)) % q == 0
+    assert abs(r) <= (q - 1) // 2 if abs(x) <= 2**50 else abs(r) < q / 2 + 2
 
 
 def test_one_cached_transform_serves_many_products():
