@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParams, OrderTooLarge, ParamMismatch, PreconditionFailed
+from .errors import InvalidParams, OrderTooLarge, PreconditionFailed
 from .gaussian import GaussianParams, fold_to_zq_array
 from .plwe import PlweParams, PlweSample
-from .polyring import (check_scan_q, evaluate_many, mult_order, poly_deg, poly_eval_z,
-                       roots_mod_q)
+from .polyring import (check_same_params, check_scan_q, evaluate_many, mult_order, poly_deg,
+                       poly_eval_z, roots_mod_q)
 from .rng import SeededRng
 from .zq import Modulus, is_prime
 
@@ -201,8 +201,9 @@ def _decide(samples: list[PlweSample], p: PlweParams, alpha: int, t: float, r_ma
             return_survivors: bool):
     """The distinguisher at the root alpha, with `smallness_region` as A."""
     q = check_scan_q(p.ring.q)
-    if any(x.params is not p.ring and x.params != p.ring for s in samples for x in (s.a, s.b)):
-        raise ParamMismatch("samples live in a different ring from the params")
+    for s in samples:
+        for x in (s.a, s.b):
+            check_same_params(x.params, p.ring, "a sample's ring", "the PLWE ring's")
     if poly_eval_z(list(p.ring.f), alpha) % q != 0:
         raise PreconditionFailed(f"{alpha} is not a root of f mod q")
     r = mult_order(alpha, q)

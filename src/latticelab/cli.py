@@ -19,9 +19,9 @@ import time
 from pathlib import Path
 
 from . import attacks, bgv, fileio, glyph, lwe, plwe
-from .errors import LatticeLabError, ParamMismatch
+from .errors import LatticeLabError
 from .gaussian import GaussianParams, fold_to_zq_array, sample_int_array
-from .polyring import parse_poly
+from .polyring import check_same_params, parse_poly
 from .rng import SEED_BYTES, SeededRng
 from .zq import Modulus
 
@@ -161,12 +161,14 @@ def cmd_encrypt(args) -> int:
 def cmd_decrypt(args) -> int:
     if args.scheme == "lwe":
         sk, params = fileio.load_lwe_secret(_read(args.secret))
-        cts, _ = fileio.load_lwe_ciphertext(_read(args.infile))
+        cts, ct_params = fileio.load_lwe_ciphertext(_read(args.infile))
+        check_same_params(ct_params, params, "the ciphertext's LWE", "the secret key's")
         bits = "".join(str(lwe.decrypt_bit(sk, ct, params)) for ct in cts)
         _write_out(args, bits + "\n")
     elif args.scheme == "plwe":
         s, params = fileio.load_plwe_secret(_read(args.secret))
-        blocks, _ = fileio.load_plwe_ciphertext(_read(args.infile))
+        blocks, ct_params = fileio.load_plwe_ciphertext(_read(args.infile))
+        check_same_params(ct_params, params, "the ciphertext's PLWE", "the secret key's")
         bits = "".join("".join(map(str, plwe.decrypt(s, ct))) for ct in blocks)
         _write_out(args, bits + "\n")
     else:  # bgv
@@ -182,20 +184,11 @@ def cmd_decrypt(args) -> int:
 # sign / verify
 
 
-def _check_same_glyph_params(mine: glyph.GlyphParams, theirs: glyph.GlyphParams,
-                             whose: str, against: str) -> None:
-    """ParamMismatch naming every field where two records' GLYPH headers differ."""
-    if mine != theirs:
-        diff = ", ".join(f"{f}={getattr(mine, f)} against {getattr(theirs, f)}"
-                         for f in ("n", "q", "b", "k") if getattr(mine, f) != getattr(theirs, f))
-        raise ParamMismatch(f"{whose} GLYPH parameters differ from {against}: {diff}")
-
-
 def cmd_sign(args) -> int:
     rng = _rng_from_args(args)
     sk, params = fileio.load_glyph_secret(_read(args.secret))
     pk, pk_params = fileio.load_glyph_public(_read(args.public))
-    _check_same_glyph_params(pk_params, params, "the public key's", "the secret key's")
+    check_same_params(pk_params, params, "the public key's GLYPH", "the secret key's")
     message, digest = _read_message(args.message)
     sig, iters = glyph.sign(sk, pk, message, params, rng.derive(f"glyph-sign/{digest}"))
     print(f"signed in {iters} iteration(s)", file=sys.stderr)
@@ -206,7 +199,7 @@ def cmd_sign(args) -> int:
 def cmd_verify(args) -> int:
     pk, params = fileio.load_glyph_public(_read(args.public))
     sig, sig_params = fileio.load_glyph_signature(_read(args.signature))
-    _check_same_glyph_params(sig_params, params, "the signature's", "the public key's")
+    check_same_params(sig_params, params, "the signature's GLYPH", "the public key's")
     message = Path(args.message).read_bytes()
     result = glyph.verify(pk, message, sig, params)
     if not result.accepted:
@@ -228,8 +221,6 @@ def cmd_scan(args) -> int:
 
 def cmd_attack(args) -> int:
     samples, params = fileio.load_plwe_samples(_read(args.samples))
-    if args.params:
-        params = fileio.load_plwe_params(_read(args.params))
     if args.alg == 1:
         verdicts = attacks.decide_alg1(samples, params, t=args.t)
     else:
@@ -285,16 +276,17 @@ def cmd_sample(args) -> int:
         draws = rng.uniform_array(args.q, args.count)
         _write_out(args, fileio.format_rows(draws[:, None]) or "\n")
     else:
-        params = fileio.load_plwe_params(_read(args.params))
         if args.dist == "plwe-oracle":
-            s, sparams = fileio.load_plwe_secret(_read(args.secret))
-            if sparams.ring != params.ring:
-                raise LatticeLabError("secret key ring does not match params")
+            s, params = fileio.load_plwe_secret(_read(args.secret))
+            if args.params:
+                check_same_params(fileio.load_plwe_params(_read(args.params)), params,
+                                  "the parameter file's PLWE", "the secret key's")
             samples = [
                 plwe.oracle_sample(params, s, rng.derive(f"oracle-{i}"))
                 for i in range(args.count)
             ]
         else:  # plwe-uniform
+            params = fileio.load_plwe_params(_read(args.params))
             samples = [
                 plwe.uniform_sample_pair(params, rng.derive(f"uniform-{i}"))
                 for i in range(args.count)
@@ -411,12 +403,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=_POSITIVE, default=8)
     p.add_argument("--out")
 
-    p = sub.add_parser("attack", help="run a PLWE evaluation distinguisher")
+    p = sub.add_parser(
+        "attack", help="run a PLWE evaluation distinguisher (bound t * sqrt(M+1) * sigma)",
+        description="Run a PLWE evaluation distinguisher on a samples file, whose header "
+        "gives f, q and sigma. A candidate secret survives a sample when the sample's error "
+        "at the root alpha is a sum of c_i * alpha^i, i < r, with every |c_i| at most "
+        "t * sqrt(M+1) * sigma, where r is the order of alpha and n - 1 = r*M + l.")
     p.add_argument("--alg", type=int, required=True, choices=[1, 2])
-    p.add_argument("--params", help="plwe parameter file (defaults to samples header)")
     p.add_argument("--samples", required=True)
     p.add_argument("--alpha", type=_COUNT, help="root of f mod q (algorithm 2)")
-    p.add_argument("--t", type=_finite_positive, default=3.0)
+    p.add_argument("--t", type=_finite_positive, default=3.0,
+                   help="the bound's multiplier: the bound is t * sqrt(M+1) * sigma, so an "
+                   "assumed sigma' is --t t*sigma'/sigma")
     p.add_argument("--r-max", type=_POSITIVE, default=8)
     p.add_argument("--out")
 
@@ -441,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=_finite_positive, default=3.2)
     p.add_argument("--q", type=_POSITIVE)
     p.add_argument("--count", type=_COUNT, default=16)
-    p.add_argument("--params", help="plwe parameter file")
+    p.add_argument("--params", help="plwe parameter file: plwe-uniform's parameters; "
+                   "plwe-oracle takes the secret key's and checks them against it")
     p.add_argument("--secret", help="plwe secret key (oracle samples)")
     p.add_argument("--out")
     add_seed(p)
@@ -475,8 +474,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--alpha is only for --alg 2")
     if args.verb == "sample" and args.dist == "uniform" and not args.q:
         parser.error("--q is required for --dist uniform")
-    if args.verb == "sample" and args.dist.startswith("plwe") and not args.params:
-        parser.error(f"--params is required for --dist {args.dist}")
+    if args.verb == "sample" and args.dist == "plwe-uniform" and not args.params:
+        parser.error("--params is required for --dist plwe-uniform")
     if args.verb == "sample" and args.dist == "plwe-oracle" and not args.secret:
         parser.error("--secret is required for --dist plwe-oracle")
     try:

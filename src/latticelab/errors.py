@@ -18,7 +18,7 @@ class InvalidParams(LatticeLabError):
 
 
 class ParamMismatch(LatticeLabError):
-    """Two operands live in different rings or use different moduli."""
+    """Two operands or records that must share one parameter set do not."""
 
 
 class LengthMismatch(LatticeLabError):

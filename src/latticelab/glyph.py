@@ -34,8 +34,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParams, ParamMismatch, RejectionOverflow
-from .polyring import RingElement, RingParams, ring_add, ring_mul, ring_mul_vec, ring_uniform
+from .errors import InvalidParams, RejectionOverflow
+from .polyring import (RingElement, RingParams, check_same_params, ring_add, ring_mul,
+                       ring_mul_vec, ring_uniform)
 from .rng import SeededRng
 from .zq import Modulus, reduce_centered
 
@@ -218,12 +219,6 @@ def _ternary(x: RingElement) -> np.ndarray:
     return v
 
 
-def _check_ring(p: GlyphParams, *elements: RingElement) -> None:
-    """ParamMismatch unless every element lives in p's ring."""
-    if any(x.params is not p.ring and x.params != p.ring for x in elements):
-        raise ParamMismatch("a key or signature lives in another ring than the parameters'")
-
-
 def sign(
     sk: GlyphSecretKey,
     pk: GlyphPublicKey,
@@ -235,7 +230,8 @@ def sign(
     s*c and e*c are `_challenge_product`s, and z1, z2 are tested over Z
     (module docstring)."""
     q, n = p.ring.q, p.n
-    _check_ring(p, sk.s, sk.e, pk.a)
+    for x in (sk.s, sk.e, pk.a):
+        check_same_params(x.params, p.ring, "a key's ring", "the GLYPH ring's")
     win_s, win_e = sk.windows
     for it in range(1, MAX_SIGN_ITERS + 1):
         y1 = _bounded_draw(p, p.b, rng)
@@ -259,7 +255,8 @@ def verify(
     """Norm check, then recompute the challenge from w' = a*z1 + z2 - t*c,
     with t*c a `_challenge_product`.  A c that is not k coefficients +-1
     cannot equal the recomputed challenge, so it is a mismatch at once."""
-    _check_ring(p, pk.a, pk.t, sig.c, sig.z1, sig.z2)
+    for x in (pk.a, pk.t, sig.c, sig.z1, sig.z2):
+        check_same_params(x.params, p.ring, "a key's or signature's ring", "the GLYPH ring's")
     if sig.z1.inf_norm() > p.beta or sig.z2.inf_norm() > p.beta:
         return VerifyResult(False, "norm")
     pairs = _pairs_of(sig.c, p)

@@ -9,7 +9,7 @@ format ("1,0,0,0,1" is x^4 + 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, count
 from typing import NamedTuple
@@ -33,36 +33,6 @@ def poly_trim(c: list[int]) -> list[int]:
 def poly_deg(c: list[int]) -> int:
     c = poly_trim(list(c))
     return len(c) - 1 if c else -1
-
-
-def poly_mul_z(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return poly_trim(out)
-
-
-def poly_divmod_z(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division with remainder by a monic divisor b, over Z."""
-    b = poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    if b[-1] != 1:
-        raise InvalidParams("divisor must be monic")
-    r = list(a)
-    db = len(b) - 1
-    quo = [0] * max(len(r) - db, 0)
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i]
-        if c:
-            quo[i - db] = c
-            for j in range(db + 1):
-                r[i - db + j] -= c * b[j]
-    return poly_trim(quo), poly_trim(r)
 
 
 def poly_eval_z(c: list[int], x: int) -> int:
@@ -168,10 +138,6 @@ def parse_poly(text: str) -> list[int]:
         return [int(t.strip()) for t in text.strip().split(",")]
     except ValueError as e:
         raise FormatError(f"bad polynomial text {text!r}") from e
-
-
-def format_poly(coeffs) -> str:
-    return ",".join(str(int(c)) for c in coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +508,32 @@ class RingParams:
         return _f_division(self.f, self.q)
 
 
+def check_same_params(mine, theirs, whose: str, against: str) -> None:
+    """The package's one test that two parameter records agree: `mine` and
+    `theirs` are frozen dataclasses of one type (`RingParams`, `PlweParams`,
+    `LweParams`, `GlyphParams`), and `whose` and `against` name the records
+    that hold them.  Returns at once when they are one object or equal;
+    otherwise raises ParamMismatch, "<whose> parameters differ from
+    <against>: ...", naming each field that differs (a nested record's
+    fields in its place) with both values, or, for a vector such as f, by
+    name alone."""
+    if mine is theirs or mine == theirs:
+        return
+    raise ParamMismatch(f"{whose} parameters differ from {against}: "
+                        + ", ".join(_differences(mine, theirs)))
+
+
+def _differences(mine, theirs) -> list[str]:
+    out = []
+    for field in fields(mine):
+        x, y = getattr(mine, field.name), getattr(theirs, field.name)
+        if is_dataclass(x):
+            out += _differences(x, y)
+        elif x != y:
+            out.append(field.name if isinstance(x, tuple) else f"{field.name}={x} against {y}")
+    return out
+
+
 class RingElement:
     """An element of R_q: `vec`, a read-only int64 array of the n residues
     in [0, q), lowest degree first.
@@ -646,28 +638,15 @@ def _padded(residues, params: RingParams) -> RingElement:
     return RingElement._of(vec, params)
 
 
-def ring_zero(params: RingParams) -> RingElement:
-    return RingElement._of(np.zeros(params.n, dtype=np.int64), params)
-
-
-def ring_one(params: RingParams) -> RingElement:
-    return ring_from_coeffs([1], params)
-
-
-def _check(a: RingElement, b: RingElement):
-    if a.params is not b.params and a.params != b.params:
-        raise ParamMismatch("operands live in different rings")
-
-
 def ring_add(a: RingElement, b: RingElement) -> RingElement:
-    _check(a, b)
+    check_same_params(a.params, b.params, "one operand's ring", "the other's")
     q = a.params.q
     # a - (q - b) lies in (-q, q), so no int64 overflow for any q < 2^63
     return RingElement._of(_reduce_signed(a.vec - (q - b.vec), q), a.params)
 
 
 def ring_sub(a: RingElement, b: RingElement) -> RingElement:
-    _check(a, b)
+    check_same_params(a.params, b.params, "one operand's ring", "the other's")
     q = a.params.q
     return RingElement._of(_reduce_signed(a.vec - b.vec, q), a.params)
 
@@ -684,7 +663,7 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     `params.product_dtype`, reduced mod f: folded by x^n = -1 on x^n + 1,
     divided by f otherwise, by `params.division`, built once per (f, q)
     and shared with `_pow_x`."""
-    _check(a, b)
+    check_same_params(a.params, b.params, "one operand's ring", "the other's")
     p = a.params
     q, n = p.q, p.n
     if p.uses_ntt:

@@ -21,8 +21,6 @@ from latticelab.polyring import (
     RingElement,
     cyclotomic_poly,
     evaluate,
-    poly_divmod_z,
-    poly_mul_z,
     ring_add,
     ring_from_coeffs,
     ring_mul,
@@ -31,6 +29,7 @@ from latticelab.polyring import (
 )
 from latticelab.rng import SeededRng
 from latticelab.zq import Modulus, is_prime
+from polyz import poly_divmod_z, poly_mul_z
 
 from tests.conftest import MASTER_SEED
 from tests.test_attacks import attack_corpus, crafted_params, order2_params

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -536,6 +537,23 @@ def test_distinguishers_refuse_samples_from_another_ring(alg, rng):
     wide = PlweParams(ring=RingParams(f=(255, 0, 1) + (0,) * 29 + (1,), q=257), sigma=p.sigma)
     with pytest.raises(ParamMismatch):
         decide(alg, samples, wide, alpha, t)
+
+
+@pytest.mark.parametrize("alg", [1, 2])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_twice_sigma_is_twice_t(alg, data):
+    """The accepted bound is t * sqrt(M+1) * sigma, so an assumed sigma' is
+    t * sigma' / sigma; a factor of two scales the float product exactly."""
+    p, alpha, t, samples = data.draw(attack_instances(small_order=alg == 2))
+    wide = replace(p, sigma=2 * p.sigma)
+    try:
+        expect = decide(alg, samples, p, alpha, 2 * t, return_survivors=True)
+    except OrderTooLarge:
+        with pytest.raises(OrderTooLarge):
+            decide(alg, samples, wide, alpha, t)
+        return
+    assert decide(alg, samples, wide, alpha, t, return_survivors=True) == expect
 
 
 @pytest.mark.parametrize("seed", range(8))

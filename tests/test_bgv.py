@@ -31,8 +31,6 @@ from latticelab.errors import (
 )
 from latticelab.polyring import (
     cyclotomic_poly,
-    poly_divmod_z,
-    poly_mul_z,
     ring_add,
     ring_from_coeffs,
     ring_mul,
@@ -41,6 +39,7 @@ from latticelab.polyring import (
 )
 from latticelab.rng import SeededRng
 from latticelab.zq import is_prime, next_prime, reduce_centered
+from polyz import poly_divmod_z, poly_mul_z
 
 
 def std_params():
@@ -239,8 +238,6 @@ def test_he_add_homomorphism(rng):
 
 def clear_mul(a, b, m, pr):
     """Plaintext-side product in Z_{p^r}[x]/(Phi_m), independent arithmetic."""
-    from latticelab.polyring import cyclotomic_poly, poly_divmod_z, poly_mul_z
-
     f = cyclotomic_poly(m)
     n = len(f) - 1
     rem = poly_divmod_z(poly_mul_z(list(a), list(b)), f)[1]

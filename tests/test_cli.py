@@ -1,22 +1,27 @@
 """End-to-end CLI pipelines driven through main() with on-disk files."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latticelab import cli, fileio
 from latticelab.cli import main
+from latticelab.errors import LatticeLabError
 from latticelab.gaussian import GaussianParams, fold_to_zq_array
 from latticelab.plwe import PlweParams, PlweSample
 from latticelab.polyring import (
     MAX_SCAN_Q,
     RingParams,
-    format_poly,
     ring_from_coeffs,
     ring_mul,
     ring_sub,
@@ -214,33 +219,13 @@ def test_attack_alg1_refuses_alpha(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and "--alpha is only for --alg 2" in err
 
 
-def _root_one_params(n: int) -> str:
-    # f = x^n + x^2 + 255 has the roots 1 and 256 = -1 mod 257 for every n
-    f = "255,0,1," + ",".join(["0"] * (n - 3)) + ",1"
-    return f"latticelab-plwe-v1\nn={n}\nq=257\nf={f}\nsigma=1.5\n"
-
-
-@pytest.mark.parametrize("alg", [["--alg", "1"], ["--alg", "2", "--alpha", "256"]],
-                         ids=["alg1", "alg2"])
-def test_attack_refuses_samples_from_another_ring(tmp_path, capsys, alg):
-    s16, w32, samples = tmp_path / "s16.prm", tmp_path / "w32.prm", tmp_path / "s16.txt"
-    s16.write_text(_root_one_params(16))
-    w32.write_text(_root_one_params(32))
-    assert run(["sample", "--dist", "plwe-uniform", "--params", str(s16), "--count", "5",
-                "--seed", SEED, "--out", str(samples)]) == 0
-    assert run(["attack", *alg, "--samples", str(samples), "--params", str(w32)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1 and "ring" in err
-
-
 @pytest.mark.parametrize("q", [next_prime(MAX_SCAN_Q + 1), 2**61 - 1])
 @pytest.mark.parametrize("verb", ["scan", "attack-1", "attack-2"])
 def test_scan_and_attack_refuse_q_above_the_scan_limit(tmp_path, capsys, verb, q):
     # f(1) = 0 mod q, so past the limit check each would build arrays of q entries
     f = [q - 2, 1] + [0] * 14 + [1]
     if verb == "scan":
-        argv = ["scan", "--f", format_poly(f), "--q", str(q)]
+        argv = ["scan", "--f", ",".join(map(str, f)), "--q", str(q)]
     else:
         ring = RingParams(tuple(f), Modulus(q))
         one = ring_from_coeffs([1], ring)
@@ -324,6 +309,7 @@ USAGE_ERRORS = [
     ["encrypt", "--scheme", "bgv", "--params", "p", "--message", "m"],  # missing --secret
     ["sample", "--dist", "plwe-uniform"],  # missing --params
     ["sample", "--dist", "plwe-oracle", "--params", "p"],  # missing --secret
+    ["attack", "--alg", "1", "--samples", "s", "--params", "p"],  # the samples' header is the params
 ]
 
 
@@ -571,6 +557,140 @@ def test_verify_refuses_a_glyph_key_past_2_to_16(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert "2^16" in err
+
+
+@pytest.mark.parametrize("scheme, field, old, new", [("lwe", "m", "141", "1"),
+                                                     ("plwe", "sigma", "3.2", "9.5")])
+def test_decrypt_refuses_a_ciphertext_whose_header_differs(tmp_path, capsys, scheme, field,
+                                                           old, new):
+    """At n = 16 an LWE ciphertext edited to m=1, and a PLWE one edited to
+    sigma=9.5, once decrypted with exit 0: decrypt discarded their headers."""
+    key, pub, msg, ct = (tmp_path / name for name in ("s.key", "p.key", "m.txt", "ct.txt"))
+    assert run(["keygen", "--scheme", scheme, "--n", "16", "--seed", SEED,
+                "--out-secret", str(key), "--out-public", str(pub)]) == 0
+    msg.write_text("1011\n")
+    assert run(["encrypt", "--scheme", scheme, "--public", str(pub), "--message", str(msg),
+                "--out", str(ct), "--seed", SEED]) == 0
+    text = ct.read_text()
+    assert f"\n{field}={old}\n" in text
+    ct.write_text(text.replace(f"\n{field}={old}\n", f"\n{field}={new}\n"))
+    decrypt = ["decrypt", "--scheme", scheme, "--secret", str(key), "--in", str(ct)]
+    capsys.readouterr()
+    for argv in (decrypt, decrypt + ["--out", str(tmp_path / "bits.txt")]):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert f"{field}={new} against {old}" in err
+    assert not (tmp_path / "bits.txt").exists()
+
+
+def test_sample_plwe_oracle_takes_its_params_from_the_secret_key(tmp_path):
+    """--params is optional for oracle samples; given, it must match the key
+    and changes no byte."""
+    key = tmp_path / "r.key"
+    assert run(["keygen", "--scheme", "plwe", "--n", "16", "--q-floor", "256", "--sigma", "1.5",
+                "--seed", SEED, "--out-secret", str(key),
+                "--out-public", str(tmp_path / "r.pub")]) == 0
+    (tmp_path / "ring.prm").write_text(fileio.dump_plwe_params(
+        fileio.load_plwe_secret(key.read_text())[1]))
+    outs = []
+    for extra in ([], ["--params", str(tmp_path / "ring.prm")]):
+        outs.append(tmp_path / f"oracle{len(extra)}.txt")
+        assert run(["sample", "--dist", "plwe-oracle", "--secret", str(key), "--count", "3",
+                    "--seed", SEED, "--out", str(outs[-1])] + extra) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+# Each verb that reads two records that must share one parameter set:
+# (argv, the two records).  OUT is the verb's output file, if it writes one.
+TWO_RECORD_VERBS = {
+    "sign": (["sign", "--secret", "g.key", "--public", "g.pub", "--message", "m.txt",
+              "--out", "OUT", "--seed", SEED], ("g.key", "g.pub")),
+    "verify": (["verify", "--public", "g.pub", "--message", "m.txt", "--signature", "sig.txt"],
+               ("g.pub", "sig.txt")),
+    "decrypt-lwe": (["decrypt", "--scheme", "lwe", "--secret", "l.key", "--in", "l.ct",
+                     "--out", "OUT"], ("l.key", "l.ct")),
+    "decrypt-plwe": (["decrypt", "--scheme", "plwe", "--secret", "p.key", "--in", "p.ct",
+                      "--out", "OUT"], ("p.key", "p.ct")),
+    "sample-plwe-oracle": (["sample", "--dist", "plwe-oracle", "--secret", "p.key", "--params",
+                            "ring.prm", "--count", "2", "--seed", SEED, "--out", "OUT"],
+                           ("p.key", "ring.prm")),
+}
+LOADERS = {"g.key": fileio.load_glyph_secret, "g.pub": fileio.load_glyph_public,
+           "sig.txt": fileio.load_glyph_signature, "l.key": fileio.load_lwe_secret,
+           "l.ct": fileio.load_lwe_ciphertext, "p.key": fileio.load_plwe_secret,
+           "p.ct": fileio.load_plwe_ciphertext, "ring.prm": fileio.load_plwe_params}
+
+
+@pytest.fixture(scope="module")
+def two_records(tmp_path_factory):
+    """Agreeing records at n = 16 for every verb in TWO_RECORD_VERBS."""
+    d = tmp_path_factory.mktemp("two_records")
+    (d / "m.txt").write_text("1011\n")
+    for scheme, key, pub in (("lwe", "l.key", "l.pub"), ("plwe", "p.key", "p.pub"),
+                             ("glyph", "g.key", "g.pub")):
+        assert run(["keygen", "--scheme", scheme, "--n", "16", "--q-floor", "256", "--sigma",
+                    "1.5", "--seed", SEED, "--out-secret", str(d / key),
+                    "--out-public", str(d / pub)]) == 0
+    for scheme, pub, ct in (("lwe", "l.pub", "l.ct"), ("plwe", "p.pub", "p.ct")):
+        assert run(["encrypt", "--scheme", scheme, "--public", str(d / pub), "--message",
+                    str(d / "m.txt"), "--out", str(d / ct), "--seed", SEED]) == 0
+    assert run(["sign", "--secret", str(d / "g.key"), "--public", str(d / "g.pub"), "--message",
+                str(d / "m.txt"), "--out", str(d / "sig.txt"), "--seed", SEED]) == 0
+    (d / "ring.prm").write_text(fileio.dump_plwe_params(
+        fileio.load_plwe_secret((d / "p.key").read_text())[1]))
+    return d
+
+
+def _other_value(data, field: str, old: str, header: dict) -> str:
+    """Another spelling-canonical value for a header field; whether the
+    record's loader accepts it is left to the caller."""
+    if field == "f":  # a coefficient below the leading 1, moved to another residue
+        coeffs = old.split(",")
+        i = data.draw(st.integers(0, len(coeffs) - 2))
+        coeffs[i] = str(data.draw(st.integers(0, int(header["q"]) - 1)))
+        return ",".join(coeffs)
+    if field in ("alpha", "sigma"):
+        return repr(data.draw(st.floats(0, 2 * float(old) + 1)))
+    if field == "q":
+        return str(next_prime(data.draw(st.integers(int(old) // 2, 2 * int(old)))))
+    return str(data.draw(st.integers(0, 2 * int(old) + 1)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("verb", sorted(TWO_RECORD_VERBS))
+def test_a_verb_refuses_records_whose_headers_differ_in_any_field(two_records, verb, data):
+    """One header field of one record replaced by another value its loader
+    accepts: the verb exits 1 with one error line naming that field, and
+    prints and writes nothing.  (n is left out: it fixes every vector's
+    length, so no other n loads.)"""
+    argv, records = TWO_RECORD_VERBS[verb]
+    name = data.draw(st.sampled_from(records))
+    text = (two_records / name).read_text()
+    # every scheme's header is four fields, after the LWE records' type line
+    lines = [line for line in text.splitlines()[1:] if not line.startswith("type=")]
+    header = dict(line.split("=", 1) for line in lines[:4])
+    field = data.draw(st.sampled_from(sorted(set(header) - {"n"})))
+    new = _other_value(data, field, header[field], header)
+    assume(new != header[field])
+    edited = text.replace(f"\n{field}={header[field]}\n", f"\n{field}={new}\n", 1)
+    try:
+        LOADERS[name](edited)
+    except LatticeLabError:
+        assume(False)
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for other in {*records, "m.txt"}:
+            (d / other).write_text(edited if other == name else (two_records / other).read_text())
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run([str(d / a) if a in LOADERS or a in ("m.txt", "OUT") else a for a in argv])
+        assert not (d / "OUT").exists()
+    assert rc == 1 and out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert [item.split("=")[0] for item in lines[0].split(": ")[-1].split(", ")] == [field]
 
 
 def test_one_seed_two_messages_do_not_leak_the_glyph_key(tmp_path):

@@ -26,7 +26,8 @@ from latticelab.glyph import (
     sign,
     verify,
 )
-from latticelab.polyring import RingElement, RingParams, ring_add, ring_mul, ring_sub, ring_zero
+from latticelab.polyring import (RingElement, RingParams, ring_add, ring_from_coeffs, ring_mul,
+                                 ring_sub)
 from latticelab.rng import SeededRng
 from latticelab.zq import Modulus, next_prime
 
@@ -162,7 +163,7 @@ def test_verify_rejects_norm_inflation(rng):
 
 def test_zero_key_degenerate(rng):
     # s = e = 0: z1 = y1, z2 = y2; accepted as soon as both norms fit
-    zero = ring_zero(TOY.ring)
+    zero = ring_from_coeffs([0], TOY.ring)
     sk = GlyphSecretKey(s=zero, e=zero)
     _, pk_real = keygen(TOY, rng)
     from latticelab.glyph import GlyphPublicKey

@@ -19,7 +19,8 @@ from latticelab.numberfield import (
     quadratic_ring_basis,
     resultant,
 )
-from latticelab.polyring import cyclotomic_poly, poly_mul_z
+from latticelab.polyring import cyclotomic_poly
+from polyz import poly_mul_z
 
 
 def test_roots_of_x2_plus_1():

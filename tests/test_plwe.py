@@ -23,7 +23,6 @@ from latticelab.polyring import (
     ring_from_coeffs,
     ring_mul,
     ring_sub,
-    ring_zero,
 )
 from latticelab.rng import SeededRng
 from latticelab.zq import Modulus
@@ -149,7 +148,7 @@ def test_encrypt_zero_error(rng):
     q = int(p.ring.q)
     # key (0, 0) and no error: ciphertext is exactly (0, floor(q/2) * z)
     bits = [1, 0] * (p.n // 2)
-    zero = ring_zero(p.ring)
+    zero = ring_from_coeffs([0], p.ring)
     ct = encrypt((zero, zero), bits, p, rng)
     assert not any(ct.u.coeffs)
     assert ct.v.coeffs == tuple(b * (q // 2) for b in bits)
@@ -162,18 +161,18 @@ def test_decrypt_noiseless_and_ties():
     s = ring_from_coeffs([3, 1, 4], p.ring)
     z = [1, 0] * (p.n // 2)
     ct = PlweCiphertext(
-        u=ring_zero(p.ring),
+        u=ring_from_coeffs([0], p.ring),
         v=ring_from_coeffs([b * (q // 2) for b in z], p.ring),
     )
     assert decrypt(s, ct) == z
-    assert decrypt(s, PlweCiphertext(u=ring_zero(p.ring), v=ring_zero(p.ring))) == [0] * p.n
+    assert decrypt(s, PlweCiphertext(u=ring_from_coeffs([0], p.ring), v=ring_from_coeffs([0], p.ring))) == [0] * p.n
     # coefficient exactly floor(q/4): tie goes to bit 0
     tie = PlweCiphertext(
-        u=ring_zero(p.ring), v=ring_from_coeffs([q // 4], p.ring)
+        u=ring_from_coeffs([0], p.ring), v=ring_from_coeffs([q // 4], p.ring)
     )
     assert decrypt(s, tie)[0] == 0
     past = PlweCiphertext(
-        u=ring_zero(p.ring), v=ring_from_coeffs([q // 4 + 1], p.ring)
+        u=ring_from_coeffs([0], p.ring), v=ring_from_coeffs([q // 4 + 1], p.ring)
     )
     assert decrypt(s, past)[0] == 1
 
@@ -183,10 +182,10 @@ def test_decrypt_matches_the_residue_window_on_every_residue(q):
     """Bit 1 iff |centered r| > floor(q/4) equals the window on residues,
     floor(q/4) < r < q - floor(q/4), that decoding used before, for odd and even q."""
     ring = RingParams((1,) + (0,) * 63 + (1,), q)
-    s = ring_zero(ring)
+    s = ring_from_coeffs([0], ring)
     residues = np.arange(-(-q // 64) * 64) % q
     for r in residues.reshape(-1, 64):
-        ct = PlweCiphertext(u=ring_zero(ring), v=ring_from_coeffs(r, ring))
+        ct = PlweCiphertext(u=ring_from_coeffs([0], ring), v=ring_from_coeffs(r, ring))
         assert decrypt(s, ct) == ((r > q // 4) & (r < q - q // 4)).astype(np.int64).tolist()
 
 

@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -14,15 +15,18 @@ from latticelab.errors import (
     ZeroElement,
 )
 from latticelab import polyring
+from latticelab.glyph import GlyphParams
+from latticelab.lwe import LweParams
+from latticelab.plwe import PlweParams
 from latticelab.polyring import (
     GCD_ROOTS_MIN_Q,
     RingElement,
     RingParams,
+    check_same_params,
     check_scan_q,
     cyclotomic_poly,
     euler_phi,
     evaluate,
-    format_poly,
     is_irreducible_mod_p,
     is_totally_split,
     mult_order,
@@ -30,15 +34,12 @@ from latticelab.polyring import (
     poly_deg,
     poly_derivative,
     poly_divmod_mod,
-    poly_divmod_z,
     poly_eval_z,
     poly_gcd_mod,
-    poly_mul_z,
     poly_trim,
     ring_add,
     ring_from_coeffs,
     ring_mul,
-    ring_one,
     ring_sub,
     ring_uniform,
     roots_mod_q,
@@ -47,6 +48,7 @@ from latticelab.polyring import (_center, _convolve_exact, _exact_dtype, _factor
                                  _ntt_forward, _ntt_inverse, _ntt_split, _ntt_tables, _pow_x,
                                  _roots_by_gcd, _roots_by_scan, _x_pow_minus_x, ring_mul_vec)
 from latticelab.zq import Modulus, is_prime, next_prime
+from polyz import poly_divmod_z, poly_mul_z
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +95,7 @@ def test_divmod_z_roundtrip():
 def test_parse_format_roundtrip():
     assert parse_poly("1,0,0,0,1") == [1, 0, 0, 0, 1]
     assert parse_poly(" 1 , -2 , 3 ") == [1, -2, 3]
-    assert format_poly([1, 0, 0, 0, 1]) == "1,0,0,0,1"
+    assert parse_poly(",".join(map(str, [3, -1, 0, 4]))) == [3, -1, 0, 4]
     with pytest.raises(FormatError):
         parse_poly("1,x,3")
 
@@ -219,7 +221,7 @@ def test_pow_x_matches_repeated_ring_mul(q, data):
             f = [c if i in (0, k, n) else 0 for i, c in enumerate(f)]
     e, shift = data.draw(st.integers(0, 40)), data.draw(st.integers(-q, 2 * q))
     p = RingParams(f, q)
-    base, expect = ring_from_coeffs([shift, 1], p), ring_one(p)
+    base, expect = ring_from_coeffs([shift, 1], p), ring_from_coeffs([1], p)
     for _ in range(e):
         expect = ring_mul(expect, base)
     got = _pow_x(e, f, q, shift)
@@ -423,7 +425,7 @@ def test_x_times_x_is_minus_one():
 def test_mul_identity():
     p = ring([1, 0, 0, 0, 1], 257)
     a = ring_from_coeffs([5, 7, 11, 13], p)
-    assert ring_mul(a, ring_one(p)).coeffs == a.coeffs
+    assert ring_mul(a, ring_from_coeffs([1], p)).coeffs == a.coeffs
 
 
 def test_negacyclic_shift_rule():
@@ -492,10 +494,44 @@ def test_ring_axioms_randomized(rng):
 
 
 def test_param_mismatch():
-    a = ring_one(ring([1, 0, 1], 17))
-    b = ring_one(ring([1, 0, 1], 5))
+    a = ring_from_coeffs([1], ring([1, 0, 1], 17))
+    b = ring_from_coeffs([1], ring([1, 0, 1], 5))
     with pytest.raises(ParamMismatch):
         ring_mul(a, b)
+
+
+_X4 = RingParams((1, 0, 0, 0, 1), Modulus(17))
+_LWE = LweParams(n=16, q=Modulus(257), alpha=0.01, m=141)
+_PLWE = PlweParams(_X4, 1.5)
+# (record, the record with some fields changed, what the error lists)
+_DIFFERING_PARAMS = [
+    (_X4, RingParams((1, 0, 1, 0, 1), 17), "f"),
+    (_X4, RingParams((1, 0, 0, 0, 1), 13), "q=13 against 17"),
+    (_PLWE, PlweParams(RingParams((3, 0, 0, 0, 1), 17), 1.5), "f"),
+    (_PLWE, PlweParams(RingParams((1, 0, 0, 0, 1), 13), 1.5), "q=13 against 17"),
+    (_PLWE, PlweParams(_X4, 3.0), "sigma=3.0 against 1.5"),
+    (_PLWE, PlweParams(RingParams((1, 1, 0, 0, 1), 13), 3.0),
+     "f, q=13 against 17, sigma=3.0 against 1.5"),
+    (_LWE, replace(_LWE, n=15), "n=15 against 16"),
+    (_LWE, replace(_LWE, q=Modulus(263)), "q=263 against 257"),
+    (_LWE, replace(_LWE, alpha=0.5), "alpha=0.5 against 0.01"),
+    (_LWE, replace(_LWE, m=1), "m=1 against 141"),
+    (GlyphParams(n=16), GlyphParams(n=32), "n=32 against 16"),
+    (GlyphParams(n=16), GlyphParams(n=16, q=Modulus(59417)), "q=59417 against 59393"),
+    (GlyphParams(n=16), GlyphParams(n=16, b=100), "b=100 against 16383"),
+    (GlyphParams(n=16), GlyphParams(n=16, k=15), "k=15 against 16"),
+]
+
+
+@pytest.mark.parametrize("mine, theirs, diff", _DIFFERING_PARAMS)
+def test_check_same_params_names_each_field_that_differs(mine, theirs, diff):
+    """Every field counts, equal records pass whether or not they are one
+    object, and a vector such as f is named without its values."""
+    check_same_params(mine, mine, "one record's", "itself")
+    check_same_params(replace(mine), mine, "a copy's", "the original's")
+    with pytest.raises(ParamMismatch) as exc:
+        check_same_params(theirs, mine, "the other record's", "the first one's")
+    assert str(exc.value) == f"the other record's parameters differ from the first one's: {diff}"
 
 
 def test_centered_and_inf_norm():
