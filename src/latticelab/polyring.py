@@ -149,32 +149,53 @@ def poly_mod_q(c, q: int) -> list[int]:
 
 
 def poly_divmod_mod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
-    """Division with remainder over F_q, reduced lazily: each step reduces only
-    the coefficient it cancels and subtracts over b's nonzero lower terms."""
+    """Division with remainder over F_q, by `_reduce_mod`: the quotient and
+    remainder residues, each trimmed."""
     b = poly_mod_q(b, q)
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    inv_lead = inv_mod(b[-1], q)
     r = [int(x) for x in a]
-    db = len(b) - 1
-    terms = [(j, bj) for j, bj in enumerate(b[:-1]) if bj]
-    quo = [0] * max(len(r) - db, 0)
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i] % q * inv_lead % q
-        if c:
-            quo[i - db] = c
-            for j, bj in terms:
-                r[i - db + j] -= c * bj
-    return poly_trim(quo), poly_trim([x % q for x in r[:db]])
+    quo = [0] * max(len(r) - len(b) + 1, 0)
+    rem = _reduce_mod(r, b, q, quo)
+    return poly_trim(quo), rem
 
 
 def poly_gcd_mod(a: list[int], b: list[int], q: int) -> list[int]:
-    """Monic gcd of a and b over F_q."""
+    """Monic gcd of a and b over F_q, by Euclid's algorithm on Python-int
+    lists: each step is one `_reduce_mod`, which inverts only the divisor's
+    lead and reduces lazily, so the lists stay exact at every q."""
     a, b = poly_mod_q(a, q), poly_mod_q(b, q)
     while b:
-        _, r = poly_divmod_mod(a, b, q)
-        a, b = b, r
+        a, b = b, _reduce_mod(a, b, q)
     return _monic(a, q) if a else a
+
+
+def _reduce_mod(r: list[int], b: list[int], q: int, quo: list[int] | None = None) -> list[int]:
+    """The residues of r mod (b, q), trimmed, for b trimmed residues with a
+    unit lead; r, a list of ints that the caller owns, is overwritten.
+
+    Each step reduces only the coefficient it cancels and subtracts its
+    multiple of b from the coefficients below, over b's nonzero terms
+    alone when most are zero.  The quotient's coefficients go into `quo`
+    when it is given.
+    """
+    db = len(b) - 1
+    inv_lead = inv_mod(b[-1], q)
+    low = b[:-1]
+    terms = [(j, bj) for j, bj in enumerate(low) if bj] if 2 * low.count(0) > db else None
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] * inv_lead % q
+        if c:
+            lo = i - db
+            if quo is not None:
+                quo[lo] = c
+            if terms is None:
+                for j, bj in enumerate(low, lo):
+                    r[j] -= c * bj
+            else:
+                for j, bj in terms:
+                    r[lo + j] -= c * bj
+    return poly_trim([x % q for x in r[:db]])
 
 
 def poly_derivative(c) -> list[int]:
@@ -207,8 +228,10 @@ def roots_mod_q(f: list[int], q: int) -> list[int]:
     """All distinct roots of f in F_q, ascending (q at most MAX_SCAN_Q).
 
     A prime q from GCD_ROOTS_MIN_Q * max(1, deg(f) / 64)^2 up takes
-    `_roots_by_gcd`; every other q the exhaustive `_roots_by_scan`.  Both
-    return every residue when f = 0 mod q and none when f is a nonzero
+    `_roots_by_gcd`: g = gcd(x^q - x, f) by `poly_gcd_mod`, split into its
+    linear factors by Cantor and Zassenhaus, each factor powered mod itself
+    (`_split_roots`).  Every other q takes the exhaustive `_roots_by_scan`.
+    Both return every residue when f = 0 mod q and none when f is a nonzero
     constant mod q.
     """
     q = check_scan_q(q)
@@ -256,30 +279,82 @@ def _roots_by_gcd(f: list[int], q: int) -> list[int]:
 
 def _split_roots(g: list[int], q: int) -> list[int]:
     """The roots of g, monic and a product of distinct linear factors over
-    F_q (q prime), by Cantor and Zassenhaus's splitting.
+    F_q (q prime), by Cantor and Zassenhaus's equal-degree splitting.
 
     For delta = 0, 1, 2, ... every factor h of degree >= 2 splits into
-    gcd(w - 1, h) and its cofactor, where w = (x + delta)^((q-1)/2) mod g:
-    the roots r with r + delta a nonzero square mod q, and the rest.  One
-    w serves every factor, since h divides g.  Two distinct roots differ
-    in that test for some delta < q, so the loop ends.
+    gcd(w - 1, h) and its cofactor, where w = (x + delta)^((q-1)/2) mod h:
+    the roots r with r + delta a nonzero square mod q, and the rest.  Two
+    distinct roots differ in that test for some delta < q, so the loop
+    ends.  Each factor is powered mod itself, so the work shrinks as the
+    factors do: a small one in Python-int lists (`_split_in_lists`), a
+    large one by `_pow_x` with a division built for it.  One exception:
+    where g has degree <= 64 and numpy's sums mod g are float64 or int64,
+    a `_pow_x` costs per call, not per coefficient, so at a delta with a
+    factor too large for the lists every factor reduces one w mod g.  No
+    division enters the `_f_division` cache.
     """
     if len(g) - 1 == q:  # g = x^q - x; for q = 2 this is the only g of degree 2
         return list(range(q))
-    roots, parts = [], [g]
+    roots, parts, half, d = [], [g], (q - 1) // 2, len(g) - 1
+    shares = (not _split_in_lists(d, q) and d <= 64
+              and _exact_dtype(d * (q - 1) * (q - 1)) is not object)
+    shared = _FDivision(g, q) if shares else None
     for delta in count():
         roots += [-h[0] % q for h in parts if len(h) == 2]
         parts = [h for h in parts if len(h) > 2]
         if not parts:
             return roots
-        w = _pow_x((q - 1) // 2, g, q, delta)
-        split = []
+        split, w = [], None
+        if shared and not all(_split_in_lists(len(h) - 1, q) for h in parts):
+            w = _pow_x(half, g, q, delta, shared)
         for h in parts:
-            u = poly_divmod_mod(w, h, q)[1] or [0]
+            if w is not None:
+                u = poly_divmod_mod(w, h, q)[1] or [0]
+            elif _split_in_lists(len(h) - 1, q):
+                u = _pow_x_list(half, h, q, delta) or [0]
+            else:
+                u = _pow_x(half, h, q, delta, _FDivision(h, q))
             u[0] -= 1
             a = poly_gcd_mod(u, h, q)
             split += [a, poly_divmod_mod(h, a, q)[0]] if 1 < len(a) < len(h) else [h]
         parts = split
+
+
+def _split_in_lists(d: int, q: int) -> bool:
+    """Whether `_split_roots` powers mod a factor of degree d in Python-int
+    lists (`_pow_x_list`) rather than numpy (`_pow_x`): below degree 8,
+    where numpy's per-call cost dominates, and below 24 where numpy's sums
+    would be Python ints (`object`) anyway.  Measured in BENCH_roots.json
+    ("split_crossover")."""
+    return d < (24 if _exact_dtype(d * (q - 1) * (q - 1)) is object else 8)
+
+
+def _pow_x_list(e: int, h: list[int], q: int, shift: int) -> list[int]:
+    """(x + shift)^e mod (h, q) as trimmed residues, for h monic residues
+    of degree d >= 1, in Python-int lists: square, multiply by x + shift
+    as a shift and add, and cancel the top coefficients against h, each
+    reduced only as it is cancelled."""
+    d = len(h) - 1
+    terms = [(j, c) for j, c in enumerate(h[:-1]) if c]
+    r = [1]
+    for bit in bin(e)[2:]:
+        s = [0] * (2 * len(r) - 1)
+        for i, a in enumerate(r):
+            if a:
+                for j, b in enumerate(r, i):
+                    s[j] += a * b
+        if bit == "1":
+            s.append(0)
+            for i in range(len(s) - 1, 0, -1):
+                s[i] = s[i - 1] + shift * s[i]
+            s[0] *= shift
+        for i in range(len(s) - 1, d - 1, -1):
+            c = s[i] % q
+            if c:
+                for j, b in terms:
+                    s[i - d + j] -= c * b
+        r = [x % q for x in s[:d]]
+    return poly_trim(r)
 
 
 def _monic(f: list[int], q: int) -> list[int]:
@@ -295,20 +370,32 @@ def _x_pow_minus_x(e: int, f: list[int], q: int) -> list[int]:
     return poly_trim(r)
 
 
-def _pow_x(e: int, f: list[int], q: int, shift: int = 0) -> list[int]:
+def _pow_x(e: int, f: list[int], q: int, shift: int = 0,
+           div: "_FDivision | None" = None) -> list[int]:
     """(x + shift)^e mod (f, q), for f monic of degree n >= 1, by
     left-to-right square and multiply.
 
-    Each step divides once, by the `_f_division` for (f mod q, q): r^2, or
-    on a 1 bit (r^2 mod q) * (x + shift), at most 2n coefficients, each a
-    sum of min(n, 2) products of residues.  Both products are
-    `_convolve_exact`s within the division's bound, n * (q - 1)^2.
+    Each step divides once, by `div`, or else the `_f_division` for
+    (f mod q, q): r^2, or on a 1 bit (r^2 mod q) * (x + shift), taken as
+    a shift and add.  The square is a `_convolve_exact` within the
+    division's bound, n * (q - 1)^2, and so is each sum of the shift and
+    add, at most (q - 1)^2 + (q - 1) from n = 2 up.
     """
-    div = _f_division(tuple(c % q for c in f), q)
-    dtype, base, r = div.dtype, np.array([shift % q, 1]), np.ones(1, dtype=np.int64)
-    for bit in bin(e)[2:] if e else "":
+    if div is None:
+        div = _f_division(tuple(c % q for c in f), q)
+    dtype, shift, bits = div.dtype, shift % q, bin(e)[2:] if e else ""
+    # x^k for the leading bits k of e below n is reduced already: start there
+    lead = 0 if shift else min(len(bits), div.n.bit_length() - 1)
+    r = np.zeros(int(bits[:lead] or "0", 2) + 1, dtype=np.int64)
+    r[-1] = 1
+    for bit in bits[lead:]:
         r = _convolve_exact(r, r, dtype)
-        r = div(_convolve_exact(r % q, base, dtype) if bit == "1" else r)
+        if bit == "1":
+            low, r = r % q, np.zeros(len(r) + 1, dtype=dtype)
+            r[1:] = low
+            if shift:
+                r[:-1] += shift * low
+        r = div(r)
     return [int(c) for c in r]
 
 

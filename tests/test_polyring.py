@@ -36,6 +36,7 @@ from latticelab.polyring import (
     poly_divmod_mod,
     poly_eval_z,
     poly_gcd_mod,
+    poly_mod_q,
     poly_trim,
     ring_add,
     ring_from_coeffs,
@@ -46,7 +47,8 @@ from latticelab.polyring import (
 )
 from latticelab.polyring import (_center, _convolve_exact, _exact_dtype, _factorize,
                                  _ntt_forward, _ntt_inverse, _ntt_split, _ntt_tables, _pow_x,
-                                 _roots_by_gcd, _roots_by_scan, _x_pow_minus_x, ring_mul_vec)
+                                 _pow_x_list, _roots_by_gcd, _roots_by_scan, _split_roots,
+                                 _x_pow_minus_x, ring_mul_vec)
 from latticelab.zq import Modulus, is_prime, next_prime
 from polyz import poly_divmod_z, poly_mul_z
 
@@ -197,6 +199,101 @@ def test_gcd_roots_at_a_61_bit_prime():
     assert len(roots) == poly_deg(poly_gcd_mod(_x_pow_minus_x(q, f, q), f, q))
 
 
+def _brute_roots(f: list[int], q: int) -> list[int]:
+    """The x in [0, q) with f(x) = 0 mod q, by plain Horner at every x."""
+    x = np.arange(q, dtype=np.int64)
+    acc = np.zeros(q, dtype=np.int64)
+    for c in reversed(f):
+        acc = (acc * x + c % q) % q
+    return np.flatnonzero(acc == 0).tolist()
+
+
+def _linear_product(roots: list[int]) -> list[int]:
+    f = [1]
+    for r in roots:
+        f = poly_mul_z(f, [-r, 1])
+    return f
+
+
+@st.composite
+def _planted_splits(draw):
+    """(f, q) with q a prime below 2^17 and f built from planted factors:
+    "full", a product of distinct linear factors; "partial", that times a
+    cofactor of any shape; "none", a product of rootless quadratics; and
+    "repeated", g^2 * h with g a product of linear factors."""
+    q = draw(_ROOT_PRIMES)
+    kind = draw(st.sampled_from(["full", "partial", "none", "repeated"]))
+    roots = draw(st.lists(st.integers(0, q - 1), unique=True, min_size=1, max_size=min(q, 40)))
+    cofactor = draw(st.lists(st.integers(-q, q), min_size=2, max_size=12)) + [1]
+    if kind == "full":
+        return _linear_product(roots), q
+    if kind == "partial":
+        return poly_mul_z(_linear_product(roots[:24]), cofactor), q
+    if kind == "repeated":
+        g = _linear_product(roots[:12])
+        return poly_mul_z(poly_mul_z(g, g), cofactor), q
+    f = [1]
+    for n in draw(st.lists(st.integers(1, q - 1), min_size=1, max_size=8)):
+        # x^2 + x + 1 mod 2, else x^2 - n for the first non-residue n from n up
+        while q > 2 and pow(n, (q - 1) // 2, q) != q - 1:
+            n = n % (q - 1) + 1
+        f = poly_mul_z(f, [1, 1, 1] if q == 2 else [-n, 0, 1])
+    return f, q
+
+
+@settings(max_examples=80, deadline=None)
+@given(_planted_splits())
+@example(([1] + [0] * 63 + [1], 65537))  # x^64 + 1: 64 roots, every factor size on the way
+@example((_linear_product(list(range(0, 2000, 50))), 131101))  # 40 roots, factors past the lists
+def test_gcd_roots_match_brute_force(case):
+    f, q = case
+    assert _roots_by_gcd(f, q) == _brute_roots(f, q)
+
+
+@pytest.mark.parametrize("q", [65537, (1 << 61) - 1])
+def test_splitting_leaves_the_division_cache_alone(q):
+    # 40 roots: the splitting powers its large factors in numpy, each by a
+    # division of its own, and its small ones in lists; none enters the cache
+    planted = sorted({pow(3, 7 * i + 1, q) for i in range(40)})
+    g = [c % q for c in _linear_product(planted)]
+    polyring._f_division.cache_clear()
+    assert polyring._pow_x(5, g, q) and polyring._f_division.cache_info().currsize == 1
+    assert sorted(_split_roots(g, q)) == planted
+    assert polyring._f_division.cache_info().currsize == 1
+    polyring._f_division.cache_clear()
+
+
+_NEAR_2_62 = st.one_of(st.sampled_from([(1 << 62) - 57, (1 << 61) - 1]),
+                       st.integers(1 << 61, (1 << 62) - 58).map(next_prime))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=_NEAR_2_62, data=st.data())
+def test_poly_divmod_mod_matches_the_integer_division_near_2_to_62(q, data):
+    # by a monic b, division over Z and over F_q agree mod q; a is unreduced
+    d = data.draw(st.integers(1, 40))
+    b = data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d)) + [1]
+    a = data.draw(st.lists(st.integers(-(1 << 70), 1 << 70), max_size=90))
+    quo, rem = poly_divmod_z(a, b)
+    assert poly_divmod_mod(a, b, q) == (poly_mod_q(quo, q), poly_mod_q(rem, q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=_NEAR_2_62, data=st.data())
+def test_poly_gcd_mod_finds_the_planted_gcd_near_2_to_62(q, data):
+    # a = g u and b = k g (u + c), with c and k units: gcd(u, u + c) = 1,
+    # so the monic gcd is g mod q.  Both inputs are products over Z, unreduced
+    coeffs = st.integers(-(1 << 64), 1 << 64)
+    g = data.draw(st.lists(coeffs, max_size=30)) + [1]
+    u = data.draw(st.lists(coeffs, max_size=30)) + [data.draw(st.integers(1, q - 1))]
+    c, k = data.draw(st.integers(1, q - 1)), data.draw(st.integers(1, q - 1))
+    v = [k * x for x in u]
+    v[0] += k * c
+    a, b = poly_mul_z(g, u), poly_mul_z(g, v)
+    assert poly_gcd_mod(a, b, q) == poly_mod_q(g, q)
+    assert poly_gcd_mod(b, a, q) == poly_mod_q(g, q)
+
+
 # For deg f <= 16, _pow_x's products are exact in float64 at the first three
 # q, in int64 at 2^31 - 1 and deg f = 1, and in Python ints past that.
 POW_X_QS = [3, 257, 131101, 2**31 - 1, 2**61 - 1]
@@ -226,6 +323,8 @@ def test_pow_x_matches_repeated_ring_mul(q, data):
         expect = ring_mul(expect, base)
     got = _pow_x(e, f, q, shift)
     assert got + [0] * (p.n - len(got)) == list(expect.coeffs)
+    # the splitting's Python-int powering, from f's residues
+    assert _pow_x_list(e, [c % q for c in f], q, shift) == poly_trim(list(expect.coeffs))
 
 
 @pytest.fixture
@@ -245,13 +344,15 @@ def division_builds(monkeypatch):
     polyring._f_division.cache_clear()
 
 
-def test_the_gcd_root_finder_builds_one_division(division_builds):
-    # Phi_128 splits totally mod 65537, so gcd(x^q - x, f) is f itself, and
-    # x^q mod f and every splitting step's (x + delta)^((q-1)/2) divide by f
+def test_the_gcd_root_finder_caches_one_division(division_builds):
+    # Phi_128 splits totally mod 65537, so gcd(x^q - x, f) is f itself: x^q
+    # mod f divides by f's cached division, and the splitting's divisions,
+    # one for each factor it powers in numpy, stay out of the cache
     f, q = cyclotomic_poly(128), 65537
     assert _roots_by_gcd(f, q) == _roots_by_scan(f, q)
-    assert division_builds == [(tuple(f), q)]
-    assert is_irreducible_mod_p([1, 1, 1], 2) and len(division_builds) == 2
+    assert division_builds[0] == (tuple(f), q)
+    assert polyring._f_division.cache_info().currsize == 1
+    assert is_irreducible_mod_p([1, 1, 1], 2) and polyring._f_division.cache_info().currsize == 2
 
 
 def test_ring_division_is_the_one_pow_x_uses(monkeypatch):

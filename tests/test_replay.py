@@ -27,6 +27,8 @@ SEED = "07" * 32
 MANIFEST = Path(__file__).with_name("replay_manifest.json")
 README = Path(__file__).resolve().parents[1] / "README.md"
 X16 = "1," + "0," * 15 + "1"  # x^16 + 1, which splits mod 257
+X64 = "1," + "0," * 63 + "1"  # x^64 + 1, which splits mod 65537
+SPARSE64 = "131096,2,0,0,0,2," + "0," * 58 + "1"  # x^64 + 2x^5 + 2x - 5 mod 131101: 3 roots
 VARS = {"SEED": SEED, "F": "255,1," + "0," * 14 + "1"}  # F as README sets it
 
 # A step is a command spelled as README spells it ($SEED, $F), or a
@@ -83,6 +85,9 @@ STEPS = [
     # refused inputs: x^16 + 1 has no root at 1 mod 257 (exit 1); no --q (exit 2)
     "latticelab attack --alg 1 --samples oracle.txt",
     "latticelab sample --dist uniform --seed $SEED",
+    # the gcd root path (prime q >= polyring.GCD_ROOTS_MIN_Q): total and sparse splitting
+    f"latticelab scan --f {X64} --q 65537",
+    f"latticelab scan --f {SPARSE64} --q 131101",
 ]
 
 
