@@ -340,16 +340,16 @@ def load_glyph_public(text: str) -> tuple[glyph_mod.GlyphPublicKey, glyph_mod.Gl
 
 
 def dump_glyph_signature(sig: glyph_mod.GlyphSignature, p: glyph_mod.GlyphParams) -> str:
-    c = sig.c.vec
-    pairs = [(i, 1 if c[i] == 1 else -1) for i in np.flatnonzero(c).tolist()]
-    return _encode("glyph-signature", p, c=pairs, z1=sig.z1.vec, z2=sig.z2.vec)
+    pairs = glyph_mod._pairs_of(sig.c, p)
+    if pairs is None:
+        raise InvalidParams(f"a GLYPH challenge must have exactly k={p.k} entries, each +-1")
+    return _encode("glyph-signature", p, c=pairs.items(), z1=sig.z1.vec, z2=sig.z2.vec)
 
 
 def load_glyph_signature(text: str) -> tuple[glyph_mod.GlyphSignature, glyph_mod.GlyphParams]:
     p, d = _decode("glyph-signature", text)
-    c = np.zeros(p.n, dtype=np.int64)
-    c[[i for i, _ in d["c"]]] = [s % p.q for _, s in d["c"]]
-    return glyph_mod.GlyphSignature(*_elements(p.ring, c, d["z1"], d["z2"])), p
+    c = glyph_mod._sparse(dict(d["c"]), p)
+    return glyph_mod.GlyphSignature(c, *_elements(p.ring, d["z1"], d["z2"])), p
 
 
 def dump_bgv_params(p: bgv_mod.BgvParams) -> str:

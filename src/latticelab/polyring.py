@@ -281,25 +281,21 @@ def _split_roots(g: list[int], q: int) -> list[int]:
     """The roots of g, monic and a product of distinct linear factors over
     F_q (q prime), by Cantor and Zassenhaus's equal-degree splitting.
 
-    For delta = 0, 1, 2, ... every factor h of degree >= 2 splits into
-    gcd(w - 1, h) and its cofactor, where w = (x + delta)^((q-1)/2) mod h:
+    For delta = 0, 1, ..., q - 1 every factor h of degree >= 2 splits into
+    a = gcd(w - 1, h) and h / a, where w = (x + delta)^((q-1)/2) mod h:
     the roots r with r + delta a nonzero square mod q, and the rest.  Two
-    distinct roots differ in that test for some delta < q, so the loop
-    ends.  Each factor is powered mod itself, so the work shrinks as the
-    factors do: a small one in Python-int lists (`_split_in_lists`), a
-    large one by `_pow_x` with a division built for it.  One exception:
-    where g has degree <= 64 and numpy's sums mod g are float64 or int64,
-    a `_pow_x` costs per call, not per coefficient, so at a delta with a
-    factor too large for the lists every factor reduces one w mod g.  No
-    division enters the `_f_division` cache.
+    distinct roots differ in that test for some delta < q, so running out
+    of delta, or a split with a remainder, raises ArithmeticError.  One
+    rule, `_split_in_lists`, sets three regimes: Python-int lists for the
+    factors it picks; else one w mod g per delta for 8 <= deg g <= 64,
+    where a `_pow_x` costs per call, not per coefficient; else a division
+    per factor.  None of these divisions enters the `_f_division` cache.
     """
     if len(g) - 1 == q:  # g = x^q - x; for q = 2 this is the only g of degree 2
         return list(range(q))
     roots, parts, half, d = [], [g], (q - 1) // 2, len(g) - 1
-    shares = (not _split_in_lists(d, q) and d <= 64
-              and _exact_dtype(d * (q - 1) * (q - 1)) is not object)
-    shared = _FDivision(g, q) if shares else None
-    for delta in count():
+    shared = _FDivision(g, q) if d <= 64 and not _split_in_lists(d, q) else None
+    for delta in range(q):
         roots += [-h[0] % q for h in parts if len(h) == 2]
         parts = [h for h in parts if len(h) > 2]
         if not parts:
@@ -316,17 +312,22 @@ def _split_roots(g: list[int], q: int) -> list[int]:
                 u = _pow_x(half, h, q, delta, _FDivision(h, q))
             u[0] -= 1
             a = poly_gcd_mod(u, h, q)
-            split += [a, poly_divmod_mod(h, a, q)[0]] if 1 < len(a) < len(h) else [h]
+            quo, rem = poly_divmod_mod(h, a, q)
+            if rem:
+                raise ArithmeticError(f"a factor of g (degree {d}) mod q = {q} left a remainder")
+            split += [a, quo] if 1 < len(a) < len(h) else [h]
         parts = split
+    raise ArithmeticError(f"g of degree {d} did not split into linear factors mod q = {q}")
 
 
 def _split_in_lists(d: int, q: int) -> bool:
     """Whether `_split_roots` powers mod a factor of degree d in Python-int
-    lists (`_pow_x_list`) rather than numpy (`_pow_x`): below degree 8,
-    where numpy's per-call cost dominates, and below 24 where numpy's sums
-    would be Python ints (`object`) anyway.  Measured in BENCH_roots.json
-    ("split_crossover")."""
-    return d < (24 if _exact_dtype(d * (q - 1) * (q - 1)) is object else 8)
+    lists (`_pow_x_list`): below degree 8, where numpy's per-call cost
+    dominates, and wherever numpy's sums mod it would be Python ints
+    (`object`), where lists build no division and time within ~10% of
+    numpy.  Any other factor goes to numpy (`_pow_x`), by one w mod g or a
+    division of its own.  Measured in BENCH_roots.json ("one_split_rule")."""
+    return d < 8 or _exact_dtype(d * (q - 1) * (q - 1)) is object
 
 
 def _pow_x_list(e: int, h: list[int], q: int, shift: int) -> list[int]:

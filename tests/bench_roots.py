@@ -1,13 +1,16 @@
 """Timings of the root finder, before and after a change, for BENCH_roots.json.
 
-    PYTHONPATH=src python tests/bench_roots.py PARENT_SRC > rows.json
+    PYTHONPATH=src python tests/bench_roots.py PARENT_SRC [TABLE ...] > rows.json
 
 PARENT_SRC is the `src` directory of another checkout, say a `git archive`
 of the parent commit.  Its latticelab is loaded under another name, and
-each row times `_roots_by_gcd` from both in one process, alternating
-calls, after checking that both and `_roots_by_scan` return the same
-roots.  A row reports the median of `reps` calls per side in ms.  The
-polynomials are fixed by the seed below, not by the clock.
+each row times `_roots_by_gcd` (or `_split_roots`) from both in one
+process, alternating calls, after checking that both and `_roots_by_scan`
+return the same roots.  A row reports the median of `reps` calls per side
+in ms and in how many of the call pairs this checkout's side was faster.
+TABLE names the tables to run (split_crossover, object_band, large_q,
+crossover); all of them by default.  The polynomials are fixed by the
+seed below, not by the clock.
 """
 
 import importlib.util
@@ -51,20 +54,40 @@ def _times(fn, reps):
     return out
 
 
+def alternate(fn_before, fn_after, reps: int) -> dict:
+    """Medians in ms of `reps` calls per side, alternating the two sides
+    call by call and which of them goes first, and the number of pairs
+    the after side won."""
+    before, after = [], []
+    for i in range(reps):
+        if i % 2:
+            after += _times(fn_after, 1)
+        before += _times(fn_before, 1)
+        if not i % 2:
+            after += _times(fn_after, 1)
+    return {"ms_before": round(statistics.median(before) * 1e3, 3),
+            "ms_after": round(statistics.median(after) * 1e3, 3),
+            "after_faster": sum(a < b for a, b in zip(after, before))}
+
+
 def row(old, kind: str, f: list[int], q: int, reps: int, scan: bool = True) -> dict:
     roots = new._roots_by_gcd(f, q)
     assert old._roots_by_gcd(f, q) == roots
     assert not scan or new._roots_by_scan(f, q) == roots
-    before, after = [], []
-    for _ in range(reps):  # alternate the two sides, call by call
-        before += _times(lambda: old._roots_by_gcd(f, q), 1)
-        after += _times(lambda: new._roots_by_gcd(f, q), 1)
     out = {"kind": kind, "q": q, "deg_f": len(f) - 1, "roots": len(roots)}
     if scan:
         out["scan_ms"] = round(median_ms(lambda: new._roots_by_scan(f, q), reps), 3)
-    out["gcd_ms_before"] = round(statistics.median(before) * 1e3, 3)
-    out["gcd_ms_after"] = round(statistics.median(after) * 1e3, 3)
+    timed = alternate(lambda: old._roots_by_gcd(f, q), lambda: new._roots_by_gcd(f, q), reps)
+    out.update({"gcd_" + k: v for k, v in timed.items()})
     return out
+
+
+def planted(rng: random.Random, d: int, q: int) -> list[int]:
+    """The monic product of d distinct linear factors x - r, r drawn from F_q."""
+    h = [1]
+    for r in rng.sample(range(q), d):
+        h = [(a - r * b) % q for a, b in zip([0] + h, h + [0])]
+    return h
 
 
 def sparse(rng: random.Random, n: int, q: int) -> list[int]:
@@ -111,30 +134,60 @@ def large_q_rows(old) -> list[dict]:
 def split_crossover() -> list[dict]:
     """(x + 3)^((q-1)/2) mod a product h of d distinct linear factors, in
     lists and in numpy with a division built per call, as `_split_roots`
-    does: median of 9 calls each."""
+    does: median of 9 alternating calls each."""
     rng = random.Random(SEED)
     rows = []
-    for q in (65537, 131101, (1 << 31) - 1, (1 << 61) - 1):
-        for d in (4, 6, 8, 10, 12, 16, 24, 32):
-            h = [1]
-            for r in rng.sample(range(q), d):
-                h = [(a - r * b) % q for a, b in zip([0] + h, h + [0])]
-            e = (q - 1) // 2
+    for q in (65537, 131101, (1 << 31) - 1, next_prime(1 << 40), (1 << 61) - 1):
+        for d in (4, 6, 8, 10, 12, 16, 24, 32, 48, 64):
+            h, e = planted(rng, d, q), (q - 1) // 2
             in_lists = _pow_x_list(e, h, q, 3)
             assert in_lists == new.poly_trim(_pow_x(e, h, q, 3, _FDivision(h, q)))
-            lists_ms = median_ms(lambda: _pow_x_list(e, h, q, 3), 9)
-            numpy_ms = median_ms(lambda: _pow_x(e, h, q, 3, _FDivision(h, q)), 9)
-            rows.append({"q": q, "d": d, "lists_ms": round(lists_ms, 3),
-                         "numpy_ms": round(numpy_ms, 3), "in_lists": new._split_in_lists(d, q)})
+            timed = alternate(lambda: _pow_x_list(e, h, q, 3),
+                              lambda: _pow_x(e, h, q, 3, _FDivision(h, q)), 9)
+            rows.append({"q": q, "d": d, "lists_ms": timed["ms_before"],
+                         "numpy_ms": timed["ms_after"], "in_lists": new._split_in_lists(d, q)})
     return rows
+
+
+def object_band_rows(old, reps: int = 15) -> list[dict]:
+    """Where numpy's sums mod a factor of degree >= 8 are `object`: Phi_64
+    and Phi_128 by `_roots_by_gcd`, and planted g of degree 24, 32 and 64
+    by `_split_roots`, at the first prime q = 1 mod 128 past 2^31, 2^40
+    and 2^61."""
+    rng = random.Random(SEED)
+    rows = []
+    for k in (31, 40, 61):
+        q = first_split_prime(128, k)
+        for m in (64, 128):
+            rows.append(row(old, f"Phi_{m}", cyclotomic_poly(m), q, reps, scan=False))
+        for d in (24, 32, 64):
+            g = planted(rng, d, q)
+            roots = sorted(new._split_roots(g, q))
+            assert sorted(old._split_roots(g, q)) == roots and len(roots) == d
+            timed = alternate(lambda: old._split_roots(g, q), lambda: new._split_roots(g, q), reps)
+            rows.append({"kind": "planted g", "q": q, "deg_g": d,
+                         **{"split_" + key: v for key, v in timed.items()}})
+    return rows
+
+
+def cpu_model() -> str:
+    """The CPU's model name from /proc/cpuinfo, else `platform.processor()`."""
+    info = Path("/proc/cpuinfo")
+    lines = info.read_text().splitlines() if info.exists() else []
+    return next((line.split(":", 1)[1].strip() for line in lines
+                 if line.startswith("model name")), platform.processor())
 
 
 def main(argv: list[str]) -> None:
     old = load_parent(Path(argv[0]).resolve())
     host = {"cpus": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-            "numpy": np.__version__, "machine": platform.machine()}
-    print(json.dumps({"host": host, "split_crossover": split_crossover(),
-                      "large_q": large_q_rows(old), "crossover": crossover_rows(old)}, indent=1))
+            "numpy": np.__version__, "machine": platform.machine(), "cpu": cpu_model()}
+    tables = {"split_crossover": split_crossover, "object_band": lambda: object_band_rows(old),
+              "large_q": lambda: large_q_rows(old), "crossover": lambda: crossover_rows(old)}
+    out = {"host": host}
+    for name in argv[1:] or tables:
+        out[name] = tables[name]()
+    print(json.dumps(out, indent=1))
 
 
 if __name__ == "__main__":

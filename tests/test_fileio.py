@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from latticelab import bgv, cli, fileio, glyph, lwe, plwe
 from latticelab.errors import FormatError, InvalidParams
-from latticelab.polyring import RingParams
+from latticelab.polyring import RingElement, RingParams
 from latticelab.rng import SeededRng
 from latticelab.zq import Modulus
 
@@ -145,6 +145,22 @@ def test_glyph_signature_roundtrip(rng):
     assert sig2.c.coeffs == sig.c.coeffs
     assert sig2.z1.coeffs == sig.z1.coeffs and sig2.z2.coeffs == sig.z2.coeffs
     assert glyph.verify(pk, b"payload", sig2, TOY_GLYPH).accepted
+
+
+@pytest.mark.parametrize("change", ["a 2", "k + 1 entries"])
+def test_glyph_signature_dump_refuses_a_non_challenge(rng, change):
+    # a c holding 2 would save as -1 and reload as q - 1; one with k + 1
+    # entries would make a file its own loader refuses
+    sk, pk = glyph.keygen(TOY_GLYPH, rng)
+    sig, _ = glyph.sign(sk, pk, b"payload", TOY_GLYPH, rng)
+    c = np.array(sig.c.vec)
+    if change == "a 2":
+        c[np.flatnonzero(c)[0]] = 2
+    else:
+        c[np.flatnonzero(c == 0)[0]] = 1
+    bad = glyph.GlyphSignature(RingElement(c, TOY_GLYPH.ring), sig.z1, sig.z2)
+    with pytest.raises(InvalidParams, match=f"k={TOY_GLYPH.k}"):
+        fileio.dump_glyph_signature(bad, TOY_GLYPH)
 
 
 @pytest.mark.parametrize("key", ["s", "e"])

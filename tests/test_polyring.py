@@ -2,6 +2,7 @@ import math
 import pickle
 from dataclasses import replace
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -110,6 +111,16 @@ def test_roots_mod_q():
     assert roots_mod_q([1, 0, 1], Modulus(5)) == [2, 3]
     assert roots_mod_q([1, 0, 1], Modulus(7)) == []
     assert roots_mod_q([1, 0, 0, 0, 1], Modulus(17)) == [2, 8, 9, 15]
+
+
+@pytest.mark.parametrize("q", [q for q in range(3, 62) if is_prime(q)])
+def test_split_roots_separates_every_pair_of_roots_below_q(q):
+    # two distinct roots differ in the square test for some delta < q, so
+    # the delta bound never cuts a split short; all roots but 0 also split
+    for r, s in combinations(range(q), 2):
+        assert sorted(_split_roots([r * s % q, -(r + s) % q, 1], q)) == [r, s]
+    g = [c % q for c in _linear_product(list(range(1, q)))]
+    assert sorted(_split_roots(g, q)) == list(range(1, q))
 
 
 def test_roots_mod_q_on_both_sides_of_the_gcd_crossover(monkeypatch):
@@ -245,15 +256,67 @@ def _planted_splits(draw):
 @given(_planted_splits())
 @example(([1] + [0] * 63 + [1], 65537))  # x^64 + 1: 64 roots, every factor size on the way
 @example((_linear_product(list(range(0, 2000, 50))), 131101))  # 40 roots, factors past the lists
+@example(([-1] + [0] * 127 + [1], 65537))  # x^128 - 1: past degree 64, a division per factor
 def test_gcd_roots_match_brute_force(case):
     f, q = case
     assert _roots_by_gcd(f, q) == _brute_roots(f, q)
 
 
+@st.composite
+def _planted_roots_near_2_to_31_40_62(draw):
+    """(q, roots): a prime q from 2^k up, k = 31, 40 or 62, and 1-64
+    distinct roots in F_q."""
+    k = draw(st.sampled_from([31, 40, 62]))
+    q = next_prime(draw(st.integers(1 << k, (1 << k) + (1 << 20))))
+    return q, draw(st.lists(st.integers(0, q - 1), unique=True, min_size=1, max_size=64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_planted_roots_near_2_to_31_40_62())
+@example((next_prime(1 << 31), [pow(5, i, 1 << 31) for i in range(64)]))
+@example((next_prime(1 << 40), [pow(5, i, 1 << 40) for i in range(64)]))
+@example((next_prime(1 << 62), [pow(5, i, 1 << 62) for i in range(64)]))
+def test_split_roots_returns_the_planted_roots_near_2_to_31_40_62(case):
+    # every factor goes to lists: below degree 8 by the rule's first
+    # clause, above it because numpy's sums mod it would be `object`
+    q, planted = case
+    g = [c % q for c in _linear_product(planted)]
+    assert sorted(_split_roots(g, q)) == sorted(planted)
+
+
+def _raises(*args, **kwargs):
+    raise AssertionError("not expected on this path")
+
+
+def test_splitting_at_2_to_61_powers_only_in_lists(monkeypatch):
+    q = (1 << 61) - 1
+    planted = sorted({pow(3, 11 * i + 1, q) for i in range(64)})
+    g = [c % q for c in _linear_product(planted)]
+    monkeypatch.setattr(polyring, "_pow_x", _raises)
+    monkeypatch.setattr(polyring, "_FDivision", _raises)
+    assert len(g) == 65 and sorted(_split_roots(g, q)) == planted
+
+
+def test_split_roots_raises_on_a_factor_without_roots():
+    # x^2 + 1 is irreducible mod 7: no delta < 7 splits it
+    with pytest.raises(ArithmeticError, match="degree 2.* q = 7"):
+        _split_roots([1, 0, 1], 7)
+
+
+@pytest.mark.parametrize("q", [65537, (1 << 61) - 1])
+def test_split_roots_raises_on_a_split_that_leaves_a_remainder(monkeypatch, q):
+    # x + 1 does not divide g, whose roots are 1..12
+    g = [c % q for c in _linear_product(list(range(1, 13)))]
+    monkeypatch.setattr(polyring, "poly_gcd_mod", lambda u, h, q: [1, 1])
+    with pytest.raises(ArithmeticError, match=f"degree 12.* q = {q}"):
+        _split_roots(g, q)
+
+
 @pytest.mark.parametrize("q", [65537, (1 << 61) - 1])
 def test_splitting_leaves_the_division_cache_alone(q):
-    # 40 roots: the splitting powers its large factors in numpy, each by a
-    # division of its own, and its small ones in lists; none enters the cache
+    # 40 roots: at 65537 the large factors share one w mod g, by a division
+    # built for g, and the small ones go to lists; at 2^61 - 1 every factor
+    # goes to lists.  No division enters the cache
     planted = sorted({pow(3, 7 * i + 1, q) for i in range(40)})
     g = [c % q for c in _linear_product(planted)]
     polyring._f_division.cache_clear()
