@@ -5,15 +5,18 @@ encoder and read by one decoder that accepts exactly what the encoder
 writes (README, "File formats"): the header, each ``key=value`` field in
 its declared order, then the rows its count field announces.  Anything
 else raises FormatError, so no key, ciphertext or signature has a second
-text encoding.  Vectors, the bulk of every file, take one %-format per
-record and one np.fromstring per row kind; a length identity, not a regex,
-proves their spelling canonical (`_Vec.rows`).  Text beats binary here:
+text encoding.  Vectors, the bulk of every file, take one %-format and one
+np.fromstring per block of about _BLOCK_ENTRIES entries, so coding a record
+holds its text and one block, not copies of the record as Python ints; a
+few string checks per block and one length identity, not a regex, prove
+their spelling canonical (`_Vec.rows`).  Text beats binary here:
 inspectability matters more than compactness.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import repeat
 
 import numpy as np
 
@@ -28,15 +31,21 @@ from .zq import Modulus
 _INT = "(?:0|[1-9][0-9]{0,18})"
 _CHALLENGE_RE = re.compile(f"{_INT}:[+-]1(?:,{_INT}:[+-]1)*")
 _POW10 = [10**k for k in range(1, 19)]
+# Entries formatted or parsed at a time: enough to keep the per-block cost
+# small, few enough that a block's temporaries stay well below a record's.
+_BLOCK_ENTRIES = 1 << 14
 
 
 def format_rows(rows, prefixes=("",)) -> str:
     """One line per row of the 2-D int array `rows`: the next of `prefixes`
     in turn, then the row's entries in decimal, joined by commas.  One
-    %-format over the flattened array, not one join per row."""
-    rows = np.asarray(rows)
+    %-format per block of about _BLOCK_ENTRIES entries, a whole number of
+    prefix cycles, not one join per row."""
+    rows, k = np.asarray(rows), len(prefixes)
     line = "".join(p + ",".join(["%d"] * rows.shape[1]) + "\n" for p in prefixes)
-    return line * (len(rows) // len(prefixes)) % tuple(rows.ravel().tolist())
+    step = k * max(1, _BLOCK_ENTRIES // max(k * rows.shape[1], 1))
+    blocks = (rows[i : i + step] for i in range(0, len(rows), step))
+    return "".join(line * (len(b) // k) % tuple(b.ravel().tolist()) for b in blocks)
 
 
 class _Num:
@@ -77,29 +86,36 @@ class _Vec:
     def decode(self, text, d, key):
         return self.rows([text], d, key)[0]
 
-    def rows(self, texts, d, key):
-        """Lines of this kind as one (lines, n) array.  Before np.fromstring
-        reads them, every field is ASCII digits (after a leading minus if
-        signed) and every line has n - 1 commas.  A field is then never
-        shorter than its value's digits and minus sign, and longer only with
-        a leading zero, a -0 or a 20th digit, so one length sum checks all."""
+    def rows(self, lines, d, key, skip=0):
+        """Lines of this kind, each after its first `skip` characters (its
+        key's prefix), as one (lines, n) array, checked and parsed by
+        np.fromstring about _BLOCK_ENTRIES entries at a time.  Every line has
+        n - 1 commas, and before a block is read, every field in it is ASCII
+        digits (after a leading minus if signed), none empty.  A field is then
+        never shorter than its value's digits and minus sign, and longer only
+        with a leading zero, a -0 or a 20th digit, so one length sum over all
+        the blocks checks all."""
         bad = FormatError(f"bad vector {key!r}: wrong length or spelling")
-        body = ",".join(texts)
-        digits = ("," + body).replace(",-", ",")[1:] if self.signed else body
-        n = self.n(d) if self.n else body.count(",") + 1
-        if texts and (",," in f",{digits}," or digits.encode().translate(None, b"0123456789,")
-                      or any(t.count(",") != n - 1 for t in texts)):
+        n = self.n(d) if self.n else lines[0].count(",") + 1
+        if any(t.count(",") != n - 1 for t in lines):  # so n is no larger than the text
             raise bad
-        vals = np.fromstring(body, dtype=np.int64, sep=",")
+        vals = np.empty((len(lines), n), dtype=np.int64)
+        step, chars = max(1, _BLOCK_ENTRIES // max(n, 1)), 0
+        for i in range(0, len(lines), step):
+            body = ",".join([t[skip:] for t in lines[i : i + step]])
+            digits = ("," + body).replace(",-", ",")[1:] if self.signed else body
+            if ",," in f",{digits}," or digits.encode().translate(None, b"0123456789,"):
+                raise bad
+            vals[i : i + step] = np.fromstring(body, dtype=np.int64, sep=",").reshape(-1, n)
+            chars += len(body) + 1  # 2 per entry with a one-digit value and no minus
         mag = np.abs(vals) if self.signed else vals
         top = int(mag.max(initial=0))
-        width = 2 * vals.size - 1 + np.count_nonzero(vals < 0) + sum(
+        width = 2 * vals.size + np.count_nonzero(vals < 0) + sum(
             np.count_nonzero(mag >= p) for p in _POW10[:len(str(top)) - 1])
-        if texts and len(body) != width:
+        if chars != width:
             raise bad
         if self.q is not None and top >= self.q(d):
             raise FormatError(f"vector {key!r} has an entry outside [0, q)")
-        vals = vals.reshape(len(texts), n)
         if self.ok and not self.ok(vals, d):
             raise FormatError(f"bad vector {key!r}: {self.rule}")
         return vals
@@ -202,8 +218,9 @@ def _encode(name: str, params=None, **values) -> str:
     text = rec.head + "\n" + "".join(f"{key}={kind.encode(values[key])}\n"
                                      for key, kind in rec.fields)
     _, keys, _ = rec.rows
-    if keys:  # the rows of each key, interleaved: (count, len(keys), cols)
-        rows = np.stack([np.asarray(values[key]) for key in keys], axis=1)
+    if keys:  # the rows of each key, interleaved: (count, len(keys), cols); one key's, as given
+        rows = (np.asarray(values[keys[0]]) if len(keys) == 1
+                else np.stack([np.asarray(values[key]) for key in keys], axis=1))
         text += format_rows(rows.reshape(-1, rows.shape[-1]), [key + "=" for key in keys])
     return text
 
@@ -226,11 +243,10 @@ def _decode(name: str, text: str, **context) -> tuple[object, dict]:
     if len(rows) != want:
         raise FormatError(f"{len(rows)} line(s) after the fields, expected {want}")
     for i, key in enumerate(keys):
-        prefix = key + "="  # checked and stripped in one pass over the key's rows
-        texts = [t[len(prefix):] for t in rows[i::len(keys)] if t.startswith(prefix)]
-        if len(texts) != d[count]:
+        prefix, own = key + "=", rows[i::len(keys)]  # stripped block by block in kind.rows
+        if not all(map(str.startswith, own, repeat(prefix))):
             raise FormatError(f"rows must repeat {', '.join(keys)} in that order")
-        d[key] = kind.rows(texts, d, key)
+        d[key] = kind.rows(own, d, key, len(prefix))
     try:
         return rec.params.read(d), d
     except InvalidParams as e:

@@ -54,7 +54,10 @@ class LweCiphertext:
 
 
 # keygen holds an m x n matrix, m ~ 2.2 n log2(n): at n = 2^10 that is 23 M
-# residues, seconds of work and a peak near 1 GB, so n stops there.
+# residues.  `latticelab keygen` there took ~6 s and peaked at 0.69 GB (the
+# matrix, the copy dump_lwe_public stacks for the file, and the text twice),
+# and `encrypt` peaked at 0.54 GB, on 2 CPUs with Python 3.11 and numpy 2.4
+# (tests/bench_memory.py, BENCH_memory.json), so n stops there.
 MAX_N = 1 << 10
 
 

@@ -285,7 +285,10 @@ def _split_roots(g: list[int], q: int) -> list[int]:
     a = gcd(w - 1, h) and h / a, where w = (x + delta)^((q-1)/2) mod h:
     the roots r with r + delta a nonzero square mod q, and the rest.  Two
     distinct roots differ in that test for some delta < q, so running out
-    of delta, or a split with a remainder, raises ArithmeticError.  One
+    of delta, or a split with a remainder, raises ArithmeticError.  So does
+    a w with w^3 != w mod h, checked from delta = _CUBE_CHECK_FROM on: w is
+    0 or +-1 at every root of h, so only a slip in the powering makes one,
+    and at large q it would otherwise leave h unsplit forever.  One
     rule, `_split_in_lists`, sets three regimes: Python-int lists for the
     factors it picks; else one w mod g per delta for 8 <= deg g <= 64,
     where a `_pow_x` costs per call, not per coefficient; else a division
@@ -310,6 +313,8 @@ def _split_roots(g: list[int], q: int) -> list[int]:
                 u = _pow_x_list(half, h, q, delta) or [0]
             else:
                 u = _pow_x(half, h, q, delta, _FDivision(h, q))
+            if delta >= _CUBE_CHECK_FROM and not _cubes_to_itself(u, h, q):
+                raise ArithmeticError(f"w^3 != w mod a factor of g (degree {d}) mod q = {q}")
             u[0] -= 1
             a = poly_gcd_mod(u, h, q)
             quo, rem = poly_divmod_mod(h, a, q)
@@ -318,6 +323,24 @@ def _split_roots(g: list[int], q: int) -> list[int]:
             split += [a, quo] if 1 < len(a) < len(h) else [h]
         parts = split
     raise ArithmeticError(f"g of degree {d} did not split into linear factors mod q = {q}")
+
+
+# A correct split leaves a given pair of roots unseparated after 16 deltas
+# with probability about 2^-16, so the cube check below seldom runs.
+_CUBE_CHECK_FROM = 16
+
+
+def _cubes_to_itself(u: list[int], h: list[int], q: int) -> bool:
+    """Whether u^3 = u mod (h, q), for h monic residues, in Python-int lists."""
+    def times(a, b):
+        s = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b, i):
+                s[j] += x * y
+        return _reduce_mod(s, h, q)
+
+    u = _reduce_mod([int(c) for c in u], h, q)
+    return times(times(u, u), u) == u
 
 
 def _split_in_lists(d: int, q: int) -> bool:

@@ -18,6 +18,10 @@ from .errors import InvalidParams
 
 SEED_BYTES = 32
 BLOCK_BYTES = 32  # one SHA-256 digest per counter value
+# Draws decoded per chunk: enough that numpy's per-call cost is small against
+# hashing the chunk's bytes, few enough to stay a fraction of an LWE public
+# key's draws.
+_CHUNK_DRAWS = 1 << 14
 
 
 class SeededRng:
@@ -79,32 +83,40 @@ class SeededRng:
         """Independent uniform draws in [0, q), by rejection against 2^ceil(lg q).
 
         Rejection against the smallest power-of-two ceiling avoids the
-        modulo bias a plain ``bits % q`` would introduce.
+        modulo bias a plain ``bits % q`` would introduce.  Each batch of
+        draws is read and decoded _CHUNK_DRAWS at a time, so memory beyond
+        the result stays one chunk's; every byte of a batch is read, even
+        past the last draw the result needs.
         """
         k = _width(q)
         nbytes = (k + 7) // 8
-        mask = (1 << k) - 1
+        mask = np.uint64((1 << k) - 1)
         out = np.empty(size, dtype=np.int64)
         filled = 0
         while filled < size:
-            want = size - filled
             # Modest oversampling keeps the expected number of refills low.
-            batch = int(want * (1 << k) / q) + 16
-            # draw i is the >u8 ending at its last byte: a stride of nbytes over
-            # the stream behind 8 - nbytes zero bytes, its high bytes (those of
-            # earlier draws, or the zeros) cleared by the mask
-            raw = bytes(8 - nbytes) + self.take_bytes(batch * nbytes)
-            vals = np.ndarray((batch,), ">u8", raw, strides=(nbytes,)) & np.uint64(mask)
-            vals = vals[vals < q]
-            take = min(len(vals), want)
-            out[filled : filled + take] = vals[:take].astype(np.int64)
-            filled += take
+            batch = int((size - filled) * (1 << k) / q) + 16
+            for start in range(0, batch, _CHUNK_DRAWS):
+                chunk = min(_CHUNK_DRAWS, batch - start)
+                # draw i is the >u8 ending at its last byte: a stride of nbytes
+                # over the stream behind 8 - nbytes zero bytes, its high bytes
+                # (those of earlier draws, or the zeros) cleared by the mask
+                raw = bytes(8 - nbytes) + self.take_bytes(chunk * nbytes)
+                vals = np.ndarray((chunk,), ">u8", raw, strides=(nbytes,)) & mask
+                vals = vals[vals < q][: size - filled]
+                out[filled : filled + len(vals)] = vals
+                filled += len(vals)
         return out
 
     def unit_floats(self, size: int) -> np.ndarray:
-        """Batch of uniforms in [0, 1) with 53-bit resolution."""
-        raw = np.frombuffer(self.take_bytes(8 * size), dtype="<u8")
-        return (raw >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+        """Batch of uniforms in [0, 1) with 53-bit resolution, read
+        _CHUNK_DRAWS at a time."""
+        out = np.empty(size, dtype=np.float64)
+        for start in range(0, size, _CHUNK_DRAWS):
+            chunk = out[start : start + _CHUNK_DRAWS]
+            raw = np.frombuffer(self.take_bytes(8 * len(chunk)), dtype="<u8")
+            np.divide(raw >> np.uint64(11), float(1 << 53), out=chunk)
+        return out
 
 
 def _width(q: int) -> int:

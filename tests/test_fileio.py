@@ -461,6 +461,105 @@ def test_format_rows_spells_each_row_as_str_join(vals, column):
     assert fileio.format_rows(rows, ["k="]) == want
 
 
+def format_rows_one_shot(rows, prefixes=("",)) -> str:
+    """`format_rows` as one %-format over the whole flattened array: the
+    reference for its blocks."""
+    rows = np.asarray(rows)
+    line = "".join(p + ",".join(["%d"] * rows.shape[1]) + "\n" for p in prefixes)
+    return line * (len(rows) // len(prefixes)) % tuple(rows.ravel().tolist())
+
+
+def _matrix(data, rows: int, cols: int, signed: bool, low: int = -(2**63)) -> np.ndarray:
+    vals = st.one_of(st.integers(low, 2**63 - 1), st.integers(-3, 3)) if signed else st.integers(
+        0, 2**63 - 1)
+    return np.array(data.draw(st.lists(vals, min_size=rows * cols, max_size=rows * cols)),
+                    dtype=np.int64).reshape(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=st.integers(1, 30), cycles=st.integers(0, 12), cols=st.integers(1, 6),
+       prefixes=st.sampled_from([["k="], ["u=", "v="]]), signed=st.booleans(), data=st.data())
+def test_format_rows_in_blocks_is_the_one_shot_format(block, cycles, cols, prefixes, signed,
+                                                      data):
+    rows = _matrix(data, cycles * len(prefixes), cols, signed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_BLOCK_ENTRIES", block)
+        assert fileio.format_rows(rows, prefixes) == format_rows_one_shot(rows, prefixes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=st.integers(1, 30), lines=st.integers(1, 12), cols=st.integers(1, 6),
+       signed=st.booleans(), data=st.data())
+def test_rows_parse_in_blocks_as_written(block, lines, cols, signed, data):
+    """Rows with a key prefix, split into blocks of any size, parse back to
+    the matrix that format_rows wrote."""
+    m = _matrix(data, lines, cols, signed, low=-(2**63) + 1)  # |-2^63| is past int64
+    kind = fileio._Vec(lambda d: d["n"], None, signed=signed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_BLOCK_ENTRIES", block)
+        got = kind.rows(fileio.format_rows(m, ["k="]).splitlines(), {"n": cols}, "k", 2)
+    assert got.dtype == np.int64 and np.array_equal(got, m)
+
+
+def _sample_lines(text):
+    lines = text.split("\n")
+    return [i for i, ln in enumerate(lines) if ln.startswith("sample=")], lines
+
+
+def _edit_entry(line: str, j: int, edit) -> str:
+    key, _, value = line.partition("=")
+    entries = value.split(",")
+    entries[j] = edit(entries[j])
+    return key + "=" + ",".join(entries)
+
+
+def _move_comma(lines, i):
+    """One entry of line i split in two and two of line i + 1 merged: the
+    same number of commas in all, one more and one fewer in those lines."""
+    key, _, a = lines[i].partition("=")
+    _, _, b = lines[i + 1].partition("=")
+    a, b = a.split(","), b.split(",")
+    a[0:1] = ["1", a[0]]
+    b[0:2] = [b[0] + b[1]]
+    return lines[:i] + [f"{key}={','.join(a)}", f"{key}={','.join(b)}"] + lines[i + 2:]
+
+
+BLOCK_FAULTS = {
+    "leading zero": (lambda ls, i: ls[:i] + [_edit_entry(ls[i], 3, "0".__add__)] + ls[i + 1:],
+                     "wrong length or spelling"),
+    "plus sign": (lambda ls, i: ls[:i] + [_edit_entry(ls[i], 5, "+".__add__)] + ls[i + 1:],
+                  "wrong length or spelling"),
+    "space": (lambda ls, i: ls[:i] + [_edit_entry(ls[i], 0, " ".__add__)] + ls[i + 1:],
+              "wrong length or spelling"),
+    "empty field": (lambda ls, i: ls[:i] + [_edit_entry(ls[i], 7, lambda e: "")] + ls[i + 1:],
+                    "wrong length or spelling"),
+    "comma dropped": (lambda ls, i: ls[:i] + [ls[i].replace(",", "", 1)] + ls[i + 1:],
+                      "wrong length or spelling"),
+    "comma added": (lambda ls, i: ls[:i] + [ls[i] + ",1"] + ls[i + 1:],
+                    "wrong length or spelling"),
+    "comma moved to the line before": (_move_comma, "wrong length or spelling"),
+    "entry q": (lambda ls, i: ls[:i] + [_edit_entry(ls[i], 2, lambda e: "257")] + ls[i + 1:],
+                "has an entry outside"),
+    "entry past int64": (lambda ls, i: ls[:i] + [_edit_entry(ls[i], 2, lambda e: "9" * 19)]
+                         + ls[i + 1:], "has an entry outside"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BLOCK_FAULTS))
+@pytest.mark.parametrize("block", [1, 17, 40, 1 << 14])
+def test_one_fault_in_a_later_block_keeps_its_message(fault, block, monkeypatch):
+    """An LWE public key at n = 16 (rows of 17 entries mod 257): a block of
+    one row, of one row exactly, of two rows, and the whole key."""
+    text = RECORDS["lwe-public"][0]
+    rows, lines = _sample_lines(text)
+    mutate, message = BLOCK_FAULTS[fault]
+    monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", block)
+    for i in (rows[-9], rows[-4], rows[-2]):  # each a later block, at both ends of one
+        with pytest.raises(FormatError, match=message):
+            fileio.load_lwe_public("\n".join(mutate(lines, i)))
+    assert fileio.dump_lwe_public(fileio.load_lwe_public(text)) == text
+
+
 # ---------------------------------------------------------------------------
 # Every record type: canonical round trip, line and token mutations, CLI.
 
@@ -677,6 +776,9 @@ def test_found_cases_are_format_errors():
     _refused("bgv-ciphertext", re.sub("parts=[0-9]+", "parts=x", ct))
     for chain in ["0,5", "0,0", "0,1", "1,1"]:  # q_0 <= p: log2(q_0) may be undefined
         _refused("bgv-params", _with_fields(RECORDS["bgv-params"][0], chain=chain))
+    # an n that no row has room for is a spelling error, not an m x n allocation
+    for n in ["1000000000000000", "4611686018427387904"]:
+        _refused("lwe-public", _with_fields(RECORDS["lwe-public"][0], n=n))
 
 
 # Values at the edges of each integer field: zero, one, the smallest prime

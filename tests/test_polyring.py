@@ -312,6 +312,51 @@ def test_split_roots_raises_on_a_split_that_leaves_a_remainder(monkeypatch, q):
         _split_roots(g, q)
 
 
+def _pow_x_list_sign_slip(e, h, q, shift):
+    """`_pow_x_list` with the sign of its shift and add flipped."""
+    d = len(h) - 1
+    terms = [(j, c) for j, c in enumerate(h[:-1]) if c]
+    r = [1]
+    for bit in bin(e)[2:]:
+        s = [0] * (2 * len(r) - 1)
+        for i, a in enumerate(r):
+            if a:
+                for j, b in enumerate(r, i):
+                    s[j] += a * b
+        if bit == "1":
+            s.append(0)
+            for i in range(len(s) - 1, 0, -1):
+                s[i] = s[i - 1] - shift * s[i]
+            s[0] *= shift
+        for i in range(len(s) - 1, d - 1, -1):
+            c = s[i] % q
+            if c:
+                for j, b in terms:
+                    s[i - d + j] -= c * b
+        r = [x % q for x in s[:d]]
+    return polyring.poly_trim(r)
+
+
+def test_split_roots_fails_on_a_powering_slip_at_2_to_61(monkeypatch):
+    # each gcd(w - 1, h) still divides h, so only w^3 = w mod h can see the
+    # slip; without that check the split would run on through delta < q
+    q = (1 << 61) - 1
+    g = [c % q for c in _linear_product([pow(3, 11 * i + 1, q) for i in range(16)])]
+    assert polyring._pow_x_list(q // 2, g, q, 5) != _pow_x_list_sign_slip(q // 2, g, q, 5)
+    calls = []
+
+    def slipped(e, h, q, shift):
+        calls.append(shift)
+        if len(calls) > 400:
+            raise TimeoutError("the split ran on past the cube check")
+        return _pow_x_list_sign_slip(e, h, q, shift)
+
+    monkeypatch.setattr(polyring, "_pow_x_list", slipped)
+    with pytest.raises(ArithmeticError, match=r"w\^3 != w .*degree 16.* q = "):
+        _split_roots(g, q)
+    assert max(calls) == polyring._CUBE_CHECK_FROM
+
+
 @pytest.mark.parametrize("q", [65537, (1 << 61) - 1])
 def test_splitting_leaves_the_division_cache_alone(q):
     # 40 roots: at 65537 the large factors share one w mod g, by a division

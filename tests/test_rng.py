@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latticelab import rng as rng_mod
 from latticelab.errors import InvalidParams
 from latticelab.rng import BLOCK_BYTES, SEED_BYTES, SeededRng
 
@@ -89,9 +90,9 @@ def test_uniform_array_matches_range_and_determinism():
 
 
 def uniform_array_zero_padded(rng, q, size):
-    """`uniform_array` as it decoded before the strided view: each draw's
-    bytes copied into a zeroed (batch, 8) array and read as >u8.  The
-    reference for its decode."""
+    """`uniform_array` as it decoded before the strided view and the chunks:
+    each batch read in one take_bytes, each draw's bytes copied into a
+    zeroed (batch, 8) array and read as >u8.  The reference for its decode."""
     k = (q - 1).bit_length() if q > 1 else 1
     nbytes = (k + 7) // 8
     out = np.empty(size, dtype=np.int64)
@@ -160,3 +161,65 @@ def test_uniform_draws_refuse_q_past_int64():
     draws = r.uniform_array(2**63, 1000)
     assert draws.dtype == np.int64 and draws.min() >= 0
     assert len(set(draws.tolist())) == 1000 and (draws >= 2**62).any()
+
+
+def _bytes_read(r: SeededRng) -> int:
+    return BLOCK_BYTES * r.counter - len(r._buf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chunk=st.integers(1, 40), q=st.one_of(st.sampled_from(WIDTH_QS), st.integers(1, 2**63)),
+       sizes=st.lists(st.integers(0, 200), min_size=1, max_size=4))
+def test_uniform_array_in_chunks_is_the_one_batch_decode(chunk, q, sizes):
+    """Chunks far smaller than a batch give the one-batch decode's draws and
+    leave counter and _buf where it leaves them."""
+    seed = hashlib.sha256(f"{chunk}/{q}".encode()).digest()
+    r, ref = SeededRng(seed), SeededRng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng_mod, "_CHUNK_DRAWS", chunk)
+        for size in sizes:
+            assert np.array_equal(r.uniform_array(q, size),
+                                  uniform_array_zero_padded(ref, q, size))
+            assert (r.counter, r._buf) == (ref.counter, ref._buf)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 16, 40])
+def test_uniform_array_chunks_across_refills_and_early_fills(monkeypatch, chunk):
+    """q = 2^12 + 1 rejects about half the draws, so the first batch of a
+    1000-draw request sometimes falls short (a refill) and sometimes fills
+    before its last chunk, whose bytes are read all the same; both happen
+    over these seeds, with the one-batch decode's draws and stream position."""
+    monkeypatch.setattr(rng_mod, "_CHUNK_DRAWS", chunk)
+    q, size = (1 << 12) + 1, 1000
+    batch = int(size * (1 << 13) / q) + 16
+    last_chunk = (batch - 1) // chunk * chunk  # its first draw
+    refills = early = 0
+    for s in range(16):
+        seed = bytes([s]) * SEED_BYTES
+        r, ref = SeededRng(seed), SeededRng(seed)
+        assert np.array_equal(r.uniform_array(q, size), uniform_array_zero_padded(ref, q, size))
+        assert (r.counter, r._buf) == (ref.counter, ref._buf)
+        stream = SeededRng(seed).take_bytes(2 * batch)
+        kept = np.cumsum([int.from_bytes(stream[i : i + 2], "big") & 0x1FFF < q
+                          for i in range(0, 2 * batch, 2)])
+        if kept[-1] < size:
+            refills += 1
+            assert _bytes_read(r) > 2 * batch
+        else:
+            early += int(np.searchsorted(kept, size)) < last_chunk
+            assert _bytes_read(r) == 2 * batch
+    assert refills and early
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunk=st.integers(1, 40), sizes=st.lists(st.integers(0, 100), min_size=1, max_size=4))
+def test_unit_floats_in_chunks_is_one_read(chunk, sizes):
+    """Against the one-read decode: the 53 high bits of each <u8, over 2^53."""
+    r, ref = SeededRng(bytes(range(32))), SeededRng(bytes(range(32)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng_mod, "_CHUNK_DRAWS", chunk)
+        for size in sizes:
+            raw = np.frombuffer(ref.take_bytes(8 * size), dtype="<u8")
+            want = (raw >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+            assert r.unit_floats(size).tobytes() == want.tobytes()
+            assert (r.counter, r._buf) == (ref.counter, ref._buf)
