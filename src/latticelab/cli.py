@@ -76,11 +76,14 @@ def _read(path: str) -> str:
     return Path(path).read_bytes().decode("utf-8", "replace")
 
 
-def _write_out(args, text: str) -> None:
+def _write_out(args, text) -> None:
+    """Write `text`, a str or an iterable of str blocks, to --out or stdout."""
+    blocks = (text,) if isinstance(text, str) else text
     if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+        with Path(args.out).open("w") as fh:
+            fh.writelines(blocks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
 
 
 def _read_message(path: str) -> tuple[bytes, str]:
@@ -104,7 +107,7 @@ def cmd_keygen(args) -> int:
         params = lwe.derive_params(args.n)
         sk, pk = lwe.keygen(params, rng.derive("lwe-keygen"))
         Path(args.out_secret).write_text(fileio.dump_lwe_secret(sk, params))
-        Path(args.out_public).write_text(fileio.dump_lwe_public(pk))
+        fileio.write_lwe_public(args.out_public, pk)
     elif args.scheme == "plwe":
         params = plwe.default_params(args.n, sigma=args.sigma, floor=args.q_floor)
         kp = plwe.keygen(params, rng.derive("plwe-keygen"))
@@ -131,7 +134,7 @@ def cmd_encrypt(args) -> int:
     rng = _rng_from_args(args)
     message, digest = _read_message(args.message)
     if args.scheme == "lwe":
-        pk = fileio.load_lwe_public(_read(args.public))
+        pk = fileio.read_lwe_public(args.public)
         cts = [
             lwe.encrypt_bit(pk, z, rng.derive(f"lwe-bit-{i}/{digest}"))
             for i, z in enumerate(_bits(message))
@@ -263,6 +266,11 @@ def cmd_bgv_eval(args) -> int:
 # sample / bench
 
 
+def _draw_lines(draws):
+    """One draw per line, as blocks of text; no draws: one newline."""
+    return fileio.format_row_blocks(draws[:, None]) if len(draws) else "\n"
+
+
 def cmd_sample(args) -> int:
     rng = _rng_from_args(args).derive("sample")
     if args.dist == "gaussian":
@@ -271,10 +279,9 @@ def cmd_sample(args) -> int:
             draws = fold_to_zq_array(gp, Modulus(args.q), rng, args.count)
         else:
             draws = sample_int_array(gp, rng, args.count)
-        _write_out(args, fileio.format_rows(draws[:, None]) or "\n")  # no draws: one newline
+        _write_out(args, _draw_lines(draws))
     elif args.dist == "uniform":
-        draws = rng.uniform_array(args.q, args.count)
-        _write_out(args, fileio.format_rows(draws[:, None]) or "\n")
+        _write_out(args, _draw_lines(rng.uniform_array(args.q, args.count)))
     else:
         if args.dist == "plwe-oracle":
             s, params = fileio.load_plwe_secret(_read(args.secret))

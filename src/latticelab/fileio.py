@@ -5,18 +5,29 @@ encoder and read by one decoder that accepts exactly what the encoder
 writes (README, "File formats"): the header, each ``key=value`` field in
 its declared order, then the rows its count field announces.  Anything
 else raises FormatError, so no key, ciphertext or signature has a second
-text encoding.  Vectors, the bulk of every file, take one %-format and one
-np.fromstring per block of about _BLOCK_ENTRIES entries, so coding a record
-holds its text and one block, not copies of the record as Python ints; a
-few string checks per block and one length identity, not a regex, prove
-their spelling canonical (`_Vec.rows`).  Text beats binary here:
-inspectability matters more than compactness.
+text encoding.  Text beats binary here: inspectability matters more than
+compactness.
+
+Both directions are one stream of line blocks: the header and fields,
+then the rows about _BLOCK_ENTRIES entries at a time.  The encoder yields
+a block's text from slices of the caller's arrays (one %-format per
+block); the decoder takes lines from an iterator, proves a block's
+spelling with a few string checks and parses it with one np.fromstring
+into the record's int64 array, and checks one length identity over all
+blocks (`_VecRows`).  ``dump_*``/``load_*`` are the ``str`` forms of that
+stream; ``write_lwe_public`` and ``read_lwe_public`` are its file forms,
+so the LWE public key, the bulkiest record, is never held as one text:
+coding a record holds the record and one block.
 """
 
 from __future__ import annotations
 
+import codecs
+import os
 import re
-from itertools import repeat
+import stat
+from itertools import islice, repeat
+from pathlib import Path
 
 import numpy as np
 
@@ -33,7 +44,32 @@ _CHALLENGE_RE = re.compile(f"{_INT}:[+-]1(?:,{_INT}:[+-]1)*")
 _POW10 = [10**k for k in range(1, 19)]
 # Entries formatted or parsed at a time: enough to keep the per-block cost
 # small, few enough that a block's temporaries stay well below a record's.
-_BLOCK_ENTRIES = 1 << 14
+# A %-format takes one Python int per entry; at 2^14 of them a process that
+# wrote many keys kept raising its peak RSS (a fragmented heap), at 2^12 not.
+_BLOCK_ENTRIES = 1 << 12
+
+
+def _format_blocks(pieces, prefixes):
+    """Rows as text blocks of about _BLOCK_ENTRIES entries, a whole number
+    of cycles each.  Cycle i writes one line per prefix: the prefix, then
+    row i of each of its arrays (2-D, or 1-D as one column) side by side,
+    in decimal, joined by commas.  A block is cut from slices of the
+    arrays, so no copy of the whole is made."""
+    pieces = [[a[:, None] if a.ndim == 1 else a for a in map(np.asarray, arrays)]
+              for arrays in pieces]
+    widths = [sum(a.shape[1] for a in arrays) for arrays in pieces]
+    line = "".join(p + ",".join(["%d"] * w) + "\n" for p, w in zip(prefixes, widths))
+    flat = [a for arrays in pieces for a in arrays]
+    step = max(1, _BLOCK_ENTRIES // max(sum(widths), 1))
+    for i in range(0, len(flat[0]), step):
+        b = flat[0][i : i + step] if len(flat) == 1 else np.hstack([a[i : i + step] for a in flat])
+        yield line * len(b) % tuple(b.ravel().tolist())
+
+
+def format_row_blocks(rows, prefixes=("",)):
+    """format_rows' text as an iterator of blocks."""
+    rows, k = np.asarray(rows), len(prefixes)
+    return _format_blocks([[rows[i::k]] for i in range(k)], prefixes)
 
 
 def format_rows(rows, prefixes=("",)) -> str:
@@ -41,11 +77,7 @@ def format_rows(rows, prefixes=("",)) -> str:
     in turn, then the row's entries in decimal, joined by commas.  One
     %-format per block of about _BLOCK_ENTRIES entries, a whole number of
     prefix cycles, not one join per row."""
-    rows, k = np.asarray(rows), len(prefixes)
-    line = "".join(p + ",".join(["%d"] * rows.shape[1]) + "\n" for p in prefixes)
-    step = k * max(1, _BLOCK_ENTRIES // max(k * rows.shape[1], 1))
-    blocks = (rows[i : i + step] for i in range(0, len(rows), step))
-    return "".join(line * (len(b) // k) % tuple(b.ravel().tolist()) for b in blocks)
+    return "".join(format_row_blocks(rows, prefixes))
 
 
 class _Num:
@@ -84,40 +116,77 @@ class _Vec:
         return format_rows([v])[:-1]
 
     def decode(self, text, d, key):
-        return self.rows([text], d, key)[0]
+        reader = _VecRows(self, d, key, 1, len(text) + 1)
+        reader.feed([text])
+        return reader.result()[0]
 
     def rows(self, lines, d, key, skip=0):
-        """Lines of this kind, each after its first `skip` characters (its
-        key's prefix), as one (lines, n) array, checked and parsed by
-        np.fromstring about _BLOCK_ENTRIES entries at a time.  Every line has
-        n - 1 commas, and before a block is read, every field in it is ASCII
-        digits (after a leading minus if signed), none empty.  A field is then
-        never shorter than its value's digits and minus sign, and longer only
-        with a leading zero, a -0 or a 20th digit, so one length sum over all
-        the blocks checks all."""
-        bad = FormatError(f"bad vector {key!r}: wrong length or spelling")
-        n = self.n(d) if self.n else lines[0].count(",") + 1
-        if any(t.count(",") != n - 1 for t in lines):  # so n is no larger than the text
-            raise bad
-        vals = np.empty((len(lines), n), dtype=np.int64)
-        step, chars = max(1, _BLOCK_ENTRIES // max(n, 1)), 0
+        """Lines of this kind, each after its first `skip` characters, as one
+        (lines, n) array, read about _BLOCK_ENTRIES entries at a time."""
+        reader = _VecRows(self, d, key, len(lines), sum(map(len, lines)) + len(lines), skip)
+        step = max(1, _BLOCK_ENTRIES // max(reader.n or lines[0].count(",") + 1, 1))
         for i in range(0, len(lines), step):
-            body = ",".join([t[skip:] for t in lines[i : i + step]])
-            digits = ("," + body).replace(",-", ",")[1:] if self.signed else body
-            if ",," in f",{digits}," or digits.encode().translate(None, b"0123456789,"):
-                raise bad
-            vals[i : i + step] = np.fromstring(body, dtype=np.int64, sep=",").reshape(-1, n)
-            chars += len(body) + 1  # 2 per entry with a one-digit value and no minus
-        mag = np.abs(vals) if self.signed else vals
+            reader.feed(lines[i : i + step])
+        return reader.result()
+
+
+class _VecRows:
+    """`count` lines of one _Vec kind, fed in blocks, each line after its
+    first `skip` characters; `size` bounds the characters of the whole
+    text.  result() is the (count, n) int64 array, or raises the first
+    fault in the order of the checks: a wrong length or spelling, then an
+    entry >= q, then the kind's rule.
+
+    Every line has n - 1 commas, and before a block is parsed, every field in
+    it is ASCII digits (after a leading minus if signed), none empty.  A
+    field is then never shorter than its value's digits and minus sign, and
+    longer only with a leading zero, a -0 or a 20th digit, so one length sum
+    over all the blocks checks all.  The array is allocated once a line has
+    proved n and the text has room for `count` such lines, so no header
+    field sizes it alone."""
+
+    def __init__(self, kind, d, key, count, size, skip=0):
+        self.kind, self.d, self.key, self.count, self.size = kind, d, key, count, size
+        self.skip, self.n = skip, kind.n(d) if kind.n else None
+        self.vals, self.row, self.chars, self.bad = None, 0, 0, False
+
+    def feed(self, lines):
+        if self.bad or not lines:
+            return
+        if self.n is None:
+            self.n = lines[0].count(",") + 1
+        n = self.n
+        self.bad = any(t.count(",") != n - 1 for t in lines) or (
+            self.vals is None and self.count * (2 * n - 1) > self.size)
+        if self.bad:
+            return
+        if self.vals is None:
+            self.vals = np.empty((self.count, n), dtype=np.int64)
+        skip = self.skip
+        body = ",".join([t[skip:] for t in lines] if skip else lines)
+        digits = ("," + body).replace(",-", ",")[1:] if self.kind.signed else body
+        self.bad = ",," in f",{digits}," or bool(digits.encode().translate(None, b"0123456789,"))
+        if not self.bad:
+            end = self.row + len(lines)
+            self.vals[self.row : end] = np.fromstring(body, dtype=np.int64, sep=",").reshape(-1, n)
+            self.row, self.chars = end, self.chars + len(body) + 1  # 2 per one-digit entry
+
+    def result(self):
+        kind, key = self.kind, self.key
+        bad = FormatError(f"bad vector {key!r}: wrong length or spelling")
+        if self.bad:
+            raise bad
+        vals = np.empty((0, self.n), dtype=np.int64) if self.vals is None else self.vals
+        mag = np.abs(vals) if kind.signed else vals
         top = int(mag.max(initial=0))
         width = 2 * vals.size + np.count_nonzero(vals < 0) + sum(
             np.count_nonzero(mag >= p) for p in _POW10[:len(str(top)) - 1])
-        if chars != width:
+        if self.chars != width:
             raise bad
-        if self.q is not None and top >= self.q(d):
+        if kind.q is not None and top >= kind.q(self.d):
             raise FormatError(f"vector {key!r} has an entry outside [0, q)")
-        if self.ok and not self.ok(vals, d):
-            raise FormatError(f"bad vector {key!r}: {self.rule}")
+        if kind.ok and not kind.ok(vals, self.d):
+            raise FormatError(f"bad vector {key!r}: {kind.rule}")
         return vals
 
 
@@ -187,6 +256,8 @@ class _Record:
     def __init__(self, params, file_type=None, fields=(), rows=(None, (), None)):
         self.params, self.fields, self.rows = params, params.fields + fields, rows
         self.head = params.header + (f"\ntype={file_type}" if file_type else "")
+        self.head_lines = self.head.split("\n")
+        self.frame = f"expected {self.head!r} as first line(s) and a final newline"
 
 
 RECORDS = {
@@ -212,45 +283,129 @@ RECORDS = {
 }
 
 
-def _encode(name: str, params=None, **values) -> str:
+def _blocks(name: str, params=None, **values):
+    """The text of record `name` as blocks: the header and fields, then the
+    rows.  A row key's value is the array of its rows, or a tuple of arrays
+    whose rows stand side by side on its lines."""
     rec = RECORDS[name]
     values.update(rec.params.write(params))
-    text = rec.head + "\n" + "".join(f"{key}={kind.encode(values[key])}\n"
-                                     for key, kind in rec.fields)
+    yield rec.head + "\n" + "".join(f"{key}={kind.encode(values[key])}\n"
+                                    for key, kind in rec.fields)
     _, keys, _ = rec.rows
-    if keys:  # the rows of each key, interleaved: (count, len(keys), cols); one key's, as given
-        rows = (np.asarray(values[keys[0]]) if len(keys) == 1
-                else np.stack([np.asarray(values[key]) for key in keys], axis=1))
-        text += format_rows(rows.reshape(-1, rows.shape[-1]), [key + "=" for key in keys])
-    return text
+    if keys:
+        yield from _format_blocks(
+            [values[key] if isinstance(values[key], tuple) else (values[key],) for key in keys],
+            [key + "=" for key in keys])
+
+
+def _encode(name: str, params=None, **values) -> str:
+    return "".join(_blocks(name, params, **values))
+
+
+def _text_lines(text: str):
+    """(lines, tail, size) of `text`, as _decode_stream takes them."""
+    lines = text.split("\n")
+    tail = lines.pop()
+    return iter(lines), lambda: tail, len(text)
+
+
+def _file_lines(fh):
+    """(lines, tail, size) of the binary file `fh`, read and decoded as
+    UTF-8 one chunk at a time, bad bytes as U+FFFD, so its lines are those
+    of the text read whole.  A file whose size is unknown (a pipe) is read
+    whole."""
+    info = os.fstat(fh.fileno())
+    if not stat.S_ISREG(info.st_mode):
+        return _text_lines(fh.read().decode("utf-8", "replace"))
+    decoder, tail = codecs.getincrementaldecoder("utf-8")("replace"), [None]
+
+    def lines():
+        part = []  # the pieces of a line not yet ended, joined once it ends
+        while chunk := fh.read(8 * _BLOCK_ENTRIES):
+            first, *done = decoder.decode(chunk).split("\n")
+            part.append(first)
+            if done:
+                yield "".join(part)
+                part = [done.pop()]
+                yield from done
+        *done, tail[0] = ("".join(part) + decoder.decode(b"", True)).split("\n")
+        yield from done
+
+    it = lines()
+
+    def rest() -> str:
+        for _ in it:
+            pass
+        return tail[0]
+
+    return it, rest, info.st_size
+
+
+def _decode_stream(name: str, lines, tail, size, **context) -> tuple[object, dict]:
+    """(parameter object, fields) of a text read strictly as record `name`:
+    `lines` iterates over its lines, each ended by a newline, `tail()` is
+    the text after the last newline (read once `lines` runs out) and `size`
+    bounds the text's length.  The header and fields are read first and
+    build the parameter object, then the rows, in blocks; a fault is
+    reported as if the checks ran in this order over the whole text: the
+    header and final newline, each field, the parameters, the row count,
+    then each row key's prefixes and vectors."""
+    rec = RECORDS[name]
+    try:
+        out = _read_record(rec, lines, size, context)
+    except FormatError:
+        if tail():
+            raise FormatError(rec.frame) from None
+        raise
+    if tail():
+        raise FormatError(rec.frame)
+    return out
 
 
 def _decode(name: str, text: str, **context) -> tuple[object, dict]:
-    """(parameter object, fields) of `text` read strictly as record `name`."""
-    rec = RECORDS[name]
-    fields, head = rec.fields, rec.head
-    if not text.startswith(head + "\n") or not text.endswith("\n"):
-        raise FormatError(f"expected {head!r} as first line(s) and a final newline")
-    lines = text[len(head) + 1:-1].split("\n")
-    d = dict(context)
-    for (key, kind), line in zip(fields, lines + [""] * (len(fields) - len(lines))):
+    return _decode_stream(name, *_text_lines(text), **context)
+
+
+def _read_record(rec, lines, size, d):
+    if list(islice(lines, len(rec.head_lines))) != rec.head_lines:
+        raise FormatError(rec.frame)
+    for key, kind in rec.fields:
+        line = next(lines, "")
         k, eq, value = line.partition("=")
         if k != key or not eq:
             raise FormatError(f"expected {key}=..., got {line[:40]!r}")
         d[key] = kind.decode(value, d, key)
-    count, keys, kind = rec.rows
-    rows, want = lines[len(fields):], d[count] * len(keys) if keys else 0
-    if len(rows) != want:
-        raise FormatError(f"{len(rows)} line(s) after the fields, expected {want}")
-    for i, key in enumerate(keys):
-        prefix, own = key + "=", rows[i::len(keys)]  # stripped block by block in kind.rows
-        if not all(map(str.startswith, own, repeat(prefix))):
-            raise FormatError(f"rows must repeat {', '.join(keys)} in that order")
-        d[key] = kind.rows(own, d, key, len(prefix))
     try:
-        return rec.params.read(d), d
+        params = rec.params.read(d)
     except InvalidParams as e:
         raise FormatError(str(e)) from e
+    count, keys, kind = rec.rows
+    if not keys:
+        have = sum(1 for _ in lines)
+        if have:
+            raise FormatError(f"{have} line(s) after the fields, expected 0")
+        return params, d
+    readers = [_VecRows(kind, d, key, d[count], size, len(key) + 1) for key in keys]
+    k, want = len(keys), d[count] * len(keys)
+    step = k * max(1, _BLOCK_ENTRIES // max(k * readers[0].n, 1))
+    misprefixed, have = [False] * k, 0
+    while block := list(islice(lines, step)):
+        have += len(block)
+        if have > want:  # the count is wrong: only count the rest
+            continue
+        for i, r in enumerate(readers):
+            own = block[i::k] if k > 1 else block
+            misprefixed[i] = misprefixed[i] or not all(
+                map(str.startswith, own, repeat(r.key + "=")))
+            if not misprefixed[i]:
+                r.feed(own)
+    if have != want:
+        raise FormatError(f"{have} line(s) after the fields, expected {want}")
+    for wrong, r in zip(misprefixed, readers):
+        if wrong:
+            raise FormatError(f"rows must repeat {', '.join(keys)} in that order")
+        d[r.key] = r.result()
+    return params, d
 
 
 def _elements(ring: RingParams, *rows) -> list[RingElement]:
@@ -270,18 +425,38 @@ def load_lwe_secret(text: str) -> tuple[lwe_mod.LweSecretKey, lwe_mod.LweParams]
     return lwe_mod.LweSecretKey(s=d["s"]), p
 
 
-def dump_lwe_public(pk: lwe_mod.LwePublicKey) -> str:
-    return _encode("lwe-public", pk.params, sample=np.column_stack((pk.a, pk.b)))
+def _lwe_public_blocks(pk: lwe_mod.LwePublicKey):
+    return _blocks("lwe-public", pk.params, sample=(pk.a, pk.b))
 
 
-def load_lwe_public(text: str) -> lwe_mod.LwePublicKey:
-    p, d = _decode("lwe-public", text)
+def _lwe_public(p: lwe_mod.LweParams, d: dict) -> lwe_mod.LwePublicKey:
     return lwe_mod.LwePublicKey(a=d["sample"][:, :p.n], b=d["sample"][:, p.n], params=p)
 
 
+def dump_lwe_public(pk: lwe_mod.LwePublicKey) -> str:
+    return "".join(_lwe_public_blocks(pk))
+
+
+def load_lwe_public(text: str) -> lwe_mod.LwePublicKey:
+    return _lwe_public(*_decode("lwe-public", text))
+
+
+def write_lwe_public(path, pk: lwe_mod.LwePublicKey) -> None:
+    """dump_lwe_public's text, written to `path` one block at a time."""
+    with Path(path).open("w") as fh:
+        fh.writelines(_lwe_public_blocks(pk))
+
+
+def read_lwe_public(path) -> lwe_mod.LwePublicKey:
+    """load_lwe_public of the file's text, read one block at a time: the
+    same key, or the same FormatError."""
+    with Path(path).open("rb") as fh:
+        return _lwe_public(*_decode_stream("lwe-public", *_file_lines(fh)))
+
+
 def dump_lwe_ciphertext(cts: list[lwe_mod.LweCiphertext], p: lwe_mod.LweParams) -> str:
-    rows = np.column_stack(([ct.u for ct in cts], [ct.v for ct in cts]))
-    return _encode("lwe-ciphertext", p, bits=len(cts), ct=rows)
+    return _encode("lwe-ciphertext", p, bits=len(cts),
+                   ct=([ct.u for ct in cts], [ct.v for ct in cts]))
 
 
 def load_lwe_ciphertext(text: str) -> tuple[list[lwe_mod.LweCiphertext], lwe_mod.LweParams]:

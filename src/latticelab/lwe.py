@@ -54,11 +54,13 @@ class LweCiphertext:
 
 
 # keygen holds an m x n matrix, m ~ 2.2 n log2(n): at n = 2^10 that is 23 M
-# residues.  `latticelab keygen` there took ~6 s and peaked at 0.69 GB (the
-# matrix, the copy dump_lwe_public stacks for the file, and the text twice),
-# and `encrypt` peaked at 0.54 GB, on 2 CPUs with Python 3.11 and numpy 2.4
+# residues.  `latticelab keygen` there took ~6 s and peaked at 0.21 GB (the
+# matrix, 184 MB, and one block of the file it writes), and `encrypt` peaked
+# at 0.23 GB (the key read back), on 2 CPUs with Python 3.11 and numpy 2.4
 # (tests/bench_memory.py, BENCH_memory.json), so n stops there.
 MAX_N = 1 << 10
+# Entries of `a` that encrypt_bit gathers at a time: the whole key up to n = 64.
+_SUM_ENTRIES = 1 << 16
 
 
 def derive_params(n: int) -> LweParams:
@@ -100,7 +102,11 @@ def encrypt_bit(pk: LwePublicKey, z: int, rng: SeededRng) -> LweCiphertext:
     q = p.q
     raw = np.frombuffer(rng.take_bytes((p.m + 7) // 8), dtype=np.uint8)
     subset = np.unpackbits(raw)[: p.m] == 1
-    u = pk.a[subset].sum(axis=0) % q
+    step = max(1, _SUM_ENTRIES // max(p.n, 1))
+    u = pk.a[:step][subset[:step]].sum(axis=0)
+    for i in range(step, p.m, step):  # a block of rows at a time, not one gather of all
+        u += pk.a[i : i + step][subset[i : i + step]].sum(axis=0)
+    u %= q
     v = (z * (q // 2) + int(pk.b[subset].sum())) % q
     return LweCiphertext(u=u, v=v)
 

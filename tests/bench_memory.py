@@ -2,7 +2,7 @@
 after a change, for BENCH_memory.json.
 
     PYTHONPATH=src python tests/bench_memory.py PARENT_SRC [--n N ...] [--reps R]
-        [--labbench W ...] [--pairs P] [--seconds S] > rows.json
+        [--repeat C] [--labbench W ...] [--pairs P] [--seconds S] > rows.json
 
 PARENT_SRC is the `src` directory of another checkout, say a `git archive`
 of the parent commit (this checkout's own `src` compares it with itself).
@@ -11,7 +11,11 @@ Each step of `latticelab keygen`, `encrypt` and `decrypt --scheme lwe` runs
 alternating and swapping which goes first in each repetition.  A row
 reports, per side (parent and change), the median peak RSS of the process
 in MB and the median wall time of `cli.main` in s; the two sides' files must be byte-identical
-and decrypt to the message.  With --labbench, P pairs of
+and decrypt to the message.  With --repeat, a repeat row runs C
+`latticelab keygen --scheme lwe --n 64` calls, each with its own seed, in
+one process per side and reports its peak RSS after the first and after
+the last, so a codec that fragments the heap shows as growth.  With
+--labbench, P pairs of
 `labbench/run.py --workload W --seconds S` runs, one per seed, alternate
 the two checkouts the same way, and the end-to-end metrics of every run
 are recorded with each side's median and quartiles and the pairs the
@@ -44,6 +48,18 @@ t = time.perf_counter()
 rc = cli.main(sys.argv[2:])
 print(json.dumps({"rc": rc, "s": time.perf_counter() - t,
                   "mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+REPEAT_CHILD = """import json, resource, sys
+sys.path.insert(0, sys.argv[1])
+from latticelab import cli
+mb = []
+for i in range(int(sys.argv[3])):
+    argv = ["keygen", "--scheme", "lwe", "--n", "64", "--seed", "%064x" % (i + 1),
+            "--out-secret", sys.argv[2] + "/lwe.key", "--out-public", sys.argv[2] + "/lwe.pub"]
+    if cli.main(argv) != 0:
+        sys.exit(f"latticelab keygen exited nonzero on call {i + 1}")
+    mb.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+print(json.dumps({"first": mb[0], "last": mb[-1]}))
 """
 LOWER_IS_BETTER = {"ops_per_s": False, "op_p50_ms": True, "op_p90_ms": True,
                    "setup_s": True, "peak_rss_mb": True}
@@ -109,6 +125,27 @@ def lwe_rows(parent: Path, ns: list[int], reps: int) -> list[dict]:
     return rows
 
 
+def repeat_row(parent: Path, calls: int, reps: int) -> dict:
+    """Peak RSS of one process after its first and its last of `calls`
+    keygen calls, medians over `reps` processes per side."""
+    def run(src: Path) -> dict:
+        with tempfile.TemporaryDirectory() as tmp:
+            out = subprocess.run([sys.executable, "-c", REPEAT_CHILD, str(src), tmp, str(calls)],
+                                 check=True, capture_output=True, text=True).stdout
+        return json.loads(out.splitlines()[-1])
+
+    before, after = alternate(lambda i: run(parent), lambda i: run(HERE), reps)
+    row = {"n": 64, "step": f"keygen x{calls}, one process", "reps": reps}
+    for side, runs in (("parent", before), ("change", after)):
+        first = statistics.median(r["first"] for r in runs)
+        last = statistics.median(r["last"] for r in runs)
+        row.update({f"mb_first_{side}": round(first, 1), f"mb_last_{side}": round(last, 1),
+                    f"growth_mb_{side}": round(statistics.median(
+                        r["last"] - r["first"] for r in runs), 2)})
+    print(json.dumps(row), file=sys.stderr)
+    return row
+
+
 def labbench_run(root: Path, workload: str, seed: int, seconds: int) -> dict:
     out = subprocess.run([sys.executable, str(root / "labbench" / "run.py"), "--workload",
                           workload, "--seed", str(seed), "--seconds", str(seconds)],
@@ -156,6 +193,8 @@ def main(argv: list[str]) -> None:
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("--n", type=int, nargs="*", default=[64, 256, 1024])
     parser.add_argument("--reps", type=int, default=3)
+    parser.add_argument("--repeat", type=int, default=0,
+                        help="keygen calls in one process for the repeat row (0: no row)")
     parser.add_argument("--labbench", nargs="*", default=[], choices=["sign", "attack", "cli"])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=25)
@@ -166,6 +205,8 @@ def main(argv: list[str]) -> None:
     host = {"cpus": len(os.sched_getaffinity(0)), "python": platform.python_version(),
             "numpy": numpy, "machine": platform.machine(), "cpu": cpu_model()}
     out = {"host": host, "lwe_cli": lwe_rows(parent, args.n, args.reps)}
+    if args.repeat:
+        out["repeat"] = repeat_row(parent, args.repeat, args.reps)
     if args.labbench:
         out["labbench"] = {w: labbench_table(parent, w, args.pairs, args.seconds)
                            for w in args.labbench}

@@ -351,6 +351,9 @@ def test_fresh_seed_notice_goes_to_stderr(capsys):
 
 
 WEAK_SAMPLES = "<weak.txt>"  # stands for the `weak_samples` fixture's file
+# LWE public keys whose header claims what their rows do not hold, and a message
+HUGE_N_KEY, HUGE_M_KEY, MESSAGE = "<huge-n.pub>", "<huge-m.pub>", "<msg.txt>"
+LWE_HEAD = "latticelab-lwe-v1\ntype=public\nn={n}\nq=257\nalpha=0.015625\nm={m}\n"
 
 BAD_NUMBERS = [
     (["sample", "--dist", "uniform", "--q", "-5"], 2),
@@ -391,6 +394,12 @@ BAD_NUMBERS = [
       "--seed", SEED], 1),
     # t * sqrt(16) * 1.5 overflows a float on the README's weak ring
     (["attack", "--alg", "1", "--t", "1e308", "--samples", WEAK_SAMPLES], 1),
+    # LWE keys whose header sizes what their rows do not hold: n = 2^63 - 1 with
+    # no rows, and m = 2^62 with one row; neither may size an array
+    (["encrypt", "--scheme", "lwe", "--public", HUGE_N_KEY, "--message", MESSAGE,
+      "--seed", SEED], 1),
+    (["encrypt", "--scheme", "lwe", "--public", HUGE_M_KEY, "--message", MESSAGE,
+      "--seed", SEED], 1),
 ]
 
 
@@ -405,9 +414,21 @@ def weak_samples(tmp_path_factory):
     return str(d / "weak.txt")
 
 
+@pytest.fixture(scope="module")
+def bad_input_files(tmp_path_factory, weak_samples):
+    """Each file placeholder of BAD_NUMBERS and the file it stands for."""
+    d = tmp_path_factory.mktemp("bad")
+    files = {HUGE_N_KEY: LWE_HEAD.format(n=2**63 - 1, m=0),
+             HUGE_M_KEY: LWE_HEAD.format(n=16, m=2**62) + "sample=" + "1," * 16 + "1\n",
+             MESSAGE: "1011\n"}
+    for name, text in files.items():
+        (d / name.strip("<>")).write_text(text)
+    return {WEAK_SAMPLES: weak_samples, **{name: str(d / name.strip("<>")) for name in files}}
+
+
 @pytest.mark.parametrize("argv, code", BAD_NUMBERS)
-def test_bad_numbers_exit_with_one_line(tmp_path, capsys, weak_samples, argv, code):
-    argv = [weak_samples if a == WEAK_SAMPLES else a for a in argv]
+def test_bad_numbers_exit_with_one_line(tmp_path, capsys, bad_input_files, argv, code):
+    argv = [bad_input_files.get(a, a) for a in argv]
     if argv[0] == "keygen":
         argv = argv + ["--seed", SEED, "--out-secret", str(tmp_path / "s"),
                        "--out-public", str(tmp_path / "p"), "--out-params", str(tmp_path / "m")]

@@ -1,4 +1,8 @@
+import os
 import re
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from latticelab import bgv, cli, fileio, glyph, lwe, plwe
 from latticelab.errors import FormatError, InvalidParams
 from latticelab.polyring import RingElement, RingParams
 from latticelab.rng import SeededRng
-from latticelab.zq import Modulus
+from latticelab.zq import Modulus, next_prime
 
 
 @pytest.fixture
@@ -542,6 +546,8 @@ BLOCK_FAULTS = {
                 "has an entry outside"),
     "entry past int64": (lambda ls, i: ls[:i] + [_edit_entry(ls[i], 2, lambda e: "9" * 19)]
                          + ls[i + 1:], "has an entry outside"),
+    "key misspelled": (lambda ls, i: ls[:i] + [ls[i].replace("sample=", "sampel=")] + ls[i + 1:],
+                       "rows must repeat sample in that order"),
 }
 
 
@@ -717,6 +723,203 @@ def test_swapped_lines_round_trip_or_are_refused(name):
     for i in range(len(lines) - 1):
         swapped = lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:]
         _round_trips_or_refused(name, _join(swapped))
+
+
+def _outcome(decode):
+    """decode()'s fields, arrays as lists, or its FormatError's message."""
+    try:
+        params, d = decode()
+    except FormatError as e:
+        return str(e)
+    return params, {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in d.items()}
+
+
+def _streamed_and_whole(tmp_path, name, data: bytes, **context):
+    """Record `name` decoded from a file holding `data`, a block at a time,
+    and from the file's text read whole, as the str forms read it."""
+    path = tmp_path / "record"
+    path.write_bytes(data)
+
+    def streamed():
+        with path.open("rb") as fh:
+            return fileio._decode_stream(name, *fileio._file_lines(fh), **context)
+
+    return (_outcome(streamed),
+            _outcome(lambda: fileio._decode(name, cli._read(str(path)), **context)))
+
+
+@pytest.mark.parametrize("fault", sorted(BLOCK_FAULTS))
+@pytest.mark.parametrize("block", [1, 17, 40, fileio._BLOCK_ENTRIES])
+def test_read_lwe_public_refuses_a_block_fault_as_load_does(fault, block, monkeypatch, tmp_path):
+    text = RECORDS["lwe-public"][0]
+    rows, lines = _sample_lines(text)
+    mutate, message = BLOCK_FAULTS[fault]
+    monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", block)
+    path = tmp_path / "pub"
+    for i in (rows[0], rows[-9], rows[-4], rows[-2]):
+        mutated = "\n".join(mutate(lines, i))
+        path.write_text(mutated)
+        with pytest.raises(FormatError, match=message) as streamed:
+            fileio.read_lwe_public(path)
+        with pytest.raises(FormatError) as whole:
+            fileio.load_lwe_public(mutated)
+        assert str(streamed.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("block", [1, 17, 40, fileio._BLOCK_ENTRIES])
+def test_written_lwe_public_key_is_the_dumped_text(block, monkeypatch, tmp_path):
+    pk = fileio.load_lwe_public(RECORDS["lwe-public"][0])
+    monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", block)
+    fileio.write_lwe_public(tmp_path / "pub", pk)
+    assert (tmp_path / "pub").read_bytes() == fileio.dump_lwe_public(pk).encode()
+    assert fileio.dump_lwe_public(pk) == RECORDS["lwe-public"][0]
+    again = fileio.read_lwe_public(tmp_path / "pub")
+    assert np.array_equal(again.a, pk.a) and np.array_equal(again.b, pk.b)
+    assert again.params == pk.params
+
+
+def test_cli_keygen_writes_the_dumped_public_key(tmp_path):
+    assert cli.main(["keygen", "--scheme", "lwe", "--n", "64", "--seed", "5d" * 32,
+                     "--out-secret", str(tmp_path / "s"), "--out-public", str(tmp_path / "p")]) == 0
+    pk = fileio.read_lwe_public(tmp_path / "p")
+    assert (tmp_path / "p").read_text() == fileio.dump_lwe_public(pk)
+    assert pk.a.shape == (pk.params.m, 64)
+
+
+# Byte edits the str forms must see exactly as the file forms do: line
+# breaks, separators, signs, digits, and bytes that are not UTF-8 alone.
+_BYTE_EDITS = st.sampled_from([b"\n", b"\r", b",", b"-", b"=", b"0", b"7", b"\xff", b"\xc3",
+                               b"\xc3\xa9", b"\xe2\x82", b""])
+
+
+@pytest.fixture(scope="module")
+def module_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("records")
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(fileio.RECORDS)), block=st.integers(1, 40),
+       edits=st.lists(st.tuples(st.floats(0, 1), st.integers(0, 2), _BYTE_EDITS), max_size=3))
+def test_a_record_read_a_block_at_a_time_is_the_record_read_whole(name, block, edits,
+                                                                   module_dir):
+    """Any record, with up to three bytes replaced, inserted or deleted, at
+    any block size (and so any chunk of the file): the same fields or the
+    same message."""
+    data = bytearray(RECORDS[name][0].encode())
+    for at, op, new in edits:
+        i = int(at * (len(data) - 1))
+        data[i : i + (op != 1)] = new if op < 2 else b""
+    context = {"params": BGV_TOY} if name == "bgv-ciphertext" else {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_BLOCK_ENTRIES", block)
+        streamed, whole = _streamed_and_whole(module_dir, name, bytes(data), **context)
+    assert streamed == whole
+
+
+@pytest.mark.parametrize("name", sorted(fileio.RECORDS))
+def test_line_mutations_read_a_block_at_a_time_as_whole(name, tmp_path, monkeypatch):
+    text = RECORDS[name][0]
+    lines = _lines(text)
+    context = {"params": BGV_TOY} if name == "bgv-ciphertext" else {}
+    monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", 17)
+    texts = [text, text + "\n", text[:-1], text.replace("\n", "\r\n"), "", "\n"]
+    texts += [_join(mutate(lines, i)) for mutate in LINE_MUTATIONS.values()
+              for i in range(len(lines))]
+    texts += [RECORDS[other][0] for other in RECORDS]  # every other record type
+    for t in texts:
+        streamed, whole = _streamed_and_whole(tmp_path, name, t.encode(), **context)
+        assert streamed == whole, t
+
+
+@pytest.mark.parametrize("char", ["\u00e9", "\u20ac", "\U0001f600"])
+def test_read_lwe_public_decodes_a_character_across_chunks(char, monkeypatch, tmp_path):
+    """A character of 2, 3 or 4 bytes in a field's value, at every offset
+    from a chunk's end, decodes as in the text read whole: the message
+    quotes it."""
+    text = RECORDS["lwe-public"][0]
+    at = text.index("alpha=") + len("alpha=")
+    monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", 1)  # chunks of 8 bytes
+    for i in range(at, at + 8):
+        mutated = text[:i] + char + text[i:]
+        (tmp_path / "pub").write_text(mutated)
+        with pytest.raises(FormatError, match=char) as streamed:
+            fileio.read_lwe_public(tmp_path / "pub")
+        with pytest.raises(FormatError) as whole:
+            fileio.load_lwe_public(mutated)
+        assert str(streamed.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_a_text_without_its_final_newline_is_refused_as_such(name):
+    """The frame is checked first: a text that does not end in a newline
+    is refused for that, even when a line before has a fault of its own."""
+    text = RECORDS[name][0]
+    lines = _lines(text)
+    context = {"params": BGV_TOY} if name == "bgv-ciphertext" else {}
+    for bad in [text[:-1], text + "1", _join(lines[:1] + [" " + ln for ln in lines[1:]])[:-1],
+                _join(lines[:-1])[:-1], text + "x" * 50]:
+        with pytest.raises(FormatError, match="as first line.s. and a final newline"):
+            fileio._decode(name, bad, **context)
+
+
+@pytest.mark.parametrize("name", ["plwe-ciphertext", "plwe-samples"])
+@pytest.mark.parametrize("row", [0, 1, -2, -1])
+def test_rows_out_of_key_order_are_refused_as_such_at_any_block(name, row, monkeypatch):
+    text = RECORDS[name][0]
+    lines = _lines(text)
+    i = [i for i, ln in enumerate(lines) if ln.startswith(("u=", "v=", "a=", "b="))][row]
+    key, _, value = lines[i].partition("=")
+    other = {"u": "v", "v": "u", "a": "b", "b": "a"}[key]
+    mutated = _join(lines[:i] + [f"{other}={value}"] + lines[i + 1:])
+    for block in (1, 17, fileio._BLOCK_ENTRIES):
+        monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", block)
+        with pytest.raises(FormatError, match="rows must repeat"):
+            RECORDS[name][1](mutated)
+
+
+def test_a_long_line_is_read_in_linear_time(monkeypatch, tmp_path):
+    """A line of 2^18 characters over 2^15 chunks of 8 bytes is joined
+    once, not copied at every chunk."""
+    monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", 1)
+    text = RECORDS["lwe-public"][0].replace("\nsample=", "\nsample=" + "1," * (1 << 17), 1)
+    (tmp_path / "pub").write_text(text)
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="wrong length or spelling"):
+        fileio.read_lwe_public(tmp_path / "pub")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_read_lwe_public_from_a_pipe(tmp_path):
+    """A file of unknown size, such as a pipe, is read whole, with the same
+    key or message."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    for text in [RECORDS["lwe-public"][0], RECORDS["lwe-public"][0][:-1]]:
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            streamed = _outcome(lambda: (0, vars(fileio.read_lwe_public(fifo))))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        whole = _outcome(lambda: (0, vars(fileio.load_lwe_public(text))))
+        assert streamed == whole
+
+
+def test_rows_too_short_for_their_count_allocate_nothing():
+    """Rows that the text has no room for are refused before an array of
+    count x n is made: here 10^4 lines after a first of 2^20 entries."""
+    n, q = 1 << 20, next_prime(1 << 40)
+    text = (f"latticelab-lwe-v1\ntype=public\nn={n}\nq={q}\nalpha=0.1\nm=10000\n"
+            + "sample=" + "0," * n + "0\n" + "sample=0\n" * 9999)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="wrong length or spelling"):
+            fileio.load_lwe_public(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(text)
 
 
 def _field_lines(lines):

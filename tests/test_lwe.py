@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from latticelab import lwe as lwe_mod
 from latticelab.errors import InvalidParams, LengthMismatch, NTooSmall
 from latticelab.gaussian import GaussianParams
 from latticelab.lwe import (
@@ -146,3 +147,19 @@ def test_small_scale_roundtrip(rng):
 def test_public_key_size():
     p = derive_params(64)
     assert public_key_size(p) == 845 * 65
+
+
+@pytest.mark.parametrize("entries", [1, 16, 17 * 16, 1 << 16])
+def test_encrypt_sums_row_blocks_as_one_gather(rng, monkeypatch, entries):
+    """Rows summed a block at a time (one row, from fewer entries than n or
+    exactly n; 17 rows; all m) give the ciphertext of one gather of every
+    chosen row."""
+    p = derive_params(16)
+    _, pk = keygen(p, rng.derive("key"))
+    monkeypatch.setattr(lwe_mod, "_SUM_ENTRIES", entries)
+    for i, z in enumerate([0, 1, 1, 0]):
+        ct = encrypt_bit(pk, z, rng.derive(f"bit-{i}"))
+        raw = np.frombuffer(rng.derive(f"bit-{i}").take_bytes((p.m + 7) // 8), dtype=np.uint8)
+        subset = np.unpackbits(raw)[: p.m] == 1
+        assert ct.u.tolist() == (pk.a[subset].sum(axis=0) % p.q).tolist()
+        assert ct.v == (z * (p.q // 2) + int(pk.b[subset].sum())) % p.q
