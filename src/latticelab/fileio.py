@@ -26,7 +26,8 @@ import codecs
 import os
 import re
 import stat
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +114,8 @@ class _Vec:
 
     @staticmethod
     def encode(v):
-        return format_rows([v])[:-1]
+        v = np.asarray(v)
+        return ",".join(["%d"] * len(v)) % tuple(v.tolist())
 
     def decode(self, text, d, key):
         reader = _VecRows(self, d, key, 1, len(text) + 1)
@@ -145,6 +147,8 @@ class _VecRows:
     proved n and the text has room for `count` such lines, so no header
     field sizes it alone."""
 
+    __slots__ = ("kind", "d", "key", "count", "size", "skip", "n", "vals", "row", "chars", "bad")
+
     def __init__(self, kind, d, key, count, size, skip=0):
         self.kind, self.d, self.key, self.count, self.size = kind, d, key, count, size
         self.skip, self.n = skip, kind.n(d) if kind.n else None
@@ -156,16 +160,17 @@ class _VecRows:
         if self.n is None:
             self.n = lines[0].count(",") + 1
         n = self.n
-        self.bad = any(t.count(",") != n - 1 for t in lines) or (
+        self.bad = set(map(str.count, lines, repeat(","))) != {n - 1} or (
             self.vals is None and self.count * (2 * n - 1) > self.size)
         if self.bad:
             return
         if self.vals is None:
             self.vals = np.empty((self.count, n), dtype=np.int64)
         skip = self.skip
-        body = ",".join([t[skip:] for t in lines] if skip else lines)
+        body = ",".join(map(itemgetter(slice(skip, None)), lines) if skip else lines)
         digits = ("," + body).replace(",-", ",")[1:] if self.kind.signed else body
-        self.bad = ",," in f",{digits}," or bool(digits.encode().translate(None, b"0123456789,"))
+        self.bad = (not digits or digits[0] == "," or digits[-1] == "," or ",," in digits  # empty
+                    or bool(digits.encode().translate(None, b"0123456789,")))
         if not self.bad:
             end = self.row + len(lines)
             self.vals[self.row : end] = np.fromstring(body, dtype=np.int64, sep=",").reshape(-1, n)
@@ -173,16 +178,15 @@ class _VecRows:
 
     def result(self):
         kind, key = self.kind, self.key
-        bad = FormatError(f"bad vector {key!r}: wrong length or spelling")
         if self.bad:
-            raise bad
+            raise FormatError(f"bad vector {key!r}: wrong length or spelling")
         vals = np.empty((0, self.n), dtype=np.int64) if self.vals is None else self.vals
         mag = np.abs(vals) if kind.signed else vals
         top = int(mag.max(initial=0))
-        width = 2 * vals.size + np.count_nonzero(vals < 0) + sum(
+        width = 2 * vals.size + (np.count_nonzero(vals < 0) if kind.signed else 0) + sum(
             np.count_nonzero(mag >= p) for p in _POW10[:len(str(top)) - 1])
         if self.chars != width:
-            raise bad
+            raise FormatError(f"bad vector {key!r}: wrong length or spelling")
         if kind.q is not None and top >= kind.q(self.d):
             raise FormatError(f"vector {key!r} has an entry outside [0, q)")
         if kind.ok and not kind.ok(vals, self.d):
@@ -289,13 +293,14 @@ def _blocks(name: str, params=None, **values):
     whose rows stand side by side on its lines."""
     rec = RECORDS[name]
     values.update(rec.params.write(params))
-    yield rec.head + "\n" + "".join(f"{key}={kind.encode(values[key])}\n"
-                                    for key, kind in rec.fields)
+    head = rec.head + "\n" + "".join(f"{key}={kind.encode(values[key])}\n"
+                                     for key, kind in rec.fields)
     _, keys, _ = rec.rows
-    if keys:
-        yield from _format_blocks(
-            [values[key] if isinstance(values[key], tuple) else (values[key],) for key in keys],
-            [key + "=" for key in keys])
+    if not keys:
+        return (head,)
+    return chain((head,), _format_blocks(
+        [values[key] if isinstance(values[key], tuple) else (values[key],) for key in keys],
+        [key + "=" for key in keys]))
 
 
 def _encode(name: str, params=None, **values) -> str:
