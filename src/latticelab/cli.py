@@ -71,16 +71,13 @@ def _rng_from_args(args) -> SeededRng:
     return rng
 
 
-def _read(path: str) -> str:
-    """The text as stored: no newline translation; bad bytes become U+FFFD."""
-    return Path(path).read_bytes().decode("utf-8", "replace")
-
-
-def _write_out(args, text) -> None:
-    """Write `text`, a str or an iterable of str blocks, to --out or stdout."""
+def _write_out(path, text) -> None:
+    """Write `text`, a str or an iterable of str blocks, to the file `path`,
+    or to stdout if `path` is None or empty (as --out is when not given).
+    A key path is passed as a Path, so an empty one names "." instead."""
     blocks = (text,) if isinstance(text, str) else text
-    if getattr(args, "out", None):
-        with Path(args.out).open("w") as fh:
+    if path:
+        with Path(path).open("w") as fh:
             fh.writelines(blocks)
     else:
         sys.stdout.writelines(blocks)
@@ -106,23 +103,23 @@ def cmd_keygen(args) -> int:
     if args.scheme == "lwe":
         params = lwe.derive_params(args.n)
         sk, pk = lwe.keygen(params, rng.derive("lwe-keygen"))
-        Path(args.out_secret).write_text(fileio.dump_lwe_secret(sk, params))
-        fileio.write_lwe_public(args.out_public, pk)
+        _write_out(Path(args.out_secret), fileio.record_blocks("lwe-secret", sk, params))
+        _write_out(Path(args.out_public), fileio.record_blocks("lwe-public", pk))
     elif args.scheme == "plwe":
         params = plwe.default_params(args.n, sigma=args.sigma, floor=args.q_floor)
         kp = plwe.keygen(params, rng.derive("plwe-keygen"))
-        Path(args.out_secret).write_text(fileio.dump_plwe_secret(kp, params))
-        Path(args.out_public).write_text(fileio.dump_plwe_public(kp, params))
+        _write_out(Path(args.out_secret), fileio.record_blocks("plwe-secret", kp.s, params))
+        _write_out(Path(args.out_public), fileio.record_blocks("plwe-public", (kp.a, kp.b), params))
     elif args.scheme == "glyph":
         params = glyph.GlyphParams(n=args.n)
         sk, pk = glyph.keygen(params, rng.derive("glyph-keygen"))
-        Path(args.out_secret).write_text(fileio.dump_glyph_secret(sk, params))
-        Path(args.out_public).write_text(fileio.dump_glyph_public(pk, params))
+        _write_out(Path(args.out_secret), fileio.record_blocks("glyph-secret", sk, params))
+        _write_out(Path(args.out_public), fileio.record_blocks("glyph-public", pk, params))
     else:  # bgv
         params = bgv.setup(args.m, args.p, args.r, args.levels)
         sk = bgv.keygen(params, rng.derive("bgv-keygen"))
-        Path(args.out_params).write_text(fileio.dump_bgv_params(params))
-        Path(args.out_secret).write_text(fileio.dump_bgv_secret(sk))
+        _write_out(Path(args.out_params), fileio.record_blocks("bgv-params", params))
+        _write_out(Path(args.out_secret), fileio.record_blocks("bgv-secret", sk))
     return 0
 
 
@@ -134,14 +131,14 @@ def cmd_encrypt(args) -> int:
     rng = _rng_from_args(args)
     message, digest = _read_message(args.message)
     if args.scheme == "lwe":
-        pk = fileio.read_lwe_public(args.public)
+        pk = fileio.read_record(args.public, "lwe-public")
         cts = [
             lwe.encrypt_bit(pk, z, rng.derive(f"lwe-bit-{i}/{digest}"))
             for i, z in enumerate(_bits(message))
         ]
-        _write_out(args, fileio.dump_lwe_ciphertext(cts, pk.params))
+        _write_out(args.out, fileio.record_blocks("lwe-ciphertext", cts, pk.params))
     elif args.scheme == "plwe":
-        pk, params = fileio.load_plwe_public(_read(args.public))
+        pk, params = fileio.read_record(args.public, "plwe-public")
         bits = _bits(message)
         n = params.n
         blocks = []
@@ -151,35 +148,35 @@ def cmd_encrypt(args) -> int:
             blocks.append(
                 plwe.encrypt(pk, block, params, rng.derive(f"plwe-block-{i // n}/{digest}"))
             )
-        _write_out(args, fileio.dump_plwe_ciphertext(blocks, params))
+        _write_out(args.out, fileio.record_blocks("plwe-ciphertext", blocks, params))
     else:  # bgv
-        params = fileio.load_bgv_params(_read(args.params))
-        sk = fileio.load_bgv_secret(_read(args.secret))
+        params = fileio.read_record(args.params, "bgv-params")
+        sk = fileio.read_record(args.secret, "bgv-secret")
         pt = parse_poly(message.decode("utf-8", "replace"))
         ct = bgv.encrypt(pt, sk, params, rng.derive(f"bgv-encrypt/{digest}"))
-        _write_out(args, fileio.dump_bgv_ciphertext(ct, params))
+        _write_out(args.out, fileio.record_blocks("bgv-ciphertext", ct, params))
     return 0
 
 
 def cmd_decrypt(args) -> int:
     if args.scheme == "lwe":
-        sk, params = fileio.load_lwe_secret(_read(args.secret))
-        cts, ct_params = fileio.load_lwe_ciphertext(_read(args.infile))
+        sk, params = fileio.read_record(args.secret, "lwe-secret")
+        cts, ct_params = fileio.read_record(args.infile, "lwe-ciphertext")
         check_same_params(ct_params, params, "the ciphertext's LWE", "the secret key's")
         bits = "".join(str(lwe.decrypt_bit(sk, ct, params)) for ct in cts)
-        _write_out(args, bits + "\n")
+        _write_out(args.out, bits + "\n")
     elif args.scheme == "plwe":
-        s, params = fileio.load_plwe_secret(_read(args.secret))
-        blocks, ct_params = fileio.load_plwe_ciphertext(_read(args.infile))
+        s, params = fileio.read_record(args.secret, "plwe-secret")
+        blocks, ct_params = fileio.read_record(args.infile, "plwe-ciphertext")
         check_same_params(ct_params, params, "the ciphertext's PLWE", "the secret key's")
         bits = "".join("".join(map(str, plwe.decrypt(s, ct))) for ct in blocks)
-        _write_out(args, bits + "\n")
+        _write_out(args.out, bits + "\n")
     else:  # bgv
-        params = fileio.load_bgv_params(_read(args.params))
-        sk = fileio.load_bgv_secret(_read(args.secret))
-        ct = fileio.load_bgv_ciphertext(_read(args.infile), params)
+        params = fileio.read_record(args.params, "bgv-params")
+        sk = fileio.read_record(args.secret, "bgv-secret")
+        ct = fileio.read_record(args.infile, "bgv-ciphertext", params=params)
         pt = bgv.decrypt(ct, sk, params)
-        _write_out(args, ",".join(map(str, pt)) + "\n")
+        _write_out(args.out, ",".join(map(str, pt)) + "\n")
     return 0
 
 
@@ -189,19 +186,19 @@ def cmd_decrypt(args) -> int:
 
 def cmd_sign(args) -> int:
     rng = _rng_from_args(args)
-    sk, params = fileio.load_glyph_secret(_read(args.secret))
-    pk, pk_params = fileio.load_glyph_public(_read(args.public))
+    sk, params = fileio.read_record(args.secret, "glyph-secret")
+    pk, pk_params = fileio.read_record(args.public, "glyph-public")
     check_same_params(pk_params, params, "the public key's GLYPH", "the secret key's")
     message, digest = _read_message(args.message)
     sig, iters = glyph.sign(sk, pk, message, params, rng.derive(f"glyph-sign/{digest}"))
     print(f"signed in {iters} iteration(s)", file=sys.stderr)
-    _write_out(args, fileio.dump_glyph_signature(sig, params))
+    _write_out(args.out, fileio.record_blocks("glyph-signature", sig, params))
     return 0
 
 
 def cmd_verify(args) -> int:
-    pk, params = fileio.load_glyph_public(_read(args.public))
-    sig, sig_params = fileio.load_glyph_signature(_read(args.signature))
+    pk, params = fileio.read_record(args.public, "glyph-public")
+    sig, sig_params = fileio.read_record(args.signature, "glyph-signature")
     check_same_params(sig_params, params, "the signature's GLYPH", "the public key's")
     message = Path(args.message).read_bytes()
     result = glyph.verify(pk, message, sig, params)
@@ -218,12 +215,12 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     report = attacks.weakness_scan(parse_poly(args.f), Modulus(args.q), r_max=args.r_max)
-    _write_out(args, report.render_text() + "\n")
+    _write_out(args.out, report.render_text() + "\n")
     return 0
 
 
 def cmd_attack(args) -> int:
-    samples, params = fileio.load_plwe_samples(_read(args.samples))
+    samples, params = fileio.read_record(args.samples, "plwe-samples")
     if args.alg == 1:
         verdicts = attacks.decide_alg1(samples, params, t=args.t)
     else:
@@ -232,15 +229,15 @@ def cmd_attack(args) -> int:
     lines = [
         f"{i}\t{v.label}\t{v.surviving_secrets}" for i, v in enumerate(verdicts)
     ]
-    _write_out(args, "\n".join(lines) + "\n")
+    _write_out(args.out, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_smear(args) -> int:
     rng = _rng_from_args(args)
-    params = fileio.load_plwe_params(_read(args.params))
+    params = fileio.read_record(args.params, "plwe-params")
     est = attacks.smearing_estimate(params, args.alpha, args.trials, rng.derive("smear"))
-    _write_out(args, f"{est!r}\n")
+    _write_out(args.out, f"{est!r}\n")
     return 0
 
 
@@ -249,16 +246,16 @@ def cmd_smear(args) -> int:
 
 
 def cmd_bgv_eval(args) -> int:
-    params = fileio.load_bgv_params(_read(args.params))
+    params = fileio.read_record(args.params, "bgv-params")
     inputs = {}
     for wire, path in args.inputs:
-        inputs[wire] = fileio.load_bgv_ciphertext(_read(path), params)
-    lines = _read(args.circuit).splitlines()
+        inputs[wire] = fileio.read_record(path, "bgv-ciphertext", params=params)
+    lines = Path(args.circuit).read_bytes().decode("utf-8", "replace").splitlines()
     wires = bgv.eval_circuit(lines, inputs, params)
     for wire, path in args.outputs:
         if wire not in wires:
             raise LatticeLabError(f"no wire named {wire!r}")
-        Path(path).write_text(fileio.dump_bgv_ciphertext(wires[wire], params))
+        _write_out(path, fileio.record_blocks("bgv-ciphertext", wires[wire], params))
     return 0
 
 
@@ -279,26 +276,26 @@ def cmd_sample(args) -> int:
             draws = fold_to_zq_array(gp, Modulus(args.q), rng, args.count)
         else:
             draws = sample_int_array(gp, rng, args.count)
-        _write_out(args, _draw_lines(draws))
+        _write_out(args.out, _draw_lines(draws))
     elif args.dist == "uniform":
-        _write_out(args, _draw_lines(rng.uniform_array(args.q, args.count)))
+        _write_out(args.out, _draw_lines(rng.uniform_array(args.q, args.count)))
     else:
         if args.dist == "plwe-oracle":
-            s, params = fileio.load_plwe_secret(_read(args.secret))
+            s, params = fileio.read_record(args.secret, "plwe-secret")
             if args.params:
-                check_same_params(fileio.load_plwe_params(_read(args.params)), params,
+                check_same_params(fileio.read_record(args.params, "plwe-params"), params,
                                   "the parameter file's PLWE", "the secret key's")
             samples = [
                 plwe.oracle_sample(params, s, rng.derive(f"oracle-{i}"))
                 for i in range(args.count)
             ]
         else:  # plwe-uniform
-            params = fileio.load_plwe_params(_read(args.params))
+            params = fileio.read_record(args.params, "plwe-params")
             samples = [
                 plwe.uniform_sample_pair(params, rng.derive(f"uniform-{i}"))
                 for i in range(args.count)
             ]
-        _write_out(args, fileio.dump_plwe_samples(samples, params))
+        _write_out(args.out, fileio.record_blocks("plwe-samples", samples, params))
     return 0
 
 
@@ -337,7 +334,7 @@ def cmd_bench(args) -> int:
     out = "\n".join(
         "  ".join(col.ljust(w) for col, w in zip(row, widths)) for row in rows
     )
-    _write_out(args, out + "\n")
+    _write_out(args.out, out + "\n")
     return 0
 
 

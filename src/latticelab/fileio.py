@@ -8,16 +8,16 @@ else raises FormatError, so no key, ciphertext or signature has a second
 text encoding.  Text beats binary here: inspectability matters more than
 compactness.
 
-Both directions are one stream of line blocks: the header and fields,
-then the rows about _BLOCK_ENTRIES entries at a time.  The encoder yields
-a block's text from slices of the caller's arrays (one %-format per
-block); the decoder takes lines from an iterator, proves a block's
-spelling with a few string checks and parses it with one np.fromstring
-into the record's int64 array, and checks one length identity over all
-blocks (`_VecRows`).  ``dump_*``/``load_*`` are the ``str`` forms of that
-stream; ``write_lwe_public`` and ``read_lwe_public`` are its file forms,
-so the LWE public key, the bulkiest record, is never held as one text:
-coding a record holds the record and one block.
+Each direction has one entry, over one stream of line blocks: the header
+and fields, then the rows about _BLOCK_ENTRIES entries at a time.
+`record_blocks` yields a record's text as blocks cut from slices of the
+caller's arrays (one %-format per block); `read_record` takes a file's
+lines a chunk at a time, proves a block's spelling with a few string
+checks, parses it with one np.fromstring into the record's int64 array
+and checks one length identity over all blocks (`_VecRows`).  So coding
+a record holds the record and one block, never its whole text.  Each
+``RECORDS`` row maps its objects to its fields and back; `dump_record`
+and `load_record` are the ``str`` forms of the same stream.
 """
 
 from __future__ import annotations
@@ -68,17 +68,12 @@ def _format_blocks(pieces, prefixes):
 
 
 def format_row_blocks(rows, prefixes=("",)):
-    """format_rows' text as an iterator of blocks."""
+    """One line per row of the 2-D int array `rows`: the next of `prefixes`
+    in turn, then the row's entries in decimal, joined by commas; as text
+    blocks of about _BLOCK_ENTRIES entries, a whole number of prefix cycles
+    each, not one join per row."""
     rows, k = np.asarray(rows), len(prefixes)
     return _format_blocks([[rows[i::k]] for i in range(k)], prefixes)
-
-
-def format_rows(rows, prefixes=("",)) -> str:
-    """One line per row of the 2-D int array `rows`: the next of `prefixes`
-    in turn, then the row's entries in decimal, joined by commas.  One
-    %-format per block of about _BLOCK_ENTRIES entries, a whole number of
-    prefix cycles, not one join per row."""
-    return "".join(format_row_blocks(rows, prefixes))
 
 
 class _Num:
@@ -255,56 +250,103 @@ _BGV = _Params(
 class _Record:
     """The header line, a "type=" line if file_type is set, the parameter
     fields and the record's own fields in write order, then the rows: (count
-    field, keys, kind), the keys repeated as often as the count field says."""
+    field, keys, kind), the keys repeated as often as the count field says.
+    write maps the record's objects to (parameter object, field values); a
+    row key's value is the array of its rows, or a tuple of arrays whose rows
+    stand side by side on its lines.  read maps (parameter object, fields)
+    back to the objects."""
 
-    def __init__(self, params, file_type=None, fields=(), rows=(None, (), None)):
+    def __init__(self, params, file_type=None, fields=(), rows=(None, (), None),
+                 write=lambda p: (p, {}), read=lambda p, d: p):
         self.params, self.fields, self.rows = params, params.fields + fields, rows
+        self.write, self.read = write, read
         self.head = params.header + (f"\ntype={file_type}" if file_type else "")
         self.head_lines = self.head.split("\n")
         self.frame = f"expected {self.head!r} as first line(s) and a final newline"
 
 
+def _elements(ring: RingParams, *rows) -> list[RingElement]:
+    """Rows the decoder has checked, n residues in [0, q) each, as elements
+    that keep them: no copy of the record is made."""
+    return [RingElement._of(row, ring) for row in rows]
+
+
+def _signature_fields(sig: glyph_mod.GlyphSignature, p: glyph_mod.GlyphParams):
+    pairs = glyph_mod._pairs_of(sig.c, p)
+    if pairs is None:
+        raise InvalidParams(f"a GLYPH challenge must have exactly k={p.k} entries, each +-1")
+    return p, {"c": pairs.items(), "z1": sig.z1.vec, "z2": sig.z2.vec}
+
+
 RECORDS = {
-    "lwe-secret": _Record(_LWE, "secret", (("s", _RES),)),
-    "lwe-public": _Record(_LWE, "public", (), ("m", ("sample",), _RES_N1)),
-    "lwe-ciphertext": _Record(_LWE, "ciphertext", (("bits", _INT_),), ("bits", ("ct",), _RES_N1)),
+    "lwe-secret": _Record(
+        _LWE, "secret", (("s", _RES),),
+        write=lambda sk, p: (p, {"s": sk.s}),
+        read=lambda p, d: (lwe_mod.LweSecretKey(s=d["s"]), p)),
+    "lwe-public": _Record(
+        _LWE, "public", (), ("m", ("sample",), _RES_N1),
+        write=lambda pk: (pk.params, {"sample": (pk.a, pk.b)}),
+        read=lambda p, d: lwe_mod.LwePublicKey(a=d["sample"][:, :p.n], b=d["sample"][:, p.n],
+                                               params=p)),
+    "lwe-ciphertext": _Record(
+        _LWE, "ciphertext", (("bits", _INT_),), ("bits", ("ct",), _RES_N1),
+        write=lambda cts, p: (p, {"bits": len(cts),
+                                  "ct": ([ct.u for ct in cts], [ct.v for ct in cts])}),
+        read=lambda p, d: ([lwe_mod.LweCiphertext(u=row[:p.n], v=int(row[p.n]))
+                            for row in d["ct"]], p)),
     "plwe-params": _Record(_PLWE),
-    "plwe-secret": _Record(_PLWE, None, (("s", _RES),)),
-    "plwe-public": _Record(_PLWE, None, (("a", _RES), ("b", _RES))),
-    "plwe-ciphertext": _Record(_PLWE, None, (("blocks", _INT_),), ("blocks", ("u", "v"), _RES)),
-    "plwe-samples": _Record(_PLWE, None, (("count", _INT_),), ("count", ("a", "b"), _RES)),
-    "glyph-secret": _Record(_GLYPH, None, (("s", _TERNARY_RES), ("e", _TERNARY_RES))),
-    "glyph-public": _Record(_GLYPH, None, (("a", _RES), ("t", _RES))),
-    "glyph-signature": _Record(_GLYPH, None, (("c", _Challenge()), ("z1", _RES), ("z2", _RES))),
+    "plwe-secret": _Record(
+        _PLWE, None, (("s", _RES),),
+        write=lambda s, p: (p, {"s": s.vec}),
+        read=lambda p, d: (RingElement._of(d["s"], p.ring), p)),
+    "plwe-public": _Record(  # the key is the pair (a, b), as plwe.encrypt takes it
+        _PLWE, None, (("a", _RES), ("b", _RES)),
+        write=lambda pk, p: (p, {"a": pk[0].vec, "b": pk[1].vec}),
+        read=lambda p, d: (tuple(_elements(p.ring, d["a"], d["b"])), p)),
+    "plwe-ciphertext": _Record(
+        _PLWE, None, (("blocks", _INT_),), ("blocks", ("u", "v"), _RES),
+        write=lambda cts, p: (p, {"blocks": len(cts), "u": [ct.u.vec for ct in cts],
+                                  "v": [ct.v.vec for ct in cts]}),
+        read=lambda p, d: ([plwe_mod.PlweCiphertext(*uv) for uv in zip(
+            _elements(p.ring, *d["u"]), _elements(p.ring, *d["v"]))], p)),
+    "plwe-samples": _Record(
+        _PLWE, None, (("count", _INT_),), ("count", ("a", "b"), _RES),
+        write=lambda samples, p: (p, {"count": len(samples), "a": [s.a.vec for s in samples],
+                                      "b": [s.b.vec for s in samples]}),
+        read=lambda p, d: ([plwe_mod.PlweSample(*ab) for ab in zip(
+            _elements(p.ring, *d["a"]), _elements(p.ring, *d["b"]))], p)),
+    "glyph-secret": _Record(
+        _GLYPH, None, (("s", _TERNARY_RES), ("e", _TERNARY_RES)),
+        write=lambda sk, p: (p, {"s": sk.s.vec, "e": sk.e.vec}),
+        read=lambda p, d: (glyph_mod.GlyphSecretKey(*_elements(p.ring, d["s"], d["e"])), p)),
+    "glyph-public": _Record(
+        _GLYPH, None, (("a", _RES), ("t", _RES)),
+        write=lambda pk, p: (p, {"a": pk.a.vec, "t": pk.t.vec}),
+        read=lambda p, d: (glyph_mod.GlyphPublicKey(*_elements(p.ring, d["a"], d["t"])), p)),
+    "glyph-signature": _Record(
+        _GLYPH, None, (("c", _Challenge()), ("z1", _RES), ("z2", _RES)),
+        write=_signature_fields,
+        read=lambda p, d: (glyph_mod.GlyphSignature(glyph_mod._sparse(dict(d["c"]), p),
+                                                    *_elements(p.ring, d["z1"], d["z2"])), p)),
     "bgv-params": _Record(_BGV, "params"),
-    "bgv-secret": _Record(_BGV_HEAD, "secret", (("s", _TERNARY),)),
-    "bgv-ciphertext": _Record(_BGV_HEAD, "ciphertext", (
-        ("level", _INT_),  # <= L, since mod_index = L - level is >= 0
-        ("mod_index", _Num(int, lambda v, d: v == d["params"].levels - d["level"])),
-        ("noise", _FLOAT), ("parts", _INT_)),
+    "bgv-secret": _Record(
+        _BGV_HEAD, "secret", (("s", _TERNARY),),
+        write=lambda sk: (None, {"s": sk.coeffs}),
+        read=lambda _, d: bgv_mod.BgvSecretKey(coeffs=tuple(d["s"].tolist()))),
+    "bgv-ciphertext": _Record(  # read with params=, the BgvParams its level refers to
+        _BGV_HEAD, "ciphertext", (
+            ("level", _INT_),  # <= L, since mod_index = L - level is >= 0
+            ("mod_index", _Num(int, lambda v, d: v == d["params"].levels - d["level"])),
+            ("noise", _FLOAT), ("parts", _INT_)),
         ("parts", ("part",), _Vec(lambda d: d["params"].n,
-                                  lambda d: d["params"].modulus_at_level(d["level"])))),
+                                  lambda d: d["params"].modulus_at_level(d["level"]))),
+        write=lambda ct, params: (None, {
+            "level": ct.level, "mod_index": ct.modulus_index(params), "noise": ct.noise_bound,
+            "parts": len(ct.parts), "part": [part.vec for part in ct.parts]}),
+        read=lambda _, d: bgv_mod.BgvCiphertext(
+            parts=tuple(_elements(d["params"].ring_at_level(d["level"]), *d["part"])),
+            level=d["level"], noise_bound=d["noise"])),
 }
-
-
-def _blocks(name: str, params=None, **values):
-    """The text of record `name` as blocks: the header and fields, then the
-    rows.  A row key's value is the array of its rows, or a tuple of arrays
-    whose rows stand side by side on its lines."""
-    rec = RECORDS[name]
-    values.update(rec.params.write(params))
-    head = rec.head + "\n" + "".join(f"{key}={kind.encode(values[key])}\n"
-                                     for key, kind in rec.fields)
-    _, keys, _ = rec.rows
-    if not keys:
-        return (head,)
-    return chain((head,), _format_blocks(
-        [values[key] if isinstance(values[key], tuple) else (values[key],) for key in keys],
-        [key + "=" for key in keys]))
-
-
-def _encode(name: str, params=None, **values) -> str:
-    return "".join(_blocks(name, params, **values))
 
 
 def _text_lines(text: str):
@@ -367,10 +409,6 @@ def _decode_stream(name: str, lines, tail, size, **context) -> tuple[object, dic
     return out
 
 
-def _decode(name: str, text: str, **context) -> tuple[object, dict]:
-    return _decode_stream(name, *_text_lines(text), **context)
-
-
 def _read_record(rec, lines, size, d):
     if list(islice(lines, len(rec.head_lines))) != rec.head_lines:
         raise FormatError(rec.frame)
@@ -413,164 +451,39 @@ def _read_record(rec, lines, size, d):
     return params, d
 
 
-def _elements(ring: RingParams, *rows) -> list[RingElement]:
-    return [RingElement(row, ring) for row in rows]
+def record_blocks(kind: str, *obj):
+    """The text of record `kind` holding `obj`, as blocks: the header and
+    fields, then the rows.  `obj` is what `read_record` returns for the
+    record, spread (a BGV ciphertext's is followed by its BgvParams).  The
+    objects are mapped to fields at once, so a refusal (InvalidParams)
+    comes before any block."""
+    rec = RECORDS[kind]
+    params, values = rec.write(*obj)
+    values.update(rec.params.write(params))
+    head = rec.head + "\n" + "".join(f"{key}={field.encode(values[key])}\n"
+                                     for key, field in rec.fields)
+    _, keys, _ = rec.rows
+    if not keys:
+        return (head,)
+    return chain((head,), _format_blocks(
+        [values[key] if isinstance(values[key], tuple) else (values[key],) for key in keys],
+        [key + "=" for key in keys]))
 
 
-# ---------------------------------------------------------------------------
-# Public dump/load pairs: every dump_X(obj, ...) -> text has load_X(text, ...).
-
-
-def dump_lwe_secret(sk: lwe_mod.LweSecretKey, p: lwe_mod.LweParams) -> str:
-    return _encode("lwe-secret", p, s=sk.s)
-
-
-def load_lwe_secret(text: str) -> tuple[lwe_mod.LweSecretKey, lwe_mod.LweParams]:
-    p, d = _decode("lwe-secret", text)
-    return lwe_mod.LweSecretKey(s=d["s"]), p
-
-
-def _lwe_public_blocks(pk: lwe_mod.LwePublicKey):
-    return _blocks("lwe-public", pk.params, sample=(pk.a, pk.b))
-
-
-def _lwe_public(p: lwe_mod.LweParams, d: dict) -> lwe_mod.LwePublicKey:
-    return lwe_mod.LwePublicKey(a=d["sample"][:, :p.n], b=d["sample"][:, p.n], params=p)
-
-
-def dump_lwe_public(pk: lwe_mod.LwePublicKey) -> str:
-    return "".join(_lwe_public_blocks(pk))
-
-
-def load_lwe_public(text: str) -> lwe_mod.LwePublicKey:
-    return _lwe_public(*_decode("lwe-public", text))
-
-
-def write_lwe_public(path, pk: lwe_mod.LwePublicKey) -> None:
-    """dump_lwe_public's text, written to `path` one block at a time."""
-    with Path(path).open("w") as fh:
-        fh.writelines(_lwe_public_blocks(pk))
-
-
-def read_lwe_public(path) -> lwe_mod.LwePublicKey:
-    """load_lwe_public of the file's text, read one block at a time: the
-    same key, or the same FormatError."""
+def read_record(path, kind: str, **context):
+    """The objects of the record `kind` that the file `path` holds, read
+    strictly one chunk at a time; `context` is what the record's fields
+    refer to (params= for a BGV ciphertext)."""
     with Path(path).open("rb") as fh:
-        return _lwe_public(*_decode_stream("lwe-public", *_file_lines(fh)))
+        return RECORDS[kind].read(*_decode_stream(kind, *_file_lines(fh), **context))
 
 
-def dump_lwe_ciphertext(cts: list[lwe_mod.LweCiphertext], p: lwe_mod.LweParams) -> str:
-    return _encode("lwe-ciphertext", p, bits=len(cts),
-                   ct=([ct.u for ct in cts], [ct.v for ct in cts]))
+def dump_record(kind: str, *obj) -> str:
+    """record_blocks' text as one str."""
+    return "".join(record_blocks(kind, *obj))
 
 
-def load_lwe_ciphertext(text: str) -> tuple[list[lwe_mod.LweCiphertext], lwe_mod.LweParams]:
-    p, d = _decode("lwe-ciphertext", text)
-    return [lwe_mod.LweCiphertext(u=row[:p.n], v=int(row[p.n])) for row in d["ct"]], p
-
-
-def dump_plwe_params(p: plwe_mod.PlweParams) -> str:
-    return _encode("plwe-params", p)
-
-
-def load_plwe_params(text: str) -> plwe_mod.PlweParams:
-    return _decode("plwe-params", text)[0]
-
-
-def dump_plwe_secret(kp: plwe_mod.PlweKeyPair, p: plwe_mod.PlweParams) -> str:
-    return _encode("plwe-secret", p, s=kp.s.vec)
-
-
-def load_plwe_secret(text: str) -> tuple[RingElement, plwe_mod.PlweParams]:
-    p, d = _decode("plwe-secret", text)
-    return RingElement(d["s"], p.ring), p
-
-
-def dump_plwe_public(kp: plwe_mod.PlweKeyPair, p: plwe_mod.PlweParams) -> str:
-    return _encode("plwe-public", p, a=kp.a.vec, b=kp.b.vec)
-
-
-def load_plwe_public(text: str) -> tuple[tuple[RingElement, RingElement], plwe_mod.PlweParams]:
-    p, d = _decode("plwe-public", text)
-    return tuple(_elements(p.ring, d["a"], d["b"])), p
-
-
-def dump_plwe_ciphertext(blocks: list[plwe_mod.PlweCiphertext], p: plwe_mod.PlweParams) -> str:
-    return _encode("plwe-ciphertext", p, blocks=len(blocks),
-                   u=[ct.u.vec for ct in blocks], v=[ct.v.vec for ct in blocks])
-
-
-def load_plwe_ciphertext(text: str) -> tuple[list[plwe_mod.PlweCiphertext], plwe_mod.PlweParams]:
-    p, d = _decode("plwe-ciphertext", text)
-    pairs = zip(_elements(p.ring, *d["u"]), _elements(p.ring, *d["v"]))
-    return [plwe_mod.PlweCiphertext(u=u, v=v) for u, v in pairs], p
-
-
-def dump_plwe_samples(samples: list[plwe_mod.PlweSample], p: plwe_mod.PlweParams) -> str:
-    return _encode("plwe-samples", p, count=len(samples),
-                   a=[s.a.vec for s in samples], b=[s.b.vec for s in samples])
-
-
-def load_plwe_samples(text: str) -> tuple[list[plwe_mod.PlweSample], plwe_mod.PlweParams]:
-    p, d = _decode("plwe-samples", text)
-    pairs = zip(_elements(p.ring, *d["a"]), _elements(p.ring, *d["b"]))
-    return [plwe_mod.PlweSample(a=a, b=b) for a, b in pairs], p
-
-
-def dump_glyph_secret(sk: glyph_mod.GlyphSecretKey, p: glyph_mod.GlyphParams) -> str:
-    return _encode("glyph-secret", p, s=sk.s.vec, e=sk.e.vec)
-
-
-def load_glyph_secret(text: str) -> tuple[glyph_mod.GlyphSecretKey, glyph_mod.GlyphParams]:
-    p, d = _decode("glyph-secret", text)
-    return glyph_mod.GlyphSecretKey(*_elements(p.ring, d["s"], d["e"])), p
-
-
-def dump_glyph_public(pk: glyph_mod.GlyphPublicKey, p: glyph_mod.GlyphParams) -> str:
-    return _encode("glyph-public", p, a=pk.a.vec, t=pk.t.vec)
-
-
-def load_glyph_public(text: str) -> tuple[glyph_mod.GlyphPublicKey, glyph_mod.GlyphParams]:
-    p, d = _decode("glyph-public", text)
-    return glyph_mod.GlyphPublicKey(*_elements(p.ring, d["a"], d["t"])), p
-
-
-def dump_glyph_signature(sig: glyph_mod.GlyphSignature, p: glyph_mod.GlyphParams) -> str:
-    pairs = glyph_mod._pairs_of(sig.c, p)
-    if pairs is None:
-        raise InvalidParams(f"a GLYPH challenge must have exactly k={p.k} entries, each +-1")
-    return _encode("glyph-signature", p, c=pairs.items(), z1=sig.z1.vec, z2=sig.z2.vec)
-
-
-def load_glyph_signature(text: str) -> tuple[glyph_mod.GlyphSignature, glyph_mod.GlyphParams]:
-    p, d = _decode("glyph-signature", text)
-    c = glyph_mod._sparse(dict(d["c"]), p)
-    return glyph_mod.GlyphSignature(c, *_elements(p.ring, d["z1"], d["z2"])), p
-
-
-def dump_bgv_params(p: bgv_mod.BgvParams) -> str:
-    return _encode("bgv-params", p)
-
-
-def load_bgv_params(text: str) -> bgv_mod.BgvParams:
-    return _decode("bgv-params", text)[0]
-
-
-def dump_bgv_secret(sk: bgv_mod.BgvSecretKey) -> str:
-    return _encode("bgv-secret", s=sk.coeffs)
-
-
-def load_bgv_secret(text: str) -> bgv_mod.BgvSecretKey:
-    return bgv_mod.BgvSecretKey(coeffs=tuple(_decode("bgv-secret", text)[1]["s"].tolist()))
-
-
-def dump_bgv_ciphertext(ct: bgv_mod.BgvCiphertext, params: bgv_mod.BgvParams) -> str:
-    return _encode("bgv-ciphertext", level=ct.level, mod_index=ct.modulus_index(params),
-                   noise=ct.noise_bound, parts=len(ct.parts), part=[p.vec for p in ct.parts])
-
-
-def load_bgv_ciphertext(text: str, params: bgv_mod.BgvParams) -> bgv_mod.BgvCiphertext:
-    """Each part must hold params.n residues mod the modulus at its level."""
-    _, d = _decode("bgv-ciphertext", text, params=params)
-    parts = tuple(_elements(params.ring_at_level(d["level"]), *d["part"]))
-    return bgv_mod.BgvCiphertext(parts=parts, level=d["level"], noise_bound=d["noise"])
+def load_record(text: str, kind: str, **context):
+    """read_record of a file holding `text`: the same objects, or the same
+    FormatError."""
+    return RECORDS[kind].read(*_decode_stream(kind, *_text_lines(text), **context))

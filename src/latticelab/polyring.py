@@ -466,24 +466,6 @@ def is_totally_split(f: list[int], q: int) -> bool:
     return len(roots_mod_q(f, q)) == poly_deg(f)
 
 
-def is_irreducible_mod_p(f: list[int], p: int) -> bool:
-    """Irreducibility of f mod the prime p (utility; irreducible mod p for one
-    prime p not dividing disc implies irreducible over Q), by Rabin's test:
-    f of degree n divides x^(p^n) - x and is coprime to x^(p^(n/d)) - x for
-    every prime d | n."""
-    f = poly_mod_q(f, p)
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    f = _monic(f, p)
-    if _x_pow_minus_x(p**n, f, p):
-        return False
-    return all(len(poly_gcd_mod(_x_pow_minus_x(p ** (n // d), f, p), f, p)) == 1
-               for d, _ in _factorize(n))
-
-
 # ---------------------------------------------------------------------------
 # The quotient ring R_q = F_q[x]/(f)
 

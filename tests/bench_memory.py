@@ -29,14 +29,14 @@ Its own peak is recorded as `harness_mb`, the floor under every reading.
 import argparse
 import filecmp
 import json
-import os
-import platform
 import resource
 import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from benchhost import host
 
 HERE = Path(__file__).resolve().parent.parent / "src"
 SEED = "5e" * 32
@@ -180,14 +180,6 @@ def quartiles(xs: list[float]) -> list[float]:
     return [round(q1, 4), round(q3, 4)]
 
 
-def cpu_model() -> str:
-    """The CPU's model name from /proc/cpuinfo, else `platform.processor()`."""
-    info = Path("/proc/cpuinfo")
-    lines = info.read_text().splitlines() if info.exists() else []
-    return next((line.split(":", 1)[1].strip() for line in lines
-                 if line.startswith("model name")), platform.processor())
-
-
 def main(argv: list[str]) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path)
@@ -200,17 +192,13 @@ def main(argv: list[str]) -> None:
     parser.add_argument("--seconds", type=int, default=25)
     args = parser.parse_args(argv)
     parent = args.parent_src.resolve()
-    numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-                           check=True, capture_output=True, text=True).stdout.strip()
-    host = {"cpus": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-            "numpy": numpy, "machine": platform.machine(), "cpu": cpu_model()}
-    out = {"host": host, "lwe_cli": lwe_rows(parent, args.n, args.reps)}
+    out = {"host": host(), "lwe_cli": lwe_rows(parent, args.n, args.reps)}
     if args.repeat:
         out["repeat"] = repeat_row(parent, args.repeat, args.reps)
     if args.labbench:
         out["labbench"] = {w: labbench_table(parent, w, args.pairs, args.seconds)
                            for w in args.labbench}
-    host["harness_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    out["host"]["harness_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     print(json.dumps(out, indent=1))
 
 

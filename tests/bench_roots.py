@@ -15,16 +15,13 @@ seed below, not by the clock.
 
 import importlib.util
 import json
-import os
-import platform
 import random
 import statistics
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
+from benchhost import host
 from latticelab import polyring as new
 from latticelab.polyring import _FDivision, _pow_x, _pow_x_list, cyclotomic_poly
 from latticelab.zq import next_prime
@@ -170,21 +167,11 @@ def object_band_rows(old, reps: int = 15) -> list[dict]:
     return rows
 
 
-def cpu_model() -> str:
-    """The CPU's model name from /proc/cpuinfo, else `platform.processor()`."""
-    info = Path("/proc/cpuinfo")
-    lines = info.read_text().splitlines() if info.exists() else []
-    return next((line.split(":", 1)[1].strip() for line in lines
-                 if line.startswith("model name")), platform.processor())
-
-
 def main(argv: list[str]) -> None:
     old = load_parent(Path(argv[0]).resolve())
-    host = {"cpus": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-            "numpy": np.__version__, "machine": platform.machine(), "cpu": cpu_model()}
     tables = {"split_crossover": split_crossover, "object_band": lambda: object_band_rows(old),
               "large_q": lambda: large_q_rows(old), "crossover": lambda: crossover_rows(old)}
-    out = {"host": host}
+    out = {"host": host()}
     for name in argv[1:] or tables:
         out[name] = tables[name]()
     print(json.dumps(out, indent=1))

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -230,7 +231,8 @@ def test_scan_and_attack_refuse_q_above_the_scan_limit(tmp_path, capsys, verb, q
         ring = RingParams(tuple(f), Modulus(q))
         one = ring_from_coeffs([1], ring)
         samples = tmp_path / "samples.txt"
-        samples.write_text(fileio.dump_plwe_samples([PlweSample(one, one)], PlweParams(ring, 1.5)))
+        samples.write_text(fileio.dump_record("plwe-samples", [PlweSample(one, one)],
+                                              PlweParams(ring, 1.5)))
         argv = ["attack", "--alg", verb[-1], "--samples", str(samples)]
         if verb == "attack-2":
             argv += ["--alpha", "1"]
@@ -414,16 +416,57 @@ def weak_samples(tmp_path_factory):
     return str(d / "weak.txt")
 
 
+def _record_files(d: Path) -> None:
+    """Agreeing records at n = 16 (m = 32 for BGV) in `d`, under the names
+    BAD_RECORDS uses, and from each, files whose header sizes what their
+    rows do not hold: n = 2^63 - 1, or a count field of 2^62."""
+    (d / "msg.txt").write_text("1011\n")
+    (d / "circuit.txt").write_text("c = ADD a a\n")
+    for scheme, key, pub in (("lwe", "l.key", "l.pub"), ("plwe", "p.key", "p.pub"),
+                             ("glyph", "g.key", "g.pub"), ("bgv", "b.key", "b.prm")):
+        assert run(["keygen", "--scheme", scheme, "--n", "16", "--q-floor", "256", "--sigma",
+                    "1.5", "--m", "32", "--levels", "2", "--seed", SEED,
+                    "--out-secret", str(d / key), "--out-public", str(d / pub),
+                    "--out-params", str(d / pub)]) == 0
+    for scheme, pub, ct in (("lwe", "l.pub", "l.ct"), ("plwe", "p.pub", "p.ct")):
+        assert run(["encrypt", "--scheme", scheme, "--public", str(d / pub), "--message",
+                    str(d / "msg.txt"), "--out", str(d / ct), "--seed", SEED]) == 0
+    assert run(["encrypt", "--scheme", "bgv", "--params", str(d / "b.prm"), "--secret",
+                str(d / "b.key"), "--message", str(d / "msg.txt"), "--out", str(d / "b.ct"),
+                "--seed", SEED]) == 0
+    assert run(["sign", "--secret", str(d / "g.key"), "--public", str(d / "g.pub"),
+                "--message", str(d / "msg.txt"), "--out", str(d / "sig.txt"),
+                "--seed", SEED]) == 0
+    (d / "p.prm").write_text("".join((d / "p.pub").read_text().splitlines(True)[:5]))
+    assert run(["sample", "--dist", "plwe-uniform", "--params", str(d / "p.prm"), "--count",
+                "3", "--out", str(d / "p.smp"), "--seed", SEED]) == 0
+    for name in ("l.key", "p.key", "p.pub", "p.prm", "g.key", "g.pub", "sig.txt"):
+        text = (d / name).read_text()
+        (d / f"huge-n-{name}").write_text(text.replace("\nn=16\n", f"\nn={2**63 - 1}\n", 1))
+    for name, count in (("l.ct", "bits"), ("p.ct", "blocks"), ("p.smp", "count"),
+                        ("b.ct", "parts")):
+        text = (d / name).read_text()
+        line = next(ln for ln in text.splitlines() if ln.startswith(count + "="))
+        (d / f"huge-{name}").write_text(text.replace(f"\n{line}\n", f"\n{count}={2**62}\n", 1))
+    text = (d / "b.prm").read_text()
+    (d / "huge-m-b.prm").write_text(text.replace("\nm=32\n", f"\nm={2**63 - 1}\n", 1))
+    text = (d / "b.key").read_text()
+    (d / "bad-b.key").write_text(text.replace("\ns=", "\ns=2,", 1))
+
+
 @pytest.fixture(scope="module")
 def bad_input_files(tmp_path_factory, weak_samples):
-    """Each file placeholder of BAD_NUMBERS and the file it stands for."""
+    """Each file placeholder of BAD_NUMBERS and BAD_RECORDS, and the file it
+    stands for: "<dir>" is a directory, "<missing>" a path that is not there."""
     d = tmp_path_factory.mktemp("bad")
     files = {HUGE_N_KEY: LWE_HEAD.format(n=2**63 - 1, m=0),
              HUGE_M_KEY: LWE_HEAD.format(n=16, m=2**62) + "sample=" + "1," * 16 + "1\n",
              MESSAGE: "1011\n"}
     for name, text in files.items():
         (d / name.strip("<>")).write_text(text)
-    return {WEAK_SAMPLES: weak_samples, **{name: str(d / name.strip("<>")) for name in files}}
+    _record_files(d)
+    return {WEAK_SAMPLES: weak_samples, "<dir>": str(d), "<missing>": str(d / "missing"),
+            **{f"<{path.name}>": str(path) for path in d.iterdir()}}
 
 
 @pytest.mark.parametrize("argv, code", BAD_NUMBERS)
@@ -442,6 +485,75 @@ def test_bad_numbers_exit_with_one_line(tmp_path, capsys, bad_input_files, argv,
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "error: " in err and "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+# Each verb that reads a record, given one bad record file (or a directory,
+# or a missing path) among good ones: the one line it prints.  "{dir}" is
+# the directory the files are in.
+LINES_AFTER = "{} line(s) after the fields, expected {}"
+HUGE_M = "need 1 <= m <= 4096, a prime p and r >= 1, got m=9223372036854775807, p=2, r=1"
+BAD_RECORDS = [
+    (["encrypt", "--scheme", "lwe", "--public", HUGE_N_KEY, "--message", MESSAGE,
+      "--seed", SEED], "q must lie in [n^2, 2n^2]"),
+    (["encrypt", "--scheme", "lwe", "--public", HUGE_M_KEY, "--message", MESSAGE,
+      "--seed", SEED], LINES_AFTER.format(1, 2**62)),
+    (["encrypt", "--scheme", "plwe", "--public", "<huge-n-p.pub>", "--message", MESSAGE,
+      "--seed", SEED], "bad vector 'f': wrong length or spelling"),
+    (["encrypt", "--scheme", "bgv", "--params", "<huge-m-b.prm>", "--secret", "<b.key>",
+      "--message", MESSAGE, "--seed", SEED], HUGE_M),
+    (["encrypt", "--scheme", "bgv", "--params", "<b.prm>", "--secret", "<bad-b.key>",
+      "--message", MESSAGE, "--seed", SEED], "bad vector 's': entries must be -1, 0 or 1"),
+    (["decrypt", "--scheme", "lwe", "--secret", "<huge-n-l.key>", "--in", "<l.ct>"],
+     "bad vector 's': wrong length or spelling"),
+    (["decrypt", "--scheme", "lwe", "--secret", "<l.key>", "--in", "<huge-l.ct>"],
+     LINES_AFTER.format(4, 2**62)),
+    (["decrypt", "--scheme", "plwe", "--secret", "<huge-n-p.key>", "--in", "<p.ct>"],
+     "bad vector 'f': wrong length or spelling"),
+    (["decrypt", "--scheme", "plwe", "--secret", "<p.key>", "--in", "<huge-p.ct>"],
+     LINES_AFTER.format(2, 2**63)),
+    (["decrypt", "--scheme", "bgv", "--params", "<b.prm>", "--secret", "<b.key>",
+      "--in", "<huge-b.ct>"], LINES_AFTER.format(2, 2**62)),
+    (["decrypt", "--scheme", "bgv", "--params", "<b.prm>", "--secret", "<b.key>",
+      "--in", "<dir>"], "[Errno 21] Is a directory: '{dir}'"),
+    (["sign", "--secret", "<huge-n-g.key>", "--public", "<g.pub>", "--message", MESSAGE,
+      "--seed", SEED], "bad vector 's': wrong length or spelling"),
+    (["sign", "--secret", "<g.key>", "--public", "<missing>", "--message", MESSAGE,
+      "--seed", SEED], "[Errno 2] No such file or directory: '{dir}/missing'"),
+    (["verify", "--public", "<huge-n-g.pub>", "--message", MESSAGE, "--signature", "<sig.txt>"],
+     "bad vector 'a': wrong length or spelling"),
+    (["verify", "--public", "<g.pub>", "--message", MESSAGE, "--signature", "<huge-n-sig.txt>"],
+     "bad vector 'z1': wrong length or spelling"),
+    (["attack", "--alg", "1", "--samples", "<huge-p.smp>"], LINES_AFTER.format(6, 2**63)),
+    (["attack", "--alg", "1", "--samples", "<dir>"], "[Errno 21] Is a directory: '{dir}'"),
+    (["smear", "--params", "<huge-n-p.prm>", "--alpha", "1", "--seed", SEED],
+     "bad vector 'f': wrong length or spelling"),
+    (["bgv-eval", "--params", "<b.prm>", "--circuit", "<circuit.txt>", "--in", "a=<huge-b.ct>",
+      "--out", "c=<missing>"], LINES_AFTER.format(2, 2**62)),
+    (["bgv-eval", "--params", "<huge-m-b.prm>", "--circuit", "<circuit.txt>",
+      "--in", "a=<b.ct>"], HUGE_M),
+    (["sample", "--dist", "plwe-oracle", "--secret", "<huge-n-p.key>", "--seed", SEED],
+     "bad vector 'f': wrong length or spelling"),
+    (["sample", "--dist", "plwe-oracle", "--secret", "<p.key>", "--params", "<huge-n-p.prm>",
+      "--seed", SEED], "bad vector 'f': wrong length or spelling"),
+    (["sample", "--dist", "plwe-uniform", "--params", "<huge-n-p.prm>", "--seed", SEED],
+     "bad vector 'f': wrong length or spelling"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_RECORDS)
+def test_bad_records_exit_1_with_their_one_line(tmp_path, capsys, bad_input_files, argv,
+                                                 message):
+    """Fast, with the message pinned, and with nothing printed or written."""
+    argv = [re.sub("<[^>]*>", lambda m: bad_input_files[m.group()], a) for a in argv]
+    if argv[0] not in ("verify", "bgv-eval"):
+        argv += ["--out", str(tmp_path / "out")]
+    start = time.perf_counter()
+    rc = run(argv)
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err == "error: " + message.format(dir=bad_input_files["<dir>"]) + "\n"
+    assert not any(tmp_path.iterdir()) and not Path(bad_input_files["<missing>"]).exists()
 
 
 @pytest.mark.parametrize("field, value", [("m", "999999999999999989"),
@@ -612,8 +724,8 @@ def test_sample_plwe_oracle_takes_its_params_from_the_secret_key(tmp_path):
     assert run(["keygen", "--scheme", "plwe", "--n", "16", "--q-floor", "256", "--sigma", "1.5",
                 "--seed", SEED, "--out-secret", str(key),
                 "--out-public", str(tmp_path / "r.pub")]) == 0
-    (tmp_path / "ring.prm").write_text(fileio.dump_plwe_params(
-        fileio.load_plwe_secret(key.read_text())[1]))
+    (tmp_path / "ring.prm").write_text(fileio.dump_record(
+        "plwe-params", fileio.read_record(key, "plwe-secret")[1]))
     outs = []
     for extra in ([], ["--params", str(tmp_path / "ring.prm")]):
         outs.append(tmp_path / f"oracle{len(extra)}.txt")
@@ -637,10 +749,9 @@ TWO_RECORD_VERBS = {
                             "ring.prm", "--count", "2", "--seed", SEED, "--out", "OUT"],
                            ("p.key", "ring.prm")),
 }
-LOADERS = {"g.key": fileio.load_glyph_secret, "g.pub": fileio.load_glyph_public,
-           "sig.txt": fileio.load_glyph_signature, "l.key": fileio.load_lwe_secret,
-           "l.ct": fileio.load_lwe_ciphertext, "p.key": fileio.load_plwe_secret,
-           "p.ct": fileio.load_plwe_ciphertext, "ring.prm": fileio.load_plwe_params}
+LOADERS = {"g.key": "glyph-secret", "g.pub": "glyph-public", "sig.txt": "glyph-signature",
+           "l.key": "lwe-secret", "l.ct": "lwe-ciphertext", "p.key": "plwe-secret",
+           "p.ct": "plwe-ciphertext", "ring.prm": "plwe-params"}
 
 
 @pytest.fixture(scope="module")
@@ -658,8 +769,8 @@ def two_records(tmp_path_factory):
                     str(d / "m.txt"), "--out", str(d / ct), "--seed", SEED]) == 0
     assert run(["sign", "--secret", str(d / "g.key"), "--public", str(d / "g.pub"), "--message",
                 str(d / "m.txt"), "--out", str(d / "sig.txt"), "--seed", SEED]) == 0
-    (d / "ring.prm").write_text(fileio.dump_plwe_params(
-        fileio.load_plwe_secret((d / "p.key").read_text())[1]))
+    (d / "ring.prm").write_text(fileio.dump_record(
+        "plwe-params", fileio.read_record(d / "p.key", "plwe-secret")[1]))
     return d
 
 
@@ -697,7 +808,7 @@ def test_a_verb_refuses_records_whose_headers_differ_in_any_field(two_records, v
     assume(new != header[field])
     edited = text.replace(f"\n{field}={header[field]}\n", f"\n{field}={new}\n", 1)
     try:
-        LOADERS[name](edited)
+        fileio.load_record(edited, LOADERS[name])
     except LatticeLabError:
         assume(False)
     with tempfile.TemporaryDirectory() as tmp:
@@ -727,8 +838,8 @@ def test_one_seed_two_messages_do_not_leak_the_glyph_key(tmp_path):
         assert run(["sign", "--secret", str(sk), "--public", str(pk), "--message",
                     str(tmp_path / "m.txt"), "--out", str(tmp_path / "sig.txt"),
                     "--seed", seed]) == 0
-        sigs.append(fileio.load_glyph_signature((tmp_path / "sig.txt").read_text())[0])
-    s1 = fileio.load_glyph_secret(sk.read_text())[0].s
+        sigs.append(fileio.read_record(tmp_path / "sig.txt", "glyph-signature")[0])
+    s1 = fileio.read_record(sk, "glyph-secret")[0].s
     a, b = sigs
     assert ring_sub(a.z1, b.z1) != ring_mul(s1, ring_sub(a.c, b.c))
 
@@ -737,7 +848,7 @@ def test_one_seed_two_bgv_messages_draw_different_masks(tmp_path):
     prm, sk = tmp_path / "prm.txt", tmp_path / "s.key"
     run(["keygen", "--scheme", "bgv", "--m", "32", "--levels", "2", "--seed", SEED,
          "--out-secret", str(sk), "--out-params", str(prm)])
-    params = fileio.load_bgv_params(prm.read_text())
+    params = fileio.read_record(prm, "bgv-params")
     parts = []
     for i, message in enumerate(["1,1", "0,1"]):
         (tmp_path / "m.txt").write_text(message)
@@ -745,5 +856,5 @@ def test_one_seed_two_bgv_messages_draw_different_masks(tmp_path):
         assert run(["encrypt", "--scheme", "bgv", "--params", str(prm), "--secret", str(sk),
                     "--message", str(tmp_path / "m.txt"), "--out", str(ct),
                     "--seed", SEED2]) == 0
-        parts.append(fileio.load_bgv_ciphertext(ct.read_text(), params).parts)
+        parts.append(fileio.read_record(ct, "bgv-ciphertext", params=params).parts)
     assert parts[0][1] != parts[1][1]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from latticelab import glyph
 from latticelab.errors import InvalidParams, ParamMismatch, RejectionOverflow
-from latticelab.fileio import dump_glyph_signature
+from latticelab.fileio import dump_record
 from latticelab.glyph import (
     GlyphParams,
     GlyphSecretKey,
@@ -42,7 +42,7 @@ def test_fixed_seed_signature_is_golden():
     sk, pk = keygen(p, SeededRng(b"\x11" * 32))
     sig, iters = sign(sk, pk, b"golden message", p, SeededRng(b"\x23" * 32))
     assert iters == 13
-    digest = hashlib.sha256(dump_glyph_signature(sig, p).encode()).hexdigest()
+    digest = hashlib.sha256(dump_record("glyph-signature", sig, p).encode()).hexdigest()
     assert digest == "e6e4d86f0694c01101f0170629ba04063c93d10380da22d51e11702eea4d981f"
 
 

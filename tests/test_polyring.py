@@ -28,7 +28,6 @@ from latticelab.polyring import (
     cyclotomic_poly,
     euler_phi,
     evaluate,
-    is_irreducible_mod_p,
     is_totally_split,
     mult_order,
     parse_poly,
@@ -460,7 +459,9 @@ def test_the_gcd_root_finder_caches_one_division(division_builds):
     assert _roots_by_gcd(f, q) == _roots_by_scan(f, q)
     assert division_builds[0] == (tuple(f), q)
     assert polyring._f_division.cache_info().currsize == 1
-    assert is_irreducible_mod_p([1, 1, 1], 2) and polyring._f_division.cache_info().currsize == 2
+    # x^4 = x mod (x^2 + x + 1, 2), which F_4 is built on: a second (f, q), a second division
+    assert _x_pow_minus_x(4, [1, 1, 1], 2) == []
+    assert polyring._f_division.cache_info().currsize == 2
 
 
 def test_ring_division_is_the_one_pow_x_uses(monkeypatch):
@@ -569,20 +570,6 @@ def test_is_totally_split_matches_gcd_form(q, low, lead):
     mod = Modulus(q)
     squarefree = poly_deg(poly_gcd_mod(f, poly_derivative(f), mod)) <= 0
     assert is_totally_split(f, mod) == (squarefree and len(roots_mod_q(f, mod)) == poly_deg(f))
-
-
-def test_irreducibility_utility():
-    assert is_irreducible_mod_p([1, 0, 1], 7)  # x^2+1 irreducible mod 7
-    assert not is_irreducible_mod_p([1, 0, 1], 5)
-    assert is_irreducible_mod_p([1, 1, 1], 2)
-    assert is_irreducible_mod_p(cyclotomic_poly(5), 2)  # 2 has order 4 = phi(5) mod 5
-    assert not is_irreducible_mod_p(cyclotomic_poly(7), 2)  # 2 has order 3 < 6 mod 7
-    assert not is_irreducible_mod_p([1, 0, 0, 0, 1], 3)  # x^4 + 1 factors mod every prime
-    assert not is_irreducible_mod_p(poly_mul_z([1, 1, 1], [1, 1, 1]), 2)
-    # degrees 2 + 3: no factor of degree 5 / 5 = 1, so only x^(2^5) != x mod f tells
-    assert not is_irreducible_mod_p(poly_mul_z([1, 1, 1], [1, 1, 0, 1]), 2)
-    assert is_irreducible_mod_p([1, 0, 1], (1 << 61) - 1)
-    assert is_irreducible_mod_p([1, 0, 1, 7], 7)  # x^2 + 1 once the lead vanishes
 
 
 # ---------------------------------------------------------------------------
