@@ -1,10 +1,13 @@
 """Deterministic seeded randomness.
 
-A counter-mode SHA-256 stream keyed by a 256-bit seed.  Identical seeds
-produce identical byte streams on every platform, which is what makes
-every experiment in this package replayable from a single ``--seed``
-flag.  Independent sub-streams for parallel or logically separate tasks
-are derived by hashing the parent seed with a context label.
+Stream v2: a 256-bit seed expanded by SHAKE-128 (FIPS 202) in 1 KiB
+blocks, block c being ``shake_128(seed || c as 8 little-endian bytes)``
+squeezed to BLOCK_BYTES, much as ML-KEM and ML-DSA expand their seeds.
+Identical seeds produce identical byte streams on every platform, which
+is what makes every experiment in this package replayable from a single
+``--seed`` flag.  Independent sub-streams for parallel or logically
+separate tasks are derived by hashing the parent seed with a context
+label under SHA-256.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ import numpy as np
 from .errors import InvalidParams
 
 SEED_BYTES = 32
-BLOCK_BYTES = 32  # one SHA-256 digest per counter value
+# Bytes squeezed per counter value.  Larger blocks squeeze faster per byte,
+# but every derived stream pays for a whole one however little it reads, and
+# an rng holds up to one block's unread bytes (tests/bench_stream.py).
+BLOCK_BYTES = 1024
 # Draws decoded per chunk: enough that numpy's per-call cost is small against
 # hashing the chunk's bytes, few enough to stay a fraction of an LWE public
 # key's draws.
@@ -25,7 +31,7 @@ _CHUNK_DRAWS = 1 << 14
 
 
 class SeededRng:
-    """Counter-mode deterministic byte source with one read position.
+    """Counter-keyed SHAKE-128 byte source with one read position.
 
     Single-owner by design: concurrent users must each call
     :meth:`derive` with distinct labels instead of sharing one instance.
@@ -47,7 +53,10 @@ class SeededRng:
         return cls(os.urandom(SEED_BYTES))
 
     def derive(self, label: str | bytes) -> "SeededRng":
-        """Return an independent sub-stream keyed by (seed, label)."""
+        """Return an independent sub-stream keyed by (seed, label).
+
+        The child seed is a SHA-256 of the parent seed and label: one hash
+        per sub-stream, not per block, so it is not on the hot path."""
         if isinstance(label, str):
             label = label.encode()
         child = hashlib.sha256(self.seed + b"/derive/" + label).digest()
@@ -57,15 +66,12 @@ class SeededRng:
         missing = n - len(self._buf)
         if missing > 0:
             blocks = -(-missing // BLOCK_BYTES)
-            # block c is sha256(seed || c as 8 bytes little-endian): each is a
-            # copy of one state already fed the seed, finished with c
-            keyed, start = hashlib.sha256(self.seed), self.counter
-            digests = []
-            for c in range(start, start + blocks):
-                h = keyed.copy()
-                h.update(c.to_bytes(8, "little"))
-                digests.append(h.digest())
-            self._buf += b"".join(digests)
+            start = self.counter
+            # block c is shake_128(seed || c as 8 bytes little-endian),
+            # squeezed to BLOCK_BYTES
+            self._buf += b"".join(
+                hashlib.shake_128(self.seed + c.to_bytes(8, "little")).digest(BLOCK_BYTES)
+                for c in range(start, start + blocks))
             self.counter = start + blocks
         out, self._buf = self._buf[:n], self._buf[n:]
         return out

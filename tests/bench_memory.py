@@ -146,18 +146,23 @@ def repeat_row(parent: Path, calls: int, reps: int) -> dict:
     return row
 
 
-def labbench_run(root: Path, workload: str, seed: int, seconds: int) -> dict:
+def labbench_run(root: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
+    """One run's metric values, and its `work` line's counts under "work"."""
     out = subprocess.run([sys.executable, str(root / "labbench" / "run.py"), "--workload",
-                          workload, "--seed", str(seed), "--seconds", str(seconds)],
+                          workload, "--seed", str(seed), "--seconds", str(seconds),
+                          "--trace", str(trace)],
                          check=True, capture_output=True, text=True, cwd=root).stdout
-    res = json.loads(out.splitlines()[-1])
+    *_, work, last = out.splitlines()
+    res = json.loads(last)
     if not res["correct"] or res["failed"]:
         raise RuntimeError(f"{workload} seed {seed} in {root}: {res}")
-    return {k: v["value"] for k, v in res["metrics"].items()}
+    return {**{k: v["value"] for k, v in res["metrics"].items()},
+            "work": json.loads(work.removeprefix("work "))}
 
 
-def labbench_table(parent: Path, workload: str, pairs: int, seconds: int) -> dict:
-    seeds = [4100 + i for i in range(pairs)]
+def labbench_table(parent: Path, workload: str, pairs: int, seconds: int,
+                   first_seed: int = 4100) -> dict:
+    seeds = [first_seed + i for i in range(pairs)]
     before, after = alternate(
         lambda i: labbench_run(parent.parent, workload, seeds[i], seconds),
         lambda i: labbench_run(HERE.parent, workload, seeds[i], seconds), pairs)

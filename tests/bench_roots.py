@@ -13,7 +13,6 @@ crossover); all of them by default.  The polynomials are fixed by the
 seed below, not by the clock.
 """
 
-import importlib.util
 import json
 import random
 import statistics
@@ -21,21 +20,12 @@ import sys
 import time
 from pathlib import Path
 
-from benchhost import host
+from benchhost import host, load_parent
 from latticelab import polyring as new
 from latticelab.polyring import _FDivision, _pow_x, _pow_x_list, cyclotomic_poly
 from latticelab.zq import next_prime
 
 SEED = 36
-
-
-def load_parent(src: Path):
-    spec = importlib.util.spec_from_file_location(
-        "latticelab_parent", src / "latticelab" / "__init__.py",
-        submodule_search_locations=[str(src / "latticelab")])
-    sys.modules["latticelab_parent"] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sys.modules["latticelab_parent"])
-    return importlib.import_module("latticelab_parent.polyring")
 
 
 def median_ms(fn, reps: int) -> float:
@@ -168,7 +158,7 @@ def object_band_rows(old, reps: int = 15) -> list[dict]:
 
 
 def main(argv: list[str]) -> None:
-    old = load_parent(Path(argv[0]).resolve())
+    old = load_parent(Path(argv[0]).resolve(), "polyring")
     tables = {"split_crossover": split_crossover, "object_band": lambda: object_band_rows(old),
               "large_q": lambda: large_q_rows(old), "crossover": lambda: crossover_rows(old)}
     out = {"host": host()}

@@ -1,8 +1,12 @@
-"""The host fields that the benchmark harnesses in tests/ record with their
-rows: `host()`, imported by bench_memory.py and bench_roots.py."""
+"""What the benchmark harnesses in tests/ share: the host fields they record
+with their rows (`host()`), and another checkout's latticelab loaded beside
+this one's (`load_parent`)."""
 
+import importlib
+import importlib.util
 import os
 import platform
+import sys
 from importlib import metadata
 from pathlib import Path
 
@@ -22,3 +26,15 @@ def host() -> dict:
     return {"cpus": len(os.sched_getaffinity(0)), "python": platform.python_version(),
             "numpy": metadata.version("numpy"), "machine": platform.machine(),
             "cpu": cpu_model()}
+
+
+def load_parent(src: Path, module: str):
+    """latticelab.`module` from the `src` directory of another checkout, its
+    package loaded once as `latticelab_parent`."""
+    if "latticelab_parent" not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            "latticelab_parent", src / "latticelab" / "__init__.py",
+            submodule_search_locations=[str(src / "latticelab")])
+        sys.modules["latticelab_parent"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["latticelab_parent"])
+    return importlib.import_module(f"latticelab_parent.{module}")

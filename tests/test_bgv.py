@@ -354,9 +354,11 @@ def test_decrypt_guard_at_its_boundary(rng, m, p, r, last_ok, over):
                    "||delta_j * s^j||_inf, up to n times larger, needs covering")
 def test_switch_down_bound_covers_the_noise():
     """The carried bound after one switch of a fresh ciphertext (2.0000001
-    at m = 32, p = 2) against the measured max |e| (4 at this seed)."""
+    at m = 32, p = 2) against the measured max |e| (3 at this seed).  Seed
+    bytes([i]) * 32 for the first i = 1, 2, ... whose noise exceeds the
+    bound: 31 of i = 1..200 do."""
     params = std_params()
-    rng = SeededRng(bytes([1]) * 32)
+    rng = SeededRng(bytes([13]) * 32)
     sk = keygen(params, rng)
     a = [int(v) for v in rng.uniform_array(2, 16)]
     ct = switch_down(encrypt(a, sk, params, rng), params)

@@ -36,14 +36,14 @@ CRAMPED = GlyphParams(n=16, q=Modulus(257), b=4, k=4)  # beta = 0: no signature 
 
 
 def test_fixed_seed_signature_is_golden():
-    """A signature that took 13 rejection iterations hashes to the bytes
-    the sign loop has always produced for these seeds."""
+    """A signature that took 23 rejection iterations hashes to the bytes
+    the sign loop has produced for these seeds since stream v2."""
     p = GlyphParams()
     sk, pk = keygen(p, SeededRng(b"\x11" * 32))
     sig, iters = sign(sk, pk, b"golden message", p, SeededRng(b"\x23" * 32))
-    assert iters == 13
+    assert iters == 23
     digest = hashlib.sha256(dump_record("glyph-signature", sig, p).encode()).hexdigest()
-    assert digest == "e6e4d86f0694c01101f0170629ba04063c93d10380da22d51e11702eea4d981f"
+    assert digest == "c6eeeaec3c278a755b2b130c63f3dee6d1067dee1862c9db04c14a1c3068f5a7"
 
 
 def test_default_params_are_the_standard_set():

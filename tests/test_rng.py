@@ -10,12 +10,21 @@ from latticelab.errors import InvalidParams
 from latticelab.rng import BLOCK_BYTES, SEED_BYTES, SeededRng
 
 
-def test_stream_matches_sha256_counter_mode():
+def shake_blocks(seed: bytes, blocks: int) -> bytes:
+    """Stream v2 from hashlib directly: block c is shake_128(seed || c as
+    8 little-endian bytes), squeezed to 1 KiB."""
+    return b"".join(hashlib.shake_128(seed + c.to_bytes(8, "little")).digest(1024)
+                    for c in range(blocks))
+
+
+def test_stream_matches_shake128_blocks():
+    """A known answer across the first block edge, read in two pieces."""
     seed = bytes(range(32))
     r = SeededRng(seed)
-    expect = hashlib.sha256(seed + (0).to_bytes(8, "little")).digest()
-    expect += hashlib.sha256(seed + (1).to_bytes(8, "little")).digest()
-    assert r.take_bytes(40) == expect[:40]
+    assert BLOCK_BYTES == 1024
+    got = r.take_bytes(1020) + r.take_bytes(40)
+    assert got == shake_blocks(seed, 2)[:1060]
+    assert (got[:8].hex(), got[1020:1028].hex()) == ("fb4e8b67bbb8e116", "d411a7cd795514d1")
 
 
 @settings(max_examples=200, deadline=None)
@@ -24,17 +33,36 @@ def test_stream_matches_sha256_counter_mode():
           (False, 63), (False, 1)])  # odd sizes across block edges; 2080 is a GLYPH mask
 def test_chunked_draws_are_one_stream(draws):
     """Any mix of take_bytes(m) and byte-aligned bits(8m) reads the same
-    counter-mode stream and leaves the counter at the blocks consumed."""
+    stream of SHAKE-128 blocks and leaves the counter at the blocks consumed."""
     seed = bytes(range(7, 39))
     r = SeededRng(seed)
     got = b""
     for as_bits, m in draws:
         got += r.bits(8 * m).to_bytes(m, "big") if as_bits else r.take_bytes(m)
     blocks = -(-len(got) // BLOCK_BYTES)
-    expect = b"".join(hashlib.sha256(seed + c.to_bytes(8, "little")).digest()
-                      for c in range(blocks))
-    assert got == expect[: len(got)]
+    assert got == shake_blocks(seed, blocks)[: len(got)]
     assert r.counter == blocks
+
+
+# read ends at each block edge and one byte either side of it
+EDGES = [k * BLOCK_BYTES + d for k in range(4) for d in (-1, 0, 1) if k or d >= 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(EDGES), st.integers(0, 3 * BLOCK_BYTES + 1)),
+                max_size=8))
+def test_any_split_of_reads_around_a_block_is_one_read(ends):
+    """Reads ending at any offsets give the bytes of one read of their total,
+    and never leave BLOCK_BYTES or more unread bytes in the rng."""
+    seed = bytes(range(100, 132))
+    r = SeededRng(seed)
+    got, pos = b"", 0
+    for end in sorted(ends) + [3 * BLOCK_BYTES + 1]:
+        got += r.take_bytes(end - pos)
+        pos = end
+        assert len(r._buf) < BLOCK_BYTES
+        assert r.counter == -(-pos // BLOCK_BYTES)
+    assert got == SeededRng(seed).take_bytes(pos)
 
 
 def test_identical_seeds_identical_draws():
