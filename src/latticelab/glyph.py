@@ -21,9 +21,19 @@ x, x*c is a signed sum of k negacyclic rotations +-x^j * x, which both
 gather from a window table (`_windows`) and add exactly: s*c and e*c from
 the secret key's tables, t*c from the public key's, each built once per
 key object.  `sign` takes c as its k (position, sign) pairs
-(`challenge_pairs`), multiplies the centered mask y1 by a through
-`ring_mul_vec`, tests the norms on the integers y + s*c, and builds c and
-reduces mod q only for the signature it returns.
+(`challenge_pairs`), tests the norms on the integers y + s*c, and builds c
+and reduces mod q only for the signature it returns.
+
+`sign` works on SIGN_BATCH candidate iterations at a time: their masks
+y1, y2 come from one `uniform_rows` draw, the same bytes as one
+`uniform_array` per mask, and their w = a*y1 + y2 from one batched
+`ring_mul_vec`.  The hash and the norm tests then run candidate by
+candidate, in order, so the signature and iteration count are the ones
+the one-at-a-time loop gives; on acceptance the rng is rewound to just
+after that candidate's y2, so the stream is left where that loop leaves
+it, and the later candidates' draws are never seen.  `verify` tests the
+norms on the residues, and forms w' = a*z1 + z2 - t*c by one
+`ring_mul_vec` with z2 - t*c as its addend.
 """
 
 from __future__ import annotations
@@ -41,6 +51,9 @@ from .rng import SeededRng
 from .zq import Modulus, reduce_centered
 
 MAX_SIGN_ITERS = 10_000
+# Candidate iterations drawn and multiplied at once by `sign`: 1, 2, 4 and 8
+# measured in BENCH_sign_batch.json.
+SIGN_BATCH = 4
 
 
 @dataclass(frozen=True)
@@ -116,14 +129,9 @@ class VerifyResult:
     reason: str | None = None
 
 
-def _bounded_draw(p: GlyphParams, bound: int, rng: SeededRng) -> np.ndarray:
-    """n integers uniform in {-bound, ..., bound}."""
-    return rng.uniform_array(2 * bound + 1, p.n) - bound
-
-
 def _bounded_uniform(p: GlyphParams, bound: int, rng: SeededRng) -> RingElement:
     """Element with coefficients uniform in {-bound, ..., bound}."""
-    return RingElement._of(_bounded_draw(p, bound, rng) % p.ring.q, p.ring)
+    return RingElement._of((rng.uniform_array(2 * bound + 1, p.n) - bound) % p.ring.q, p.ring)
 
 
 def keygen(p: GlyphParams, rng: SeededRng) -> tuple[GlyphSecretKey, GlyphPublicKey]:
@@ -227,43 +235,59 @@ def sign(
     rng: SeededRng,
 ) -> tuple[GlyphSignature, int]:
     """Rejection-sampling loop; returns the signature and iteration count.
-    s*c and e*c are `_challenge_product`s, and z1, z2 are tested over Z
-    (module docstring)."""
+    Candidates come SIGN_BATCH at a time: their masks in one `uniform_rows`
+    draw and their w = a*y1 + y2 in one `ring_mul_vec`, then the hash and
+    norm tests one by one.  s*c and e*c are `_challenge_product`s, z1 and
+    z2 are tested over Z, and the rng is rewound to just after the accepted
+    candidate's y2 (module docstring)."""
     q, n = p.ring.q, p.n
     for x in (sk.s, sk.e, pk.a):
         check_same_params(x.params, p.ring, "a key's ring", "the GLYPH ring's")
     win_s, win_e = sk.windows
-    for it in range(1, MAX_SIGN_ITERS + 1):
-        y1 = _bounded_draw(p, p.b, rng)
-        y2 = _bounded_draw(p, p.b, rng)
-        w = RingElement._of((ring_mul_vec(pk.a, y1) + y2) % q, p.ring)
-        pairs = challenge_pairs(encode_poly(w, p) + message, p)
-        rows = _window_rows(pairs, n)
-        z1 = y1 + _challenge_product(win_s, rows)
-        if np.abs(z1).max() > p.beta:
-            continue  # z2 draws no randomness, so skipping it keeps the stream
-        z2 = y2 + _challenge_product(win_e, rows)
-        if np.abs(z2).max() <= p.beta:
-            return GlyphSignature(c=_sparse(pairs, p), z1=RingElement._of(z1 % q, p.ring),
-                                  z2=RingElement._of(z2 % q, p.ring)), it
+    it = 0
+    while it < MAX_SIGN_ITERS:
+        batch = min(SIGN_BATCH, MAX_SIGN_ITERS - it)
+        y, ends = rng.uniform_rows(2 * p.b + 1, 2 * batch, n)  # y1, y2, y1, y2, ...
+        y -= p.b
+        w = ring_mul_vec(pk.a, y[0::2], y[1::2])
+        for j in range(batch):
+            it += 1
+            pairs = challenge_pairs(encode_poly(RingElement._of(w[j], p.ring), p) + message, p)
+            rows = _window_rows(pairs, n)
+            z1 = y[2 * j] + _challenge_product(win_s, rows)
+            if np.abs(z1).max() > p.beta:
+                continue
+            z2 = y[2 * j + 1] + _challenge_product(win_e, rows)
+            if np.abs(z2).max() <= p.beta:
+                rng.rewind(ends[2 * j + 1])
+                return GlyphSignature(c=_sparse(pairs, p), z1=RingElement._of(z1 % q, p.ring),
+                                      z2=RingElement._of(z2 % q, p.ring)), it
     raise RejectionOverflow(f"no acceptable signature in {MAX_SIGN_ITERS} iterations")
+
+
+def _within(x: RingElement, bound: int) -> bool:
+    """Whether every residue of x lies in [0, bound] or [q - bound, q): its
+    centered value is at most bound in magnitude."""
+    return not ((x.vec > bound) & (x.vec < x.params.q - bound)).any()
 
 
 def verify(
     pk: GlyphPublicKey, message: bytes, sig: GlyphSignature, p: GlyphParams
 ) -> VerifyResult:
-    """Norm check, then recompute the challenge from w' = a*z1 + z2 - t*c,
-    with t*c a `_challenge_product`.  A c that is not k coefficients +-1
-    cannot equal the recomputed challenge, so it is a mismatch at once."""
+    """Norm check on the residues, then recompute the challenge from
+    w' = a*z1 + z2 - t*c, with t*c a `_challenge_product` and z2 - t*c,
+    at most (k + 1) * q in magnitude, the addend of one `ring_mul_vec`.  A
+    c that is not k coefficients +-1 cannot equal the recomputed challenge,
+    so it is a mismatch at once."""
     for x in (pk.a, pk.t, sig.c, sig.z1, sig.z2):
         check_same_params(x.params, p.ring, "a key's or signature's ring", "the GLYPH ring's")
-    if sig.z1.inf_norm() > p.beta or sig.z2.inf_norm() > p.beta:
+    if not (_within(sig.z1, p.beta) and _within(sig.z2, p.beta)):
         return VerifyResult(False, "norm")
     pairs = _pairs_of(sig.c, p)
     if pairs is None:
         return VerifyResult(False, "challenge mismatch")
     tc = _challenge_product(pk.t_windows, _window_rows(pairs, p.n))
-    w = (ring_mul(pk.a, sig.z1).vec + sig.z2.vec - tc) % p.ring.q
+    w = ring_mul_vec(pk.a, sig.z1.vec, sig.z2.vec - tc)
     c_prime = hash_to_sparse(encode_poly(RingElement._of(w, p.ring), p) + message, p)
     if not np.array_equal(c_prime.vec, sig.c.vec):
         return VerifyResult(False, "challenge mismatch")

@@ -428,17 +428,18 @@ def _mul_x_power(acc: np.ndarray, k: int, squarings: list[np.ndarray], q: int) -
     j = 0
     while k:
         if j == len(squarings):
-            squarings.append(_reduce_nonneg(squarings[-1] * squarings[-1], q))
+            squarings.append(_reduce_int(squarings[-1] * squarings[-1], q))
         if k & 1:
             np.multiply(acc, squarings[j], out=acc)
-            _reduce_nonneg(acc, q)
+            _reduce_int(acc, q)
         k >>= 1
         j += 1
 
 
-def _reduce_nonneg(a: np.ndarray, q: int) -> np.ndarray:
-    """a %= q in place for non-negative int64 a, as a - (a // q) * q: the same
-    residues, faster than np.remainder on int64."""
+def _reduce_int(a: np.ndarray, q: int) -> np.ndarray:
+    """a %= q in place for int64 a, as a - (a // q) * q: floor division, so
+    the same residues in [0, q) for negative a too, faster than np.remainder
+    on int64 (below n = 512, np.remainder is ~0.3 us faster)."""
     quo = a // q
     quo *= q
     a -= quo
@@ -667,9 +668,9 @@ class RingElement:
         """The NTT of the element (`_ntt_forward`) as residues in [0, q),
         float64 and read-only, built on first use."""
         if self._ntt is None:
-            tables = _ntt_tables(self.params.n, self.params.q)
-            t = _ntt_forward(self.vec, tables)
-            t += tables.q * (t < 0)
+            q = self.params.q
+            t = _ntt_forward(self.vec, _ntt_tables(self.params.n, q)).astype(np.int64)
+            t = _reduce_int(t, q).astype(np.float64)
             t.flags.writeable = False
             object.__setattr__(self, "_ntt", t)
         return self._ntt
@@ -760,7 +761,8 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     p = a.params
     q, n = p.q, p.n
     if p.uses_ntt:
-        return RingElement._of(_ntt_product(a._transform(), b._transform(), _ntt_tables(n, q)), p)
+        return RingElement._of(_ntt_product(a._transform(), b._transform(),
+                                            _ntt_tables(n, q)).reshape(n), p)
     res = _convolve_exact(*(reduce_centered(x.vec, q) for x in (a, b)), p.product_dtype)
     if not p.negacyclic:
         return RingElement._of(p.division(res).astype(np.int64), p)
@@ -785,14 +787,18 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
 # inverse runs the steps backwards with psi^-1, with n^-1 folded into its
 # twiddles.
 #
-# Every step runs in float64 on integers, and every product and matmul is
-# followed by `_center`, except the inverse's last matmul, whose sums become
-# the int64 residues it returns.  The operands are below q in magnitude
-# (residues, a centered vector, or `_center`'s output) and the tables hold
-# centered residues, at most (q - 1)/2, so a matmul sum of max(n1, n2)
-# products is below max(n1, n2) * q(q - 1)/2 <= max(n1, n2) * (q - 1)^2 <
-# 2^53, the `uses_ntt` bound, and exact in any order; so is a pointwise
-# product.
+# Every step runs in float64 on integers, over a leading axis of rows.  A sum
+# stays exact while it is below 2^53, so a step need not be followed by
+# `_center` while the next step's results stay below it (Harvey, "Faster
+# arithmetic for number-theoretic transforms", 2014): `_lazy_centers` bounds
+# each step's results exactly from q, n1 and n2 and keeps a `_center` only
+# where the next step would pass 2^53.  Operands are below q in magnitude
+# (residues or centered vectors), the tables hold centered residues, at most
+# h = (q - 1)/2, a cached transform holds residues, and `_center` leaves
+# values within h + 2.  At (1024, 59393) the forward transform keeps one of
+# its three `_center`s and the inverse one of its two; near the `uses_ntt`
+# edge all stay.  The last matmul's exact sums become int64, where an
+# addend joins them before their one reduction to [0, q) (`_reduce_int`).
 
 
 def _ntt_split(n: int) -> tuple[int, int]:
@@ -801,9 +807,27 @@ def _ntt_split(n: int) -> tuple[int, int]:
     return n1, n // n1
 
 
+def _lazy_centers(n1: int, n2: int, q: int) -> tuple[bool, ...]:
+    """Whether each of the six `_center`s after a step of a product runs:
+    after m1, the twiddles, m2, the pointwise product, m2_inv and the
+    inverse twiddles.  A `_center` is skipped when the exact bound on the
+    step's results, times the growth of the next step, stays below 2^53."""
+    h = (q - 1) // 2
+    growth = [n1 * h, h, n2 * h, q - 1, n2 * h, h, n1 * h]
+    bound, runs = q - 1, []
+    for i, grow in enumerate(growth[:-1]):
+        if i == 3:  # both operands may be cached transforms, residues below q
+            bound = max(bound, q - 1)
+        bound *= grow
+        runs.append(bound * growth[i + 1] >= _FLOAT_EXACT)
+        if runs[-1]:
+            bound = h + 2
+    return tuple(runs)
+
+
 class _NttTables(NamedTuple):
-    """The split n = n1 * n2, q and 1/q, and the matrices and twiddles
-    above as centered residues in float64."""
+    """The split n = n1 * n2, q and 1/q, the matrices and twiddles above
+    as centered residues in float64, and the `_lazy_centers` of (n1, n2, q)."""
 
     n1: int
     n2: int
@@ -815,6 +839,7 @@ class _NttTables(NamedTuple):
     m2_inv: np.ndarray
     tw_inv: np.ndarray
     m1_inv: np.ndarray
+    centers: tuple[bool, ...]
 
 
 @lru_cache(maxsize=8)
@@ -838,7 +863,8 @@ def _ntt_tables(n: int, q: int) -> _NttTables:
     tw_inv = reduce_centered(inv[et] * pow(n, q - 2, q) % q, q)
     return _NttTables(n1, n2, float(q), 1.0 / q,
                       *(x.astype(np.float64) for x in (fwd[e1], fwd[et], fwd[e2], inv[e2], tw_inv,
-                                                       inv[e1].T)))
+                                                       inv[e1].T)),
+                      _lazy_centers(n1, n2, q))
 
 
 def _center(x: np.ndarray, t: _NttTables) -> np.ndarray:
@@ -860,41 +886,71 @@ def _center(x: np.ndarray, t: _NttTables) -> np.ndarray:
 
 
 def _ntt_forward(vec: np.ndarray, t: _NttTables) -> np.ndarray:
-    """Transform of n integers below q in magnitude (residues or a centered
-    vector), as the n1 x n2 array X above: float64 integers, each congruent
-    mod q to its entry of X and below q in magnitude (`_center`)."""
-    b = _center(t.m1 @ vec.reshape(t.n1, t.n2).astype(np.float64), t)
-    b *= t.tw
-    return _center(_center(b, t) @ t.m2, t)
+    """Transforms of rows of n integers below q in magnitude (residues or
+    centered vectors; vec of shape (rows, n), or (n,) for one row), as a
+    rows x n1 x n2 array of the X above: float64 integers, each congruent
+    mod q to its entry of X and below 2^53 in magnitude, as `_lazy_centers`
+    keeps them for the steps after."""
+    run = t.centers
+    x = t.m1 @ vec.reshape(-1, t.n1, t.n2).astype(np.float64)
+    if run[0]:
+        _center(x, t)
+    x *= t.tw
+    if run[1]:
+        _center(x, t)
+    x = x @ t.m2
+    return _center(x, t) if run[2] else x
 
 
-def _ntt_inverse(x: np.ndarray, t: _NttTables) -> np.ndarray:
-    """The n residues in [0, q), int64, whose transform is x mod q, for x an
-    n1 x n2 float64 array of integers below q in magnitude.  The last
-    matmul's exact sums are reduced once, as int64 (`_residues`)."""
-    d = _center(x @ t.m2_inv, t)
+def _ntt_inverse(x: np.ndarray, t: _NttTables, addend: np.ndarray | None = None) -> np.ndarray:
+    """The rows of n residues in [0, q), int64 and shaped (rows, n), whose
+    transforms are x mod q, plus `addend` (int64 rows of n integers below
+    2^62 in magnitude, or None), for x a rows x n1 x n2 float64 array of
+    pointwise products, as `_ntt_product` leaves them.  The last matmul's
+    exact sums, below 2^53, become int64, and with the addend are reduced
+    once (`_reduce_int`)."""
+    run = t.centers
+    d = x @ t.m2_inv
+    if run[4]:
+        _center(d, t)
     d *= t.tw_inv
-    return _residues(t.m1_inv @ _center(d, t), int(t.q)).reshape(-1)
+    if run[5]:
+        _center(d, t)
+    r = (t.m1_inv @ d).astype(np.int64).reshape(len(x), -1)
+    if addend is not None:
+        r += addend
+    return _reduce_int(r, int(t.q))
 
 
-def _ntt_product(ta: np.ndarray, tb: np.ndarray, t: _NttTables) -> np.ndarray:
-    """The residues of the product whose operands have the transforms ta,
-    residues in [0, q) (`_transform()`), and tb (from `_ntt_forward` or
-    `_transform()`): each pointwise product is at most (q - 1)^2 in
-    magnitude, below 2^53."""
-    return _ntt_inverse(_center(ta * tb, t), t)
+def _ntt_product(ta: np.ndarray, tb: np.ndarray, t: _NttTables,
+                 addend: np.ndarray | None = None) -> np.ndarray:
+    """The residue rows of the products, plus `addend`, whose operands have
+    the transforms ta, residues in [0, q) (`_transform()`), and tb (from
+    `_ntt_forward` or `_transform()`)."""
+    x = ta * tb
+    if t.centers[3]:
+        _center(x, t)
+    return _ntt_inverse(x, t, addend)
 
 
-def ring_mul_vec(a: RingElement, y: np.ndarray) -> np.ndarray:
-    """The residues in [0, q), int64, of a * y, for y n integers below q in
-    magnitude (a centered vector, say).  On a ring that `uses_ntt`, y goes
-    into the transform as it is, against a's cached one; on every other
-    ring it is reduced mod q and taken by `ring_mul`."""
+def ring_mul_vec(a: RingElement, y: np.ndarray, addend: np.ndarray | None = None) -> np.ndarray:
+    """The residues in [0, q), int64, of a * y + addend, for y n integers
+    below q in magnitude (a centered vector, say) or rows of them, and
+    `addend` None or int64 integers of y's shape below 2^62 in magnitude;
+    the result has y's shape.  On a ring that `uses_ntt`, the rows go into
+    one batched transform as they are, against a's cached one, and the
+    addend joins the product's sums before their one reduction; on every
+    other ring each row is reduced mod q and taken by `ring_mul`."""
     p = a.params
+    rows = y.reshape(-1, p.n)
     if p.uses_ntt:
         t = _ntt_tables(p.n, p.q)
-        return _ntt_product(a._transform(), _ntt_forward(y, t), t)
-    return ring_mul(a, RingElement._of(y % p.q, p)).vec
+        return _ntt_product(a._transform(), _ntt_forward(rows, t), t, addend).reshape(y.shape)
+    q = p.q
+    out = np.array([ring_mul(a, RingElement._of(row % q, p)).vec for row in rows])
+    if addend is not None:
+        out = _reduce_signed(out - (q - addend.reshape(out.shape) % q), q)
+    return out.reshape(y.shape)
 
 
 def evaluate(a: RingElement, alpha: int) -> int:

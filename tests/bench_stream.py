@@ -9,7 +9,8 @@ another name.  FILE (BENCH_stream.json in the repository root by default)
 gets, with the host fields:
 
 - `take_bytes`: ns per byte of `take_bytes(n)` at n = 32 B, 106 B (one LWE
-  bit's derived stream at n = 64), 2080 B (a GLYPH mask) and 160 KB
+  bit's derived stream at n = 64), 2080 B (a GLYPH mask), 16640 B (the
+  masks of SIGN_BATCH = 4 GLYPH candidates) and 160 KB
   (`sample --count 20000`), each read from a fresh rng (what a derived
   stream pays) and from one rng read over and over, the sides alternating
   over REPS reps;
@@ -23,6 +24,9 @@ gets, with the host fields:
   workload (bench_memory.labbench_table, one seed per pair from N), the
   sign workload's rejection iterations per second, and one traced sign
   pair at seed N.
+
+With --take-bytes-only, FILE keeps what it holds and gets only the
+`take_bytes` rows, under `take_bytes_against` with the host fields.
 
 A child's ru_maxrss starts at the RSS of the process that forked it, so
 every run.py child is started before this process imports numpy or
@@ -45,7 +49,7 @@ from bench_memory import alternate, labbench_run, labbench_table, quartiles
 from benchhost import host, load_parent
 
 ROOT = Path(__file__).resolve().parent.parent
-READS = (32, 106, 2080, 160_000)
+READS = (32, 106, 2080, 16_640, 160_000)  # 16640 B: GLYPH sign's four candidates
 BLOCKS = (1024, 2048, 4096)
 KEY_SEED = bytes(range(32))
 SIGNS_PER_ROUND = 8
@@ -187,8 +191,18 @@ def main(argv: list[str]) -> None:
     parser.add_argument("--pairs", type=int, default=0, help="labbench pairs (0: none)")
     parser.add_argument("--seconds", type=int, default=25)
     parser.add_argument("--first-seed", type=int, default=4400)
+    parser.add_argument("--take-bytes-only", action="store_true")
     args = parser.parse_args(argv)
     parent = args.parent_src.resolve()
+    if args.take_bytes_only:
+        from latticelab import rng
+
+        out = json.loads(args.out.read_text()) if args.out.exists() else {}
+        out["take_bytes_against"] = {
+            "host": host(), "rows": take_bytes_rows(load_parent(parent, "rng"), rng, REPS)}
+        args.out.write_text(json.dumps(out, indent=1) + "\n")
+        print(f"wrote {args.out}", file=sys.stderr)
+        return
     out = {"host": host()}
     rss = sign_rss(parent, RSS_RUNS, args.seconds, args.first_seed)
     if args.pairs:

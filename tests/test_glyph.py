@@ -28,8 +28,9 @@ from latticelab.glyph import (
 )
 from latticelab.polyring import (RingElement, RingParams, ring_add, ring_from_coeffs, ring_mul,
                                  ring_sub)
-from latticelab.rng import SeededRng
+from latticelab.rng import BLOCK_BYTES, SeededRng
 from latticelab.zq import Modulus, next_prime
+from glyph_sequential import sign_sequential, verify_by_ring_mul
 
 TOY = GlyphParams(n=16, q=Modulus(257), b=63, k=4)
 CRAMPED = GlyphParams(n=16, q=Modulus(257), b=4, k=4)  # beta = 0: no signature in reach
@@ -357,3 +358,79 @@ def test_sign_with_keys_taken_in_turn_matches_the_ring_mul_loop(p):
         assert (rng.counter, rng._buf) == (ref_rng.counter, ref_rng._buf)
         tables.append(sk.windows)
     assert tables[2] is tables[0] and tables[1] is not tables[0]  # A's, built once
+
+
+# b far above k: a candidate is accepted about 19 times in 20, so most
+# signatures stop at the first candidate of a batch
+EAGER = GlyphParams(n=16, q=Modulus(7681), b=1000, k=2)
+_KEYS = {}
+
+
+def _keys(p):
+    if p not in _KEYS:
+        _KEYS[p] = keygen(p, SeededRng(bytes([p.n % 256, p.b % 256]) * 16))
+    return _KEYS[p]
+
+
+def _signed_with_state(signer, sk, pk, message, p, rng):
+    """The signer's outcome (or its error's text) and the stream it leaves:
+    counter, unread bytes, position and the next 3000 bytes."""
+    out = _outcome(signer, sk, pk, message, p, rng)
+    return out, (rng.counter, rng._buf, rng.position, rng.take_bytes(3000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([EAGER, TOY, GlyphParams()]),
+       reads=st.lists(st.integers(0, 2 * BLOCK_BYTES), max_size=3),
+       message=st.binary(max_size=40), seed=st.integers(0, 255))
+@example(p=EAGER, reads=[BLOCK_BYTES - 1], message=b"m", seed=0)
+@example(p=GlyphParams(), reads=[32, 2080], message=b"", seed=1)
+def test_batched_sign_is_the_sequential_loop(p, reads, message, seed):
+    """`sign`, drawing and multiplying SIGN_BATCH candidates at once, gives
+    the sequential loop's signature and iteration count and leaves the
+    stream where it does, from a stream read to any offset mod BLOCK_BYTES."""
+    sk, pk = _keys(p)
+    rng = SeededRng(bytes([seed]) * 32)
+    for m in reads:
+        rng.take_bytes(m)
+    ref = copy.deepcopy(rng)
+    assert (_signed_with_state(sign, sk, pk, message, p, rng)
+            == _signed_with_state(sign_sequential, sk, pk, message, p, ref))
+
+
+@pytest.mark.parametrize("limit", [1, 3, 7, 8])
+def test_batched_sign_stops_after_exactly_max_sign_iters(limit, monkeypatch):
+    """A loop that never accepts raises after MAX_SIGN_ITERS iterations, a
+    multiple of SIGN_BATCH or not, having read those iterations' draws alone."""
+    monkeypatch.setattr(glyph, "MAX_SIGN_ITERS", limit)
+    sk, pk = keygen(CRAMPED, SeededRng(bytes(32)))
+    rng, ref = SeededRng(bytes([5]) * 32), SeededRng(bytes([5]) * 32)
+    got = _signed_with_state(sign, sk, pk, b"m", CRAMPED, rng)
+    assert got == _signed_with_state(sign_sequential, sk, pk, b"m", CRAMPED, ref)
+    assert got[0] == f"no acceptable signature in {limit} iterations"
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([TOY, GlyphParams(n=256), GlyphParams(n=16, q=Modulus(59417))]),
+       data=st.data())
+def test_verify_gives_the_verdicts_of_the_ring_mul_verify(p, data):
+    """Signatures with coefficients of z1 or z2 moved to the norm test's
+    edges (+-beta and +-(beta + 1), as residues), or with c, z or the
+    message changed: the same verdict and reason as `verify_by_ring_mul`."""
+    sk, pk = _keys(p)
+    message = data.draw(st.binary(max_size=20))
+    sig, _ = sign(sk, pk, message, p, SeededRng(bytes([len(message)]) * 32))
+    q, beta = int(p.q), p.beta
+    edges = [beta, q - beta, beta + 1, q - beta - 1, 0, q - 1]
+    z = {"z1": sig.z1.vec.copy(), "z2": sig.z2.vec.copy()}
+    for _ in range(data.draw(st.integers(0, 3))):
+        which = data.draw(st.sampled_from(["z1", "z2"]))
+        z[which][data.draw(st.integers(0, p.n - 1))] = data.draw(st.sampled_from(edges))
+    c = sig.c.vec.copy()
+    if data.draw(st.booleans()):
+        c[data.draw(st.integers(0, p.n - 1))] = data.draw(st.sampled_from([0, 1, q - 1, 2]))
+    told = message + b"!" * data.draw(st.integers(0, 1))
+    bad = GlyphSignature(c=RingElement(c, p.ring), z1=RingElement(z["z1"], p.ring),
+                         z2=RingElement(z["z2"], p.ring))
+    assert verify(pk, told, bad, p) == verify_by_ring_mul(pk, told, bad, p)
+    assert verify(pk, message, sig, p) == glyph.VerifyResult(True)

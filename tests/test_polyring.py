@@ -1050,7 +1050,9 @@ def test_ntt_evaluates_at_the_roots_and_inverts(n, q):
     vec = np.random.default_rng(n * q).integers(0, q, n)
     x = _ntt_forward(vec, tables)
     assert (x % q).ravel().tolist() == [evaluate(RingElement(vec, p), r) for r in points]
-    assert np.array_equal(_ntt_inverse(x, tables), vec)
+    # the forward transform may leave its sums unreduced (`_lazy_centers`);
+    # the inverse takes them as residues, and returns rows
+    assert np.array_equal(_ntt_inverse(x % q, tables), [vec])
 
 
 @settings(max_examples=25, deadline=None)
@@ -1078,6 +1080,77 @@ def test_products_at_the_ntt_edge(q):
     for operand in (top, other):
         assert ring_mul(RingElement(top, p), RingElement(operand, p)).coeffs == division_oracle(
             top, operand, p)
+
+
+# `_lazy_centers` at n = 1024 (n1 = n2 = 32), with h = (q - 1)/2 the tables'
+# largest entry and h + 2 the most `_center` leaves: each `_center` it skips at
+# q = 59393, the last NTT prime (q = 1 mod 2048) where its bound still allows
+# the skip, and the next one, where it does not.  Past 86017 the `_center`
+# after m1 runs, which lets the one after the twiddles go.
+LAZY_EDGES = {
+    0: (86017, 114689, lambda h, q: 32 * (q - 1) * h * h),  # m1's sums, twiddled
+    2: (86017, 114689, lambda h, q: (h + 2) * 32 * h * (q - 1)),  # m2's, times a residue
+    1: (120833, 133121, lambda h, q: (h + 2) * h * 32 * h),  # twiddled, through m2
+    4: (120833, 133121, lambda h, q: (h + 2) * 32 * h * h),  # m2_inv's sums, twiddled
+}
+
+
+def test_lazy_centers_skip_exactly_as_far_as_their_bounds():
+    assert _ntt_tables(1024, 59393).centers == (False, True, False, True, False, True)
+    assert all(_ntt_tables(1024, NTT_EDGE_Q).centers)  # near the edge every pass stays
+    for i, (last, nxt, bound) in LAZY_EDGES.items():
+        assert [q for q in range(last, nxt + 1, 2048) if is_prime(q)] == [last, nxt]
+        assert bound((last - 1) // 2, last) < 2**53 <= bound((nxt - 1) // 2, nxt)
+        assert not _ntt_tables(1024, last).centers[i] and _ntt_tables(1024, nxt).centers[i]
+
+
+@pytest.mark.parametrize("q", sorted({q for last, nxt, _ in LAZY_EDGES.values()
+                                      for q in (last, nxt)}))
+def test_products_at_the_lazy_edges(q):
+    """All q - 1 operands, each side of every skipped `_center`'s edge:
+    ring_mul, and ring_mul_vec on rows of q - 1 and -(q - 1) with an addend."""
+    p = negacyclic(1024, q)
+    top = [q - 1] * 1024
+    expect = division_oracle(top, top, p)
+    assert ring_mul(RingElement(top, p), RingElement(top, p)).coeffs == expect
+    rows = np.array([top, [1 - q] * 1024])
+    big = 2**62 - 1
+    got = ring_mul_vec(RingElement(top, p), rows, np.array([[big] * 1024, [-big] * 1024]))
+    assert got.tolist() == [[(e + big) % q for e in expect], [(-e - big) % q for e in expect]]
+
+
+@pytest.mark.parametrize("q", [59393, NTT_EDGE_Q])
+def test_an_addend_below_2_62_joins_the_products_sums_exactly(q):
+    # the last matmul's sums, below 2^53, become int64 before the addend joins
+    p = negacyclic(1024, q)
+    top = [q - 1] * 1024
+    y = np.random.default_rng(q).integers(1 - q, q, 1024)
+    expect = division_oracle(top, (y % q).tolist(), p)
+    for add in (2**62 - 1, -(2**62 - 1), 2**53 + 1):
+        got = ring_mul_vec(RingElement(top, p), y, np.full(1024, add))
+        assert got.tolist() == [(e + add) % q for e in expect]
+
+
+RING_MUL_VEC_RINGS = [(16, 257), (256, 7681), (1024, 59393), (16, 59417), (8, 97 * 89)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ring_mul_vec_takes_rows_and_an_addend(data):
+    """Rows of centered vectors at once, with or without an addend, give
+    each row's ring_mul plus the addend mod q, on split rings and off them
+    (59417 is not 1 mod 32, and 97 * 89 is composite)."""
+    n, q = data.draw(st.sampled_from(RING_MUL_VEC_RINGS))
+    p = RingParams(tuple([1] + [0] * (n - 1) + [1]), q)  # q need not be prime
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = data.draw(st.integers(1, 5))
+    a = RingElement(gen.integers(0, q, n), p)
+    y = gen.integers(1 - q, q, (rows, n))
+    addend = gen.integers(-(q * 17), q * 17, (rows, n))
+    each = [ring_mul(a, RingElement(row % q, p)).vec for row in y]
+    assert np.array_equal(ring_mul_vec(a, y), each)
+    assert np.array_equal(ring_mul_vec(a, y, addend), (np.array(each) + addend) % q)
+    assert np.array_equal(ring_mul_vec(a, y[0], addend[0]), (each[0] + addend[0]) % q)
 
 
 def negacyclic_reference(a, b, n, q):

@@ -1,4 +1,5 @@
 import hashlib
+import types
 
 import numpy as np
 import pytest
@@ -251,3 +252,128 @@ def test_unit_floats_in_chunks_is_one_read(chunk, sizes):
             want = (raw >> np.uint64(11)).astype(np.float64) / float(1 << 53)
             assert r.unit_floats(size).tobytes() == want.tobytes()
             assert (r.counter, r._buf) == (ref.counter, ref._buf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chunk=st.sampled_from([1, 3, 40, 1 << 14]),
+       q=st.one_of(st.sampled_from(WIDTH_QS + [(1 << 12) + 1, 1 << 8, 1 << 16, 1 << 32]),
+                   st.integers(1, 2**63)),
+       rows=st.integers(0, 6), size=st.integers(0, 300), offset=st.integers(0, 2 * BLOCK_BYTES))
+def test_uniform_rows_are_successive_uniform_arrays(chunk, q, rows, size, offset):
+    """`rows` draws of `size` at once give the zero-padded decode's draws row
+    by row, each row's end as the position after it, and the stream left
+    where those reads leave it, from a stream read to any offset."""
+    seed = hashlib.sha256(f"{chunk}/{q}/{offset}".encode()).digest()
+    r, ref = SeededRng(seed), SeededRng(seed)
+    r.take_bytes(offset)
+    ref.take_bytes(offset)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng_mod, "_CHUNK_DRAWS", chunk)
+        got, ends = r.uniform_rows(q, rows, size)
+    assert got.shape == (rows, size) and got.dtype == np.int64
+    for row, end in zip(got, ends):
+        assert np.array_equal(row, uniform_array_zero_padded(ref, q, size))
+        assert end == ref.position
+    assert len(ends) == rows
+    assert (r.counter, r._buf, r.position) == (ref.counter, ref._buf, ref.position)
+
+
+def test_uniform_rows_refill_a_short_row_in_place():
+    """q = 2^12 + 1 rejects about half the draws, so at size 200 a row's
+    batch falls short (a refill, read right after it) about one time in
+    eight: rows before, at and after a refill match the row-by-row decode."""
+    q, size, rows = (1 << 12) + 1, 200, 6
+    step = 2 * (int(size * (1 << 13) / q) + 16)  # bytes of a row's first batch
+    refills = set()
+    for s in range(24):
+        seed = bytes([s]) * SEED_BYTES
+        r, ref = SeededRng(seed), SeededRng(seed)
+        got, ends = r.uniform_rows(q, rows, size)
+        for i, (row, end) in enumerate(zip(got, ends)):
+            assert np.array_equal(row, uniform_array_zero_padded(ref, q, size))
+            assert end == ref.position
+            if end - (ends[i - 1] if i else 0) > step:
+                refills.add(i)
+        assert (r.counter, r._buf) == (ref.counter, ref._buf)
+    assert refills & {0, rows - 1} and refills - {0, rows - 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(reads=st.lists(st.one_of(st.sampled_from(EDGES), st.integers(0, 2 * BLOCK_BYTES + 1)),
+                      min_size=1, max_size=5),
+       data=st.data())
+def test_rewind_leaves_what_reads_ending_there_leave(reads, data):
+    """After reads and a rewind to any byte read, counter, the unread bytes,
+    the position and the bytes that follow are those of a fresh stream read
+    up to that byte, in one read or two."""
+    seed = bytes(range(50, 82))
+    r = SeededRng(seed)
+    for m in reads:
+        r.take_bytes(m)
+    back = data.draw(st.one_of(st.integers(0, r.position),
+                               st.sampled_from([e for e in EDGES if e <= r.position])))
+    r.rewind(back)
+    ref = SeededRng(seed)
+    first = data.draw(st.integers(0, back))
+    ref.take_bytes(first)
+    ref.take_bytes(back - first)
+    assert (r.counter, r._buf, r.position) == (ref.counter, ref._buf, ref.position)
+    assert len(r._buf) < BLOCK_BYTES
+    assert r.take_bytes(3000) == ref.take_bytes(3000)
+    with pytest.raises(ValueError):
+        r.rewind(r.position + 1)
+
+
+class SqueezeLog:
+    """Stands in for hashlib.shake_128 in the rng module, recording each
+    squeeze as (block, bytes)."""
+
+    def __init__(self):
+        self.squeezed = []
+
+    def __call__(self, data):
+        log, h = self.squeezed, hashlib.shake_128(data)
+
+        class Squeeze:
+            def digest(self, size):
+                log.append((int.from_bytes(data[-8:], "little"), size))
+                return h.digest(size)
+
+        return Squeeze()
+
+
+def test_a_first_read_squeezes_only_the_prefix_it_needs():
+    """A fresh stream's first read squeezes its last block only as far as it
+    reads; the next read into that block squeezes it whole, once, and later
+    reads squeeze whole blocks."""
+    log = SqueezeLog()
+    r = SeededRng(bytes(32))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng_mod, "hashlib", types.SimpleNamespace(shake_128=log))
+        r.take_bytes(32)
+        assert log.squeezed == [(0, 32)]
+        r.take_bytes(32)
+        r.take_bytes(900)
+        assert log.squeezed == [(0, 32), (0, BLOCK_BYTES)]
+        r.take_bytes(100)
+        assert log.squeezed[2:] == [(1, BLOCK_BYTES)]
+        log.squeezed.clear()
+        SeededRng(bytes(32)).take_bytes(2080)  # a GLYPH mask from a fresh stream
+        assert log.squeezed == [(0, BLOCK_BYTES), (1, BLOCK_BYTES), (2, 32)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 3 * BLOCK_BYTES), max_size=12))
+def test_reads_squeeze_no_block_more_than_twice(reads):
+    """Only the last block of a stream's first read is squeezed twice: a
+    prefix, then whole."""
+    log = SqueezeLog()
+    r = SeededRng(bytes(range(9, 41)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng_mod, "hashlib", types.SimpleNamespace(shake_128=log))
+        for m in reads:
+            r.take_bytes(m)
+    squeezed = [c for c, _ in log.squeezed]
+    first = next((m for m in reads if m), 0)
+    assert {c for c in squeezed if squeezed.count(c) > 1} <= {(first - 1) // BLOCK_BYTES}
+    assert all(squeezed.count(c) <= 2 for c in squeezed)
