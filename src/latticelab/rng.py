@@ -226,12 +226,7 @@ class SeededRng:
 
 
 def _decode(raw: bytes, nbytes: int, mask: np.uint64) -> np.ndarray:
-    """The draws of `raw`, nbytes big-endian bytes each, masked to their k
-    bits: read as numpy's unsigned type of nbytes where there is one (1, 2,
-    4 or 8 bytes; GLYPH's masks take 2), which is about twice as fast."""
-    if nbytes & (nbytes - 1) == 0:
-        vals = np.frombuffer(raw, f">u{nbytes}")
-        return vals & vals.dtype.type(mask)
+    """The draws of `raw`, nbytes big-endian bytes each, masked to their k bits."""
     # draw i is the >u8 ending at its last byte: a stride of nbytes over the
     # stream behind 8 - nbytes zero bytes, its high bytes (those of earlier
     # draws, or the zeros) cleared by the mask
