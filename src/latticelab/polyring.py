@@ -439,7 +439,7 @@ def _mul_x_power(acc: np.ndarray, k: int, squarings: list[np.ndarray], q: int) -
 def _reduce_int(a: np.ndarray, q: int) -> np.ndarray:
     """a %= q in place for int64 a, as a - (a // q) * q: floor division, so
     the same residues in [0, q) for negative a too, faster than np.remainder
-    on int64 (below n = 512, np.remainder is ~0.3 us faster)."""
+    on int64 from about a thousand values up (3.7 against 4.9 us at 1024)."""
     quo = a // q
     quo *= q
     a -= quo

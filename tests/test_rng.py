@@ -261,21 +261,25 @@ def test_unit_floats_in_chunks_is_one_read(chunk, sizes):
        rows=st.integers(0, 6), size=st.integers(0, 300), offset=st.integers(0, 2 * BLOCK_BYTES))
 def test_uniform_rows_are_successive_uniform_arrays(chunk, q, rows, size, offset):
     """`rows` draws of `size` at once give the zero-padded decode's draws row
-    by row, each row's end as the position after it, and the stream left
-    where those reads leave it, from a stream read to any offset."""
+    by row, and successive `uniform_array` calls', each row's end as the
+    position after it, and the stream left where those reads leave it,
+    from a stream read to any offset."""
     seed = hashlib.sha256(f"{chunk}/{q}/{offset}".encode()).digest()
-    r, ref = SeededRng(seed), SeededRng(seed)
-    r.take_bytes(offset)
-    ref.take_bytes(offset)
+    r, ref, one = SeededRng(seed), SeededRng(seed), SeededRng(seed)
+    for x in (r, ref, one):
+        x.take_bytes(offset)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rng_mod, "_CHUNK_DRAWS", chunk)
         got, ends = r.uniform_rows(q, rows, size)
+        singles = [one.uniform_array(q, size) for _ in range(rows)]
     assert got.shape == (rows, size) and got.dtype == np.int64
-    for row, end in zip(got, ends):
+    for row, single, end in zip(got, singles, ends):
         assert np.array_equal(row, uniform_array_zero_padded(ref, q, size))
+        assert np.array_equal(row, single)
         assert end == ref.position
     assert len(ends) == rows
-    assert (r.counter, r._buf, r.position) == (ref.counter, ref._buf, ref.position)
+    for x in (r, one):
+        assert (x.counter, x._buf, x.position) == (ref.counter, ref._buf, ref.position)
 
 
 def test_uniform_rows_refill_a_short_row_in_place():
