@@ -132,10 +132,9 @@ def cmd_encrypt(args) -> int:
     message, digest = _read_message(args.message)
     if args.scheme == "lwe":
         pk = fileio.read_record(args.public, "lwe-public")
-        cts = [
-            lwe.encrypt_bit(pk, z, rng.derive(f"lwe-bit-{i}/{digest}"))
-            for i, z in enumerate(_bits(message))
-        ]
+        bits = _bits(message)
+        cts = lwe.encrypt_bits(pk, bits, [rng.derive(f"lwe-bit-{i}/{digest}")
+                                          for i in range(len(bits))])
         _write_out(args.out, fileio.record_blocks("lwe-ciphertext", cts, pk.params))
     elif args.scheme == "plwe":
         pk, params = fileio.read_record(args.public, "plwe-public")

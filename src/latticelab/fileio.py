@@ -11,18 +11,22 @@ compactness.
 Each direction has one entry, over one stream of line blocks: the header
 and fields, then the rows about _BLOCK_ENTRIES entries at a time.
 `record_blocks` yields a record's text as blocks cut from slices of the
-caller's arrays (one %-format per block); `read_record` takes a file's
-lines a chunk at a time, proves a block's spelling with a few string
-checks, parses it with one np.fromstring into the record's int64 array
-and checks one length identity over all blocks (`_VecRows`).  So coding
-a record holds the record and one block, never its whole text.  Each
-``RECORDS`` row maps its objects to its fields and back; `dump_record`
-and `load_record` are the ``str`` forms of the same stream.
+caller's arrays, each spelled by one numpy encoder (`_encode`): an entry is
+its 4-digit chunks, looked up as words of ASCII in a digit table, with sign
+and separator words beside them, and the block's text is their bytes with
+the NUL padding dropped.  `read_record` takes a file's lines a chunk at a
+time, proves a block's spelling with a few string checks, parses it with
+one np.fromstring into the record's int64 array and checks one length
+identity over all blocks (`_VecRows`).  So coding a record holds the
+record and one block, never its whole text.  Each ``RECORDS`` row maps its
+objects to its fields and back; `dump_record` and `load_record` are the
+``str`` forms of the same stream.
 """
 
 from __future__ import annotations
 
 import codecs
+import functools
 import os
 import re
 import stat
@@ -43,11 +47,94 @@ from .zq import Modulus
 _INT = "(?:0|[1-9][0-9]{0,18})"
 _CHALLENGE_RE = re.compile(f"{_INT}:[+-]1(?:,{_INT}:[+-]1)*")
 _POW10 = [10**k for k in range(1, 19)]
-# Entries formatted or parsed at a time: enough to keep the per-block cost
-# small, few enough that a block's temporaries stay well below a record's.
-# A %-format takes one Python int per entry; at 2^14 of them a process that
-# wrote many keys kept raising its peak RSS (a fragmented heap), at 2^12 not.
+# Entries formatted or parsed at a time: enough to keep numpy's per-call cost
+# small against a block's work, few enough that a block's temporaries (its
+# words when written, its lines and their parse when read) stay well below a
+# record's.
 _BLOCK_ENTRIES = 1 << 12
+
+
+def _chunk_table() -> np.ndarray:
+    """The 4-digit chunks of an entry, one uint32 word of ASCII each, by
+    index: [0, 10^4) a top chunk, its leading zeros NULs (0 itself all
+    NULs); [10^4, 2*10^4) a chunk below a nonzero higher part, zero-padded;
+    [2*10^4, 4*10^4) the same two for the lowest chunk, where 0 is "0"."""
+    zero = ord("0")  # uint16 and uint8 temporaries keep the import's peak memory small
+    values = np.arange(10**4, dtype=np.uint16)[:, None]
+    powers = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    digits = (values // powers % 10 + zero).astype(np.uint8)
+    top = np.where(values < powers, 0, digits).astype(np.uint8)  # leading zeros as NULs
+    lowest_top = top.copy()
+    lowest_top[0, 3] = zero
+    return np.concatenate([top, digits, lowest_top, digits]).view(np.uint32).ravel()
+
+
+_CHUNKS = _chunk_table()
+_POW = np.array([10**16, 10**12, 10**8, 10**4], dtype=np.uint64)[:, None, None]
+_LOW = np.array([10**4] * 3 + [3 * 10**4], dtype=np.uint64)[:, None, None]
+_CHUNK, _LOWEST = np.uint64(10**4), np.uint64(2 * 10**4)
+# A sign word is the bool v < 0 widened to a word: its byte 1 is read as "-".
+_TEXT = bytes.maketrans(b"\1", b"-")
+
+
+@functools.lru_cache(maxsize=64)
+def _separators(widths: tuple, prefixes: tuple):
+    """The separator after each entry of a cycle, one row per entry: ","
+    inside a line, "\\n" and the next line's prefix at a line's end; and a
+    lone "\\n", which ends a block's last line instead.  Each is one item of
+    as many words as the longest needs, so that a block's separators are
+    written as one column."""
+    ends = ["\n" + p for p in (*prefixes[1:], prefixes[0])]
+    s = -(-max(map(len, ends)) // 4)  # words per separator, NUL-padded on the right
+    raw = b"".join(x.encode().ljust(4 * s, b"\0")
+                   for x in [sep for end in ends for sep in (",", end)] + ["\n"])
+    rows = np.frombuffer(raw, np.uint32 if s == 1 else np.dtype((np.void, 4 * s)))[:, None]
+    seps = np.repeat(rows[:-1], [c for w in widths for c in (w - 1, 1)], axis=0)
+    seps.flags.writeable = False  # one array, shared by every caller of the cache
+    return seps, rows[-1]
+
+
+def _chunk_indices(mag, k: int) -> np.ndarray:
+    """The indices into _CHUNKS of the k chunks of each magnitude in `mag`,
+    most significant first.  A chunk's index comes from the part p of the
+    magnitude at and above it (mag // 10^4j for the j-th lowest): p itself
+    while p < 10^4, the top chunk or, if 0, NULs above it; else p mod 10^4 +
+    10^4.  That is min(p, p mod 10^4 + 10^4), and the lowest chunk's index
+    is 2 * 10^4 further on, in the tables where 0 is "0"."""
+    q = np.empty((k,) + mag.shape, dtype=np.uint64)
+    np.add(mag, _LOWEST, out=q[-1])
+    if k > 1:
+        np.floor_divide(mag, _POW[1 - k :], out=q[:-1])
+        below = q[1:]
+        low = np.remainder(below, _CHUNK)
+        low += _LOW[1 - k :]
+        np.minimum(below, low, out=below)
+    return q.view(np.int64)
+
+
+def _encode(v, seps, last) -> str:
+    """The cycles in the rows of the int64 array `v` as text, each entry in
+    decimal followed by its column's separator `seps`, the block's last one
+    replaced by `last`.  An entry is a sign word if any entry of the block
+    is negative, one word per 4-digit chunk of the block's largest
+    magnitude, most significant first, and its separator words; the text is
+    the words' bytes with the NULs dropped."""
+    mag = v.view(np.uint64)
+    top = int(mag.max())
+    sign = top >> 63  # an entry read as 2^63 or more is negative
+    if sign:
+        mag = np.abs(v).view(np.uint64)  # |-2^63| is 2^63 as uint64
+        top = int(mag.max())
+    k = -(-len(str(top)) // 4)
+    c = sign + k
+    words = np.empty(v.shape + (c + seps.itemsize // 4,), dtype=np.uint32)
+    if sign:
+        np.less(v, 0, out=words[..., 0], casting="unsafe")
+    words[..., sign:c].transpose(2, 0, 1)[...] = _CHUNKS[_chunk_indices(mag, k)]
+    sep = words[..., c:].view(seps.dtype)
+    sep[...] = seps
+    sep[-1, -1] = last
+    return words.tobytes().translate(_TEXT, b"\0").decode()
 
 
 def _format_blocks(pieces, prefixes):
@@ -55,16 +142,23 @@ def _format_blocks(pieces, prefixes):
     of cycles each.  Cycle i writes one line per prefix: the prefix, then
     row i of each of its arrays (2-D, or 1-D as one column) side by side,
     in decimal, joined by commas.  A block is cut from slices of the
-    arrays, so no copy of the whole is made."""
-    pieces = [[a[:, None] if a.ndim == 1 else a for a in map(np.asarray, arrays)]
-              for arrays in pieces]
-    widths = [sum(a.shape[1] for a in arrays) for arrays in pieces]
-    line = "".join(p + ",".join(["%d"] * w) + "\n" for p, w in zip(prefixes, widths))
-    flat = [a for arrays in pieces for a in arrays]
+    arrays, so no copy of the whole is made, and encoded by `_encode`: the
+    separator words after each entry carry the commas, the newlines and
+    the next line's prefix, so every layout is one path.  Every line holds
+    at least one entry."""
+    flat, widths = [], []
+    for arrays in pieces:
+        width = 0
+        for a in arrays:
+            a = np.asarray(a, dtype=np.int64)
+            flat.append(a if a.ndim > 1 else a[:, None])
+            width += flat[-1].shape[1]
+        widths.append(width)
+    seps, last = _separators(tuple(widths), tuple(prefixes))
     step = max(1, _BLOCK_ENTRIES // max(sum(widths), 1))
     for i in range(0, len(flat[0]), step):
         b = flat[0][i : i + step] if len(flat) == 1 else np.hstack([a[i : i + step] for a in flat])
-        yield line * len(b) % tuple(b.ravel().tolist())
+        yield prefixes[0] + _encode(b, seps, last)
 
 
 def format_row_blocks(rows, prefixes=("",)):

@@ -59,8 +59,11 @@ class LweCiphertext:
 # at 0.23 GB (the key read back), on 2 CPUs with Python 3.11 and numpy 2.4
 # (tests/bench_memory.py, BENCH_memory.json), so n stops there.
 MAX_N = 1 << 10
-# Entries of `a` that encrypt_bit gathers at a time: the whole key up to n = 64.
-_SUM_ENTRIES = 1 << 16
+# Entries of each float64 array of encrypt_bits' products: a block of key rows
+# (with b beside them), a block of bits' subset rows and their sums.  At
+# n = 1024 a float64 copy of the key would be 184 MB, so it is cast a block
+# of rows at a time, once per block of bits.
+_SUM_ENTRIES = 1 << 14
 
 
 def derive_params(n: int) -> LweParams:
@@ -91,24 +94,49 @@ def keygen(p: LweParams, rng: SeededRng) -> tuple[LweSecretKey, LwePublicKey]:
     return LweSecretKey(s=s), LwePublicKey(a=a, b=b, params=p)
 
 
+def encrypt_bits(pk: LwePublicKey, bits, rngs) -> list[LweCiphertext]:
+    """encrypt_bit of each bit with its rng, in order: bit i reads its subset
+    S_i from rngs[i] exactly as encrypt_bit does.  The sums are then one
+    float64 product per block of bits and block of key rows: with the
+    message term, each is below (m + 1) * q <= 2^53, so every sum is exact.
+
+    A non-bit anywhere, or a key too large for exact sums, raises
+    InvalidParams before any rng is read."""
+    bits, rngs = list(bits), list(rngs)
+    if len(bits) != len(rngs):
+        raise LengthMismatch(f"{len(bits)} bits but {len(rngs)} rngs")
+    if any(z not in (0, 1) for z in bits):
+        raise InvalidParams("plaintext must be a bit")
+    p = pk.params
+    if (p.m + 1) * p.q > 1 << 53:  # derive_params keeps it below 2^36
+        raise InvalidParams("need (m + 1) * q <= 2^53: the sums are exact float64 sums")
+    q, m, n, width = p.q, p.m, p.n, (p.m + 7) // 8
+    rows = max(8, _SUM_ENTRIES // (n + 1)) // 8 * 8  # key rows per product: whole bytes
+    step = max(1, _SUM_ENTRIES // max(rows, n + 1))  # bits per product
+    cts = []
+    for i in range(0, len(bits), step):
+        raw = b"".join(rng.take_bytes(width) for rng in rngs[i : i + step])
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)  # row t: S of bit i + t
+        sums = np.zeros((len(packed), n + 1))  # u and v side by side
+        for j in range(0, m, rows):
+            key = np.empty((min(rows, m - j), n + 1))
+            key[:, :n], key[:, n] = pk.a[j : j + rows], pk.b[j : j + rows]
+            chosen = np.unpackbits(packed[:, j // 8 : (j + rows) // 8], axis=1, count=len(key))
+            sums += chosen.astype(np.float64) @ key
+        sums[:, n] += np.array(bits[i : i + step]) * (q // 2)
+        uv = sums.astype(np.int64)
+        uv %= q
+        cts += [LweCiphertext(u=row[:n], v=int(row[n])) for row in uv]
+    return cts
+
+
 def encrypt_bit(pk: LwePublicKey, z: int, rng: SeededRng) -> LweCiphertext:
     """u = sum_{i in S} a_i, v = z*floor(q/2) + sum_{i in S} b_i.
 
-    S includes each index independently with probability 1/2.
-    """
-    if z not in (0, 1):
-        raise InvalidParams("plaintext must be a bit")
-    p = pk.params
-    q = p.q
-    raw = np.frombuffer(rng.take_bytes((p.m + 7) // 8), dtype=np.uint8)
-    subset = np.unpackbits(raw)[: p.m] == 1
-    step = max(1, _SUM_ENTRIES // max(p.n, 1))
-    u = pk.a[:step][subset[:step]].sum(axis=0)
-    for i in range(step, p.m, step):  # a block of rows at a time, not one gather of all
-        u += pk.a[i : i + step][subset[i : i + step]].sum(axis=0)
-    u %= q
-    v = (z * (q // 2) + int(pk.b[subset].sum())) % q
-    return LweCiphertext(u=u, v=v)
+    S includes each index independently with probability 1/2: index i is in
+    S iff bit i of the rng's next ceil(m/8) bytes, most significant bit
+    first, is 1."""
+    return encrypt_bits(pk, [z], [rng])[0]
 
 
 def decrypt_bit(sk: LweSecretKey, ct: LweCiphertext, p: LweParams) -> int:

@@ -499,6 +499,64 @@ def test_format_rows_in_blocks_is_the_one_shot_format(block, cycles, cols, prefi
             rows, prefixes)
 
 
+# Both ends of every digit count of an int64 magnitude, 10^k - 1 and 10^k,
+# with both signs; 0, +-1 and the int64 ends.
+_DIGIT_EDGES = sorted({s * e for k in range(1, 19) for e in (10**k - 1, 10**k) for s in (1, -1)}
+                | {0, 1, -1, -(2**63), 2**63 - 1})
+_ENTRY = st.one_of(st.sampled_from(_DIGIT_EDGES), st.integers(-(2**63), 2**63 - 1),
+                   st.integers(0, 99))
+
+
+def format_pieces_one_shot(pieces, prefixes) -> str:
+    """The rows of `pieces` laid out as `_format_blocks` lays them out, each
+    line a prefix and a str join of its entries: the reference for the
+    encoder."""
+    lines = [np.hstack([np.asarray(a).reshape(len(a), -1) for a in arrays]).tolist()
+             for arrays in pieces]
+    return "".join(p + ",".join(map(str, rows[i])) + "\n"
+                   for i in range(len(lines[0])) for p, rows in zip(prefixes, lines))
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=st.sampled_from([1, 7, fileio._BLOCK_ENTRIES]), cycles=st.integers(1, 9),
+       layout=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=3),
+                       min_size=1, max_size=3),
+       data=st.data())
+def test_encoder_is_the_str_join_of_every_layout(block, cycles, layout, data):
+    """1-3 keys per cycle, each with 1-3 arrays side by side (width 0: a 1-D
+    array, one column), prefixes whose separators take 1-4 words, entries
+    of every digit count and sign, in blocks of 1, 7 or the default."""
+    prefixes = data.draw(st.lists(st.sampled_from(["", "k=", "u=", "sample=", "a_longer_key="]),
+                                  min_size=len(layout), max_size=len(layout)))
+    pieces = []
+    for widths in layout:
+        arrays = []
+        for w in widths:
+            shape = (cycles, w) if w else (cycles,)
+            vals = data.draw(st.lists(_ENTRY, min_size=cycles * max(w, 1),
+                                      max_size=cycles * max(w, 1)))
+            arrays.append(np.array(vals, dtype=np.int64).reshape(shape))
+        pieces.append(tuple(arrays))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_BLOCK_ENTRIES", block)
+        text = "".join(fileio._format_blocks(pieces, prefixes))
+    assert text == format_pieces_one_shot(pieces, prefixes)
+
+
+@pytest.mark.parametrize("block", [1, 7, fileio._BLOCK_ENTRIES])
+def test_encoder_spells_every_digit_count(monkeypatch, block):
+    """Every edge entry alone in a block, beside the others in a column, in
+    a row and in a 11 x 7 matrix."""
+    edges = np.array(_DIGIT_EDGES, dtype=np.int64)
+    assert len(edges) == 77
+    monkeypatch.setattr(fileio, "_BLOCK_ENTRIES", block)
+    for rows in (edges[:, None], edges[None, :], edges.reshape(11, 7), edges[::-1].reshape(7, 11)):
+        assert "".join(fileio.format_row_blocks(rows, ["k="])) == format_rows_one_shot(
+            rows, ["k="])
+        assert "".join(fileio.format_row_blocks(rows)) == "".join(
+            ",".join(map(str, row)) + "\n" for row in rows.tolist())
+
+
 @settings(max_examples=200, deadline=None)
 @given(block=st.integers(1, 30), lines=st.integers(1, 12), cols=st.integers(1, 6),
        signed=st.booleans(), data=st.data())

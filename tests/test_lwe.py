@@ -18,7 +18,8 @@ from latticelab.lwe import (
     public_key_size,
 )
 from latticelab.rng import SeededRng
-from latticelab.zq import Modulus, reduce_centered
+from latticelab.zq import Modulus, next_prime, reduce_centered
+from lwe_sequential import encrypt_bit_sequential
 
 
 def test_derive_params_n64():
@@ -151,9 +152,9 @@ def test_public_key_size():
 
 @pytest.mark.parametrize("entries", [1, 16, 17 * 16, 1 << 16])
 def test_encrypt_sums_row_blocks_as_one_gather(rng, monkeypatch, entries):
-    """Rows summed a block at a time (one row, from fewer entries than n or
-    exactly n; 17 rows; all m) give the ciphertext of one gather of every
-    chosen row."""
+    """Rows summed a block at a time (8 rows, the fewest, from fewer entries
+    than a key row of n + 1 or exactly one row's; 16 rows; all m) give the
+    ciphertext of one gather of every chosen row."""
     p = derive_params(16)
     _, pk = keygen(p, rng.derive("key"))
     monkeypatch.setattr(lwe_mod, "_SUM_ENTRIES", entries)
@@ -163,3 +164,65 @@ def test_encrypt_sums_row_blocks_as_one_gather(rng, monkeypatch, entries):
         subset = np.unpackbits(raw)[: p.m] == 1
         assert ct.u.tolist() == (pk.a[subset].sum(axis=0) % p.q).tolist()
         assert ct.v == (z * (p.q // 2) + int(pk.b[subset].sum())) % p.q
+
+
+def _cipher(cts):
+    return [(ct.u.dtype, ct.u.tolist(), ct.v) for ct in cts]
+
+
+@pytest.mark.parametrize("entries", [17 * 40, 1 << 16])  # 40 key rows, 17 bits a block; all
+@pytest.mark.parametrize("count", [0, 1, 33, 300])
+def test_encrypt_bits_is_the_per_bit_loop(rng, monkeypatch, entries, count):
+    """encrypt_bits gives the per-bit loop's ciphertexts and leaves every rng
+    where the loop leaves it, whether each bit has its own rng or all share
+    one, with the key and the bits split into blocks or not."""
+    p = derive_params(16)
+    _, pk = keygen(p, rng.derive("key"))
+    bits = [int(b) for b in rng.derive("bits").uniform_array(2, count)]
+    monkeypatch.setattr(lwe_mod, "_SUM_ENTRIES", entries)
+    want_rngs = [rng.derive(f"bit-{i}") for i in range(count)]
+    want = [encrypt_bit_sequential(pk, z, r) for z, r in zip(bits, want_rngs)]
+    got_rngs = [rng.derive(f"bit-{i}") for i in range(count)]
+    assert _cipher(lwe_mod.encrypt_bits(pk, bits, got_rngs)) == _cipher(want)
+    assert [r.position for r in got_rngs] == [r.position for r in want_rngs]
+    shared, want_shared = rng.derive("shared"), rng.derive("shared")
+    want = [encrypt_bit_sequential(pk, z, want_shared) for z in bits]
+    assert _cipher(lwe_mod.encrypt_bits(pk, bits, [shared] * count)) == _cipher(want)
+    assert shared.position == want_shared.position
+
+
+def test_encrypt_bit_is_the_one_bit_case(rng):
+    p = derive_params(64)
+    _, pk = keygen(p, rng.derive("key"))
+    for i, z in enumerate([1, 0]):
+        want = encrypt_bit_sequential(pk, z, rng.derive(f"bit-{i}"))
+        assert _cipher([encrypt_bit(pk, z, rng.derive(f"bit-{i}"))]) == _cipher([want])
+
+
+@pytest.mark.parametrize("bad", [2, -1, None, "1"])
+@pytest.mark.parametrize("at", [0, 17, 32])
+def test_encrypt_bits_refuses_a_non_bit_before_reading_any_rng(rng, bad, at):
+    p = derive_params(16)
+    _, pk = keygen(p, rng.derive("key"))
+    bits = [1, 0] * 16 + [1]
+    bits[at] = bad
+    rngs = [rng.derive(f"bit-{i}") for i in range(len(bits))]
+    with pytest.raises(InvalidParams):
+        lwe_mod.encrypt_bits(pk, bits, rngs)
+    assert [r.position for r in rngs] == [0] * len(bits)
+
+
+def test_encrypt_bits_refuses_a_rng_count_that_is_not_the_bit_count(rng):
+    p = derive_params(16)
+    _, pk = keygen(p, rng.derive("key"))
+    with pytest.raises(LengthMismatch):
+        lwe_mod.encrypt_bits(pk, [1, 0], [rng])
+
+
+def test_encrypt_bits_refuses_a_key_too_large_for_exact_sums(rng):
+    q = next_prime(1 << 40)
+    p = LweParams(n=1 << 20, q=Modulus(q), alpha=0.0, m=(1 << 53) // q)
+    pk = LwePublicKey(a=np.zeros((1, 1), dtype=np.int64), b=np.zeros(1, dtype=np.int64), params=p)
+    with pytest.raises(InvalidParams, match="2\\^53"):
+        lwe_mod.encrypt_bits(pk, [1], [rng])
+    assert rng.position == 0

@@ -1,7 +1,7 @@
 """Bulk paths hold one block beyond their output, not a multiple of it:
-tracemalloc peaks for an LWE public key at n = 128 (254 k residues), and
-for the streamed reads of the other bulk records, LWE ciphertexts and
-PLWE samples."""
+tracemalloc peaks for an LWE public key at n = 128 (254 k residues), for
+the streamed reads of the other bulk records, LWE ciphertexts and PLWE
+samples, and for encrypting a message's bits."""
 
 import tracemalloc
 
@@ -12,10 +12,14 @@ from latticelab import cli, fileio, lwe, plwe
 from latticelab.rng import SeededRng
 
 P = lwe.derive_params(128)
-# One block's transients, in bytes: a Python int, its list and tuple slots
-# and its text per entry formatted (~60 per entry here), or the file chunk,
-# its lines and their parse per entry read (~70).
+# One block's transients, in bytes: its words, their chunk indices, bytes
+# and text per entry written (~60 per entry here), or the file chunk, its
+# lines and their parse per entry read (~70).
 BLOCK_BYTES = 96 * fileio._BLOCK_ENTRIES
+# One block of encrypt_bits' products, in bytes: four float64 arrays of
+# lwe._SUM_ENTRIES entries (a block of key rows, a block of bits' subset rows,
+# their product and the sums), each the most a block's arrays hold.
+SUM_BLOCK_BYTES = 4 * 8 * lwe._SUM_ENTRIES
 
 
 def _peak(fn):
@@ -81,7 +85,7 @@ def bulk_records(public_key, tmp_path_factory):
     n = 256 (410 k)."""
     d = tmp_path_factory.mktemp("bulk")
     rng = SeededRng(b"\x33" * 32)
-    cts = [lwe.encrypt_bit(public_key, i & 1, rng) for i in range(2000)]
+    cts = lwe.encrypt_bits(public_key, [i & 1 for i in range(2000)], [rng] * 2000)
     (d / "lwe-ciphertext").write_text(fileio.dump_record("lwe-ciphertext", cts, P))
     pp = plwe.default_params(256)
     samples = [plwe.uniform_sample_pair(pp, rng) for _ in range(800)]
@@ -96,3 +100,12 @@ def test_streamed_read_peaks_within_its_record_and_one_block(kind, bulk_records)
     (rows, _), held, peak = _held_and_peak(lambda: fileio.read_record(path, kind))
     assert len(rows) in (2000, 800)
     assert peak <= held + BLOCK_BYTES
+
+
+def test_encrypt_bits_peaks_within_its_ciphertexts_and_one_block(public_key):
+    bits = [i % 3 & 1 for i in range(2000)]
+    rngs = [SeededRng(b"\x34" * 32)] * len(bits)
+    assert SUM_BLOCK_BYTES < len(bits) * P.m  # so an all-bits subset matrix fails
+    cts, held, peak = _held_and_peak(lambda: lwe.encrypt_bits(public_key, bits, rngs))
+    assert len(cts) == 2000 and held >= 2000 * (P.n + 1) * 8
+    assert peak <= held + SUM_BLOCK_BYTES
