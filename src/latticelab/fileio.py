@@ -9,30 +9,28 @@ text encoding.  Text beats binary here: inspectability matters more than
 compactness.
 
 Each direction has one entry, over one stream of line blocks: the header
-and fields, then the rows about _BLOCK_ENTRIES entries at a time.
+and fields, then rows by _BLOCK_ENTRIES entries (read: 8x as many bytes).
 `record_blocks` yields a record's text as blocks cut from slices of the
 caller's arrays, each spelled by one numpy encoder (`_encode`): an entry is
 its 4-digit chunks, looked up as words of ASCII in a digit table, with sign
 and separator words beside them, and the block's text is their bytes with
-the NUL padding dropped.  `read_record` takes a file's lines a chunk at a
-time, proves a block's spelling with a few string checks, parses it with
-one np.fromstring into the record's int64 array and checks one length
-identity over all blocks (`_VecRows`).  So coding a record holds the
-record and one block, never its whole text.  Each ``RECORDS`` row maps its
-objects to its fields and back; `dump_record` and `load_record` are the
-``str`` forms of the same stream.
+the NUL padding dropped.  `read_record` reads a file as bytes, a chunk of
+whole lines at a time, decodes only the header and fields as text, proves
+each block's spelling with one translate and a few numpy passes, and parses
+it with one np.fromstring into the record's int64 array (`_VecRows`).  So
+coding a record holds the record and one block, never its whole text.  Each
+``RECORDS`` row maps its objects to its fields and back; `dump_record` and
+`load_record` are the ``str`` forms of the same stream.
 """
 
 from __future__ import annotations
 
-import codecs
 import functools
+import io
 import os
 import re
 import stat
-from itertools import chain, islice, repeat
-from operator import itemgetter
-from pathlib import Path
+from itertools import chain
 
 import numpy as np
 
@@ -46,11 +44,10 @@ from .zq import Modulus
 
 _INT = "(?:0|[1-9][0-9]{0,18})"
 _CHALLENGE_RE = re.compile(f"{_INT}:[+-]1(?:,{_INT}:[+-]1)*")
-_POW10 = [10**k for k in range(1, 19)]
-# Entries formatted or parsed at a time: enough to keep numpy's per-call cost
-# small against a block's work, few enough that a block's temporaries (its
-# words when written, its lines and their parse when read) stay well below a
-# record's.
+# Entries formatted at a time, and an eighth of the bytes read at a time:
+# enough to keep numpy's per-call cost small against a block's work, few
+# enough that a block's temporaries (its words when written, its bytes and
+# their parse when read) stay well below a record's.
 _BLOCK_ENTRIES = 1 << 12
 
 
@@ -192,6 +189,13 @@ class _Num:
         return v
 
 
+# A field's first two bytes as a little-endian uint16, if the first is not 1-9: a
+# fault unless a lone 0 (then a comma or newline) or a minus before 1-9.
+_BAD_START = np.ones(1 << 16, dtype=bool)
+_BAD_START.reshape(256, 256)[[10, 44], 48] = _BAD_START.reshape(256, 256)[49:58, 45] = False
+_ONES = bytes.maketrans(b"23456789", b"11111111")  # 1-9 as "1", for bytes methods
+
+
 class _Vec:
     """Comma-separated integers, n(fields) of them (one row of any length if
     n is None), each below q(fields) if q is given; negative ones, spelled
@@ -208,75 +212,95 @@ class _Vec:
 
     def decode(self, text, d, key):
         reader = _VecRows(self, d, key, 1, len(text) + 1)
-        reader.feed([text])
+        reader.feed(text.encode() + b"\n", 1)
         return reader.result()[0]
-
-    def rows(self, lines, d, key, skip=0):
-        """Lines of this kind, each after its first `skip` characters, as one
-        (lines, n) array, read about _BLOCK_ENTRIES entries at a time."""
-        reader = _VecRows(self, d, key, len(lines), sum(map(len, lines)) + len(lines), skip)
-        step = max(1, _BLOCK_ENTRIES // max(reader.n or lines[0].count(",") + 1, 1))
-        for i in range(0, len(lines), step):
-            reader.feed(lines[i : i + step])
-        return reader.result()
 
 
 class _VecRows:
-    """`count` lines of one _Vec kind, fed in blocks, each line after its
-    first `skip` characters; `size` bounds the characters of the whole
-    text.  result() is the (count, n) int64 array, or raises the first
+    """`count` lines of one _Vec kind, each `prefix` and then its entries, fed
+    as blocks of whole lines; `size` bounds the bytes of the whole text.  A
+    line without its prefix sets `misprefixed`, for the caller to report.
+    Otherwise result() is the (count, n) int64 array, or raises the first
     fault in the order of the checks: a wrong length or spelling, then an
     entry >= q, then the kind's rule.
 
-    Every line has n - 1 commas, and before a block is parsed, every field in
-    it is ASCII digits (after a leading minus if signed), none empty.  A
-    field is then never shorter than its value's digits and minus sign, and
-    longer only with a leading zero, a -0 or a 20th digit, so one length sum
-    over all the blocks checks all.  The array is allocated once a line has
-    proved n and the text has room for `count` such lines, so no header
-    field sizes it alone."""
+    A line spells its entries as "0" or 1-9 and then digits, after a minus
+    if signed, with n - 1 commas and no other byte.  One translate checks
+    the commas and bytes of a block's lines; where its fields start is
+    checked by bytes methods in a line alone (a field vector), by numpy
+    passes over a block of lines.  One np.fromstring then parses the block,
+    and a 20th digit or a minus before 2^63 or more, which it saturates to
+    2^63 - 1 or -2^63, is looked for only where an entry reads as one of
+    those.  The array is allocated once a line has proved n and the text
+    has room for `count` such lines, so no header field sizes it alone."""
 
-    __slots__ = ("kind", "d", "key", "count", "size", "skip", "n", "vals", "row", "chars", "bad")
+    __slots__ = ("kind", "d", "key", "count", "size", "prefix", "n", "vals", "row", "top", "bad",
+                 "misprefixed")
 
-    def __init__(self, kind, d, key, count, size, skip=0):
+    def __init__(self, kind, d, key, count, size, prefix=b""):
         self.kind, self.d, self.key, self.count, self.size = kind, d, key, count, size
-        self.skip, self.n = skip, kind.n(d) if kind.n else None
-        self.vals, self.row, self.chars, self.bad = None, 0, 0, False
+        self.prefix, self.n = prefix, kind.n(d) if kind.n else None
+        self.vals, self.row, self.top, self.bad, self.misprefixed = None, 0, 0, False, False
 
-    def feed(self, lines):
-        if self.bad or not lines:
-            return
+    def feed(self, block: bytes, room: int) -> int:
+        """Take `block`, whole lines, unless they are more than `room`; return
+        how many lines it holds."""
+        p, c = self.prefix, None
+        if block.find(b"\n") == len(block) - 1:
+            lines, misprefixed = 1, not block.startswith(p)
+        else:  # c is the block between two newlines
+            c = np.empty(len(block) + 2, np.uint8)
+            c[0] = c[-1] = 10
+            c[1:-1] = np.frombuffer(block, np.uint8)
+            starts = (c[:-2] == 10).nonzero()[0]  # the newline before each line
+            lines = len(starts)
+            at = starts[:, None] + np.arange(1, len(p) + 1)  # each line's prefix, clipped
+            misprefixed = lines <= room and bool(np.count_nonzero(
+                c.take(at, mode="clip") != np.frombuffer(p, np.uint8)))
+        if lines > room:
+            return lines
+        self.misprefixed = self.misprefixed or misprefixed
+        if self.misprefixed or self.bad:
+            return lines
         if self.n is None:
-            self.n = lines[0].count(",") + 1
-        n = self.n
-        self.bad = set(map(str.count, lines, repeat(","))) != {n - 1} or (
-            self.vals is None and self.count * (2 * n - 1) > self.size)
+            self.n = block.count(b",", 0, block.index(b"\n")) + 1
+        n, signed = self.n, self.kind.signed
+        self.bad = (self.vals is None and self.count * (2 * n - 1) > self.size
+                    or block.translate(None, b"0123456789-" if signed else b"0123456789")
+                    != (p + b"," * (n - 1) + b"\n") * lines)
         if self.bad:
-            return
-        if self.vals is None:
-            self.vals = np.empty((self.count, n), dtype=np.int64)
-        skip = self.skip
-        body = ",".join(map(itemgetter(slice(skip, None)), lines) if skip else lines)
-        digits = ("," + body).replace(",-", ",")[1:] if self.kind.signed else body
-        self.bad = (not digits or digits[0] == "," or digits[-1] == "," or ",," in digits  # empty
-                    or bool(digits.encode().translate(None, b"0123456789,")))
+            return lines
+        minus = block.count(b"-") if signed else 0
+        if c is None:
+            text = block[len(p) :]
+            m = (b"," + text).translate(_ONES)
+            self.bad = (b",," in m or m.endswith(b",\n") or signed and minus != m.count(b",-1")
+                        or b",0" in m and (b",00" in m or b",01" in m))
+        else:  # each prefix as spaces and a comma (no prefix: the newline as a comma)
+            c[at[:, :-1]] = 32
+            c[starts + len(p)] = 44
+            first = ((c[:-1] == 44) & (c[1:] <= 48)).nonzero()[0] + 1  # fields not led by 1-9
+            pair = np.ndarray((len(c) - 1,), "<u2", c, strides=(1,))[first]
+            self.bad = bool(np.count_nonzero(_BAD_START[pair])) or signed and (
+                minus != np.count_nonzero(pair & 255 == 45))  # a minus inside a field
+            text = c[len(p) + 1 :].tobytes()
+        v = None if self.bad else np.fromstring(text, dtype=np.int64, sep=",")
+        hi, lo = (0, 0) if v is None else (int(np.maximum.reduce(v)), int(np.minimum.reduce(v)))
+        self.bad = v is None or (hi == 2**63 - 1 or lo == -(2**63)) and any(
+            not -(2**63) < int(f) < 10**19 for f in text.split(b","))
         if not self.bad:
-            end = self.row + len(lines)
-            self.vals[self.row : end] = np.fromstring(body, dtype=np.int64, sep=",").reshape(-1, n)
-            self.row, self.chars = end, self.chars + len(body) + 1  # 2 per one-digit entry
+            if self.vals is None:
+                self.vals = np.empty((self.count, n), dtype=np.int64)
+            self.vals[self.row : self.row + lines] = v.reshape(lines, n)
+            self.row, self.top = self.row + lines, max(self.top, hi, -lo)
+        return lines
 
     def result(self):
         kind, key = self.kind, self.key
         if self.bad:
             raise FormatError(f"bad vector {key!r}: wrong length or spelling")
         vals = np.empty((0, self.n), dtype=np.int64) if self.vals is None else self.vals
-        mag = np.abs(vals) if kind.signed else vals
-        top = int(mag.max(initial=0))
-        width = 2 * vals.size + (np.count_nonzero(vals < 0) if kind.signed else 0) + sum(
-            np.count_nonzero(mag >= p) for p in _POW10[:len(str(top)) - 1])
-        if self.chars != width:
-            raise FormatError(f"bad vector {key!r}: wrong length or spelling")
-        if kind.q is not None and top >= kind.q(self.d):
+        if kind.q is not None and self.top >= kind.q(self.d):
             raise FormatError(f"vector {key!r} has an entry outside [0, q)")
         if kind.ok and not kind.ok(vals, self.d):
             raise FormatError(f"bad vector {key!r}: {kind.rule}")
@@ -355,7 +379,7 @@ class _Record:
         self.params, self.fields, self.rows = params, params.fields + fields, rows
         self.write, self.read = write, read
         self.head = params.header + (f"\ntype={file_type}" if file_type else "")
-        self.head_lines = self.head.split("\n")
+        self.head_lines = self.head.encode().split(b"\n")
         self.frame = f"expected {self.head!r} as first line(s) and a final newline"
 
 
@@ -443,103 +467,76 @@ RECORDS = {
 }
 
 
-def _text_lines(text: str):
-    """(lines, tail, size) of `text`, as _decode_stream takes them."""
-    lines = text.split("\n")
-    tail = lines.pop()
-    return iter(lines), lambda: tail, len(text)
+def _blocks(fh):
+    """The binary file `fh` as blocks of whole lines, read 8 * _BLOCK_ENTRIES
+    bytes at a time: each read is cut after its last newline and the rest
+    carried on, so a line longer than a read is joined once."""
+    part = []
+    while chunk := fh.read(8 * _BLOCK_ENTRIES):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            part.append(chunk)
+            continue
+        part.append(chunk[:cut])
+        yield b"".join(part)
+        part = [chunk[cut:]]
 
 
-def _file_lines(fh):
-    """(lines, tail, size) of the binary file `fh`, read and decoded as
-    UTF-8 one chunk at a time, bad bytes as U+FFFD, so its lines are those
-    of the text read whole.  A file whose size is unknown (a pipe) is read
-    whole."""
-    info = os.fstat(fh.fileno())
-    if not stat.S_ISREG(info.st_mode):
-        return _text_lines(fh.read().decode("utf-8", "replace"))
-    decoder, tail = codecs.getincrementaldecoder("utf-8")("replace"), [None]
-
-    def lines():
-        part = []  # the pieces of a line not yet ended, joined once it ends
-        while chunk := fh.read(8 * _BLOCK_ENTRIES):
-            first, *done = decoder.decode(chunk).split("\n")
-            part.append(first)
-            if done:
-                yield "".join(part)
-                part = [done.pop()]
-                yield from done
-        *done, tail[0] = ("".join(part) + decoder.decode(b"", True)).split("\n")
-        yield from done
-
-    it = lines()
-
-    def rest() -> str:
-        for _ in it:
-            pass
-        return tail[0]
-
-    return it, rest, info.st_size
-
-
-def _decode_stream(name: str, lines, tail, size, **context) -> tuple[object, dict]:
-    """(parameter object, fields) of a text read strictly as record `name`:
-    `lines` iterates over its lines, each ended by a newline, `tail()` is
-    the text after the last newline (read once `lines` runs out) and `size`
-    bounds the text's length.  The header and fields are read first and
-    build the parameter object, then the rows, in blocks; a fault is
-    reported as if the checks ran in this order over the whole text: the
-    header and final newline, each field, the parameters, the row count,
-    then each row key's prefixes and vectors."""
-    rec = RECORDS[name]
-    try:
-        out = _read_record(rec, lines, size, context)
-    except FormatError:
-        if tail():
-            raise FormatError(rec.frame) from None
-        raise
-    if tail():
+def _decode(name: str, fh, d, errors="replace") -> tuple[object, dict]:
+    """(parameter object, fields) of the binary file `fh`, a file or a
+    BytesIO, read strictly as record `name`: the header and fields, decoded
+    as UTF-8 by `errors` (bad bytes as U+FFFD), build the parameter object, then
+    the rows are read a block at a time.  A fault is reported as if the
+    checks ran in this order over the whole text: the header and final
+    newline, each field, the parameters, the row count, then each row key's
+    prefixes and vectors."""
+    rec, size = RECORDS[name], fh.seek(0, os.SEEK_END)
+    fh.seek(max(size - 1, 0))
+    if fh.read(1) != b"\n":
         raise FormatError(rec.frame)
-    return out
-
-
-def _read_record(rec, lines, size, d):
-    if list(islice(lines, len(rec.head_lines))) != rec.head_lines:
+    fh.seek(0)
+    blocks, h = _blocks(fh), len(rec.head_lines) + len(rec.fields)
+    head = next(blocks, b"")
+    while head.count(b"\n") < h and (more := next(blocks, None)) is not None:
+        head += more
+    *lines, rest = head.split(b"\n", h)
+    del head  # so that the rows' first block is not held to the end
+    lines += [b""] * (h - len(lines))  # as if empty lines followed a text that ends early
+    if lines[: len(rec.head_lines)] != rec.head_lines:
         raise FormatError(rec.frame)
-    for key, kind in rec.fields:
-        line = next(lines, "")
-        k, eq, value = line.partition("=")
+    for (key, kind), line in zip(rec.fields, lines[len(rec.head_lines) :]):
+        text = line.decode("utf-8", errors)
+        k, eq, value = text.partition("=")
         if k != key or not eq:
-            raise FormatError(f"expected {key}=..., got {line[:40]!r}")
+            raise FormatError(f"expected {key}=..., got {text[:40]!r}")
         d[key] = kind.decode(value, d, key)
     try:
         params = rec.params.read(d)
     except InvalidParams as e:
         raise FormatError(str(e)) from e
     count, keys, kind = rec.rows
+    rest = chain((rest,), blocks)
     if not keys:
-        have = sum(1 for _ in lines)
-        if have:
+        if have := sum(block.count(b"\n") for block in rest):
             raise FormatError(f"{have} line(s) after the fields, expected 0")
         return params, d
-    readers = [_VecRows(kind, d, key, d[count], size, len(key) + 1) for key in keys]
-    k, want = len(keys), d[count] * len(keys)
-    step = k * max(1, _BLOCK_ENTRIES // max(k * readers[0].n, 1))
-    misprefixed, have = [False] * k, 0
-    while block := list(islice(lines, step)):
-        have += len(block)
-        if have > want:  # the count is wrong: only count the rest
+    readers = [_VecRows(kind, d, key, d[count], size, key.encode() + b"=") for key in keys]
+    k, want, have = len(keys), d[count] * len(keys), 0
+    for block in filter(None, rest):  # past want the count is wrong: only count
+        if k == 1:
+            have += readers[0].feed(block, want - have)
             continue
-        for i, r in enumerate(readers):
-            own = block[i::k] if k > 1 else block
-            misprefixed[i] = misprefixed[i] or not all(
-                map(str.startswith, own, repeat(r.key + "=")))
-            if not misprefixed[i]:
-                r.feed(own)
+        got = len(split := block.split(b"\n")) - 1
+        if have + got <= want:
+            for i, r in enumerate(readers):
+                own = split[(i - have) % k : got : k]
+                if own:
+                    r.feed(b"\n".join(own) + b"\n", len(own))
+        have += got
     if have != want:
         raise FormatError(f"{have} line(s) after the fields, expected {want}")
-    for wrong, r in zip(misprefixed, readers):
-        if wrong:
+    for r in readers:
+        if r.misprefixed:
             raise FormatError(f"rows must repeat {', '.join(keys)} in that order")
         d[r.key] = r.result()
     return params, d
@@ -568,8 +565,10 @@ def read_record(path, kind: str, **context):
     """The objects of the record `kind` that the file `path` holds, read
     strictly one chunk at a time; `context` is what the record's fields
     refer to (params= for a BGV ciphertext)."""
-    with Path(path).open("rb") as fh:
-        return RECORDS[kind].read(*_decode_stream(kind, *_file_lines(fh), **context))
+    with open(path, "rb", buffering=0) as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe, say: read it whole
+            fh = io.BytesIO(fh.read())
+        return RECORDS[kind].read(*_decode(kind, fh, context))
 
 
 def dump_record(kind: str, *obj) -> str:
@@ -579,5 +578,6 @@ def dump_record(kind: str, *obj) -> str:
 
 def load_record(text: str, kind: str, **context):
     """read_record of a file holding `text`: the same objects, or the same
-    FormatError."""
-    return RECORDS[kind].read(*_decode_stream(kind, *_text_lines(text), **context))
+    FormatError (a lone surrogate is kept, as str reads it)."""
+    fh = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    return RECORDS[kind].read(*_decode(kind, fh, context, "surrogatepass"))

@@ -16,6 +16,7 @@ from latticelab.errors import FormatError, InvalidParams
 from latticelab.polyring import RingElement, RingParams
 from latticelab.rng import SeededRng
 from latticelab.zq import Modulus, next_prime
+import fileio_lines
 
 
 @pytest.fixture
@@ -454,11 +455,23 @@ def test_vector_spelling_is_refused(name, text):
         _vector(_KINDS[name], text)
 
 
+def _rows(kind, lines, d, key, prefix="", step=None):
+    """`lines`, each after `prefix`, read by one _VecRows `step` lines at a
+    time (all at once if None), as one array."""
+    data = [(prefix + ln + "\n").encode() for ln in lines]
+    reader = fileio._VecRows(kind, d, key, len(data), sum(map(len, data)), prefix.encode())
+    step = step or len(data)
+    for i in range(0, len(data), step):
+        reader.feed(b"".join(data[i : i + step]), len(data[i : i + step]))
+    assert not reader.misprefixed
+    return reader.result()
+
+
 @pytest.mark.parametrize("texts", [["1,2,3", "4"], ["1", "2,3,4"], ["1,2,3", "4,5"], ["1,2", ""]])
 def test_rows_with_the_wrong_field_count_are_refused(texts):
     with pytest.raises(FormatError):
-        fileio._RES.rows(texts, {"n": 2, "q": 17}, "v")
-    assert fileio._RES.rows(["1,2", "3,4"], {"n": 2, "q": 17}, "v").tolist() == [[1, 2], [3, 4]]
+        _rows(fileio._RES, texts, {"n": 2, "q": 17}, "v")
+    assert _rows(fileio._RES, ["1,2", "3,4"], {"n": 2, "q": 17}, "v").tolist() == [[1, 2], [3, 4]]
 
 
 _INT64 = st.one_of(st.sampled_from([0, -1, -(2**63), 2**63 - 1]),
@@ -568,7 +581,8 @@ def test_rows_parse_in_blocks_as_written(block, lines, cols, signed, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fileio, "_BLOCK_ENTRIES", block)
         text = "".join(fileio.format_row_blocks(m, ["k="]))
-        got = kind.rows(text.splitlines(), {"n": cols}, "k", 2)
+    got = _rows(kind, [ln[2:] for ln in text.splitlines()], {"n": cols}, "k", "k=",
+                max(1, block // cols))
     assert got.dtype == np.int64 and np.array_equal(got, m)
 
 
@@ -900,6 +914,75 @@ def test_line_mutations_read_a_block_at_a_time_as_whole(name, tmp_path, monkeypa
         assert streamed == whole, t
 
 
+# One-byte edits for the differential test: any byte, those a field must
+# not hold, and whole UTF-8 sequences of 2, 3 and 4 bytes (so that one can
+# straddle a chunk's end) with two of their prefixes.
+_ONE_BYTE = st.one_of(
+    st.integers(0, 255).map(lambda b: bytes([b])),
+    st.sampled_from([b"\r", b" ", b"+", b"-", b"0", b"9", b",", b"\n", b"=", b"\x80", b"\xff"]),
+    st.sampled_from([b"\xc3\xa9", b"\xe2\x82\xac", b"\xf0\x9f\x98\x80", b"\xc3", b"\xe2\x82"]))
+# CI's Tier-1 step sets LATTICELAB_HYPOTHESIS=ci for a larger budget (tests/conftest.py).
+_DIFFERENTIAL = settings.get_profile(os.environ.get("LATTICELAB_HYPOTHESIS", "tier1"))
+
+
+@_DIFFERENTIAL
+@given(name=st.sampled_from(sorted(fileio.RECORDS)), wide=st.booleans(),
+       op=st.sampled_from(["insert", "delete", "replace"]), new=_ONE_BYTE,
+       where=st.sampled_from(["anywhere", "line start", "field start", "leading 0",
+                              "chunk end", "wide field", "comma moved"]),
+       data=st.data())
+def test_reader_reads_every_one_byte_edit_as_the_line_reader(name, wide, op, new, where, data,
+                                                             module_dir):
+    """Every record with one byte inserted, deleted or replaced, read by
+    read_record from a file and by load_record from its text, with
+    _BLOCK_ENTRIES 1, 7 and its default (reads of 8 and 56 bytes cut lines):
+    the objects or the FormatError message of the str-line reader
+    (tests/fileio_lines.py).  `wide` first spells one field with 19 nines,
+    so that an edit can give it a 20th digit.  The edit lands anywhere, in a
+    row's first bytes (its key), at a field's start (or inserts a 0 there),
+    just before a multiple of 8 bytes, or inside the wide field; or, two
+    bytes, a comma moves to another line, so that only a line's count of
+    commas is wrong."""
+    text = RECORDS[name][0].encode()
+    keys = tuple(key.encode() + b"=" for key in fileio.RECORDS[name].rows[1])
+    lines = [m.end() for m in re.finditer(rb"\n", text[:-1])]
+    rows = [i for i in reversed(lines) if text.startswith(keys, i)] or lines  # last rows first
+    fields = [m.start() for m in re.finditer(rb"(?<=[,=])[0-9]+", text)]
+    wide_at = data.draw(st.sampled_from(fields)) if wide and fields else None
+    if wide_at is not None:
+        end = re.compile(rb"[0-9]*").match(text, wide_at).end()
+        text = text[:wide_at] + b"9" * 19 + text[end:]
+    spots = {"anywhere": range(len(text)),
+             "line start": [i + j for i in rows for j in range(3)],
+             "field start": fields or range(len(text)), "leading 0": fields or [0],
+             "chunk end": [i for i in range(len(text)) if i % 8 >= 5],
+             "wide field": range(wide_at, wide_at + 20) if wide_at is not None else [0],
+             "comma moved": [m.start() for m in re.finditer(rb",", text)] or [0]}
+    i = data.draw(st.sampled_from(spots[where]))
+    if where == "comma moved":  # deleted at i, inserted after a field's first digit
+        j = data.draw(st.sampled_from([m.start() + 1 for m in re.finditer(rb"[0-9][0-9]", text)]
+                                      or range(len(text))))
+        mutated = bytearray(text)
+        mutated[j:j] = b","
+        del mutated[i + (j <= i)]
+        mutated = bytes(mutated)
+    else:
+        if where == "leading 0":
+            op, new = "insert", b"0"
+        mutated = text[:i] + (b"" if op == "delete" else new) + text[i + (op != "insert") :]
+    path = module_dir / "edited"
+    path.write_bytes(mutated)
+    decoded = mutated.decode("utf-8", "replace")
+    ctx = _context(name)
+    for block in (1, 7, fileio._BLOCK_ENTRIES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fileio, "_BLOCK_ENTRIES", block)
+            want = _outcome(name, lambda: fileio_lines.read_record(path, name, **ctx))
+            assert _outcome(name, lambda: fileio_lines.load_record(decoded, name, **ctx)) == want
+            assert _outcome(name, lambda: fileio.read_record(path, name, **ctx)) == want
+            assert _outcome(name, lambda: fileio.load_record(decoded, name, **ctx)) == want
+
+
 @pytest.mark.parametrize("char", ["\u00e9", "\u20ac", "\U0001f600"])
 def test_read_lwe_public_decodes_a_character_across_chunks(char, monkeypatch, tmp_path):
     """A character of 2, 3 or 4 bytes in a field's value, at every offset
@@ -916,6 +999,18 @@ def test_read_lwe_public_decodes_a_character_across_chunks(char, monkeypatch, tm
         with pytest.raises(FormatError) as whole:
             fileio.load_record(mutated, "lwe-public")
         assert str(streamed.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_load_record_quotes_a_lone_surrogate_as_the_line_reader(name):
+    """A str may hold a lone surrogate, which no file can: load_record
+    quotes it in its message as it stands, as the str-line reader does."""
+    text = RECORDS[name][0]
+    at = re.search(r"\n(?!type=)\w+=", text).end() - 1  # the first field's "="
+    mutated = text[:at] + "\ud800" + text[at:]
+    want = _outcome(name, lambda: fileio_lines.load_record(mutated, name, **_context(name)))
+    assert "\\ud800" in want  # repr() escapes it
+    assert _outcome(name, lambda: fileio.load_record(mutated, name, **_context(name))) == want
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

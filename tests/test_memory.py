@@ -13,8 +13,11 @@ from latticelab.rng import SeededRng
 
 P = lwe.derive_params(128)
 # One block's transients, in bytes: its words, their chunk indices, bytes
-# and text per entry written (~60 per entry here), or the file chunk, its
-# lines and their parse per entry read (~70).
+# and text per entry written (~60 per entry here), or, read, the file's
+# 8 * _BLOCK_ENTRIES-byte chunk and the block of whole lines cut from it,
+# the block's copy between two newlines with numpy masks and per-line comma
+# counts over it, its parse text and np.fromstring's int64s (~300 kB, ~50 per
+# entry of the ~6,000 a block holds here).
 BLOCK_BYTES = 96 * fileio._BLOCK_ENTRIES
 # One block of encrypt_bits' products, in bytes: four float64 arrays of
 # lwe._SUM_ENTRIES entries (a block of key rows, a block of bits' subset rows,
