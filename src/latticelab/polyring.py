@@ -202,23 +202,30 @@ def poly_derivative(c) -> list[int]:
     return poly_trim([i * int(c[i]) for i in range(1, len(c))])
 
 
-# roots_mod_q scans F_q in arrays of q entries, 8q bytes each in int64, for
-# composite q and below the gcd crossover (GCD_ROOTS_MIN_Q); above it the
+# roots_mod_q scans F_q for composite q and below the gcd crossover
+# (GCD_ROOTS_MIN_Q), _SCAN_BLOCK points at a time, so it holds a few arrays
+# of 2^16 entries (8 bytes each at most) whatever q; above the crossover the
 # roots of f mod a prime q come from the gcd path, which holds nothing of
 # length q.  The cap stays until the attack distinguishers' own blockers
 # to a larger q go, so that `scan` and `attack` accept the same q.
 MAX_SCAN_Q = 1 << 24
+_SCAN_BLOCK = 1 << 16
 
 # The least prime q whose roots come from gcd(x^q - x, f) rather than the
-# scan, for deg f <= 64.  The scan's cost grows with q; the gcd path's with
-# log q and, through its Euclid steps and splitting in Python, with
-# deg(f)^2, so past degree 64 the least q grows as deg(f)^2.  Measured in
+# scan, for deg f <= 90: the edge of the scan's uint32 lanes.  The scan's
+# cost grows with q; the gcd path's with log q and, through its Euclid steps
+# and splitting in Python, with deg(f)^2, so past degree 90, where
+# deg(f)^2 / 8192 passes 1, the least q grows as deg(f)^2: 2^15 (deg f / 64)^2,
+# no lower than before the scan's lanes narrowed.  Measured in
 # BENCH_roots.json ("crossover").
-GCD_ROOTS_MIN_Q = 1 << 15
+GCD_ROOTS_MIN_Q = 1 << 16
 
 
 def check_scan_q(q: int) -> int:
-    """q as a plain int for numpy, or PreconditionFailed if q exceeds MAX_SCAN_Q."""
+    """q as a plain int for numpy: InvalidParams below 2, as for `RingParams`,
+    and PreconditionFailed above MAX_SCAN_Q."""
+    if q < 2:
+        raise InvalidParams(f"q must be at least 2, got {q}")
     if q > MAX_SCAN_Q:
         raise PreconditionFailed(f"q = {q} is above the exhaustive-scan limit {MAX_SCAN_Q}")
     return int(q)
@@ -227,7 +234,7 @@ def check_scan_q(q: int) -> int:
 def roots_mod_q(f: list[int], q: int) -> list[int]:
     """All distinct roots of f in F_q, ascending (q at most MAX_SCAN_Q).
 
-    A prime q from GCD_ROOTS_MIN_Q * max(1, deg(f) / 64)^2 up takes
+    A prime q from GCD_ROOTS_MIN_Q * max(1, deg(f)^2 / 8192) up takes
     `_roots_by_gcd`: g = gcd(x^q - x, f) by `poly_gcd_mod`, split into its
     linear factors by Cantor and Zassenhaus, each factor powered mod itself
     (`_split_roots`).  Every other q takes the exhaustive `_roots_by_scan`.
@@ -238,31 +245,53 @@ def roots_mod_q(f: list[int], q: int) -> list[int]:
     n = poly_deg(f)
     if n < 1:
         raise InvalidParams("degree must be >= 1")
-    if q >= GCD_ROOTS_MIN_Q * max(1, n / 64) ** 2 and is_prime(q):
+    if q >= GCD_ROOTS_MIN_Q * max(1, n * n / 8192) and is_prime(q):
         return _roots_by_gcd(f, q)
     return _roots_by_scan(f, q)
 
 
 def _roots_by_scan(f: list[int], q: int) -> list[int]:
-    """The roots of f in F_q by evaluating f at every x in F_q at once.
+    """The roots of f in F_q by evaluating f at every x in F_q, _SCAN_BLOCK
+    points at a time, so that memory stays bounded and the arrays in cache.
 
-    Horner's rule runs in place.  A run of k zero coefficients costs one
-    multiplication by x^(2^j) per set bit j of k instead of k
-    multiplications by x.
+    Horner's rule runs in place, in uint32 lanes where q(q - 1) < 2^32
+    (q <= 2^16) and in uint64 lanes otherwise (q <= MAX_SCAN_Q, so
+    q^2 < 2^48).  A step acc * x + c is at most (q - 1)^2 + q - 1 = q(q - 1),
+    so c joins the product before its one reduction (`_reduce_int`).  A
+    run of k - 1 zero coefficients costs one multiplication by x^(2^j) per
+    set bit j of k instead of k multiplications by x; each block squares
+    its own x.  Every scalar is of the lanes' dtype (`dt(q)`, `dt(c)`): a
+    uint64 array mixed with int64 promotes to float64 under numpy 1.24's
+    value-based promotion and under NEP 50 alike, and float64 is not exact
+    here.
     """
     coeffs = poly_mod_q(f, q) or [0]
-    squarings = [np.arange(q, dtype=np.int64)]  # x^(2^j) mod q
-    acc = np.full(q, coeffs[-1], dtype=np.int64)
-    k = 0  # pending power of x
+    dt = np.uint32 if q <= 1 << 16 else np.uint64
+    steps, k = [], 0  # acc = acc * x^k + c for each (k, c)
     for c in reversed(coeffs[:-1]):
         k += 1
         if c:
-            _mul_x_power(acc, k, squarings, q)
-            acc += c  # both below q, so one conditional subtraction reduces
-            np.subtract(acc, q, out=acc, where=acc >= q)
+            steps.append((k, dt(c)))
             k = 0
-    _mul_x_power(acc, k, squarings, q)
-    return np.flatnonzero(acc == 0).tolist()
+    steps.append((k, dt(0)))  # the trailing zero coefficients; k = 0 is no step
+    dq, roots = dt(q), []
+    for lo in range(0, q, _SCAN_BLOCK):
+        squarings = [np.arange(lo, min(lo + _SCAN_BLOCK, q), dtype=dt)]  # x^(2^j) mod q
+        acc = np.full(len(squarings[0]), coeffs[-1], dtype=dt)
+        for k, c in steps:
+            j = 0
+            while k:
+                if j == len(squarings):
+                    squarings.append(_reduce_int(squarings[-1] * squarings[-1], dq))
+                if k & 1:
+                    np.multiply(acc, squarings[j], out=acc)
+                    if k == 1:
+                        acc += c
+                    _reduce_int(acc, dq)
+                k >>= 1
+                j += 1
+        roots += (np.flatnonzero(acc == 0) + lo).tolist()
+    return roots
 
 
 def _roots_by_gcd(f: list[int], q: int) -> list[int]:
@@ -423,23 +452,11 @@ def _pow_x(e: int, f: list[int], q: int, shift: int = 0,
     return [int(c) for c in r]
 
 
-def _mul_x_power(acc: np.ndarray, k: int, squarings: list[np.ndarray], q: int) -> None:
-    """acc *= x^k mod q in place, extending squarings as far as k needs."""
-    j = 0
-    while k:
-        if j == len(squarings):
-            squarings.append(_reduce_int(squarings[-1] * squarings[-1], q))
-        if k & 1:
-            np.multiply(acc, squarings[j], out=acc)
-            _reduce_int(acc, q)
-        k >>= 1
-        j += 1
-
-
 def _reduce_int(a: np.ndarray, q: int) -> np.ndarray:
-    """a %= q in place for int64 a, as a - (a // q) * q: floor division, so
-    the same residues in [0, q) for negative a too, faster than np.remainder
-    on int64 from about a thousand values up (3.7 against 4.9 us at 1024)."""
+    """a %= q in place for int64 a, or for unsigned a with q of its dtype,
+    as a - (a // q) * q: floor division, so the same residues in [0, q) for
+    negative a too, faster than np.remainder on int64 from about a thousand
+    values up (3.7 against 4.9 us at 1024)."""
     quo = a // q
     quo *= q
     a -= quo

@@ -4,12 +4,13 @@
 
 PARENT_SRC is the `src` directory of another checkout, say a `git archive`
 of the parent commit.  Its latticelab is loaded under another name, and
-each row times `_roots_by_gcd` (or `_split_roots`) from both in one
-process, alternating calls, after checking that both and `_roots_by_scan`
-return the same roots.  A row reports the median of `reps` calls per side
-in ms and in how many of the call pairs this checkout's side was faster.
-TABLE names the tables to run (split_crossover, object_band, large_q,
-crossover); all of them by default.  The polynomials are fixed by the
+each row times `_roots_by_gcd` (or `_split_roots`, or in the scan table
+`_roots_by_scan`) from both in one process, alternating calls, after
+checking that both and `_roots_by_scan` return the same roots.  A row
+reports the median of `reps` calls per side in ms and in how many of the
+call pairs this checkout's side was faster.  TABLE names the tables to
+run (split_crossover, object_band, large_q, crossover, scan); all of
+them by default.  The polynomials are fixed by the
 seed below, not by the clock.
 """
 
@@ -86,29 +87,60 @@ def sparse(rng: random.Random, n: int, q: int) -> list[int]:
     return f
 
 
-def first_split_prime(m: int, k: int) -> int:
+def first_split_prime(m: int, k: float) -> int:
     """The first prime q = 1 mod m past 2^k, so that Phi_m splits mod q."""
-    return next_prime((1 << k) + 1 + (-(1 << k)) % m, m)
+    start = int(2 ** k)
+    return next_prime(start + 1 + (-start) % m, m)
 
 
 def crossover_rows(old) -> list[dict]:
     rng = random.Random(SEED)
     rows = []
     for kind in ("sparse", "dense", "split"):
-        for k in range(12, 18):
+        for k in (12, 13, 14, 15, 15.5, 16, 17):
             for n in (8, 16, 32, 64):
                 if kind == "split":
                     m = {8: 16, 16: 32, 32: 64, 64: 128}[n]
                     f, q = cyclotomic_poly(m), first_split_prime(m, k)
                 else:
-                    q = next_prime(1 << k)
+                    q = next_prime(int(2 ** k))
                     f = (sparse(rng, n, q) if kind == "sparse"
                          else [rng.randrange(q) for _ in range(n)] + [1])
                 rows.append(row(old, kind, f, q, 7))
-    for n in (128, 256, 512):
-        for q in (32771, 131101, 524309, 2097169):
+    for n in (96, 128, 256, 512):
+        for q in (32771, 65537, 131101, 524309, 2097169):
             rows.append(row(old, "sparse", sparse(rng, n, q), q, 3))
     rows.append(row(old, "split", [1] + [0] * 1023 + [1], 59393, 1))
+    return rows
+
+
+def scan_rows(old) -> list[dict]:
+    """`_roots_by_scan` of both checkouts: the attack's shapes (sparse and
+    dense f of degree 16, 32 and 64, and its split cyclotomics) at q from
+    257 to 2^16, then dense f of degree 64 and x^1024 + 1 at q = 2^20 - 1
+    and 2^22 - 1 (composite, so `roots_mod_q` scans them too), several
+    blocks of the scan each."""
+    rng = random.Random(SEED)
+    cases = []
+    for q in (257, 2053, 8209, 17431, 32771, 65521):
+        for n in (16, 32, 64):
+            cases += [("sparse", sparse(rng, n, q), q, 25),
+                      ("dense", [rng.randrange(q) for _ in range(n)] + [1], q, 25)]
+    for m in (16, 60, 105, 128):
+        for k in (8, 12, 14, 15):
+            q = first_split_prime(m, k)
+            cases.append((f"split Phi_{m}", cyclotomic_poly(m), q, 25))
+    for q in ((1 << 20) - 1, (1 << 22) - 1):
+        cases += [("dense", [rng.randrange(q) for _ in range(64)] + [1], q, 3),
+                  ("x^1024 + 1", [1] + [0] * 1023 + [1], q, 3)]
+    rows = []
+    for kind, f, q, reps in cases:
+        roots = new._roots_by_scan(f, q)
+        assert old._roots_by_scan(f, q) == roots
+        timed = alternate(lambda: old._roots_by_scan(f, q), lambda: new._roots_by_scan(f, q),
+                          reps)
+        rows.append({"kind": kind, "q": q, "deg_f": len(f) - 1, "roots": len(roots),
+                     **{"scan_" + key: v for key, v in timed.items()}})
     return rows
 
 
@@ -160,7 +192,8 @@ def object_band_rows(old, reps: int = 15) -> list[dict]:
 def main(argv: list[str]) -> None:
     old = load_parent(Path(argv[0]).resolve(), "polyring")
     tables = {"split_crossover": split_crossover, "object_band": lambda: object_band_rows(old),
-              "large_q": lambda: large_q_rows(old), "crossover": lambda: crossover_rows(old)}
+              "large_q": lambda: large_q_rows(old), "crossover": lambda: crossover_rows(old),
+              "scan": lambda: scan_rows(old)}
     out = {"host": host()}
     for name in argv[1:] or tables:
         out[name] = tables[name]()

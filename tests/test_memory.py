@@ -1,14 +1,15 @@
 """Bulk paths hold one block beyond their output, not a multiple of it:
 tracemalloc peaks for an LWE public key at n = 128 (254 k residues), for
 the streamed reads of the other bulk records, LWE ciphertexts and PLWE
-samples, and for encrypting a message's bits."""
+samples, for encrypting a message's bits, and for the root finder's scan
+of F_q."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from latticelab import cli, fileio, lwe, plwe
+from latticelab import cli, fileio, lwe, plwe, polyring
 from latticelab.rng import SeededRng
 
 P = lwe.derive_params(128)
@@ -112,3 +113,13 @@ def test_encrypt_bits_peaks_within_its_ciphertexts_and_one_block(public_key):
     cts, held, peak = _held_and_peak(lambda: lwe.encrypt_bits(public_key, bits, rngs))
     assert len(cts) == 2000 and held >= 2000 * (P.n + 1) * 8
     assert peak <= held + SUM_BLOCK_BYTES
+
+
+def test_scan_peaks_within_a_few_blocks_whatever_q():
+    # x^1024 + 1 at q = 2^22 - 1, composite and so scanned, in 64 blocks: a
+    # block holds x^(2^j) for j <= 10, the accumulator and its quotients, 13
+    # uint64 arrays of _SCAN_BLOCK entries, and the next block's x as it starts
+    q, block = (1 << 22) - 1, 8 * polyring._SCAN_BLOCK
+    roots, peak = _peak(lambda: polyring._roots_by_scan([1] + [0] * 1023 + [1], q))
+    assert roots == []  # x^1024 = -1 has no root mod 3
+    assert peak <= 15 * block

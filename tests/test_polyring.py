@@ -137,7 +137,7 @@ def test_roots_mod_q_on_both_sides_of_the_gcd_crossover(monkeypatch):
     # a composite q above the crossover is scanned: x^2 = 1 has four roots mod 3 * 32771
     q = 3 * 32771
     assert roots_mod_q([-1, 0, 1], q) == [x for x in range(q) if (x * x - 1) % q == 0]
-    # past degree 64 the crossover grows as deg(f)^2: x^1024 + 1 mod 59393 is scanned
+    # past degree 90 the crossover grows as deg(f)^2: x^1024 + 1 mod 59393 is scanned
     assert len(roots_mod_q([1] + [0] * 1023 + [1], Modulus(59393))) == 1024
     assert paths == ["_roots_by_gcd", "_roots_by_scan", "_roots_by_scan", "_roots_by_scan"]
 
@@ -475,6 +475,56 @@ def test_ring_division_is_the_one_pow_x_uses(monkeypatch):
     assert _pow_x(1000, f, q)
     assert used and all(div is division for div in used)
     assert RingParams(tuple(f), Modulus(q)).division is division
+
+
+# The scan's lanes are uint32 up to q = 2^16 and uint64 above it; 3 * 65537
+# spans three blocks of _SCAN_BLOCK points
+_LANE_QS = (2, 3, 257, 65521, 65536, 65537, 65539, 3 * 65537)
+
+
+@st.composite
+def _scan_cases(draw):
+    """(f, q) with q in _LANE_QS and f a cofactor of degree <= 2, its
+    coefficients often 0 or +-q, times up to three planted x - r, r drawn
+    from q - 1, q - 2 and the blocks' edges or from anywhere in F_q."""
+    q, b = draw(st.sampled_from(_LANE_QS)), polyring._SCAN_BLOCK
+    edges = sorted({r % q for r in (0, 1, q - 2, q - 1, b - 1, b, b + 1, 2 * b - 1, 2 * b)})
+    roots = draw(st.lists(st.sampled_from(edges) | st.integers(0, q - 1), max_size=3))
+    coeff = st.sampled_from([0, q, -q]) | st.integers(-2 * q, 2 * q)
+    return poly_mul_z(_linear_product(roots), draw(st.lists(coeff, min_size=1, max_size=3))), q
+
+
+@settings(max_examples=25, deadline=None)
+@given(_scan_cases())
+@example(([-1, 0, 1], 65537))  # 65536^2 = 2^32 would wrap to 0 in uint32
+@example((_linear_product([65534, 65535]), 65536))  # q - 2 and q - 1 at uint32's top
+@example((_linear_product([65535, 65536, 131071, 131072, 196610]), 3 * 65537))  # block edges
+@example(([1, 1], 2))
+@example(([0, 0, 3], 3))  # 0 mod q: every residue
+def test_scan_matches_python_ints_at_the_lane_and_block_edges(case):
+    f, q = case
+    assert _roots_by_scan(f, q) == [x for x in range(q) if poly_eval_z(f, x) % q == 0]
+
+
+def test_scan_finds_the_root_65536_of_x2_minus_1_mod_65537():
+    # 65536 is the one residue whose square overflows uint32, so this q takes uint64
+    assert _roots_by_scan([-1, 0, 1], 65537) == [1, 65536]
+
+
+def test_scan_squares_x_in_every_block():
+    # a run of 999 zero coefficients multiplies by x^(2^j) for each set bit j
+    # of 1000; the root 131072 starts the third block
+    q = 3 * 65537
+    a = pow(131072, 1000, q)
+    roots = _roots_by_scan([-a] + [0] * 999 + [1], q)
+    assert 131072 in roots
+    assert roots == [x for x in range(q) if pow(x, 1000, q) == a]
+
+
+@pytest.mark.parametrize("q", [1, 0, -5])
+def test_roots_mod_q_refuses_a_modulus_below_2(q):
+    with pytest.raises(InvalidParams, match="at least 2"):
+        roots_mod_q([1, 0, 1], q)
 
 
 def test_check_scan_q_hands_numpy_a_plain_int():
