@@ -29,10 +29,6 @@ class NonSquarefree(LatticeLabError):
     """Polynomial has a repeated root where a squarefree one is required."""
 
 
-class NotSquarefree(LatticeLabError):
-    """Integer has a square factor where a squarefree one is required."""
-
-
 class NoConvergence(LatticeLabError):
     """The numeric root finder (numpy's eigenvalue solver) did not converge."""
 

@@ -14,13 +14,14 @@ and fields, then rows by _BLOCK_ENTRIES entries (read: 8x as many bytes).
 caller's arrays, each spelled by one numpy encoder (`_encode`): an entry is
 its 4-digit chunks, looked up as words of ASCII in a digit table, with sign
 and separator words beside them, and the block's text is their bytes with
-the NUL padding dropped.  `read_record` reads a file as bytes, a chunk of
-whole lines at a time, decodes only the header and fields as text, proves
-each block's spelling with one translate and a few numpy passes, and parses
-it with one np.fromstring into the record's int64 array (`_VecRows`).  So
-coding a record holds the record and one block, never its whole text.  Each
-``RECORDS`` row maps its objects to its fields and back; `dump_record` and
-`load_record` are the ``str`` forms of the same stream.
+the NUL padding dropped.  A field vector is the same encoder's one-row
+block, less its final newline.  `read_record` reads a file as bytes, a chunk
+of whole lines at a time, decodes only the header and fields as text,
+proves each block's spelling with one translate and a few numpy passes, and
+parses it with one np.fromstring into the record's int64 array
+(`_VecRows`).  So coding a record holds the record and one block, never its
+whole text.  Each ``RECORDS`` row maps its objects to its fields and back;
+`dump_record` and `load_record` are the ``str`` forms of the same stream.
 """
 
 from __future__ import annotations
@@ -200,15 +201,16 @@ class _Vec:
     """Comma-separated integers, n(fields) of them (one row of any length if
     n is None), each below q(fields) if q is given; negative ones, spelled
     with a leading minus, only if signed; ok(rows, fields), if given, must
-    hold of the parsed rows, or the error names `rule`.  Decoded as int64."""
+    hold of the parsed rows, or the error names `rule`.  Encoded by `_encode`
+    as one row without its newline; decoded as int64."""
 
     def __init__(self, n, q, ok=None, rule="", signed=False):
         self.n, self.q, self.ok, self.rule, self.signed = n, q, ok, rule, signed
 
     @staticmethod
     def encode(v):
-        v = np.asarray(v)
-        return ",".join(["%d"] * len(v)) % tuple(v.tolist())
+        v = np.asarray(v, dtype=np.int64)
+        return _encode(v[None], *_separators((len(v),), ("",)))[:-1]
 
     def decode(self, text, d, key):
         reader = _VecRows(self, d, key, 1, len(text) + 1)

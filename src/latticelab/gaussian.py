@@ -1,5 +1,5 @@
-"""Discrete Gaussian on the integers, its folding to F_q, and the
-elliptic n-dimensional error sampler.
+"""Discrete Gaussian on the integers, its folding to F_q, and
+per-coordinate error vectors.
 
 The distribution assigns mass proportional to exp(-x^2 / (2 sigma^2))
 to each integer x; sigma is the distribution *parameter*, which is close
@@ -43,28 +43,6 @@ class GaussianParams:
         return math.ceil(-TAIL_CUT * self.sigma), math.floor(TAIL_CUT * self.sigma)
 
 
-@dataclass(frozen=True)
-class EllipticGaussianParams:
-    """Per-coordinate parameters of a diagonal (elliptic) n-dim Gaussian."""
-
-    diag: tuple[float, ...]
-    bound: float
-
-    def __post_init__(self):
-        if not self.diag:
-            raise InvalidParams("diag must be non-empty")
-        for s in self.diag:
-            if s <= 0:
-                raise InvalidParams("diagonal entries must be positive")
-            if s > self.bound:
-                raise InvalidParams(f"diagonal entry {s} exceeds bound {self.bound}")
-
-
-def rho(x: float, p: GaussianParams) -> float:
-    """Unnormalized Gaussian weight exp(-x^2 / (2 sigma^2))."""
-    return math.exp(-(x * x) / (2.0 * p.sigma * p.sigma))
-
-
 @lru_cache(maxsize=8)
 def _table(p: GaussianParams) -> tuple[np.ndarray, np.ndarray]:
     """(pmf, cumulative) over the truncated support, indexed from its low end."""
@@ -106,6 +84,6 @@ def fold_to_zq_array(p: GaussianParams, q: int, rng: SeededRng, size: int) -> np
     return sample_int_array(p, rng, size) % q
 
 
-def sample_error_vector(p: EllipticGaussianParams, q: int, rng: SeededRng) -> list[int]:
-    """Independent per-coordinate folded draws with parameter diag[i]."""
-    return [fold_to_zq(GaussianParams(sigma=s), q, rng) for s in p.diag]
+def sample_error_vector(diag: tuple[float, ...], q: int, rng: SeededRng) -> list[int]:
+    """Independent folded draws, coordinate i with parameter diag[i]."""
+    return [fold_to_zq(GaussianParams(sigma=s), q, rng) for s in diag]

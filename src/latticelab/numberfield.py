@@ -1,4 +1,4 @@
-"""Canonical embedding, discriminants, and quadratic rings of integers.
+"""Complex roots, the canonical embedding and discriminants.
 
 The discriminant here is the discriminant of the order Z[x]/(f), computed
 exactly as a resultant.  For monogenic fields (in particular the
@@ -9,13 +9,12 @@ their roots are numpy's companion-matrix eigenvalues.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, LengthMismatch, NoConvergence, NonSquarefree, NotSquarefree
-from .polyring import _factorize, poly_deg, poly_derivative, poly_gcd_mod, poly_trim
+from .errors import InvalidParams, LengthMismatch, NoConvergence, NonSquarefree
+from .polyring import poly_deg, poly_derivative, poly_gcd_mod, poly_trim
 
 # A root whose imaginary part is below this counts as real.
 PRECISION = 1e-10
@@ -142,17 +141,3 @@ def discriminant_numeric(f: list[int]) -> complex:
     d = np.linalg.det(np.vander(complex_roots(f).roots, increasing=True))
     return d * d
 
-
-def is_squarefree_int(d: int) -> bool:
-    """Whether d != 0 and every exponent in `_factorize(|d|)` is 1: exact for
-    every d, at the cost of factoring it."""
-    return d != 0 and all(e == 1 for _, e in _factorize(abs(d)))
-
-
-def quadratic_ring_basis(d: int) -> tuple[str, str]:
-    """Integral basis of Q(sqrt(d)): {1, sqrt(d)} or {1, (1+sqrt(d))/2}."""
-    if d in (0, 1) or not is_squarefree_int(d):
-        raise NotSquarefree(f"d = {d} is not a squarefree integer != 0, 1")
-    if d % 4 == 1:
-        return ("1", f"(1+sqrt({d}))/2")
-    return ("1", f"sqrt({d})")

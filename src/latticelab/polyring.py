@@ -9,6 +9,7 @@ format ("1,0,0,0,1" is x^4 + 1).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, count
@@ -132,11 +133,19 @@ def cyclotomic_poly(m: int) -> list[int]:
     return c
 
 
+# A coefficient: an optional sign and ASCII digits, with ASCII whitespace
+# around them; int() alone would also take "1_0" and non-ASCII digits.
+_COEFF = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
 def parse_poly(text: str) -> list[int]:
     """Parse the comma-separated lowest-first coefficient format."""
+    tokens = text.split(",")
     try:
-        return [int(t.strip()) for t in text.strip().split(",")]
-    except ValueError as e:
+        if not all(map(_COEFF.fullmatch, tokens)):
+            raise ValueError("a coefficient is not an ASCII integer")
+        return [int(t) for t in tokens]
+    except ValueError as e:  # int() also refuses more digits than sys.get_int_max_str_digits()
         raise FormatError(f"bad polynomial text {text!r}") from e
 
 

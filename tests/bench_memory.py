@@ -18,8 +18,9 @@ the last, so a codec that fragments the heap shows as growth.  With
 --labbench, P pairs of
 `labbench/run.py --workload W --seconds S` runs, one per seed, alternate
 the two checkouts the same way, and the end-to-end metrics of every run
-are recorded with each side's median and quartiles and the pairs the
-change won.
+are recorded with each side's median and quartiles, the pairs the
+change won, and the verdicts `claim_met` and `regression` (see
+`verdicts`), judged against the bounds in BENCHMARK.json.
 
 A child's ru_maxrss starts at the RSS of the process that forked it, so
 this one stays small: it imports no numpy and compares files in chunks.
@@ -166,6 +167,8 @@ def labbench_table(parent: Path, workload: str, pairs: int, seconds: int,
     before, after = alternate(
         lambda i: labbench_run(parent.parent, workload, seeds[i], seconds),
         lambda i: labbench_run(HERE.parent, workload, seeds[i], seconds), pairs)
+    bounds = {m["name"]: m["bound"] for m in json.loads(
+        (HERE.parent / "BENCHMARK.json").read_text())["end_to_end"]}
     summary = {}
     for metric, lower in LOWER_IS_BETTER.items():
         b, a = [r[metric] for r in before], [r[metric] for r in after]
@@ -174,10 +177,34 @@ def labbench_table(parent: Path, workload: str, pairs: int, seconds: int,
             "median_parent": round(mb, 4), "median_change": round(ma, 4),
             "change": f"{(ma / mb - 1) * 100:+.1f}%",
             "parent_q1_q3": quartiles(b), "change_q1_q3": quartiles(a),
-            "change_won": sum((y < x) if lower else (y > x) for x, y in zip(b, a))}
+            **verdicts(b, a, lower, bounds[metric])}
     print(json.dumps({workload: summary}), file=sys.stderr)
     return {"seconds": seconds, "seeds": seeds, "summary": summary,
             "runs_parent": before, "runs_change": after}
+
+
+def verdicts(b: list[float], a: list[float], lower: bool, bound: float) -> dict:
+    """One metric's verdicts on paired runs, `b` the parent's and `a` the
+    change's.  change_won: the pairs the change won, ties counting for
+    neither side.  claim_met: the change won at least 9 in 10 pairs and
+    its median is better than the parent's by more than the parent's
+    interquartile distance.  regression, against the metric's relative
+    bound: "none" if every change run beats every parent run; else
+    "unresolved" if the parent's interquartile distance exceeds the bound
+    times its median; else "worse" if the change's median is worse than
+    the parent's by more than the bound, and "none" if not."""
+    sign = -1 if lower else 1  # sign * value grows as the metric gets better
+    mb, ma = statistics.median(b), statistics.median(a)
+    q1, q3 = quartiles(b)
+    won = sum(sign * y > sign * x for x, y in zip(b, a))
+    if min(sign * y for y in a) > max(sign * x for x in b):
+        regression = "none"
+    elif q3 - q1 > bound * abs(mb):
+        regression = "unresolved"
+    else:
+        regression = "worse" if sign * (mb - ma) > bound * abs(mb) else "none"
+    return {"change_won": won, "regression": regression,
+            "claim_met": 10 * won >= 9 * len(b) and sign * (ma - mb) > q3 - q1}
 
 
 def quartiles(xs: list[float]) -> list[float]:

@@ -518,6 +518,12 @@ _DIGIT_EDGES = sorted({s * e for k in range(1, 19) for e in (10**k - 1, 10**k) f
                 | {0, 1, -1, -(2**63), 2**63 - 1})
 _ENTRY = st.one_of(st.sampled_from(_DIGIT_EDGES), st.integers(-(2**63), 2**63 - 1),
                    st.integers(0, 99))
+# Field vectors as records hold them: 0, +-1, a ternary secret, BGV chain
+# entries near 2^62 and 2^63 - 1.
+_FIELD = st.one_of(st.sampled_from([[0], [1], [-1], [1, 0, -1, -1, 0, 1, 0, 1],
+                                    [4611686018427387847, 4611686018427387761, 65537],
+                                    [2**63 - 1]]),
+                   st.lists(_ENTRY, min_size=1, max_size=9))
 
 
 def format_pieces_one_shot(pieces, prefixes) -> str:
@@ -538,7 +544,8 @@ def format_pieces_one_shot(pieces, prefixes) -> str:
 def test_encoder_is_the_str_join_of_every_layout(block, cycles, layout, data):
     """1-3 keys per cycle, each with 1-3 arrays side by side (width 0: a 1-D
     array, one column), prefixes whose separators take 1-4 words, entries
-    of every digit count and sign, in blocks of 1, 7 or the default."""
+    of every digit count and sign, in blocks of 1, 7 or the default; and a
+    field vector, one row with no prefix and its final newline dropped."""
     prefixes = data.draw(st.lists(st.sampled_from(["", "k=", "u=", "sample=", "a_longer_key="]),
                                   min_size=len(layout), max_size=len(layout)))
     pieces = []
@@ -554,6 +561,8 @@ def test_encoder_is_the_str_join_of_every_layout(block, cycles, layout, data):
         mp.setattr(fileio, "_BLOCK_ENTRIES", block)
         text = "".join(fileio._format_blocks(pieces, prefixes))
     assert text == format_pieces_one_shot(pieces, prefixes)
+    field = data.draw(_FIELD)
+    assert fileio._Vec.encode(field) == format_pieces_one_shot([(np.array([field]),)], [""])[:-1]
 
 
 @pytest.mark.parametrize("block", [1, 7, fileio._BLOCK_ENTRIES])

@@ -7,12 +7,10 @@ import pytest
 from latticelab.errors import InvalidParams
 from latticelab.gaussian import (
     MAX_SIGMA,
-    EllipticGaussianParams,
     GaussianParams,
     fold_to_zq,
     fold_to_zq_array,
     pmf_int,
-    rho,
     sample_error_vector,
     sample_int,
     sample_int_array,
@@ -28,13 +26,6 @@ def brute_pmf(k, sigma, center=0.0, window=40):
         math.exp(-((x - center) ** 2) / (2 * sigma * sigma)) for x in range(lo, hi + 1)
     )
     return math.exp(-((k - center) ** 2) / (2 * sigma * sigma)) / total
-
-
-def test_rho_basics():
-    assert abs(rho(1.0, GaussianParams(sigma=1.0)) - math.exp(-0.5)) < 1e-15
-    p0 = GaussianParams(sigma=3.2)
-    for x in (0.5, 1.0, 7.25):
-        assert rho(x, p0) == rho(-x, p0)
 
 
 def test_param_validation():
@@ -115,20 +106,11 @@ def test_folding_injective_when_support_fits(rng):
         assert lo <= reduce_centered(v, q) <= hi
 
 
-def test_elliptic_params_validation():
-    EllipticGaussianParams(diag=(2.0, 2.0, 3.0), bound=3.0)
-    with pytest.raises(InvalidParams):
-        EllipticGaussianParams(diag=(2.0, 3.03), bound=3.0)
-    with pytest.raises(InvalidParams):
-        EllipticGaussianParams(diag=(), bound=3.0)
-
-
 def test_error_vector_reproducible_and_sized():
-    p = EllipticGaussianParams(diag=(2.5, 2.5, 2.5, 2.5), bound=4.0)
     q = Modulus(257)
-    a = sample_error_vector(p, q, SeededRng(b"\x22" * 32))
-    b = sample_error_vector(p, q, SeededRng(b"\x22" * 32))
-    assert a == b and len(a) == 4
+    a = sample_error_vector((2.5,) * 4, q, SeededRng(b"\x22" * 32))
+    rng = SeededRng(b"\x22" * 32)
+    assert a == [fold_to_zq(GaussianParams(sigma=2.5), q, rng) for _ in range(4)]
     assert all(0 <= v < 257 for v in a)
 
 

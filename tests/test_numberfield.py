@@ -8,15 +8,12 @@ from latticelab.errors import (
     LengthMismatch,
     NoConvergence,
     NonSquarefree,
-    NotSquarefree,
 )
 from latticelab.numberfield import (
     canonical_embed,
     complex_roots,
     discriminant,
     discriminant_numeric,
-    is_squarefree_int,
-    quadratic_ring_basis,
     resultant,
 )
 from latticelab.polyring import cyclotomic_poly
@@ -174,27 +171,3 @@ def test_resultant_basics():
     assert resultant([-3, 1], [-5, 1]) == 3 - 5
     # res(f, g) = product of g over roots of f: f = x^2 - 1, g = x - 2
     assert resultant([-1, 0, 1], [-2, 1]) == (1 - 2) * (-1 - 2)
-
-
-def test_squarefree_detector():
-    assert is_squarefree_int(10)
-    assert is_squarefree_int(-15)
-    assert not is_squarefree_int(12)
-    assert not is_squarefree_int(0)
-    assert is_squarefree_int(1)
-    # prime squares past 10^6, and a 12-digit squarefree semiprime
-    assert not is_squarefree_int(2 * 1000003**2)
-    assert not is_squarefree_int(-(999983**2) * 999979)
-    assert is_squarefree_int(999983 * 999979)
-
-
-def test_quadratic_basis():
-    assert quadratic_ring_basis(2) == ("1", "sqrt(2)")
-    assert quadratic_ring_basis(5) == ("1", "(1+sqrt(5))/2")
-    assert quadratic_ring_basis(-1) == ("1", "sqrt(-1)")
-    with pytest.raises(NotSquarefree):
-        quadratic_ring_basis(4)
-    with pytest.raises(NotSquarefree):
-        quadratic_ring_basis(1)
-    with pytest.raises(NotSquarefree):
-        quadratic_ring_basis(1000003**2)

@@ -98,8 +98,13 @@ def test_parse_format_roundtrip():
     assert parse_poly("1,0,0,0,1") == [1, 0, 0, 0, 1]
     assert parse_poly(" 1 , -2 , 3 ") == [1, -2, 3]
     assert parse_poly(",".join(map(str, [3, -1, 0, 4]))) == [3, -1, 0, 4]
-    with pytest.raises(FormatError):
-        parse_poly("1,x,3")
+    assert parse_poly("+5,\t0,1\n") == [5, 0, 1]
+    # int() reads "1_0" as 10, Arabic-Indic and fullwidth digits as digits, and
+    # Unicode spaces as spaces; a coefficient is an optional sign and ASCII digits
+    for text in ("1,x,3", "1_0,0,1", "\u0661,0,1", "\uff11,0,1", "1,\u20030", "1,,2", "- 1,2",
+                 "1 2", "+-1", "", "9" * 5000):
+        with pytest.raises(FormatError):
+            parse_poly(text)
 
 
 # ---------------------------------------------------------------------------
